@@ -2,14 +2,15 @@
 
 Two modes: ``tritri pair`` reads triangle pairs (18 numbers per line) and
 emits one JSON record per pair; ``tritri mesh`` reads two OFF triangle
-soups, tests all cross pairs, and emits records for contacting pairs.
+soups, sends the cross pairs whose grown bounding boxes overlap to the
+kernel, and emits records for contacting pairs.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
 stream is byte-identical across runs and --jobs settings.  Per-record
 timing (the ``us`` field) is therefore opt-in via --timing.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 all records degenerate.
+Exit codes: 0 success, 1 I/O or parse failure, 2 every pair degenerate.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
 from .errors import DegenerateTriangle, EmptyMesh, ParseError
 from .fileio import PairRecord, read_off, read_pairs
-from .intersect import intersect
+from .intersect import contact_margin, intersect
 
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
@@ -63,21 +64,32 @@ def _evaluate_all(tasks, tol, jobs, timing) -> list[ResultRecord]:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float) -> dict:
+def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
+               pairs: int | None = None, degenerate: int = 0) -> dict:
+    """Counts over all ``pairs`` candidates (default: one per result).
+
+    ``degenerate`` counts candidates skipped before the kernel; they and the
+    results without a case are ``skipped``.  Candidates that are neither
+    skipped nor among the results were ``culled`` by the broad phase, so
+    ``pairs == sum(cases) + skipped + culled``.
+    """
+    if pairs is None:
+        pairs = len(results)
     cases: dict[str, int] = {}
-    skipped = 0
+    skipped = degenerate
     for rec in results:
         if rec.case is None:
             skipped += 1
         else:
             cases[rec.case] = cases.get(rec.case, 0) + 1
     return {
-        "pairs": len(results),
+        "pairs": pairs,
         "emitted": emitted,
         "skipped": skipped,
+        "culled": pairs - degenerate - len(results),
         "cases": dict(sorted(cases.items())),
         "elapsed_us": round(elapsed * 1e6),
-        "pairs_per_s": round(len(results) / elapsed) if elapsed > 0 else None,
+        "pairs_per_s": round(pairs / elapsed) if elapsed > 0 else None,
     }
 
 
@@ -92,27 +104,78 @@ def run_pairs(records: Iterable[PairRecord], tol: Tolerance, jobs: int = 1,
     return results, summary
 
 
+def _grown_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None]:
+    """Per face, its bounding box grown by ``contact_margin``; None if degenerate."""
+    boxes: list[tuple | None] = []
+    for face in faces:
+        try:
+            m = contact_margin(face, tol)
+        except DegenerateTriangle:
+            boxes.append(None)
+            continue
+        xs, ys, zs = zip(*face)
+        boxes.append((min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m,
+                      min(zs) - m, max(zs) + m))
+    return boxes
+
+
+def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple | None],
+                       same_mesh: bool) -> list[tuple[int, int]]:
+    """Sorted (i, j) pairs whose boxes overlap as closed intervals; None boxes never do.
+
+    Sort-and-sweep along x (Baraff 1992): boxes enter in order of their low
+    x and are checked on y and z against the open boxes of the other mesh,
+    after dropping those whose high x lies below the entering low x.  For a
+    mesh against itself there is one list of open boxes and pairs come out
+    i < j.
+    """
+    entering = [(box[0], 0, i, box) for i, box in enumerate(boxes_a) if box is not None]
+    if not same_mesh:
+        entering += [(box[0], 1, j, box) for j, box in enumerate(boxes_b) if box is not None]
+    entering.sort()  # (low x, side, index) is unique, so boxes are never compared
+    open_boxes: tuple[list, list] = ([], [])
+    pairs = []
+    for low_x, side, k, box in entering:
+        _, _, y0, y1, z0, z1 = box
+        other = open_boxes[0 if same_mesh else 1 - side]
+        other[:] = [(m, ob) for m, ob in other if ob[1] >= low_x]
+        for m, ob in other:
+            if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
+                # mesh A's index first; the lower index first within one mesh
+                pairs.append((m, k) if side or (same_mesh and m < k) else (k, m))
+        open_boxes[side].append((k, box))
+    pairs.sort()
+    return pairs
+
+
 def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
                tol: Tolerance, jobs: int = 1, timing: bool = False,
                same_mesh: bool = False) -> tuple[list[ResultRecord], dict]:
-    """All-pairs mesh test; only contacting pairs are emitted downstream.
+    """Mesh test behind a box broad phase; only contacting pairs are emitted downstream.
 
+    Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
+    overlap reach the kernel; the summary counts the others as ``culled``.
+    Pairs with a degenerate face count as ``skipped`` without a kernel call.
     For a mesh against itself, diagonal pairs are excluded and symmetric
-    pairs tested once (i < j).  Order is lexicographic by (i, j).
+    pairs tested once (i < j).  The results are the kernel's records, in
+    lexicographic (i, j) order.
     """
-    if same_mesh:
-        tasks = [((i, j), faces_a[i], faces_b[j])
-                 for i in range(len(faces_a))
-                 for j in range(i + 1, len(faces_b))]
-    else:
-        tasks = [((i, j), faces_a[i], faces_b[j])
-                 for i in range(len(faces_a))
-                 for j in range(len(faces_b))]
     start = time.perf_counter()
+    boxes_a = _grown_boxes(faces_a, tol)
+    boxes_b = boxes_a if same_mesh else _grown_boxes(faces_b, tol)
+    good_a = len(boxes_a) - boxes_a.count(None)
+    if same_mesh:
+        pairs = len(faces_a) * (len(faces_a) - 1) // 2
+        good_pairs = good_a * (good_a - 1) // 2
+    else:
+        pairs = len(faces_a) * len(faces_b)
+        good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
+    tasks = [((i, j), faces_a[i], faces_b[j])
+             for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh)]
     results = _evaluate_all(tasks, tol, jobs, timing)
     contacts = sum(r.case in CONTACT_CASES for r in results)
-    summary = _summarize(results, emitted=contacts,
-                         elapsed=time.perf_counter() - start)
+    summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
+                         pairs=pairs, degenerate=pairs - good_pairs)
     return results, summary
 
 
@@ -149,11 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--input", default="-", help="pair file, one pair per line (default stdin)")
     common(pair)
 
-    mesh = sub.add_parser("mesh", help="all-pairs intersection of two OFF meshes")
+    mesh = sub.add_parser("mesh", help="contacting face pairs of two OFF meshes")
     mesh.add_argument("mesh_a")
     mesh.add_argument("mesh_b")
-    mesh.add_argument("--contacts-only", action="store_true",
-                      help="emit only contacting pairs (already the default for mesh mode)")
     common(mesh)
     return parser
 
@@ -189,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(emitted, handle)
     print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
 
-    if results and all(r.case is None for r in results):
+    if summary["pairs"] and summary["skipped"] == summary["pairs"]:
         return 2
     return 0
 

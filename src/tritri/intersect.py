@@ -21,7 +21,11 @@ from .core import (
     Triangle3,
     classify_planes,
     closest_point_on_plane,
+    dist3,
     plane_from_triangle,
+    vcross,
+    vnorm,
+    vsub,
 )
 from .errors import CoplanarEdges, NonFiniteInput
 from .frame import PlaneFrame, build_frame, from_plane, to_plane
@@ -141,6 +145,45 @@ def intersect(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) 
         return CaseLabel.TOUCH_POINT, IntersectionResult(ResultKind.TOUCH, (touch,))
     lifted = tuple(from_plane(frame, p) for p in clip.points)
     return CaseLabel.CROSSING_SEGMENT, IntersectionResult(ResultKind.SEGMENT, lifted)
+
+
+def contact_margin(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """Distance from ``t`` within which ``intersect`` reports its contacts with ``t``.
+
+    If ``intersect`` returns a contact label for ``(t, s)`` or ``(s, t)``,
+    some reported point lies within ``contact_margin(t)`` of ``t`` and
+    within ``contact_margin(s)`` of ``s``, so the bounding boxes of the two
+    triangles, grown by their margins, overlap.  Raises NonFiniteInput and
+    DegenerateTriangle on the per-triangle checks ``intersect`` starts with.
+
+    With R the largest vertex norm, L the longest edge and r the inradius,
+    the terms cover, to first order in the tolerances:
+
+    * ``eps_dist * L / r``: the window tests accept a point within eps_dist
+      outside every side line.  That region is the triangle scaled about
+      its incenter I by (r + eps_dist) / r, so a vertex v moves out by
+      eps_dist * |v - I| / r <= eps_dist * L / r: about 3.5 eps_dist for an
+      equilateral triangle, far more near the sharp tip of a sliver.
+    * ``eps_dist * (1 + 2 R)``: a coplanar pair's normals may differ by a
+      sine of eps_dist, so snapping a vertex v of the other triangle onto
+      the reference plane moves it by up to eps_dist * (1 + sqrt(2) |v|);
+      the 1 alone covers a vertex taken as lying in the plane.
+    * ``2 * eps_param * L``: an edge parameter may overshoot [0, 1] by
+      eps_param, once along an edge meeting the other plane and once along
+      the segment between two such points.
+    * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
+      operations on coordinates of size R.
+    """
+    _check_finite(t)
+    plane_from_triangle(t, tol)
+    a, b, c = t
+    edges = (dist3(a, b), dist3(b, c), dist3(c, a))
+    longest = max(edges)
+    area = 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a)))
+    inradius = 2.0 * area / sum(edges)
+    reach = max(vnorm(a), vnorm(b), vnorm(c))
+    return (tol.eps_dist * (1.0 + 2.0 * reach + longest / inradius)
+            + 2.0 * tol.eps_param * longest + 1e-12 * (1.0 + reach))
 
 
 def classify_only(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> CaseLabel:

@@ -169,3 +169,33 @@ def result_matches_oracle(result_points, oracle_float_points, tol=1e-9) -> bool:
     if len(got) <= 2:
         return points_match_unordered(got, want, tol)
     return contours_match(got, want, tol)
+
+
+# --- meshes ------------------------------------------------------------------
+
+
+def height_field(heights, offset=(0.0, 0.0, 0.0)) -> list[Triangle3]:
+    """Faces of a height field over a unit grid, two per cell.
+
+    Neighbouring faces share edges and vertices; equal heights make them
+    coplanar.  ``heights[i][j]`` is the height over grid point (i, j).
+    """
+    ox, oy, oz = offset
+
+    def vertex(i, j):
+        return Point3(i + ox, j + oy, heights[i][j] + oz)
+
+    faces = []
+    for i in range(len(heights) - 1):
+        for j in range(len(heights[0]) - 1):
+            a, b, c, d = vertex(i, j), vertex(i, j + 1), vertex(i + 1, j), vertex(i + 1, j + 1)
+            faces += [Triangle3(a, c, d), Triangle3(a, d, b)]
+    return faces
+
+
+def off_text(faces) -> str:
+    """ASCII OFF text of a triangle soup, with three vertices of its own per face."""
+    lines = ["OFF", f"{3 * len(faces)} {len(faces)} 0"]
+    lines += [" ".join(repr(float(c)) for c in v) for face in faces for v in face]
+    lines += [f"3 {3 * k} {3 * k + 1} {3 * k + 2}" for k in range(len(faces))]
+    return "\n".join(lines) + "\n"

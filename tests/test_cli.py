@@ -5,7 +5,7 @@ from tritri.cli import CONTACT_CASES, main, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
 from tritri.fileio import iter_pairs
 
-from conftest import mixed_pairs
+from conftest import height_field, mixed_pairs, off_text
 
 CROSSING = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 PARALLEL = "0 0 0  4 0 0  0 4 0   0 0 1  4 0 1  0 4 1"
@@ -47,6 +47,11 @@ def _pair_line(t1, t2):
 
 def _write_pairs(path, pairs):
     path.write_text("".join(_pair_line(t1, t2) + "\n" for t1, t2 in pairs))
+
+
+def _assert_counts_add_up(summary):
+    assert summary["pairs"] == (sum(summary["cases"].values()) + summary["skipped"]
+                                + summary["culled"])
 
 
 def test_run_pairs_keeps_order_and_counts():
@@ -157,7 +162,7 @@ def test_mesh_mode_disjoint_meshes_empty_stream(tmp_path, capsys):
     assert main(["mesh", str(mesh_a), str(mesh_b), "--output", str(out)]) == 0
     assert out.read_text() == ""
     summary = json.loads(capsys.readouterr().err.strip())
-    assert summary["pairs"] == 2 and summary["emitted"] == 0
+    assert summary["pairs"] == 2 and summary["emitted"] == 0 and summary["culled"] == 2
 
 
 def test_mesh_against_itself_skips_diagonal(tmp_path, capsys):
@@ -170,13 +175,59 @@ def test_mesh_against_itself_skips_diagonal(tmp_path, capsys):
     assert summary["pairs"] == 1
 
 
-def test_contacts_only_flag_accepted(tmp_path, capsys):
+def test_mesh_summary_counts_every_candidate(tmp_path, capsys):
+    ramp = height_field([[0.0] * 5, [1.0] * 5])  # 8 faces along y
+    collinear = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
     mesh_a = tmp_path / "a.off"
     mesh_b = tmp_path / "b.off"
-    mesh_a.write_text(SQUARE_OFF)
+    mesh_a.write_text(off_text(ramp + [collinear]))
     mesh_b.write_text(POKER_OFF)
-    out = tmp_path / "contacts.jsonl"
-    assert main(["mesh", str(mesh_a), str(mesh_b), "--contacts-only",
-                 "--output", str(out)]) == 0
-    capsys.readouterr()
-    assert len(out.read_text().splitlines()) == 1
+    out = str(tmp_path / "contacts.jsonl")
+
+    assert main(["mesh", str(mesh_a), str(mesh_b), "--output", out]) == 0
+    summary = json.loads(capsys.readouterr().err.strip())
+    # the poker reaches only the two faces of the first cell
+    assert summary["pairs"] == 9 and summary["skipped"] == 1 and summary["culled"] == 6
+    _assert_counts_add_up(summary)
+
+    assert main(["mesh", str(mesh_a), str(mesh_a), "--output", out]) == 0
+    summary = json.loads(capsys.readouterr().err.strip())
+    assert summary["pairs"] == 36 and summary["skipped"] == 8 and summary["culled"] > 0
+    _assert_counts_add_up(summary)
+
+
+def test_all_degenerate_mesh_exits_2(tmp_path, capsys):
+    # collinear faces far apart: no box overlaps, yet every pair is skipped
+    mesh_a = tmp_path / "a.off"
+    mesh_b = tmp_path / "b.off"
+    mesh_a.write_text(off_text([((0, 0, 0), (1, 1, 1), (2, 2, 2))]))
+    mesh_b.write_text(off_text([((50, 50, 50), (51, 51, 51), (52, 52, 52)),
+                                ((60, 0, 0), (61, 0, 0), (62, 0, 0))]))
+    out = str(tmp_path / "contacts.jsonl")
+    assert main(["mesh", str(mesh_a), str(mesh_b), "--output", out]) == 2
+    summary = json.loads(capsys.readouterr().err.strip())
+    assert summary["pairs"] == summary["skipped"] == 2 and summary["culled"] == 0
+    assert main(["mesh", str(mesh_b), str(mesh_b), "--output", out]) == 2
+    summary = json.loads(capsys.readouterr().err.strip())
+    assert summary["pairs"] == summary["skipped"] == 1
+
+
+def test_mesh_output_is_byte_identical_across_jobs(tmp_path, capsys):
+    rng = random.Random(23)
+
+    def heights():
+        return [[rng.randint(0, 2) / 2 for _ in range(6)] for _ in range(6)]
+
+    mesh_a = tmp_path / "a.off"
+    mesh_b = tmp_path / "b.off"
+    mesh_a.write_text(off_text(height_field(heights())))
+    mesh_b.write_text(off_text(height_field(heights(), offset=(0.25, 0.5, 0.25))))
+    for meshes in ((mesh_a, mesh_b), (mesh_a, mesh_a)):
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"out{jobs}.jsonl"
+            assert main(["mesh", *map(str, meshes), "--output", str(out),
+                         "--jobs", jobs]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -16,6 +16,7 @@ from tritri import (
     plane_from_triangle,
     signed_distance,
 )
+from tritri.intersect import contact_margin
 
 from conftest import contours_match, mixed_pairs, points_match_unordered
 
@@ -108,6 +109,8 @@ def test_non_finite_input_rejected():
         intersect(T1, _tri((math.nan, 0, 0), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(NonFiniteInput):
         intersect(_tri((0, 0, math.inf), (1, 0, 0), (0, 1, 0)), T1)
+    with pytest.raises(NonFiniteInput):
+        contact_margin(_tri((0, 0, math.inf), (1, 0, 0), (0, 1, 0)))
 
 
 def test_degenerate_triangle_rejected():
@@ -116,6 +119,8 @@ def test_degenerate_triangle_rejected():
         intersect(line, T1)
     with pytest.raises(DegenerateTriangle):
         intersect(T1, _tri((3, 3, 3), (3, 3, 3), (5, 1, 0)))
+    with pytest.raises(DegenerateTriangle):
+        contact_margin(line)
 
 
 def test_segment_lies_on_both_planes():

@@ -1,0 +1,152 @@
+"""The mesh broad phase held to brute force.
+
+``run_meshes`` sends only the pairs whose grown bounding boxes overlap to
+the kernel.  These tests call ``intersect`` on every candidate pair instead
+and require the same contact records, on pairs the kernel reports as
+contacts well outside an eps_dist-grown box and on small random meshes.
+"""
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from tritri.cli import CONTACT_CASES, _grown_boxes, _overlapping_pairs, run_meshes
+from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3
+from tritri.errors import DegenerateTriangle
+from tritri.intersect import intersect
+
+from conftest import height_field
+
+WIDE = ((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0))
+SLIVER = ((0.0, -0.02, 0.0), (0.0, 0.02, 0.0), (4.0, 0.0, 0.0))
+
+
+def _tri(points) -> Triangle3:
+    return Triangle3(*(Point3(*map(float, p)) for p in points))
+
+
+def brute_force_contacts(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TOLERANCE):
+    contacts = []
+    for i, t1 in enumerate(faces_a):
+        for j in range(i + 1 if same_mesh else 0, len(faces_b)):
+            try:
+                label, result = intersect(t1, faces_b[j], tol)
+            except DegenerateTriangle:
+                continue
+            if label.value in CONTACT_CASES:
+                contacts.append(((i, j), label.value, tuple(tuple(p) for p in result.points)))
+    return contacts
+
+
+def brute_force_overlaps(boxes_a, boxes_b, same_mesh=False):
+    def overlap(p, q):
+        return all(p[2 * k] <= q[2 * k + 1] and q[2 * k] <= p[2 * k + 1] for k in range(3))
+
+    return [(i, j) for i, p in enumerate(boxes_a)
+            for j in range(i + 1 if same_mesh else 0, len(boxes_b))
+            if p is not None and boxes_b[j] is not None and overlap(p, boxes_b[j])]
+
+
+def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TOLERANCE):
+    results, _ = run_meshes(faces_a, faces_b, tol, same_mesh=same_mesh)
+    got = [(r.id, r.case, r.points) for r in results if r.case in CONTACT_CASES]
+    want = brute_force_contacts(faces_a, faces_b, same_mesh, tol)
+    assert got == want
+    boxes_a = _grown_boxes(faces_a, tol)
+    boxes_b = _grown_boxes(faces_b, tol)
+    assert (_overlapping_pairs(boxes_a, boxes_b, same_mesh)
+            == brute_force_overlaps(boxes_a, boxes_b, same_mesh))
+    return want
+
+
+@pytest.mark.parametrize("d, eps_param, label", [
+    (5e-9, 1e-9, "touch_point"),
+    (5e-7, 1e-9, "crossing_segment"),
+    (0.05, 1e-4, "crossing_segment"),  # eps_param well above eps_dist
+])
+def test_edge_parameter_slack_reaches_the_kernel(d, eps_param, label):
+    # the long edge meets z = 0 at a parameter just below 0, allowed by eps_param
+    tol = Tolerance(eps_dist=1e-9, eps_param=eps_param)
+    spike = _tri(((1, 1, d), (1, 1, 1e3), (3, 1, 1e3)))
+    wide = _tri(WIDE)
+    assert [c[1] for c in assert_matches_brute_force([wide], [spike], tol=tol)] == [label]
+    assert [c[1] for c in assert_matches_brute_force([spike], [wide], tol=tol)] == [label]
+
+
+def test_sliver_tip_reaches_the_kernel():
+    # 1e-7 past the sharp tip, yet within eps_dist of both long sides
+    post = _tri(((4 + 1e-7, 0, -1), (4 + 1e-7, 0, 1), (5 + 1e-7, 1, 1)))
+    sliver = _tri(SLIVER)
+    assert [c[1] for c in assert_matches_brute_force([sliver], [post])] == ["touch_point"]
+    assert_matches_brute_force([post], [sliver])
+
+
+@st.composite
+def height_fields(draw, offset_steps=0):
+    """A height field of up to 3 x 3 cells, heights on half steps, offset on quarter steps."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    heights = draw(st.lists(st.lists(st.integers(0, 2).map(lambda h: h / 2),
+                                     min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    step = st.integers(-offset_steps, offset_steps).map(lambda k: k / 4)
+    return height_field(heights, offset=(draw(step), draw(step), draw(step)))
+
+
+@seed(20240)
+@settings(max_examples=60, deadline=None)
+@given(height_fields(), height_fields(offset_steps=4))
+def test_height_fields_match_brute_force(mesh_a, mesh_b):
+    assert_matches_brute_force(mesh_a, mesh_b)
+    assert_matches_brute_force(mesh_b, mesh_a)
+    assert_matches_brute_force(mesh_a, mesh_a, same_mesh=True)
+
+
+@st.composite
+def near_coplanar_meshes(draw):
+    """Triangles in z = 0 about 1e3 from the origin, against copies tilted about the y axis.
+
+    The tilt stays below eps_dist, so the kernel calls the planes coincident
+    although the faces sit up to about 1e3 * tilt apart; the axes are then
+    permuted so the gap also falls on the sweep axis.
+    """
+    grid = st.integers(-8, 8).map(lambda k: k / 4)
+    sin_tilt = draw(st.floats(0.0, 0.9e-9))
+    axes = draw(st.permutations((0, 1, 2)))
+    mesh_a, mesh_b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        for mesh, sin in ((mesh_a, 0.0), (mesh_b, sin_tilt)):
+            verts = [(1e3 + draw(grid), draw(grid)) for _ in range(3)]
+            lifted = [(x, y, x * sin) for x, y in verts]
+            mesh.append(_tri([tuple(v[k] for k in axes) for v in lifted]))
+    return mesh_a, mesh_b
+
+
+@seed(20241)
+@settings(max_examples=150, deadline=None)
+@given(near_coplanar_meshes())
+def test_near_coplanar_far_from_origin_matches_brute_force(meshes):
+    mesh_a, mesh_b = meshes
+    assert_matches_brute_force(mesh_a, mesh_b)
+    assert_matches_brute_force(mesh_b, mesh_a)
+
+
+boxes = st.one_of(st.none(), st.tuples(*[st.integers(-4, 4), st.integers(0, 3)] * 3).map(
+    lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3], t[4], t[4] + t[5])))
+
+
+@seed(20242)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(boxes, max_size=12), st.lists(boxes, max_size=12))
+def test_sweep_equals_brute_force_overlap(boxes_a, boxes_b):
+    # integer boxes: many shared and touching faces
+    assert _overlapping_pairs(boxes_a, boxes_b, False) == brute_force_overlaps(boxes_a, boxes_b)
+    assert (_overlapping_pairs(boxes_a, boxes_a, True)
+            == brute_force_overlaps(boxes_a, boxes_a, same_mesh=True))
+
+
+def test_near_coplanar_far_from_origin_reaches_the_kernel():
+    # a contour between faces 5e-7 apart, as the property above generates them
+    t1 = _tri(((1000, 0, 0), (1002, 0, 0), (1000, 2, 0)))
+    t2 = _tri([(x, y, x * 5e-10) for x, y in ((1000.5, 0.5), (1001.5, 0.5), (1000.5, 1.5))])
+    assert [c[1] for c in assert_matches_brute_force([t1], [t2])] == ["coplanar_contour"]
+    assert [c[1] for c in assert_matches_brute_force([t2], [t1])] == ["coplanar_contour"]
