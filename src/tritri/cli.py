@@ -10,7 +10,7 @@ summary JSON object goes to stderr.  Output is deterministic: the record
 stream is byte-identical across runs and --jobs settings.  Per-record
 timing (the ``us`` field) is therefore opt-in via --timing.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 every pair degenerate.
+Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
-from .errors import DegenerateTriangle, EmptyMesh, ParseError
+from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
 from .fileio import PairRecord, read_off, read_pairs
 from .intersect import contact_margin, intersect
 
@@ -34,7 +34,7 @@ CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"
 @dataclass(frozen=True)
 class ResultRecord:
     id: object  # int for pair mode, (i, j) for mesh mode
-    case: str | None  # None marks a skipped (degenerate) record
+    case: str | None  # None marks a skipped record (degenerate or unplaceable pair)
     points: tuple
     us: int | None = None
 
@@ -48,7 +48,8 @@ def _evaluate(task, tol: Tolerance, timing: bool) -> ResultRecord:
     start = time.perf_counter() if timing else 0.0
     try:
         label, result = intersect(Triangle3(*t1), Triangle3(*t2), tol)
-    except DegenerateTriangle:
+    except GeometryError:
+        # degenerate input, or a pair the kernel cannot place: skip it, not the run
         return ResultRecord(rid, None, ())
     us = round((time.perf_counter() - start) * 1e6) if timing else None
     points = tuple(tuple(p) for p in result.points)

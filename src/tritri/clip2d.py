@@ -43,7 +43,6 @@ class Side(Enum):
 
 
 SIDE_ORDER = (Side.AB, Side.AC, Side.BC)
-_SIDE_INDEX = {Side.AB: 0, Side.AC: 1, Side.BC: 2}
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,12 @@ def candidate_exit_sides(entry_code: RegionCode, exit_code: RegionCode) -> tuple
     return candidate_entry_sides(exit_code)
 
 
-def line_through(p, q) -> HomLine:
-    """Homogeneous line through two points (cross product of (u, v, 1))."""
-    if math.hypot(q[0] - p[0], q[1] - p[1]) <= DEFAULT_TOLERANCE.eps_dist:
+def line_through(p, q, tol: Tolerance = DEFAULT_TOLERANCE) -> HomLine:
+    """Homogeneous line through two points (cross product of (u, v, 1)).
+
+    Raises ZeroLengthSegment when the points are within ``tol.eps_dist``.
+    """
+    if math.hypot(q[0] - p[0], q[1] - p[1]) <= tol.eps_dist:
         raise ZeroLengthSegment("need two distinct points for a line")
     return HomLine(p[1] - q[1], q[0] - p[0], p[0] * q[1] - p[1] * q[0])
 
@@ -195,8 +197,8 @@ def segment_side_intersection(p, q, w: Triangle2, side: Side, tol: Tolerance = D
     eps_param.  Parallel or collinear configurations return None.
     """
     s1, s2 = side_points(w, side)
-    la = line_through(p, q)
-    lb = line_through(s1, s2)
+    la = line_through(p, q, tol)
+    lb = line_through(s1, s2, tol)
     cu = la.l2 * lb.l3 - la.l3 * lb.l2
     cv = la.l3 * lb.l1 - la.l1 * lb.l3
     cw = la.l1 * lb.l2 - la.l2 * lb.l1

@@ -1,67 +1,28 @@
-"""Contour of two coplanar triangles via linked vertex loops.
+"""Contour of two coplanar triangles by half-plane clipping.
 
-Both triangles become cyclic vertex loops sharing crossing nodes (twin
-links).  Tracing starts at an entry crossing and alternates loops at every
-crossing, collecting the original vertices passed on the way; for convex
-input the walk closes after one lap around the overlap region.
+The clipped triangle is clipped in turn against the window's three inside
+half-planes (Sutherland & Hodgman, CACM 1974).  Each pass keeps the part
+of the polygon on the interior side of one window side line, so after
+three passes what is left is the overlap of the two triangles: a convex
+polygon with 3 to 6 vertices, or nothing.  A triangle contained in the
+other comes back as a 3-vertex contour.
 
-Touching contacts are not crossings: a clipped vertex or edge incident on
-a window side produces no node, so triangle pairs whose only contact is
-boundary contact fall through to the containment check and report
-Disjoint or full containment.
+Touching contacts are not overlap: a shared edge, a shared vertex or a
+corner graze leaves a polygon whose area is below ``eps_area``, and the
+pair is reported Disjoint.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .clip2d import (
-    SIDE_ORDER,
-    Side,
-    Triangle2,
-    _code,
-    _dist2,
-    _lerp2,
-    _param_along,
-    _SIDE_INDEX,
-    _window_lines,
-    candidate_entry_sides,
-    point_in_triangle,
-    side_points,
-)
+from .clip2d import Triangle2, _dist2, _lerp2, _window_lines
 from .core import DEFAULT_TOLERANCE, Tolerance
-from .errors import MalformedLoops
 from .frame import Point2
-
-
-class NodeKind(Enum):
-    ORIGINAL = "original"
-    ENTRY = "entry"
-    EXIT = "exit"
-
-
-@dataclass(eq=False)
-class VertexNode:
-    position: Point2
-    kind: NodeKind
-    twin: "VertexNode | None" = field(default=None, repr=False)
-
-
-@dataclass(eq=False)
-class VertexLoop:
-    nodes: list[VertexNode]
-
-    def originals(self) -> list[Point2]:
-        return [n.position for n in self.nodes if n.kind is NodeKind.ORIGINAL]
-
-    def crossings(self) -> list[VertexNode]:
-        return [n for n in self.nodes if n.kind is not NodeKind.ORIGINAL]
 
 
 class ContourKind(Enum):
     DISJOINT = "disjoint"
     CONTOUR = "contour"
-    CLIPPED_INSIDE_WINDOW = "clipped_inside_window"
-    WINDOW_INSIDE_CLIPPED = "window_inside_clipped"
 
 
 @dataclass(frozen=True)
@@ -70,172 +31,12 @@ class ContourResult:
     vertices: tuple[Point2, ...] = ()
 
 
-def build_vertex_loops(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[VertexLoop, VertexLoop]:
-    """Linked (window, clipped) loops with shared entry/exit crossings.
+def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> ContourResult:
+    """Overlap of two coplanar triangles given in one 2D frame.
 
-    Region codes prune clipped edges that cannot cross the window; the
-    survivors are tested only against their candidate sides.  A crossing
-    needs both edge endpoints strictly off the side line (a transversal
-    sign change); entry means moving into the interior half-plane.
-    Crossings through a window vertex appear on both adjacent sides and
-    are merged onto the side earliest in AB, AC, BC order; if the two
-    copies disagree on entry/exit the edge only grazes the corner and the
-    contact is dropped as a touch.
-    """
-    lines = _window_lines(window)
-    eps = tol.eps_dist
-    verts = (clipped.a, clipped.b, clipped.c)
-    codes = [_code(v, lines, eps) for v in verts]
-    edge_crossings: list[list[VertexNode]] = [[], [], []]
-    side_crossings: dict[Side, list[tuple[float, VertexNode]]] = {s: [] for s in SIDE_ORDER}
-
-    for i in range(3):
-        j = (i + 1) % 3
-        vi, vj = verts[i], verts[j]
-        ci, cj = codes[i], codes[j]
-        if ci & cj:
-            continue
-        if ci == 0 and cj == 0:
-            continue
-        sides: list[Side] = []
-        if ci:
-            sides.extend(candidate_entry_sides(ci))
-        if cj:
-            sides.extend(s for s in candidate_entry_sides(cj) if s not in sides)
-        found = []
-        for side in sides:
-            l1, l2, l3 = lines[_SIDE_INDEX[side]]
-            di = l1 * vi.u + l2 * vi.v + l3
-            dj = l1 * vj.u + l2 * vj.v + l3
-            if di < -eps and dj > eps:
-                kind = NodeKind.ENTRY
-            elif di > eps and dj < -eps:
-                kind = NodeKind.EXIT
-            else:
-                continue
-            t = di / (di - dj)
-            x = _lerp2(vi, vj, t)
-            sp, sq = side_points(window, side)
-            s = _param_along(sp, sq, x)
-            if s < -tol.eps_param or s > 1.0 + tol.eps_param:
-                continue
-            found.append((t, side, s, x, kind))
-
-        groups: list[list[tuple]] = []
-        for item in sorted(found, key=lambda it: it[0]):
-            group = next((g for g in groups if _dist2(g[0][3], item[3]) <= eps), None)
-            if group is None:
-                groups.append([item])
-            else:
-                group.append(item)
-        for group in groups:
-            kinds = {it[4] for it in group}
-            if len(kinds) > 1:
-                continue  # corner graze through a window vertex: touch only
-            t, side, s, x, kind = min(group, key=lambda it: _SIDE_INDEX[it[1]])
-            cnode = VertexNode(x, kind)
-            wnode = VertexNode(x, kind)
-            cnode.twin = wnode
-            wnode.twin = cnode
-            edge_crossings[i].append(cnode)
-            side_crossings[side].append((s, wnode))
-
-    clip_nodes: list[VertexNode] = []
-    for i in range(3):
-        clip_nodes.append(VertexNode(verts[i], NodeKind.ORIGINAL))
-        clip_nodes.extend(edge_crossings[i])
-
-    win_nodes: list[VertexNode] = [VertexNode(window.a, NodeKind.ORIGINAL)]
-    win_nodes += [n for _, n in sorted(side_crossings[Side.AB], key=lambda e: e[0])]
-    win_nodes.append(VertexNode(window.b, NodeKind.ORIGINAL))
-    win_nodes += [n for _, n in sorted(side_crossings[Side.BC], key=lambda e: e[0])]
-    win_nodes.append(VertexNode(window.c, NodeKind.ORIGINAL))
-    # side AC is walked from c back to a
-    win_nodes += [n for _, n in sorted(side_crossings[Side.AC], key=lambda e: e[0], reverse=True)]
-    return VertexLoop(win_nodes), VertexLoop(clip_nodes)
-
-
-def trace_contour(loops: tuple[VertexLoop, VertexLoop], tol: Tolerance = DEFAULT_TOLERANCE) -> ContourResult:
-    """Walk the linked loops and emit the overlap contour.
-
-    With no crossings the result is decided by mutual vertex containment
-    (boundary-inclusive): clipped inside window, window inside clipped, or
-    disjoint.  Otherwise the walk starts at the first entry node of the
-    clipped loop and must close back on it; every crossing is visited at
-    most once, enforced together with a step budget.
-    """
-    win_loop, clip_loop = loops
-    for node in win_loop.crossings() + clip_loop.crossings():
-        if node.twin is None or node.twin.twin is not node:
-            raise MalformedLoops("crossing node without a mutual twin link")
-
-    win_tri = Triangle2(*win_loop.originals())
-    clip_tri = Triangle2(*clip_loop.originals())
-    crossings = clip_loop.crossings()
-    entries = sum(1 for n in crossings if n.kind is NodeKind.ENTRY)
-    if entries * 2 != len(crossings):
-        # a vertex sitting exactly on a window side swallows its crossing
-        raise MalformedLoops("entry count does not match exit count")
-    if not crossings:
-        if all(point_in_triangle(v, win_tri, tol) for v in (clip_tri.a, clip_tri.b, clip_tri.c)):
-            return ContourResult(ContourKind.CLIPPED_INSIDE_WINDOW)
-        if all(point_in_triangle(v, clip_tri, tol) for v in (win_tri.a, win_tri.b, win_tri.c)):
-            return ContourResult(ContourKind.WINDOW_INSIDE_CLIPPED)
-        return ContourResult(ContourKind.DISJOINT)
-
-    start = next((n for n in clip_loop.nodes if n.kind is NodeKind.ENTRY), None)
-    if start is None:
-        raise MalformedLoops("crossings present but no entry node")
-    contour = [start.position]
-    current = clip_loop
-    idx = current.nodes.index(start)
-    seen = {id(start), id(start.twin)}
-    budget = 2 * (len(win_loop.nodes) + len(clip_loop.nodes)) + 4
-    closed = False
-    while budget > 0:
-        budget -= 1
-        idx = (idx + 1) % len(current.nodes)
-        node = current.nodes[idx]
-        if node is start or node.twin is start:
-            closed = True
-            break
-        if node.kind is NodeKind.ORIGINAL:
-            contour.append(node.position)
-            continue
-        if id(node) in seen:
-            raise MalformedLoops("traversal revisited a crossing")
-        seen.add(id(node))
-        seen.add(id(node.twin))
-        contour.append(node.position)
-        current = clip_loop if current is win_loop else win_loop
-        try:
-            idx = current.nodes.index(node.twin)
-        except ValueError:
-            raise MalformedLoops("twin node missing from the opposite loop") from None
-    if not closed:
-        raise MalformedLoops("traversal exhausted its step budget")
-
-    cleaned: list[Point2] = []
-    for pt in contour:
-        if not cleaned or _dist2(cleaned[-1], pt) > tol.eps_dist:
-            cleaned.append(pt)
-    while len(cleaned) > 1 and _dist2(cleaned[0], cleaned[-1]) <= tol.eps_dist:
-        cleaned.pop()
-    if len(cleaned) < 3:
-        return ContourResult(ContourKind.DISJOINT)
-    for pt in cleaned:
-        if not (point_in_triangle(pt, win_tri, tol) and point_in_triangle(pt, clip_tri, tol)):
-            raise MalformedLoops("contour vertex escaped the overlap region")
-    return ContourResult(ContourKind.CONTOUR, tuple(cleaned))
-
-
-def _fallback_contour(window: Triangle2, clipped: Triangle2, tol: Tolerance) -> ContourResult:
-    """Half-plane clipping used when the entry/exit structure degenerates.
-
-    Vertices lying exactly on window sides (or clipped edges running along
-    them) can leave the loops with unbalanced crossings; clipping the
-    triangle against the window's three inside half-planes is total and
-    agrees with the walk wherever both are defined.
+    Consecutive vertices within ``eps_dist`` of each other are merged, and
+    an overlap of area at most ``eps_area`` counts as Disjoint.  The
+    contour is counter-clockwise, since both triangles are.
     """
     poly = [clipped.a, clipped.b, clipped.c]
     for l1, l2, l3 in _window_lines(window):
@@ -270,11 +71,3 @@ def _fallback_contour(window: Triangle2, clipped: Triangle2, tol: Tolerance) -> 
     if abs(doubled) / 2.0 <= tol.eps_area:
         return ContourResult(ContourKind.DISJOINT)
     return ContourResult(ContourKind.CONTOUR, tuple(cleaned))
-
-
-def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> ContourResult:
-    """Overlap of two coplanar triangles given in one 2D frame."""
-    try:
-        return trace_contour(build_vertex_loops(window, clipped, tol), tol)
-    except MalformedLoops:
-        return _fallback_contour(window, clipped, tol)

@@ -33,10 +33,6 @@ class CoplanarEdges(GeometryError):
     """Triangle edges lie in the query plane; the coplanar path must be used."""
 
 
-class MalformedLoops(GeometryError):
-    """Vertex loops are internally inconsistent (broken twin links or traversal)."""
-
-
 class ParseError(ValueError):
     """Input file is malformed. Carries a 1-based line number when known."""
 

@@ -84,13 +84,7 @@ def _coplanar_case(t1, t2, pl1, frame, tol) -> tuple[CaseLabel, IntersectionResu
     res = intersect_coplanar(window, clipped, tol)
     if res.kind is ContourKind.DISJOINT:
         return _empty(CaseLabel.COPLANAR_NO_CONTACT, EmptyReason.COPLANAR_DISJOINT)
-    if res.kind is ContourKind.CONTOUR:
-        verts = res.vertices
-    elif res.kind is ContourKind.CLIPPED_INSIDE_WINDOW:
-        verts = (clipped.a, clipped.b, clipped.c)
-    else:
-        verts = (window.a, window.b, window.c)
-    lifted = tuple(from_plane(frame, v) for v in verts)
+    lifted = tuple(from_plane(frame, v) for v in res.vertices)
     return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(ResultKind.CONTOUR, lifted)
 
 

@@ -1,8 +1,10 @@
 import json
 import random
 
+import tritri.cli
 from tritri.cli import CONTACT_CASES, main, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
+from tritri.errors import PointOffPlane
 from tritri.fileio import iter_pairs
 
 from conftest import height_field, mixed_pairs, off_text
@@ -10,6 +12,13 @@ from conftest import height_field, mixed_pairs, off_text
 CROSSING = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 PARALLEL = "0 0 0  4 0 0  0 4 0   0 0 1  4 0 1  0 4 1"
 DEGENERATE = "0 0 0  1 1 1  2 2 2   0 0 0  4 0 0  0 4 0"
+# a mixed pair translated by 1e7, on which the kernel raises PointOffPlane
+FAR_FROM_ORIGIN = ("10000004.4375 9999995.15625 9999997.453125  "
+                   "9999999.75 9999998.296875 9999991.375  "
+                   "9999992.59375 9999991.46875 10000004.796875  "
+                   "9999998.96875 10000006.59375 10000007.09375  "
+                   "10000005.078125 10000000.96875 9999994.640625  "
+                   "9999996.25 9999992.125 10000003.203125")
 
 SQUARE_OFF = """\
 OFF
@@ -79,6 +88,35 @@ def test_pair_mode_end_to_end(tmp_path, capsys):
     assert "us" not in first
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["pairs"] == 3 and summary["emitted"] == 2 and summary["skipped"] == 1
+
+
+def test_pair_far_from_origin_does_not_end_the_run(tmp_path, capsys):
+    src = tmp_path / "pairs.txt"
+    src.write_text(f"{CROSSING}\n{FAR_FROM_ORIGIN}\n{CROSSING}\n")
+    out = tmp_path / "records.jsonl"
+    assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["id"] for r in records if r["id"] != 1] == [0, 2]
+    assert all(r["case"] == "crossing_segment" for r in records if r["id"] != 1)
+    summary = json.loads(capsys.readouterr().err.strip())
+    assert summary["pairs"] == 3 and summary["skipped"] == 3 - len(records)
+    _assert_counts_add_up(summary)
+
+
+def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
+    kernel = tritri.cli.intersect
+
+    def failing_on_parallel(t1, t2, tol):
+        if t2[0][2] == 1:
+            raise PointOffPlane("point handed to a plane frame does not lie on its plane")
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", failing_on_parallel)
+    records = list(iter_pairs([CROSSING, PARALLEL, CROSSING]))
+    results, summary = run_pairs(records, DEFAULT_TOLERANCE)
+    assert [r.case for r in results] == ["crossing_segment", None, "crossing_segment"]
+    assert summary["skipped"] == 1 and summary["emitted"] == 2
+    _assert_counts_add_up(summary)
 
 
 def test_pair_mode_stdout_default(tmp_path, capsys):

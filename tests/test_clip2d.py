@@ -13,11 +13,13 @@ from tritri.clip2d import (
     candidate_entry_sides,
     candidate_exit_sides,
     clip_segment_to_triangle,
+    line_through,
     point_in_triangle,
     region_code,
+    segment_side_intersection,
     trivially_classify,
 )
-from tritri.core import DEFAULT_TOLERANCE
+from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle, ZeroLengthSegment
 from tritri.frame import Point2
 from tritri.oracle import rational_clip_segment
@@ -113,6 +115,22 @@ def test_collinear_outside_side_line():
 def test_zero_length_segment_raises():
     with pytest.raises(ZeroLengthSegment):
         clip_segment_to_triangle(Point2(1, 1), Point2(1, 1), W)
+
+
+def test_line_through_uses_the_callers_tolerance():
+    # 5e-10 apart: a zero-length segment at the default eps_dist of 1e-9,
+    # a proper one at 1e-10
+    p, q = Point2(1, -2.5e-10), Point2(1, 2.5e-10)
+    fine = Tolerance(eps_dist=1e-10)
+    with pytest.raises(ZeroLengthSegment):
+        line_through(p, q)
+    with pytest.raises(ZeroLengthSegment):
+        segment_side_intersection(p, q, W, Side.AB)
+    assert line_through(p, q, fine) == (-5e-10, 0.0, 5e-10)
+    x = segment_side_intersection(p, q, W, Side.AB, fine)
+    assert x is not None and math.isclose(x.u, 1.0) and abs(x.v) <= 1e-12
+    with pytest.raises(ZeroLengthSegment):
+        line_through(Point2(0, 0), Point2(0.5, 0), Tolerance(eps_dist=1.0))
 
 
 def test_degenerate_window_raises():

@@ -1,19 +1,8 @@
-import math
 import random
 
-import pytest
-
 from tritri.clip2d import Triangle2, point_in_triangle
-from tritri.coplanar import (
-    ContourKind,
-    NodeKind,
-    VertexLoop,
-    VertexNode,
-    build_vertex_loops,
-    intersect_coplanar,
-    trace_contour,
-)
-from tritri.errors import MalformedLoops
+from tritri.coplanar import ContourKind, intersect_coplanar
+from tritri.core import Tolerance
 from tritri.frame import Point2
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
 
@@ -26,38 +15,32 @@ def _tri(*pts):
     return Triangle2(*(Point2(*p) for p in pts))
 
 
-def _contour_area(window, clipped, res):
+def _vertices(t):
+    return [tuple(v) for v in (t.a, t.b, t.c)]
+
+
+def _contour_area(res):
     if res.kind is ContourKind.CONTOUR:
         return abs(polygon_area2([tuple(v) for v in res.vertices]))
-    if res.kind is ContourKind.CLIPPED_INSIDE_WINDOW:
-        return abs(polygon_area2([tuple(v) for v in (clipped.a, clipped.b, clipped.c)]))
-    if res.kind is ContourKind.WINDOW_INSIDE_CLIPPED:
-        return abs(polygon_area2([tuple(v) for v in (window.a, window.b, window.c)]))
     return 0.0
 
 
-def test_identical_triangles_have_no_crossing_nodes():
-    win, clip = build_vertex_loops(W4, W4)
-    assert win.crossings() == [] and clip.crossings() == []
-    assert trace_contour((win, clip)).kind is ContourKind.CLIPPED_INSIDE_WINDOW
+def test_identical_triangles_are_their_own_contour():
+    res = intersect_coplanar(W4, W4)
+    assert res.kind is ContourKind.CONTOUR
+    assert contours_match([tuple(v) for v in res.vertices], _vertices(W4), tol=0.0)
 
 
-def test_contained_triangle_has_no_crossing_nodes():
+def test_contained_triangle_is_its_own_contour():
     clipped = _tri((1, 1), (2, 1), (1, 2))
-    win, clip = build_vertex_loops(W4, clipped)
-    assert win.crossings() == [] and clip.crossings() == []
-    assert trace_contour((win, clip)).kind is ContourKind.CLIPPED_INSIDE_WINDOW
+    res = intersect_coplanar(W4, clipped)
+    assert res.kind is ContourKind.CONTOUR
+    assert contours_match([tuple(v) for v in res.vertices], _vertices(clipped), tol=0.0)
 
 
 def test_two_node_entry_exit_fixture():
-    clipped = _tri((-1, 1), (2, 1), (-1, 4))
-    win, clip = build_vertex_loops(W4, clipped)
-    nodes = clip.crossings()
-    assert len(nodes) == 2
-    by_kind = {n.kind: tuple(n.position) for n in nodes}
-    assert by_kind[NodeKind.ENTRY] == (0.0, 1.0)
-    assert by_kind[NodeKind.EXIT] == (0.0, 3.0)
-    res = trace_contour((win, clip))
+    # the clipped triangle enters the window at (0, 1) and leaves at (0, 3)
+    res = intersect_coplanar(W4, _tri((-1, 1), (2, 1), (-1, 4)))
     assert res.kind is ContourKind.CONTOUR
     assert contours_match([tuple(v) for v in res.vertices], [(0, 1), (2, 1), (0, 3)])
 
@@ -69,7 +52,8 @@ def test_far_disjoint():
 
 def test_window_inside_clipped():
     res = intersect_coplanar(W4, _tri((-10, -10), (20, -10), (0, 30)))
-    assert res.kind is ContourKind.WINDOW_INSIDE_CLIPPED
+    assert res.kind is ContourKind.CONTOUR
+    assert contours_match([tuple(v) for v in res.vertices], _vertices(W4), tol=1e-12)
 
 
 def test_five_vertex_contour_with_window_vertex():
@@ -95,31 +79,22 @@ def test_corner_graze_is_disjoint():
     assert res.kind is ContourKind.DISJOINT
 
 
+def test_overlap_below_eps_area_is_disjoint():
+    # a sliver 2e-13 high along side AB: its three corners lie far apart,
+    # but its area (about 4e-13) is below the default eps_area of 1e-12
+    clipped = _tri((-100, -1e-11), (100, -1e-11), (2, 2e-13))
+    assert intersect_coplanar(W4, clipped).kind is ContourKind.DISJOINT
+    res = intersect_coplanar(W4, clipped, Tolerance(eps_area=1e-15))
+    assert res.kind is ContourKind.CONTOUR and len(res.vertices) == 3
+
+
 def test_vertex_exactly_on_window_side():
-    # the middle vertex sits on side AB; its crossing is swallowed by the
-    # strict transversal rule and the half-plane fallback must take over
+    # vertex (3, 0) sits exactly on side AB; clipping must not duplicate it
     window = _tri((0, 0), (6, 0), (0, 6))
     clipped = _tri((1, 1), (0, -3), (3, 0))
     res = intersect_coplanar(window, clipped)
     assert res.kind is ContourKind.CONTOUR
     assert contours_match([tuple(v) for v in res.vertices], [(1, 1), (0.75, 0), (3, 0)])
-
-
-def test_trace_rejects_broken_twins():
-    win, clip = build_vertex_loops(W4, _tri((-1, 1), (2, 1), (-1, 4)))
-    clip.crossings()[0].twin = None
-    with pytest.raises(MalformedLoops):
-        trace_contour((win, clip))
-
-
-def test_entry_exit_counts_balance():
-    rng = random.Random(2024)
-    for _ in range(400):
-        w, c = random_triangle2(rng), random_triangle2(rng)
-        win, clip = build_vertex_loops(w, c)
-        kinds = [n.kind for n in clip.crossings()]
-        assert kinds.count(NodeKind.ENTRY) == kinds.count(NodeKind.EXIT)
-        assert len(win.crossings()) == len(clip.crossings())
 
 
 def test_contour_shape_properties():
@@ -153,7 +128,7 @@ def test_area_matches_rational_clipping():
             [tuple(v) for v in (c.a, c.b, c.c)], [tuple(v) for v in (w.a, w.b, w.c)]
         )
         want = float(rational_polygon_area(poly)) if poly else 0.0
-        got = _contour_area(w, c, res)
+        got = _contour_area(res)
         assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
@@ -161,6 +136,6 @@ def test_area_symmetry():
     rng = random.Random(909)
     for _ in range(200):
         w, c = random_triangle2(rng), random_triangle2(rng)
-        a1 = _contour_area(w, c, intersect_coplanar(w, c))
-        a2 = _contour_area(c, w, intersect_coplanar(c, w))
+        a1 = _contour_area(intersect_coplanar(w, c))
+        a2 = _contour_area(intersect_coplanar(c, w))
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1, a2)
