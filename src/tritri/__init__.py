@@ -5,9 +5,10 @@ working plane, the other triangle's edge crossings with it become a
 segment, and the segment is clipped against the first triangle's 2D image
 using region codes.  Coplanar pairs are resolved by polygon clipping.
 
-Public entry points are :func:`intersect` and :func:`classify_only`; the
-2D machinery (region codes, segment clipping, coplanar contours) is also
-exported for direct use.
+Public entry points are :func:`intersect` and :func:`classify_only`;
+:func:`prepare` does a triangle's own share of the work once, for reuse
+across many ``intersect`` calls.  The 2D machinery (region codes, segment
+clipping, coplanar contours) is also exported for direct use.
 """
 
 from .core import (
@@ -42,9 +43,11 @@ from .intersect import (
     CaseLabel,
     EmptyReason,
     IntersectionResult,
+    PreparedTriangle,
     ResultKind,
     classify_only,
     intersect,
+    prepare,
 )
 
 __version__ = "0.1.0"
@@ -68,6 +71,7 @@ __all__ = [
     "PlaneRelation",
     "Point2",
     "Point3",
+    "PreparedTriangle",
     "ResultKind",
     "Tolerance",
     "Triangle2",
@@ -81,6 +85,7 @@ __all__ = [
     "intersect_coplanar",
     "plane_from_triangle",
     "point_in_triangle",
+    "prepare",
     "region_code",
     "signed_distance",
     "to_plane",

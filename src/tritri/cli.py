@@ -2,8 +2,9 @@
 
 Two modes: ``tritri pair`` reads triangle pairs (18 numbers per line) and
 emits one JSON record per pair; ``tritri mesh`` reads two OFF triangle
-soups, sends the cross pairs whose grown bounding boxes overlap to the
-kernel, and emits records for contacting pairs.
+soups, prepares each face once (``intersect.prepare``), sends the cross
+pairs whose grown bounding boxes overlap to the kernel, and emits records
+for contacting pairs.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
 from .fileio import PairRecord, read_off, read_pairs
-from .intersect import contact_margin, intersect
+from .intersect import PreparedTriangle, contact_margin, intersect, prepare
 
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
@@ -37,6 +38,7 @@ class ResultRecord:
     case: str | None  # None marks a skipped record (degenerate or unplaceable pair)
     points: tuple
     us: int | None = None
+    error: str | None = None  # the GeometryError type that skipped the record
 
 
 def _tolerance(eps: float) -> Tolerance:
@@ -47,10 +49,10 @@ def _evaluate(task, tol: Tolerance, timing: bool) -> ResultRecord:
     rid, t1, t2 = task
     start = time.perf_counter() if timing else 0.0
     try:
-        label, result = intersect(Triangle3(*t1), Triangle3(*t2), tol)
-    except GeometryError:
+        label, result = intersect(t1, t2, tol)
+    except GeometryError as exc:
         # degenerate input, or a pair the kernel cannot place: skip it, not the run
-        return ResultRecord(rid, None, ())
+        return ResultRecord(rid, None, (), error=type(exc).__name__)
     us = round((time.perf_counter() - start) * 1e6) if timing else None
     points = tuple(tuple(p) for p in result.points)
     return ResultRecord(rid, label.value, points, us)
@@ -70,23 +72,25 @@ def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
     """Counts over all ``pairs`` candidates (default: one per result).
 
     ``degenerate`` counts candidates skipped before the kernel; they and the
-    results without a case are ``skipped``.  Candidates that are neither
-    skipped nor among the results were ``culled`` by the broad phase, so
+    results without a case are ``skipped``, and ``skipped_by`` splits them
+    by error type.  Candidates that are neither skipped nor among the
+    results were ``culled`` by the broad phase, so
     ``pairs == sum(cases) + skipped + culled``.
     """
     if pairs is None:
         pairs = len(results)
     cases: dict[str, int] = {}
-    skipped = degenerate
+    skipped_by = {"DegenerateTriangle": degenerate} if degenerate else {}
     for rec in results:
         if rec.case is None:
-            skipped += 1
+            skipped_by[rec.error] = skipped_by.get(rec.error, 0) + 1
         else:
             cases[rec.case] = cases.get(rec.case, 0) + 1
     return {
         "pairs": pairs,
         "emitted": emitted,
-        "skipped": skipped,
+        "skipped": sum(skipped_by.values()),
+        "skipped_by": dict(sorted(skipped_by.items())),
         "culled": pairs - degenerate - len(results),
         "cases": dict(sorted(cases.items())),
         "elapsed_us": round(elapsed * 1e6),
@@ -105,19 +109,27 @@ def run_pairs(records: Iterable[PairRecord], tol: Tolerance, jobs: int = 1,
     return results, summary
 
 
-def _grown_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None]:
-    """Per face, its bounding box grown by ``contact_margin``; None if degenerate."""
+def _prepare_faces(faces: Sequence[Triangle3], tol: Tolerance
+                   ) -> tuple[list[PreparedTriangle | None], list[tuple | None]]:
+    """Per face, the prepared triangle and its bounding box grown by ``contact_margin``.
+
+    Both are None for a degenerate face.
+    """
+    prepared: list[PreparedTriangle | None] = []
     boxes: list[tuple | None] = []
     for face in faces:
         try:
-            m = contact_margin(face, tol)
+            pt = prepare(face, tol)
         except DegenerateTriangle:
+            prepared.append(None)
             boxes.append(None)
             continue
-        xs, ys, zs = zip(*face)
+        m = contact_margin(pt, tol)
+        xs, ys, zs = zip(*pt.tri)
+        prepared.append(pt)
         boxes.append((min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m,
                       min(zs) - m, max(zs) + m))
-    return boxes
+    return prepared, boxes
 
 
 def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple | None],
@@ -157,13 +169,16 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
     overlap reach the kernel; the summary counts the others as ``culled``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
-    For a mesh against itself, diagonal pairs are excluded and symmetric
-    pairs tested once (i < j).  The results are the kernel's records, in
-    lexicographic (i, j) order.
+    Each face is prepared once, so its plane, frame, window and side lines
+    are built at most once per face, not once per pair (with ``jobs > 1``,
+    once per face in each chunk of pairs a worker receives).  For a mesh
+    against itself, diagonal pairs are excluded and symmetric pairs tested
+    once (i < j).  The results are the kernel's records, in lexicographic
+    (i, j) order.
     """
     start = time.perf_counter()
-    boxes_a = _grown_boxes(faces_a, tol)
-    boxes_b = boxes_a if same_mesh else _grown_boxes(faces_b, tol)
+    prepared_a, boxes_a = _prepare_faces(faces_a, tol)
+    prepared_b, boxes_b = (prepared_a, boxes_a) if same_mesh else _prepare_faces(faces_b, tol)
     good_a = len(boxes_a) - boxes_a.count(None)
     if same_mesh:
         pairs = len(faces_a) * (len(faces_a) - 1) // 2
@@ -171,7 +186,7 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     else:
         pairs = len(faces_a) * len(faces_b)
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
-    tasks = [((i, j), faces_a[i], faces_b[j])
+    tasks = [((i, j), prepared_a[i], prepared_b[j])
              for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh)]
     results = _evaluate_all(tasks, tol, jobs, timing)
     contacts = sum(r.case in CONTACT_CASES for r in results)

@@ -21,8 +21,9 @@ Points within ``eps_dist`` of a side line code as inside, so a segment
 that merely grazes the boundary yields a Point result rather than Empty.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -47,22 +48,31 @@ SIDE_ORDER = (Side.AB, Side.AC, Side.BC)
 
 @dataclass(frozen=True)
 class Triangle2:
-    """2D triangle normalized to counter-clockwise vertex order."""
+    """2D triangle normalized to counter-clockwise vertex order.
+
+    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
+    """
 
     a: Point2
     b: Point2
     c: Point2
+    tol: InitVar[Tolerance] = DEFAULT_TOLERANCE
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerance):
         a, b, c = Point2(*self.a), Point2(*self.b), Point2(*self.c)
         area2 = (b.u - a.u) * (c.v - a.v) - (b.v - a.v) * (c.u - a.u)
-        if abs(area2) < 2.0 * DEFAULT_TOLERANCE.eps_area:
+        if abs(area2) < 2.0 * tol.eps_area:
             raise DegenerateTriangle("2D triangle area below tolerance")
         if area2 < 0.0:
             b, c = c, b
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    @functools.cached_property
+    def lines(self) -> tuple[tuple[float, float, float], ...]:
+        """Normalized side lines in SIDE_ORDER, positive inside; computed on first use."""
+        return _window_lines(self)
 
 
 class TrivialClassification(Enum):
@@ -125,7 +135,7 @@ def _code(p, lines, eps: float) -> int:
 
 def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionCode:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
-    return _code(p, _window_lines(w), tol.eps_dist)
+    return _code(p, w.lines, tol.eps_dist)
 
 
 def point_in_triangle(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -284,7 +294,7 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
     q = Point2(*q)
     if _dist2(p, q) <= tol.eps_dist:
         raise ZeroLengthSegment("clip needs a segment with distinct endpoints")
-    lines = _window_lines(w)
+    lines = w.lines
     eps = tol.eps_dist
     for l1, l2, l3 in lines:
         if abs(l1 * p.u + l2 * p.v + l3) <= eps and abs(l1 * q.u + l2 * q.v + l3) <= eps:

@@ -15,7 +15,7 @@ pair is reported Disjoint.
 from dataclasses import dataclass
 from enum import Enum
 
-from .clip2d import Triangle2, _dist2, _lerp2, _window_lines
+from .clip2d import Triangle2, _dist2, _lerp2
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .frame import Point2
 
@@ -39,7 +39,7 @@ def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = D
     contour is counter-clockwise, since both triangles are.
     """
     poly = [clipped.a, clipped.b, clipped.c]
-    for l1, l2, l3 in _window_lines(window):
+    for l1, l2, l3 in window.lines:
         if not poly:
             break
         kept: list[Point2] = []

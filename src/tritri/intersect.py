@@ -4,6 +4,10 @@ The first triangle's plane is the reference: the second triangle's edges
 are intersected with it, and the resulting points are clipped in a 2D
 frame of that plane against the first triangle's image.  Coincident
 planes switch to the coplanar contour path in the same frame.
+
+The plane, the frame, the image (the window) and the window's side lines
+belong to one triangle, not to a pair: ``prepare`` keeps them with the
+triangle, so a triangle tested against many partners builds them once.
 """
 
 import math
@@ -20,15 +24,14 @@ from .core import (
     Tolerance,
     Triangle3,
     classify_planes,
-    closest_point_on_plane,
     dist3,
     plane_from_triangle,
     vcross,
     vnorm,
     vsub,
 )
-from .errors import CoplanarEdges, NonFiniteInput
-from .frame import PlaneFrame, build_frame, from_plane, to_plane
+from .errors import CoplanarEdges, NonFiniteInput, PointOffPlane
+from .frame import PlaneFrame, Point2, build_frame, from_plane
 from .lineplane import project_triangle_edges
 
 
@@ -69,18 +72,75 @@ def _check_finite(t: Triangle3) -> None:
                 raise NonFiniteInput("triangle coordinates must be finite")
 
 
+def _map_onto(frame: PlaneFrame, pl: Plane, p, tol: Tolerance) -> Point2:
+    """Frame coordinates of ``p`` snapped onto the reference plane.
+
+    The arithmetic of ``core.closest_point_on_plane`` followed by
+    ``frame.to_plane``, in the same order, without building the 3D point.
+    """
+    q, w, u = pl.q, pl.w, pl.u
+    d = q * p[0] + w * p[1] + u * p[2] + pl.r
+    o, n = frame.origin, frame.n_axis
+    rx = (p[0] - d * q) - o[0]
+    ry = (p[1] - d * w) - o[1]
+    rz = (p[2] - d * u) - o[2]
+    if abs(rx * n[0] + ry * n[1] + rz * n[2]) > tol.eps_dist:
+        raise PointOffPlane("point does not lie on the frame plane")
+    ua, va = frame.u_axis, frame.v_axis
+    return Point2(rx * ua[0] + ry * ua[1] + rz * ua[2], rx * va[0] + ry * va[1] + rz * va[2])
+
+
+class PreparedTriangle:
+    """A checked triangle with the work that depends on it alone.
+
+    ``plane`` is computed by ``prepare``.  The 2D frame of that plane, the
+    triangle's image in it (the window) and, through ``Triangle2.lines``,
+    the window's side lines are built on the first call of
+    ``frame_window`` and kept.  All of it is computed under ``tol``;
+    ``intersect`` prepares the triangle again under any other tolerance.
+    """
+
+    __slots__ = ("tri", "plane", "tol", "_frame_window")
+
+    def __init__(self, tri: Triangle3, plane: Plane, tol: Tolerance):
+        self.tri = tri
+        self.plane = plane
+        self.tol = tol
+        self._frame_window: tuple[PlaneFrame, Triangle2] | None = None
+
+    def frame_window(self) -> tuple[PlaneFrame, Triangle2]:
+        """The reference frame anchored at the first vertex, and the window in it."""
+        if self._frame_window is None:
+            tri, pl, tol = self.tri, self.plane, self.tol
+            frame = build_frame(pl, tri.a, tol)
+            window = Triangle2(*(_map_onto(frame, pl, v, tol) for v in tri), tol=tol)
+            self._frame_window = (frame, window)
+        return self._frame_window
+
+
+def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
+    """``t`` ready for ``intersect`` under ``tol``; ``t`` itself if it already is.
+
+    ``t`` is a triangle of three 3D points, or a PreparedTriangle.  Raises
+    NonFiniteInput and DegenerateTriangle on the checks ``intersect`` makes.
+    """
+    if isinstance(t, PreparedTriangle):
+        if t.tol is tol or t.tol == tol:
+            return t
+        t = t.tri
+    if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
+        t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
+    _check_finite(t)
+    return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
+
+
 def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, IntersectionResult]:
     return label, IntersectionResult(ResultKind.EMPTY, reason=reason)
 
 
-def _map_onto(frame: PlaneFrame, pl: Plane, p, tol: Tolerance):
-    # snap onto the reference plane first so the frame check cannot trip
-    return to_plane(frame, closest_point_on_plane(p, pl), tol)
-
-
-def _coplanar_case(t1, t2, pl1, frame, tol) -> tuple[CaseLabel, IntersectionResult]:
-    window = Triangle2(*(_map_onto(frame, pl1, v, tol) for v in t1))
-    clipped = Triangle2(*(_map_onto(frame, pl1, v, tol) for v in t2))
+def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:
+    frame, window = p1.frame_window()
+    clipped = Triangle2(*(_map_onto(frame, p1.plane, v, tol) for v in t2), tol=tol)
     res = intersect_coplanar(window, clipped, tol)
     if res.kind is ContourKind.DISJOINT:
         return _empty(CaseLabel.COPLANAR_NO_CONTACT, EmptyReason.COPLANAR_DISJOINT)
@@ -88,38 +148,35 @@ def _coplanar_case(t1, t2, pl1, frame, tol) -> tuple[CaseLabel, IntersectionResu
     return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(ResultKind.CONTOUR, lifted)
 
 
-def intersect(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
+def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
     """Classify and construct the intersection of two triangles.
 
-    Returns a (CaseLabel, IntersectionResult) pair.  The six labels cover
-    coplanar contact and no-contact, parallel planes, crossing planes
-    without contact, a single touch point, and a proper crossing segment.
-    The result geometry lies on both supporting planes within eps_dist;
-    a clipped segment that degenerates to one point is reported as Touch.
+    Each argument is a triangle of three 3D points or a PreparedTriangle
+    from ``prepare``; the result is the same either way.  Returns a
+    (CaseLabel, IntersectionResult) pair.  The six labels cover coplanar
+    contact and no-contact, parallel planes, crossing planes without
+    contact, a single touch point, and a proper crossing segment.  The
+    result geometry lies on both supporting planes within eps_dist; a
+    clipped segment that degenerates to one point is reported as Touch.
     """
-    t1 = Triangle3(Point3(*t1[0]), Point3(*t1[1]), Point3(*t1[2]))
-    t2 = Triangle3(Point3(*t2[0]), Point3(*t2[1]), Point3(*t2[2]))
-    _check_finite(t1)
-    _check_finite(t2)
-    pl1 = plane_from_triangle(t1, tol)
-    pl2 = plane_from_triangle(t2, tol)
-    relation = classify_planes(pl1, pl2, tol)
+    p1 = prepare(t1, tol)
+    p2 = prepare(t2, tol)
+    pl1 = p1.plane
+    relation = classify_planes(pl1, p2.plane, tol)
     if relation is PlaneRelation.PARALLEL:
         return _empty(CaseLabel.PARALLEL_PLANES, EmptyReason.PARALLEL_PLANES)
-
-    frame = build_frame(pl1, t1.a, tol)
     if relation is PlaneRelation.COINCIDENT:
-        return _coplanar_case(t1, t2, pl1, frame, tol)
+        return _coplanar_case(p1, p2.tri, tol)
 
     try:
-        points = project_triangle_edges(t2, pl1, tol)
+        points = project_triangle_edges(p2.tri, pl1, tol)
     except CoplanarEdges:
         # borderline coincidence: every edge of t2 sits in the reference plane
-        return _coplanar_case(t1, t2, pl1, frame, tol)
+        return _coplanar_case(p1, p2.tri, tol)
     if not points:
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.PLANES_CROSS_NO_CONTACT)
 
-    window = Triangle2(*(_map_onto(frame, pl1, v, tol) for v in t1))
+    frame, window = p1.frame_window()
     if len(points) == 1:
         p2d = _map_onto(frame, pl1, points[0], tol)
         if point_in_triangle(p2d, window, tol):
@@ -141,14 +198,15 @@ def intersect(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) 
     return CaseLabel.CROSSING_SEGMENT, IntersectionResult(ResultKind.SEGMENT, lifted)
 
 
-def contact_margin(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Distance from ``t`` within which ``intersect`` reports its contacts with ``t``.
 
     If ``intersect`` returns a contact label for ``(t, s)`` or ``(s, t)``,
     some reported point lies within ``contact_margin(t)`` of ``t`` and
     within ``contact_margin(s)`` of ``s``, so the bounding boxes of the two
-    triangles, grown by their margins, overlap.  Raises NonFiniteInput and
-    DegenerateTriangle on the per-triangle checks ``intersect`` starts with.
+    triangles, grown by their margins, overlap.  ``t`` may be prepared.
+    Raises NonFiniteInput and DegenerateTriangle on the per-triangle checks
+    ``intersect`` starts with.
 
     With R the largest vertex norm, L the longest edge and r the inradius,
     the terms cover, to first order in the tolerances:
@@ -168,9 +226,7 @@ def contact_margin(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """
-    _check_finite(t)
-    plane_from_triangle(t, tol)
-    a, b, c = t
+    a, b, c = prepare(t, tol).tri
     edges = (dist3(a, b), dist3(b, c), dist3(c, a))
     longest = max(edges)
     area = 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a)))

@@ -49,9 +49,8 @@ def generic_pair(rng: random.Random):
     return grid_triangle(rng), grid_triangle(rng)
 
 
-def coplanar_pair(rng: random.Random):
-    """Second triangle built from exact grid combinations in t1's plane."""
-    t1 = grid_triangle(rng)
+def coplanar_partner(rng: random.Random, t1) -> Triangle3:
+    """A triangle built from exact grid combinations in t1's plane."""
     a, b, c = t1
     while True:
         verts = []
@@ -61,7 +60,13 @@ def coplanar_pair(rng: random.Random):
             verts.append(Point3(*(a[i] + al * (b[i] - a[i]) + be * (c[i] - a[i]) for i in range(3))))
         t2 = Triangle3(*verts)
         if _double_area(t2) / 2.0 > 0.5:
-            return t1, t2
+            return t2
+
+
+def coplanar_pair(rng: random.Random):
+    """Second triangle built from exact grid combinations in t1's plane."""
+    t1 = grid_triangle(rng)
+    return t1, coplanar_partner(rng, t1)
 
 
 def shared_feature_pair(rng: random.Random):

@@ -61,6 +61,7 @@ def _write_pairs(path, pairs):
 def _assert_counts_add_up(summary):
     assert summary["pairs"] == (sum(summary["cases"].values()) + summary["skipped"]
                                 + summary["culled"])
+    assert summary["skipped"] == sum(summary["skipped_by"].values())
 
 
 def test_run_pairs_keeps_order_and_counts():
@@ -72,6 +73,7 @@ def test_run_pairs_keeps_order_and_counts():
     assert summary["pairs"] == 4
     assert summary["emitted"] == 3
     assert summary["skipped"] == 1
+    assert summary["skipped_by"] == {"DegenerateTriangle": 1}
     assert summary["cases"] == {"crossing_segment": 2, "parallel_planes": 1}
 
 
@@ -100,6 +102,7 @@ def test_pair_far_from_origin_does_not_end_the_run(tmp_path, capsys):
     assert all(r["case"] == "crossing_segment" for r in records if r["id"] != 1)
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["pairs"] == 3 and summary["skipped"] == 3 - len(records)
+    assert summary["skipped_by"] == {"PointOffPlane": 1}
     _assert_counts_add_up(summary)
 
 
@@ -116,6 +119,7 @@ def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
     assert [r.case for r in results] == ["crossing_segment", None, "crossing_segment"]
     assert summary["skipped"] == 1 and summary["emitted"] == 2
+    assert summary["skipped_by"] == {"PointOffPlane": 1}
     _assert_counts_add_up(summary)
 
 
@@ -174,6 +178,7 @@ def test_all_degenerate_exits_2(tmp_path, capsys):
                  str(tmp_path / "o.jsonl")]) == 2
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["skipped"] == 2 and summary["emitted"] == 0
+    assert summary["skipped_by"] == {"DegenerateTriangle": 2}
 
 
 def test_mesh_mode_emits_contacts_only(tmp_path, capsys):
@@ -226,11 +231,13 @@ def test_mesh_summary_counts_every_candidate(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().err.strip())
     # the poker reaches only the two faces of the first cell
     assert summary["pairs"] == 9 and summary["skipped"] == 1 and summary["culled"] == 6
+    assert summary["skipped_by"] == {"DegenerateTriangle": 1}
     _assert_counts_add_up(summary)
 
     assert main(["mesh", str(mesh_a), str(mesh_a), "--output", out]) == 0
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["pairs"] == 36 and summary["skipped"] == 8 and summary["culled"] > 0
+    assert summary["skipped_by"] == {"DegenerateTriangle": 8}
     _assert_counts_add_up(summary)
 
 
@@ -245,9 +252,11 @@ def test_all_degenerate_mesh_exits_2(tmp_path, capsys):
     assert main(["mesh", str(mesh_a), str(mesh_b), "--output", out]) == 2
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["pairs"] == summary["skipped"] == 2 and summary["culled"] == 0
+    assert summary["skipped_by"] == {"DegenerateTriangle": 2}
     assert main(["mesh", str(mesh_b), str(mesh_b), "--output", out]) == 2
     summary = json.loads(capsys.readouterr().err.strip())
     assert summary["pairs"] == summary["skipped"] == 1
+    assert summary["skipped_by"] == {"DegenerateTriangle": 1}
 
 
 def test_mesh_output_is_byte_identical_across_jobs(tmp_path, capsys):

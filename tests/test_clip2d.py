@@ -138,6 +138,13 @@ def test_degenerate_window_raises():
         Triangle2(Point2(0, 0), Point2(1, 1), Point2(2, 2))
 
 
+def test_window_area_gate_uses_the_callers_tolerance():
+    small = (Point2(0, 0), Point2(0.02, 0), Point2(0, 0.01))  # area 1e-4
+    Triangle2(*small)
+    with pytest.raises(DegenerateTriangle):
+        Triangle2(*small, tol=Tolerance(eps_area=1e-3))
+
+
 def test_clockwise_window_normalized():
     t = Triangle2(Point2(0, 0), Point2(0, 4), Point2(4, 0))
     assert tuple(t.b) == (4.0, 0.0) and tuple(t.c) == (0.0, 4.0)

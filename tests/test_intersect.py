@@ -16,7 +16,7 @@ from tritri import (
     plane_from_triangle,
     signed_distance,
 )
-from tritri.intersect import contact_margin
+from tritri.intersect import contact_margin, prepare
 
 from conftest import contours_match, mixed_pairs, points_match_unordered
 
@@ -111,6 +111,8 @@ def test_non_finite_input_rejected():
         intersect(_tri((0, 0, math.inf), (1, 0, 0), (0, 1, 0)), T1)
     with pytest.raises(NonFiniteInput):
         contact_margin(_tri((0, 0, math.inf), (1, 0, 0), (0, 1, 0)))
+    with pytest.raises(NonFiniteInput):
+        prepare(_tri((math.nan, 0, 0), (1, 0, 0), (0, 1, 0)))
 
 
 def test_degenerate_triangle_rejected():
@@ -121,6 +123,10 @@ def test_degenerate_triangle_rejected():
         intersect(T1, _tri((3, 3, 3), (3, 3, 3), (5, 1, 0)))
     with pytest.raises(DegenerateTriangle):
         contact_margin(line)
+    with pytest.raises(DegenerateTriangle):
+        prepare(line)
+    with pytest.raises(DegenerateTriangle):
+        prepare(_tri((3, 3, 3), (3, 3, 3), (5, 1, 0)))
 
 
 def test_segment_lies_on_both_planes():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tritri.cli import CONTACT_CASES, _grown_boxes, _overlapping_pairs, run_meshes
+from tritri.cli import CONTACT_CASES, _overlapping_pairs, _prepare_faces, run_meshes
 from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import intersect
@@ -52,8 +52,8 @@ def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TO
     got = [(r.id, r.case, r.points) for r in results if r.case in CONTACT_CASES]
     want = brute_force_contacts(faces_a, faces_b, same_mesh, tol)
     assert got == want
-    boxes_a = _grown_boxes(faces_a, tol)
-    boxes_b = _grown_boxes(faces_b, tol)
+    _, boxes_a = _prepare_faces(faces_a, tol)
+    _, boxes_b = _prepare_faces(faces_b, tol)
     assert (_overlapping_pairs(boxes_a, boxes_b, same_mesh)
             == brute_force_overlaps(boxes_a, boxes_b, same_mesh))
     return want
