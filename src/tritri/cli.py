@@ -15,14 +15,14 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
@@ -32,8 +32,7 @@ from .intersect import PreparedTriangle, contact_margin, intersect, prepare
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     id: object  # int for pair mode, (i, j) for mesh mode
     case: str | None  # None marks a skipped record (degenerate or unplaceable pair)
     points: tuple
@@ -54,14 +53,16 @@ def _evaluate(task, tol: Tolerance, timing: bool) -> ResultRecord:
         # degenerate input, or a pair the kernel cannot place: skip it, not the run
         return ResultRecord(rid, None, (), error=type(exc).__name__)
     us = round((time.perf_counter() - start) * 1e6) if timing else None
-    points = tuple(tuple(p) for p in result.points)
-    return ResultRecord(rid, label.value, points, us)
+    return ResultRecord(rid, label.value, result.points, us)
 
 
 def _evaluate_all(tasks, tol, jobs, timing) -> list[ResultRecord]:
+    """Records of the tasks, in order; ``tasks`` may be any iterable when ``jobs <= 1``."""
     worker = functools.partial(_evaluate, tol=tol, timing=timing)
     if jobs <= 1 or len(tasks) < 2:
         return [worker(task) for task in tasks]
+    # imported here: a serial run should not pay for loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
@@ -161,6 +162,23 @@ def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple 
     return pairs
 
 
+def _releasing_frames(tasks):
+    """The mesh tasks in order, releasing each first face's frame after its last task.
+
+    Tasks come in (i, j) order and only the first triangle's frame and
+    window are read, so once the first face changes, the previous one's are
+    not needed again.
+    """
+    last = None
+    for task in tasks:
+        first = task[1]
+        if first is not last:
+            if last is not None:
+                last.release()
+            last = first
+        yield task
+
+
 def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
                tol: Tolerance, jobs: int = 1, timing: bool = False,
                same_mesh: bool = False) -> tuple[list[ResultRecord], dict]:
@@ -174,7 +192,8 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     once per face in each chunk of pairs a worker receives).  For a mesh
     against itself, diagonal pairs are excluded and symmetric pairs tested
     once (i < j).  The results are the kernel's records, in lexicographic
-    (i, j) order.
+    (i, j) order.  With ``jobs <= 1``, a face's frame and window are released
+    after its last pair as the first triangle, so at most one face holds them.
     """
     start = time.perf_counter()
     prepared_a, boxes_a = _prepare_faces(faces_a, tol)
@@ -188,7 +207,7 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
     tasks = [((i, j), prepared_a[i], prepared_b[j])
              for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh)]
-    results = _evaluate_all(tasks, tol, jobs, timing)
+    results = _evaluate_all(_releasing_frames(tasks) if jobs <= 1 else tasks, tol, jobs, timing)
     contacts = sum(r.case in CONTACT_CASES for r in results)
     summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
                          pairs=pairs, degenerate=pairs - good_pairs)
@@ -196,19 +215,32 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
 
 
 def _record_json(rec: ResultRecord) -> str:
-    payload: dict = {
-        "id": list(rec.id) if isinstance(rec.id, tuple) else rec.id,
-        "case": rec.case,
-        "points": [list(p) for p in rec.points],
-    }
-    if rec.us is not None:
-        payload["us"] = rec.us
-    return json.dumps(payload, separators=(",", ":"))
+    """The record as compact JSON, byte for byte what ``json.dumps`` writes.
+
+    The line is built directly: the ``repr`` of an int or a finite float is
+    the text ``json.dumps`` writes for it.  ``json.dumps`` spells infinities
+    and NaN differently; theirs are the only reprs here with an ``n``, so a
+    record holding one goes through ``json.dumps`` itself.
+    """
+    points = ",".join([f"[{x!r},{y!r},{z!r}]" for x, y, z in rec.points])
+    rid = rec.id
+    if "n" in points:
+        payload: dict = {
+            "id": list(rid) if isinstance(rid, tuple) else rid,
+            "case": rec.case,
+            "points": [list(p) for p in rec.points],
+        }
+        if rec.us is not None:
+            payload["us"] = rec.us
+        return json.dumps(payload, separators=(",", ":"))
+    rid = f"[{rid[0]!r},{rid[1]!r}]" if isinstance(rid, tuple) else repr(rid)
+    case = "null" if rec.case is None else encode_basestring_ascii(rec.case)
+    us = "" if rec.us is None else f',"us":{rec.us!r}'
+    return f'{{"id":{rid},"case":{case},"points":[{points}]{us}}}'
 
 
 def _emit(records: Iterable[ResultRecord], stream) -> None:
-    for rec in records:
-        stream.write(_record_json(rec) + "\n")
+    stream.writelines(_record_json(rec) + "\n" for rec in records)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,24 +278,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.mode == "pair":
             records = read_pairs(args.input)
-            results, summary = run_pairs(records, tol, jobs=jobs, timing=args.timing)
-            emitted = [r for r in results if r.case is not None]
         else:
             faces_a = read_off(args.mesh_a)
             faces_b = read_off(args.mesh_b)
             same = os.path.realpath(args.mesh_a) == os.path.realpath(args.mesh_b)
-            results, summary = run_meshes(faces_a, faces_b, tol, jobs=jobs,
-                                          timing=args.timing, same_mesh=same)
-            emitted = [r for r in results if r.case in CONTACT_CASES]
+        # opened before the pairs are computed, so a bad path costs no work
+        with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+              else open(args.output, "w", encoding="utf-8")) as out:
+            if args.mode == "pair":
+                results, summary = run_pairs(records, tol, jobs=jobs, timing=args.timing)
+                _emit((r for r in results if r.case is not None), out)
+            else:
+                results, summary = run_meshes(faces_a, faces_b, tol, jobs=jobs,
+                                              timing=args.timing, same_mesh=same)
+                _emit((r for r in results if r.case in CONTACT_CASES), out)
     except (ParseError, EmptyMesh, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.output == "-":
-        _emit(emitted, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            _emit(emitted, handle)
     print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
 
     if summary["pairs"] and summary["skipped"] == summary["pairs"]:

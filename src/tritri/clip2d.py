@@ -21,9 +21,7 @@ Points within ``eps_dist`` of a side line code as inside, so a segment
 that merely grazes the boundary yields a Point result rather than Empty.
 """
 
-import functools
 import math
-from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -46,33 +44,40 @@ class Side(Enum):
 SIDE_ORDER = (Side.AB, Side.AC, Side.BC)
 
 
-@dataclass(frozen=True)
 class Triangle2:
     """2D triangle normalized to counter-clockwise vertex order.
 
     Raises DegenerateTriangle when the area is below ``tol.eps_area``.
     """
 
-    a: Point2
-    b: Point2
-    c: Point2
-    tol: InitVar[Tolerance] = DEFAULT_TOLERANCE
+    __slots__ = ("a", "b", "c", "_lines")
 
-    def __post_init__(self, tol: Tolerance):
-        a, b, c = Point2(*self.a), Point2(*self.b), Point2(*self.c)
+    def __init__(self, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE):
+        a, b, c = Point2(*a), Point2(*b), Point2(*c)
         area2 = (b.u - a.u) * (c.v - a.v) - (b.v - a.v) * (c.u - a.u)
         if abs(area2) < 2.0 * tol.eps_area:
             raise DegenerateTriangle("2D triangle area below tolerance")
         if area2 < 0.0:
             b, c = c, b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self.a = a
+        self.b = b
+        self.c = c
+        self._lines = None
 
-    @functools.cached_property
+    def __repr__(self) -> str:
+        return f"Triangle2({self.a!r}, {self.b!r}, {self.c!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Triangle2):
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    @property
     def lines(self) -> tuple[tuple[float, float, float], ...]:
         """Normalized side lines in SIDE_ORDER, positive inside; computed on first use."""
-        return _window_lines(self)
+        if self._lines is None:
+            self._lines = _window_lines(self)
+        return self._lines
 
 
 class TrivialClassification(Enum):
@@ -87,8 +92,7 @@ class ClipKind(Enum):
     SEGMENT = "segment"
 
 
-@dataclass(frozen=True)
-class ClipResult2:
+class ClipResult2(NamedTuple):
     kind: ClipKind
     points: tuple[Point2, ...] = ()
 

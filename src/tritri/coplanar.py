@@ -12,8 +12,8 @@ corner graze leaves a polygon whose area is below ``eps_area``, and the
 pair is reported Disjoint.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .clip2d import Triangle2, _dist2, _lerp2
 from .core import DEFAULT_TOLERANCE, Tolerance
@@ -25,8 +25,7 @@ class ContourKind(Enum):
     CONTOUR = "contour"
 
 
-@dataclass(frozen=True)
-class ContourResult:
+class ContourResult(NamedTuple):
     kind: ContourKind
     vertices: tuple[Point2, ...] = ()
 

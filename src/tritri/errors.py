@@ -17,10 +17,6 @@ class ZeroLengthSegment(GeometryError):
     """Segment endpoints coincide within tolerance."""
 
 
-class ParallelToPlane(GeometryError):
-    """Line direction is perpendicular to the plane normal; no unique parameter."""
-
-
 class AnchorOffPlane(GeometryError):
     """Frame anchor does not lie on the plane within tolerance."""
 

@@ -11,8 +11,8 @@ triangle, so a triangle tested against many partners builds them once.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .clip2d import ClipKind, Triangle2, clip_segment_to_triangle, point_in_triangle
 from .coplanar import ContourKind, intersect_coplanar
@@ -58,8 +58,7 @@ class EmptyReason(Enum):
     SEGMENT_OUTSIDE_WINDOW = "segment_outside_window"
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     kind: ResultKind
     points: tuple[Point3, ...] = ()
     reason: EmptyReason | None = None
@@ -117,6 +116,10 @@ class PreparedTriangle:
             self._frame_window = (frame, window)
         return self._frame_window
 
+    def release(self) -> None:
+        """Drop the kept frame and window; the next ``frame_window`` builds them again."""
+        self._frame_window = None
+
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
     """``t`` ready for ``intersect`` under ``tol``; ``t`` itself if it already is.
@@ -134,8 +137,11 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
     return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
 
 
+_EMPTY = {reason: IntersectionResult(ResultKind.EMPTY, reason=reason) for reason in EmptyReason}
+
+
 def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, IntersectionResult]:
-    return label, IntersectionResult(ResultKind.EMPTY, reason=reason)
+    return label, _EMPTY[reason]
 
 
 def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:

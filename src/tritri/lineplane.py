@@ -1,88 +1,15 @@
-"""Intersection of parametric lines and triangle edges with a plane.
+"""Intersection of a triangle's edges with a plane.
 
 An edge (p1, p2) is handled as ``p(t) = p1 + t * (p2 - p1)``; a hit counts
 only when ``t`` stays within [0, 1] (up to ``eps_param``), so membership on
-the edge is decided by the parameter alone.
+the edge is decided by the parameter alone.  Each vertex's signed distance
+to the plane is computed once and shared by the two edges that meet there.
 """
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
+import math
 
-from .core import (
-    DEFAULT_TOLERANCE,
-    Plane,
-    Point3,
-    Tolerance,
-    Triangle3,
-    Vec3,
-    dist3,
-    lerp3,
-    signed_distance,
-    vcross,
-    vnorm,
-    vsub,
-)
-from .errors import CoplanarEdges, DegenerateTriangle, ParallelToPlane, ZeroLengthSegment
-
-
-class ParamLine(NamedTuple):
-    origin: Point3
-    direction: Vec3
-
-
-class EdgeHitKind(Enum):
-    NONE = "none"
-    AT_POINT = "at_point"
-    EDGE_IN_PLANE = "edge_in_plane"
-
-
-@dataclass(frozen=True)
-class EdgePlaneHit:
-    kind: EdgeHitKind
-    point: Point3 | None = None
-    t: float | None = None
-
-
-def param_line_from_segment(p1, p2, tol: Tolerance = DEFAULT_TOLERANCE) -> ParamLine:
-    """Parametric line through a segment; direction is p2 - p1 (not unit)."""
-    d = vsub(p2, p1)
-    if vnorm(d) <= tol.eps_dist:
-        raise ZeroLengthSegment("segment endpoints coincide")
-    return ParamLine(Point3(*p1), d)
-
-
-def solve_t(line: ParamLine, pl: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Parameter where the line meets the plane.
-
-    The denominator equals the change of signed distance over one unit of
-    t, so the parallel test ``|denom| <= eps_dist`` is a world-unit bound.
-    """
-    m, n, p = line.direction
-    denom = pl.q * m + pl.w * n + pl.u * p
-    if abs(denom) <= tol.eps_dist:
-        raise ParallelToPlane("line direction lies in the plane")
-    return -signed_distance(line.origin, pl) / denom
-
-
-def edge_plane_intersection(p1, p2, pl: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> EdgePlaneHit:
-    """Where the edge p1->p2 meets the plane, if anywhere.
-
-    Distinguishes a transversal hit (AT_POINT with its parameter) from an
-    edge lying fully in the plane (EDGE_IN_PLANE) and from a miss (NONE).
-    """
-    d1 = signed_distance(p1, pl)
-    d2 = signed_distance(p2, pl)
-    if abs(d1) <= tol.eps_dist and abs(d2) <= tol.eps_dist:
-        return EdgePlaneHit(EdgeHitKind.EDGE_IN_PLANE)
-    line = param_line_from_segment(p1, p2, tol)
-    try:
-        t = solve_t(line, pl, tol)
-    except ParallelToPlane:
-        return EdgePlaneHit(EdgeHitKind.NONE)
-    if -tol.eps_param <= t <= 1.0 + tol.eps_param:
-        return EdgePlaneHit(EdgeHitKind.AT_POINT, lerp3(p1, p2, t), t)
-    return EdgePlaneHit(EdgeHitKind.NONE)
+from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, vcross, vnorm, vsub
+from .errors import CoplanarEdges, DegenerateTriangle, ZeroLengthSegment
 
 
 def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point3]:
@@ -90,25 +17,47 @@ def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_T
 
     For a triangle whose plane properly intersects ``pl`` this is 0, 1 or 2
     points (duplicates within eps_dist merged, edge order a-b, b-c, c-a).
-    An edge lying in the plane contributes both endpoints.  When two or
-    more edges lie in the plane the triangle is coplanar with it and
-    CoplanarEdges is raised.
+    An edge lies in the plane when both its endpoints are within eps_dist
+    of it, and then contributes both endpoints; an edge whose direction
+    changes the signed distance by at most eps_dist per unit of t runs
+    parallel to the plane and contributes nothing.  When two or more edges
+    lie in the plane the triangle is coplanar with it and CoplanarEdges is
+    raised.  An edge shorter than eps_dist that does not lie in the plane
+    raises ZeroLengthSegment.
     """
-    if 0.5 * vnorm(vcross(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]))) < tol.eps_area:
+    a, b, c = tri
+    if 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a))) < tol.eps_area:
         raise DegenerateTriangle("triangle area below tolerance")
-    edges = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-    hits = [edge_plane_intersection(a, b, pl, tol) for a, b in edges]
-    if sum(1 for h in hits if h.kind is EdgeHitKind.EDGE_IN_PLANE) >= 2:
+    q, w, u, r = pl
+    eps = tol.eps_dist
+    da = q * a[0] + w * a[1] + u * a[2] + r
+    db = q * b[0] + w * b[1] + u * b[2] + r
+    dc = q * c[0] + w * c[1] + u * c[2] + r
+    if abs(da) <= eps and abs(db) <= eps and abs(dc) <= eps:
+        # all three vertices on the plane: every edge lies in it
         raise CoplanarEdges("triangle lies in the plane")
+    lo, hi = -tol.eps_param, 1.0 + tol.eps_param
     points: list[Point3] = []
-    for hit, (a, b) in zip(hits, edges):
-        if hit.kind is EdgeHitKind.EDGE_IN_PLANE:
-            candidates = (Point3(*a), Point3(*b))
-        elif hit.kind is EdgeHitKind.AT_POINT:
-            candidates = (hit.point,)
+    for p1, d1, p2, d2 in ((a, da, b, db), (b, db, c, dc), (c, dc, a, da)):
+        if abs(d1) <= eps and abs(d2) <= eps:
+            candidates = (Point3(*p1), Point3(*p2))
         else:
-            continue
-        for c in candidates:
-            if all(dist3(c, seen) > tol.eps_dist for seen in points):
-                points.append(c)
+            m, n, o = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
+            if math.sqrt(m * m + n * n + o * o) <= eps:
+                raise ZeroLengthSegment("segment endpoints coincide")
+            # change of signed distance over one unit of t: a world-unit parallel test
+            denom = q * m + w * n + u * o
+            if abs(denom) <= eps:
+                continue
+            t = -d1 / denom
+            if not lo <= t <= hi:
+                continue
+            candidates = (Point3(p1[0] + t * m, p1[1] + t * n, p1[2] + t * o),)
+        for pt in candidates:
+            for seen in points:
+                x, y, z = pt[0] - seen[0], pt[1] - seen[1], pt[2] - seen[2]
+                if math.sqrt(x * x + y * y + z * z) <= eps:
+                    break
+            else:
+                points.append(pt)
     return points

@@ -1,8 +1,13 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import tritri.cli
-from tritri.cli import CONTACT_CASES, main, run_pairs
+from tritri.cli import CONTACT_CASES, ResultRecord, _record_json, main, run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
 from tritri.errors import PointOffPlane
 from tritri.fileio import iter_pairs
@@ -278,3 +283,83 @@ def test_mesh_output_is_byte_identical_across_jobs(tmp_path, capsys):
             outputs.append(out.read_bytes())
         capsys.readouterr()
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_output_path_in_a_missing_directory_exits_1_before_any_pair(tmp_path, capsys, monkeypatch):
+    calls = []
+    kernel = tritri.cli.intersect
+
+    def counted(t1, t2, tol):
+        calls.append(1)
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", counted)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(CROSSING + "\n")
+    mesh_a = tmp_path / "a.off"
+    mesh_b = tmp_path / "b.off"
+    mesh_a.write_text(SQUARE_OFF)
+    mesh_b.write_text(POKER_OFF)
+    out = str(tmp_path / "missing" / "records.jsonl")
+    for argv in (["pair", "--input", str(pairs)], ["mesh", str(mesh_a), str(mesh_b)]):
+        assert main([*argv, "--output", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == []
+        assert main(argv) == 0  # the same run with a writable output computes
+        assert calls
+        calls.clear()
+        capsys.readouterr()
+
+
+def test_serial_mesh_run_keeps_one_frame_at_a_time(monkeypatch):
+    rng = random.Random(61)
+    faces = height_field([[rng.randint(0, 3) / 3 for _ in range(7)] for _ in range(7)])
+    other = height_field([[rng.randint(0, 3) / 3 for _ in range(7)] for _ in range(7)],
+                         offset=(0.25, 0.5, 0.0))
+    kernel = tritri.cli.intersect
+    seen = {}
+    holding = []
+
+    def watched(t1, t2, tol):
+        holding.append(sum(p._frame_window is not None for p in seen.values()))
+        seen[id(t1)] = t1
+        seen[id(t2)] = t2
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", watched)
+    for b, same in ((faces, True), (other, False)):
+        seen.clear()
+        holding.clear()
+        results, _ = run_meshes(faces, b, DEFAULT_TOLERANCE, same_mesh=same)
+        assert len(results) > 2 * len(faces)  # many first faces come and go
+        assert max(holding) == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(tritri.cli.__file__).parents[1]
+    code = "import sys, tritri.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("rec", [
+    ResultRecord(0, "crossing_segment", ((-0.0, 5e-324, 1e300), (0.1, -2.5, 1e-7))),
+    ResultRecord(7, "touch_point", ((float("inf"), 0.0, 1.0),)),
+    ResultRecord(8, "touch_point", ((float("-inf"), float("nan"), 1.0),)),
+    ResultRecord((3, 12), "coplanar_contour", ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.5))),
+    ResultRecord((0, 1), "touch_point", ((float("inf"), 2.0, 3.0),), us=5),
+    ResultRecord(2, None, (), error="DegenerateTriangle"),
+    ResultRecord(3, "parallel_planes", ()),
+    ResultRecord(4, "crossing_segment", ((1.0, 2.0, 3.0), (1e16, -1e-16, 123456789.0)), us=0),
+    ResultRecord((5, 6), None, (), us=17),
+])
+def test_record_json_equals_json_dumps(rec):
+    payload = {
+        "id": list(rec.id) if isinstance(rec.id, tuple) else rec.id,
+        "case": rec.case,
+        "points": [list(p) for p in rec.points],
+    }
+    if rec.us is not None:
+        payload["us"] = rec.us
+    assert _record_json(rec) == json.dumps(payload, separators=(",", ":"))
