@@ -109,11 +109,19 @@ def test_edge_hit_outside_span():
     assert project_checked(tri) == []
 
 
+def _check_parallel_edge_adds_nothing(p1, p2):
+    # the parallel edge adds nothing; the two others meet the plane
+    pts = project_checked(Triangle3(p1, p2, Point3(1, 1, -1)))
+    assert pts == [lerp3(p2, Point3(1, 1, -1), 0.5), lerp3(Point3(1, 1, -1), p1, 0.5)]
+
+
 def test_edge_parallel_off_plane():
-    for p1, p2 in ((Point3(0, 0, 1), Point3(5, 3, 1)), (Point3(0, 0, 1), Point3(2, 2, 1))):
-        # the parallel edge adds nothing; the two others meet the plane
-        pts = project_checked(Triangle3(p1, p2, Point3(1, 1, -1)))
-        assert pts == [lerp3(p2, Point3(1, 1, -1), 0.5), lerp3(Point3(1, 1, -1), p1, 0.5)]
+    _check_parallel_edge_adds_nothing(Point3(0, 0, 1), Point3(2, 2, 1))
+
+
+def test_edge_parallel_skew_off_plane():
+    # edge (0,0,1)->(5,3,1) is parallel to the plane, not along a diagonal
+    _check_parallel_edge_adds_nothing(Point3(0, 0, 1), Point3(5, 3, 1))
 
 
 def test_edge_in_plane():
