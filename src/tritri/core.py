@@ -87,14 +87,6 @@ def dist3(a, b) -> float:
     return vnorm(vsub(a, b))
 
 
-def lerp3(a, b, t: float) -> Point3:
-    return Point3(
-        a[0] + t * (b[0] - a[0]),
-        a[1] + t * (b[1] - a[1]),
-        a[2] + t * (b[2] - a[2]),
-    )
-
-
 def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Plane:
     """Supporting plane of a triangle, normal by the right-hand rule.
 

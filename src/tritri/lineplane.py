@@ -8,15 +8,17 @@ to the plane is computed once and shared by the two edges that meet there.
 
 import math
 
-from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, vcross, vnorm, vsub
-from .errors import CoplanarEdges, DegenerateTriangle, ZeroLengthSegment
+from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
+from .errors import CoplanarEdges, ZeroLengthSegment
 
 
 def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point3]:
     """Distinct points where the triangle's edges meet the plane.
 
-    For a triangle whose plane properly intersects ``pl`` this is 0, 1 or 2
-    points (duplicates within eps_dist merged, edge order a-b, b-c, c-a).
+    ``tri`` must be non-degenerate (area at least eps_area), which
+    ``prepare`` checks through ``plane_from_triangle``.  For a triangle
+    whose plane properly intersects ``pl`` this is 0, 1 or 2 points
+    (duplicates within eps_dist merged, edge order a-b, b-c, c-a).
     An edge lies in the plane when both its endpoints are within eps_dist
     of it, and then contributes both endpoints; an edge whose direction
     changes the signed distance by at most eps_dist per unit of t runs
@@ -26,8 +28,6 @@ def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_T
     raises ZeroLengthSegment.
     """
     a, b, c = tri
-    if 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a))) < tol.eps_area:
-        raise DegenerateTriangle("triangle area below tolerance")
     q, w, u, r = pl
     eps = tol.eps_dist
     da = q * a[0] + w * a[1] + u * a[2] + r

@@ -7,19 +7,12 @@ from hypothesis import strategies as st
 
 from tritri.clip2d import (
     ClipKind,
-    Side,
     Triangle2,
-    TrivialClassification,
-    candidate_entry_sides,
-    candidate_exit_sides,
     clip_segment_to_triangle,
-    line_through,
     point_in_triangle,
     region_code,
-    segment_side_intersection,
-    trivially_classify,
 )
-from tritri.core import DEFAULT_TOLERANCE, Tolerance
+from tritri.core import Tolerance
 from tritri.errors import DegenerateTriangle, ZeroLengthSegment
 from tritri.frame import Point2
 from tritri.oracle import rational_clip_segment
@@ -107,6 +100,14 @@ def test_collinear_overlap_along_side():
     assert points_match_unordered([tuple(p) for p in res.points], [(4, 0), (0, 4)])
 
 
+def test_collinear_leaving_through_a_sharp_vertex_is_a_point():
+    # along line AB away from A; the angle at A is about 14 degrees, so a
+    # half-eps shift of the distances to AC would move the cut about 2e-9
+    sharp = Triangle2(Point2(0, 0), Point2(4, 0), Point2(4, 1))
+    res = clip_segment_to_triangle(Point2(0, 0), Point2(-3, 0), sharp)
+    assert res == (ClipKind.POINT, (Point2(0.0, 0.0),))
+
+
 def test_collinear_outside_side_line():
     res = clip_segment_to_triangle(Point2(5, 0), Point2(8, 0), W)
     assert res.kind is ClipKind.EMPTY
@@ -117,20 +118,19 @@ def test_zero_length_segment_raises():
         clip_segment_to_triangle(Point2(1, 1), Point2(1, 1), W)
 
 
-def test_line_through_uses_the_callers_tolerance():
+def test_clip_uses_the_callers_tolerance():
     # 5e-10 apart: a zero-length segment at the default eps_dist of 1e-9,
-    # a proper one at 1e-10
+    # a proper one at 1e-10, entering the window through AB at (1, 0)
     p, q = Point2(1, -2.5e-10), Point2(1, 2.5e-10)
     fine = Tolerance(eps_dist=1e-10)
     with pytest.raises(ZeroLengthSegment):
-        line_through(p, q)
+        clip_segment_to_triangle(p, q, W)
+    res = clip_segment_to_triangle(p, q, W, fine)
+    assert res.kind is ClipKind.SEGMENT
+    e, x = res.points
+    assert math.isclose(e.u, 1.0) and abs(e.v) <= 1e-12 and x == q
     with pytest.raises(ZeroLengthSegment):
-        segment_side_intersection(p, q, W, Side.AB)
-    assert line_through(p, q, fine) == (-5e-10, 0.0, 5e-10)
-    x = segment_side_intersection(p, q, W, Side.AB, fine)
-    assert x is not None and math.isclose(x.u, 1.0) and abs(x.v) <= 1e-12
-    with pytest.raises(ZeroLengthSegment):
-        line_through(Point2(0, 0), Point2(0.5, 0), Tolerance(eps_dist=1.0))
+        clip_segment_to_triangle(Point2(0, 0), Point2(0.5, 0), W, Tolerance(eps_dist=1.0))
 
 
 def test_degenerate_window_raises():
@@ -156,31 +156,6 @@ def test_boundary_points_code_inside():
     assert region_code(Point2(-1, 0), W) == 4  # AB bit clear, AC bit set
     assert region_code(Point2(2, 2), W) == 0  # exactly on the hypotenuse
     assert region_code(Point2(0, 0), W) == 0
-
-
-def test_trivial_classification():
-    assert trivially_classify(0, 0) is TrivialClassification.ACCEPT_INSIDE
-    assert trivially_classify(2, 6) is TrivialClassification.REJECT_OUTSIDE
-    assert trivially_classify(2, 4) is TrivialClassification.SUSPICIOUS
-    assert trivially_classify(0, 1) is TrivialClassification.SUSPICIOUS
-
-
-def test_candidate_entry_sides_table():
-    assert candidate_entry_sides(2) == (Side.AB,)
-    assert candidate_entry_sides(4) == (Side.AC,)
-    assert candidate_entry_sides(1) == (Side.BC,)
-    assert candidate_entry_sides(6) == (Side.AB, Side.AC)
-    assert candidate_entry_sides(3) == (Side.AB, Side.BC)
-    assert candidate_entry_sides(5) == (Side.AC, Side.BC)
-    assert candidate_entry_sides(0) == (Side.AB, Side.AC, Side.BC)
-
-
-def test_candidate_exit_sides():
-    assert candidate_exit_sides(2, 4) == (Side.AC,)
-    assert candidate_exit_sides(6, 1) == (Side.BC,)
-    assert candidate_exit_sides(2, 0) == ()
-    with pytest.raises(ValueError):
-        candidate_exit_sides(2, 2)
 
 
 coord = st.floats(min_value=-12, max_value=12, allow_nan=False, allow_infinity=False)

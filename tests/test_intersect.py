@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tritri import (
     CaseLabel,
@@ -17,8 +20,9 @@ from tritri import (
     signed_distance,
 )
 from tritri.intersect import contact_margin, prepare
+from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import contours_match, mixed_pairs, points_match_unordered
+from conftest import contours_match, height_field, mixed_pairs, points_match_unordered, result_matches_oracle
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
 
@@ -122,6 +126,8 @@ def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
         intersect(T1, _tri((3, 3, 3), (3, 3, 3), (5, 1, 0)))
     with pytest.raises(DegenerateTriangle):
+        intersect(T1, _tri((0, 0, -1), (0, 0, 1), (0, 0, 3)))
+    with pytest.raises(DegenerateTriangle):
         contact_margin(line)
     with pytest.raises(DegenerateTriangle):
         prepare(line)
@@ -195,3 +201,56 @@ def test_classify_only_matches_intersect():
     rng = random.Random(99)
     for t1, t2 in mixed_pairs(rng, 200):
         assert classify_only(t1, t2) is intersect(t1, t2)[0]
+
+
+# Faces of a terraced height field that share a vertex, where an edge of the
+# second face runs on in the first face's plane past that vertex, along a
+# window side.  The clip of that collinear segment must stop at the vertex.
+# Literal coordinates of one such pair, faces 80 and 111 of the benchmark's
+# seed-1 terraced field (spacing 1/3, terraces of 0.3).
+SHARED_VERTEX = (1.0, 4.333333333333333, 0.6)
+TERRACE_80 = _tri((0.6666666666666666, 4.0, 1.5), (1.0, 4.0, 1.2), SHARED_VERTEX)
+TERRACE_111 = _tri(SHARED_VERTEX, (1.3333333333333333, 4.666666666666666, -0.3),
+                   (1.0, 4.666666666666666, 0.3))
+
+
+def test_shared_vertex_touch_in_both_orders():
+    for t1, t2 in ((TERRACE_80, TERRACE_111), (TERRACE_111, TERRACE_80)):
+        label, res = intersect(t1, t2)
+        assert label is CaseLabel.TOUCH_POINT
+        assert math.dist(res.points[0], SHARED_VERTEX) <= 1e-9
+    assert oracle_intersect(TERRACE_80, TERRACE_111).label is CaseLabel.TOUCH_POINT
+
+
+def _steep_field(rng, rows=4, cols=4):
+    """Integer heights up to 4 on the unit grid: faces steep enough that the
+    window angle at a shared vertex is often sharp."""
+    return height_field([[float(rng.randint(0, 4)) for _ in range(cols)] for _ in range(rows)])
+
+
+steep_fields = st.integers(0, 2**32 - 1).map(lambda k: _steep_field(random.Random(k)))
+
+
+@seed(20261)
+@settings(max_examples=60, deadline=None)
+@given(steep_fields)
+def test_height_field_labels_are_swap_symmetric(faces):
+    for t1, t2 in itertools.combinations(faces, 2):
+        assert intersect(t1, t2)[0] is intersect(t2, t1)[0]
+
+
+def test_height_field_agrees_with_oracle():
+    rng = random.Random(2026)
+    checked = 0
+    for _ in range(4):
+        faces = _steep_field(rng)
+        for a, b in itertools.combinations(faces, 2):
+            for t1, t2 in ((a, b), (b, a)):
+                ref = oracle_intersect(t1, t2)
+                if 0.0 < ref.slack < 1e-8:  # the acceptance suite's slack floor
+                    continue
+                label, res = intersect(t1, t2)
+                assert label is ref.label, (t1, t2)
+                assert result_matches_oracle(res.points, as_floats(ref.points)), (t1, t2)
+                checked += 1
+    assert checked >= 1000

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from tritri.cli import CONTACT_CASES, _overlapping_pairs, _prepare_faces, run_meshes
 from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3
 from tritri.errors import DegenerateTriangle
-from tritri.intersect import intersect
+from tritri.intersect import CaseLabel, intersect
+from tritri.oracle import oracle_intersect
 
 from conftest import height_field
 
@@ -65,12 +66,18 @@ def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TO
     (0.05, 1e-4, "crossing_segment"),  # eps_param well above eps_dist
 ])
 def test_edge_parameter_slack_reaches_the_kernel(d, eps_param, label):
-    # the long edge meets z = 0 at a parameter just below 0, allowed by eps_param
+    # with the wide face as the reference, the spike's long edge meets z = 0
+    # at a parameter just below 0, allowed by eps_param: a contact
     tol = Tolerance(eps_dist=1e-9, eps_param=eps_param)
     spike = _tri(((1, 1, d), (1, 1, 1e3), (3, 1, 1e3)))
     wide = _tri(WIDE)
     assert [c[1] for c in assert_matches_brute_force([wide], [spike], tol=tol)] == [label]
-    assert [c[1] for c in assert_matches_brute_force([spike], [wide], tol=tol)] == [label]
+    # with the spike as the reference, the wide face's segment passes d below
+    # the spike's lowest vertex, further than eps_dist: no contact, as the
+    # exact oracle says
+    assert assert_matches_brute_force([spike], [wide], tol=tol) == []
+    assert intersect(spike, wide, tol)[0] is CaseLabel.CROSSING_PLANES_NO_CONTACT
+    assert oracle_intersect(spike, wide, tol).label is CaseLabel.CROSSING_PLANES_NO_CONTACT
 
 
 def test_sliver_tip_reaches_the_kernel():
