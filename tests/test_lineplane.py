@@ -12,8 +12,8 @@ from tritri.core import (
     vnorm,
     vsub,
 )
-from tritri.errors import CoplanarEdges, GeometryError, ZeroLengthSegment
-from tritri.intersect import CaseLabel, intersect
+from tritri.errors import CoplanarEdges, DegenerateTriangle, GeometryError, ZeroLengthSegment
+from tritri.intersect import CaseLabel, intersect, prepare
 from tritri.lineplane import project_triangle_edges
 
 from conftest import mixed_pairs
@@ -184,3 +184,18 @@ def test_project_coplanar_triangle_raises():
     tri = Triangle3(Point3(1, 1, 0), Point3(3, 1, 0), Point3(1, 3, 0))
     with pytest.raises(CoplanarEdges):
         project_checked(tri)
+
+
+def test_project_degenerate_triangle_raises():
+    # non-degenerate is project_triangle_edges' precondition: a collinear
+    # triangle is refused by the plane fit, before its edges are projected
+    tri = Triangle3(Point3(0, 0, -1), Point3(0, 0, 1), Point3(0, 0, 3))
+    plane_tri = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
+    with pytest.raises(DegenerateTriangle):
+        plane_from_triangle(tri)
+    with pytest.raises(DegenerateTriangle):
+        prepare(tri)
+    with pytest.raises(DegenerateTriangle):
+        intersect(plane_tri, tri)
+    with pytest.raises(DegenerateTriangle):
+        intersect(tri, plane_tri)
