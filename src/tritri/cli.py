@@ -8,15 +8,15 @@ for contacting pairs.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
-stream is byte-identical across runs and --jobs settings.  Per-record
-timing (the ``us`` field) is therefore opt-in via --timing.
+stream is byte-identical across runs.  Per-record timing (the ``us``
+field) is therefore opt-in via --timing.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped.
+Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped or a
+usage error (such as ``--jobs 2``).
 """
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -44,8 +44,7 @@ def _tolerance(eps: float) -> Tolerance:
     return Tolerance(eps_dist=eps, eps_param=eps)
 
 
-def _evaluate(task, tol: Tolerance, timing: bool) -> ResultRecord:
-    rid, t1, t2 = task
+def _evaluate(rid, t1, t2, tol: Tolerance, timing: bool) -> ResultRecord:
     start = time.perf_counter() if timing else 0.0
     try:
         label, result = intersect(t1, t2, tol)
@@ -54,18 +53,6 @@ def _evaluate(task, tol: Tolerance, timing: bool) -> ResultRecord:
         return ResultRecord(rid, None, (), error=type(exc).__name__)
     us = round((time.perf_counter() - start) * 1e6) if timing else None
     return ResultRecord(rid, label.value, result.points, us)
-
-
-def _evaluate_all(tasks, tol, jobs, timing) -> list[ResultRecord]:
-    """Records of the tasks, in order; ``tasks`` may be any iterable when ``jobs <= 1``."""
-    worker = functools.partial(_evaluate, tol=tol, timing=timing)
-    if jobs <= 1 or len(tasks) < 2:
-        return [worker(task) for task in tasks]
-    # imported here: a serial run should not pay for loading multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
 
 
 def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
@@ -99,12 +86,11 @@ def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
     }
 
 
-def run_pairs(records: Iterable[PairRecord], tol: Tolerance, jobs: int = 1,
+def run_pairs(records: Iterable[PairRecord], tol: Tolerance,
               timing: bool = False) -> tuple[list[ResultRecord], dict]:
     """Intersect every pair record; results keep input order."""
-    tasks = [(rec.id, rec.t1, rec.t2) for rec in records]
     start = time.perf_counter()
-    results = _evaluate_all(tasks, tol, jobs, timing)
+    results = [_evaluate(rid, t1, t2, tol, timing) for rid, t1, t2 in records]
     summary = _summarize(results, emitted=sum(r.case is not None for r in results),
                          elapsed=time.perf_counter() - start)
     return results, summary
@@ -162,25 +148,8 @@ def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple 
     return pairs
 
 
-def _releasing_frames(tasks):
-    """The mesh tasks in order, releasing each first face's frame after its last task.
-
-    Tasks come in (i, j) order and only the first triangle's frame and
-    window are read, so once the first face changes, the previous one's are
-    not needed again.
-    """
-    last = None
-    for task in tasks:
-        first = task[1]
-        if first is not last:
-            if last is not None:
-                last.release()
-            last = first
-        yield task
-
-
 def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
-               tol: Tolerance, jobs: int = 1, timing: bool = False,
+               tol: Tolerance, timing: bool = False,
                same_mesh: bool = False) -> tuple[list[ResultRecord], dict]:
     """Mesh test behind a box broad phase; only contacting pairs are emitted downstream.
 
@@ -188,12 +157,12 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     overlap reach the kernel; the summary counts the others as ``culled``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
     Each face is prepared once, so its plane, frame, window and side lines
-    are built at most once per face, not once per pair (with ``jobs > 1``,
-    once per face in each chunk of pairs a worker receives).  For a mesh
-    against itself, diagonal pairs are excluded and symmetric pairs tested
-    once (i < j).  The results are the kernel's records, in lexicographic
-    (i, j) order.  With ``jobs <= 1``, a face's frame and window are released
-    after its last pair as the first triangle, so at most one face holds them.
+    are built at most once per face, not once per pair.  For a mesh against
+    itself, diagonal pairs are excluded and symmetric pairs tested once
+    (i < j).  The results are the kernel's records, in lexicographic (i, j)
+    order.  Only the first triangle's frame and window are read, so a face's
+    are released after its last pair as the first triangle, and at most one
+    face holds them.
     """
     start = time.perf_counter()
     prepared_a, boxes_a = _prepare_faces(faces_a, tol)
@@ -205,9 +174,15 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     else:
         pairs = len(faces_a) * len(faces_b)
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
-    tasks = [((i, j), prepared_a[i], prepared_b[j])
-             for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh)]
-    results = _evaluate_all(_releasing_frames(tasks) if jobs <= 1 else tasks, tol, jobs, timing)
+    results = []
+    held = None  # the first face whose frame and window the current pairs read
+    for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh):
+        first = prepared_a[i]
+        if first is not held:
+            if held is not None:
+                held.release()
+            held = first
+        results.append(_evaluate((i, j), first, prepared_b[j], tol, timing))
     contacts = sum(r.case in CONTACT_CASES for r in results)
     summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
                          pairs=pairs, degenerate=pairs - good_pairs)
@@ -251,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--eps", type=float, default=DEFAULT_TOLERANCE.eps_dist,
                        help="distance tolerance (default %(default)g)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1, choices=[1],
+                       help="runs are serial; only 1 is accepted")
         p.add_argument("--output", default="-", help="record stream (default stdout)")
         p.add_argument("--timing", action="store_true",
                        help="add per-record microsecond timing (breaks byte-identical output)")
@@ -273,7 +249,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: --eps must be positive", file=sys.stderr)
         return 1
     tol = _tolerance(args.eps)
-    jobs = max(1, args.jobs)
 
     try:
         if args.mode == "pair":
@@ -286,11 +261,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         with (contextlib.nullcontext(sys.stdout) if args.output == "-"
               else open(args.output, "w", encoding="utf-8")) as out:
             if args.mode == "pair":
-                results, summary = run_pairs(records, tol, jobs=jobs, timing=args.timing)
+                results, summary = run_pairs(records, tol, timing=args.timing)
                 _emit((r for r in results if r.case is not None), out)
             else:
-                results, summary = run_meshes(faces_a, faces_b, tol, jobs=jobs,
-                                              timing=args.timing, same_mesh=same)
+                results, summary = run_meshes(faces_a, faces_b, tol, timing=args.timing,
+                                              same_mesh=same)
                 _emit((r for r in results if r.case in CONTACT_CASES), out)
     except (ParseError, EmptyMesh, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,20 +28,7 @@ from .core import DEFAULT_TOLERANCE, Tolerance
 from .errors import DegenerateTriangle, ZeroLengthSegment
 from .frame import Point2
 
-# 3-bit outside code; inside is 0, 7 is geometrically impossible.
-RegionCode = int
-
-
-class Side(Enum):
-    """Window side lines; the enum value is the region-code bit."""
-
-    AB = 2
-    AC = 4
-    BC = 1
-
-
-SIDE_ORDER = (Side.AB, Side.AC, Side.BC)
-_BITS = tuple(side.value for side in SIDE_ORDER)
+_BITS = (2, 4, 1)  # AB, AC, BC
 
 
 class Triangle2:
@@ -74,7 +61,7 @@ class Triangle2:
 
     @property
     def lines(self) -> tuple[tuple[float, float, float], ...]:
-        """Normalized side lines in SIDE_ORDER, positive inside; computed on first use."""
+        """Normalized side lines in the order AB, AC, BC, positive inside; built on first use."""
         if self._lines is None:
             self._lines = _window_lines(self)
         return self._lines
@@ -95,7 +82,7 @@ _EMPTY = ClipResult2(ClipKind.EMPTY)
 
 
 def _window_lines(w: Triangle2) -> tuple[tuple[float, float, float], ...]:
-    """Normalized side lines in SIDE_ORDER, positive on the interior side."""
+    """Normalized side lines in the order AB, AC, BC, positive on the interior side."""
     lines = []
     for p, q, opp in ((w.a, w.b, w.c), (w.a, w.c, w.b), (w.b, w.c, w.a)):
         l1 = p.v - q.v
@@ -116,7 +103,7 @@ def _code(p, lines, eps: float) -> int:
     return code
 
 
-def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> RegionCode:
+def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
     return _code(p, w.lines, tol.eps_dist)
 

@@ -227,8 +227,9 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       the reference plane moves it by up to eps_dist * (1 + sqrt(2) |v|);
       the 1 alone covers a vertex taken as lying in the plane.
     * ``2 * eps_param * L``: an edge parameter may overshoot [0, 1] by
-      eps_param, once along an edge meeting the other plane and once along
-      the segment between two such points.
+      eps_param along an edge meeting the other plane.  The segment clip
+      clamps its parameters to [0, 1] and adds no overshoot, so the second
+      ``eps_param * L`` covers no slack; it is kept as a safe over-estimate.
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """

@@ -146,14 +146,13 @@ def test_timing_flag_adds_us(tmp_path):
     assert isinstance(record["us"], int) and record["us"] >= 0
 
 
-def test_output_is_byte_identical_across_jobs(tmp_path, capsys):
+def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     src = tmp_path / "pairs.txt"
     _write_pairs(src, mixed_pairs(random.Random(17), 60))
     outputs = []
-    for run, jobs in enumerate(("1", "3", "1")):
+    for run in range(3):
         out = tmp_path / f"out{run}.jsonl"
-        assert main(["pair", "--input", str(src), "--output", str(out),
-                     "--jobs", jobs]) == 0
+        assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1] == outputs[2]
@@ -264,7 +263,7 @@ def test_all_degenerate_mesh_exits_2(tmp_path, capsys):
     assert summary["skipped_by"] == {"DegenerateTriangle": 1}
 
 
-def test_mesh_output_is_byte_identical_across_jobs(tmp_path, capsys):
+def test_mesh_output_is_byte_identical_across_runs(tmp_path, capsys):
     rng = random.Random(23)
 
     def heights():
@@ -276,10 +275,9 @@ def test_mesh_output_is_byte_identical_across_jobs(tmp_path, capsys):
     mesh_b.write_text(off_text(height_field(heights(), offset=(0.25, 0.5, 0.25))))
     for meshes in ((mesh_a, mesh_b), (mesh_a, mesh_a)):
         outputs = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"out{jobs}.jsonl"
-            assert main(["mesh", *map(str, meshes), "--output", str(out),
-                         "--jobs", jobs]) == 0
+        for run in range(2):
+            out = tmp_path / f"out{run}.jsonl"
+            assert main(["mesh", *map(str, meshes), "--output", str(out)]) == 0
             outputs.append(out.read_bytes())
         capsys.readouterr()
         assert outputs[0] and outputs[0] == outputs[1]
@@ -306,6 +304,33 @@ def test_output_path_in_a_missing_directory_exits_1_before_any_pair(tmp_path, ca
         assert capsys.readouterr().err.startswith("error:")
         assert calls == []
         assert main(argv) == 0  # the same run with a writable output computes
+        assert calls
+        calls.clear()
+        capsys.readouterr()
+
+
+def test_jobs_other_than_1_is_refused(tmp_path, capsys, monkeypatch):
+    calls = []
+    kernel = tritri.cli.intersect
+
+    def counted(t1, t2, tol):
+        calls.append(1)
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", counted)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(CROSSING + "\n")
+    mesh_a = tmp_path / "a.off"
+    mesh_b = tmp_path / "b.off"
+    mesh_a.write_text(SQUARE_OFF)
+    mesh_b.write_text(POKER_OFF)
+    for argv in (["pair", "--input", str(pairs)], ["mesh", str(mesh_a), str(mesh_b)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert calls == []
+        assert main([*argv, "--jobs", "1"]) == 0  # the one accepted value computes
         assert calls
         calls.clear()
         capsys.readouterr()
