@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import subprocess
@@ -171,8 +172,23 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_nonpositive_eps_exits_1(capsys):
-    assert main(["pair", "--eps", "0"]) == 1
-    assert "--eps must be positive" in capsys.readouterr().err
+    for eps in ("nan", "inf", "-inf", "0", "-1"):
+        assert main(["pair", f"--eps={eps}"]) == 1
+        assert capsys.readouterr().err == "error: --eps must be a positive finite number\n"
+
+
+def test_summary_splits_the_run_into_phases(tmp_path, capsys):
+    src = tmp_path / "pairs.txt"
+    _write_pairs(src, mixed_pairs(random.Random(5), 40))
+    mesh = tmp_path / "a.off"
+    mesh.write_text(SQUARE_OFF)
+    out = str(tmp_path / "records.jsonl")
+    for argv in (["pair", "--input", str(src)], ["mesh", str(mesh), str(mesh)]):
+        assert main([*argv, "--output", out]) == 0
+        summary = json.loads(capsys.readouterr().err.strip())
+        phases = [summary[k] for k in ("parse_us", "elapsed_us", "emit_us", "total_us")]
+        assert all(type(us) is int and us >= 0 for us in phases)
+        assert summary["total_us"] >= sum(phases[:3]) - 3  # each phase is rounded
 
 
 def test_all_degenerate_exits_2(tmp_path, capsys):
@@ -358,6 +374,55 @@ def test_serial_mesh_run_keeps_one_frame_at_a_time(monkeypatch):
         results, _ = run_meshes(faces, b, DEFAULT_TOLERANCE, same_mesh=same)
         assert len(results) > 2 * len(faces)  # many first faces come and go
         assert max(holding) == 1
+
+
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "pairs.txt"
+    src.write_text(CROSSING + "\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2 3\n")
+    kernel = tritri.cli.intersect
+    seen = set()
+
+    def watched(t1, t2, tol):
+        seen.add(gc.isenabled())
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", watched)
+    runs = ((["pair", "--input", str(src)], 0),
+            (["pair", "--input", str(bad)], 1),
+            (["pair", "--input", str(tmp_path / "nope.txt")], 1))
+    for was_enabled in (True, False):
+        if not was_enabled:
+            gc.disable()
+        try:
+            for argv, code in runs:
+                assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == code
+                assert gc.isenabled() is was_enabled
+        finally:
+            gc.enable()
+    assert seen == {False}
+    capsys.readouterr()
+
+
+def test_the_batch_leaves_no_cyclic_garbage():
+    """What lets the CLI pause the collector: reference counting frees the whole batch."""
+    rng = random.Random(41)
+    records = list(iter_pairs([_pair_line(t1, t2) for t1, t2 in mixed_pairs(rng, 300)]
+                              + [DEGENERATE, FAR_FROM_ORIGIN]))
+    field = height_field([[rng.randint(0, 3) / 3 for _ in range(6)] for _ in range(6)])
+    gc.disable()
+    try:
+        gc.collect()
+        results, summary = run_pairs(records, DEFAULT_TOLERANCE, timing=True)
+        assert summary["skipped_by"] == {"DegenerateTriangle": 1, "PointOffPlane": 1}
+        mesh_results, mesh_summary = run_meshes(field, field, DEFAULT_TOLERANCE,
+                                                same_mesh=True)
+        assert mesh_summary["emitted"] > 0
+        del results, mesh_results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -1,9 +1,13 @@
+import gc
 import io
+import math
+import random
 
 import pytest
 
+from tritri.core import Point3, Triangle3
 from tritri.errors import EmptyMesh, ParseError
-from tritri.fileio import iter_pairs, read_off, read_pairs
+from tritri.fileio import PairRecord, collector_paused, iter_pairs, read_off, read_pairs
 
 PAIR_LINE = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 
@@ -89,3 +93,217 @@ def test_read_off_truncated():
 def test_read_off_empty_mesh():
     with pytest.raises(EmptyMesh):
         read_off(io.StringIO("OFF\n1 0 0\n0 0 0\n"))
+
+
+# --- the per-token parser, kept as the reference for the one-pass parse ------
+
+def _reference_floats(tokens, lineno):
+    values = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(f"not a number: {tok!r}", line=lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value: {tok!r}", line=lineno)
+        values.append(value)
+    return values
+
+
+def _reference_pairs(lines):
+    records = []
+    for lineno, raw in enumerate(lines, start=1):
+        hash_pos = raw.find("#")
+        line = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 18:
+            raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
+        v = _reference_floats(tokens, lineno)
+        records.append(PairRecord(
+            len(records),
+            Triangle3(Point3(*v[0:3]), Point3(*v[3:6]), Point3(*v[6:9])),
+            Triangle3(Point3(*v[9:12]), Point3(*v[12:15]), Point3(*v[15:18]))))
+    return records
+
+
+def _number(rng):
+    x = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-12, 12)
+    return rng.choice([repr(x), f"{x:e}", f"{x:.3E}", f"{x:+.17g}", "-0.0", "0", "-7",
+                       repr(rng.randint(-640, 640) / 64)])
+
+
+def _messy_pair_text(rng, count):
+    """Pair lines with exponent forms, -0.0, tabs, CRLF ends, comments and blanks."""
+    lines = []
+    for _ in range(count):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# a comment line", "\t# tabbed comment"]))
+        seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(17)]
+        line = _number(rng) + "".join(sep + _number(rng) for sep in seps)
+        if rng.random() < 0.3:
+            line += rng.choice(["  # note", "\t#", "#1 2 3"])
+        lines.append(rng.choice(["", "\t", " "]) + line)
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+def _assert_exact_types(records):
+    for rec in records:
+        assert type(rec) is PairRecord and type(rec.id) is int
+        for tri in (rec.t1, rec.t2):
+            assert type(tri) is Triangle3
+            assert all(type(p) is Point3 for p in tri)
+            assert all(type(c) is float for p in tri for c in p)
+
+
+def test_one_pass_parse_equals_the_per_token_parser(tmp_path):
+    text = _messy_pair_text(random.Random(2024), 400)
+    assert "\r\n" in text and "\t" in text and "e-" in text and "E+" in text
+    assert "-0.0" in text and "#" in text
+    want = [repr(r) for r in _reference_pairs(io.StringIO(text, newline=""))]
+    got_lines = list(iter_pairs(io.StringIO(text, newline="")))  # lines keep their \r\n
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got_path = read_pairs(path)
+    assert len(want) == 400
+    assert [repr(r) for r in got_lines] == want
+    assert [repr(r) for r in got_path] == want
+    _assert_exact_types(got_lines)
+    _assert_exact_types(got_path)
+
+
+ROW = ["1", "2", "3", "4", "5", "6", "7", "8", "9"] * 2
+
+
+def _line(tokens):
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    (_line(ROW[:17]), "expected 18 numbers, got 17"),
+    (_line(ROW + ["1"]), "expected 18 numbers, got 19"),
+    (_line(["x1"] + ROW[1:]), "not a number: 'x1'"),
+    (_line(ROW[:17] + ["1..5"]), "not a number: '1..5'"),
+    (_line(ROW[:5] + ["nan"] + ROW[6:]), "non-finite value: 'nan'"),
+    (_line(ROW[:5] + ["inf"] + ROW[6:]), "non-finite value: 'inf'"),
+    (_line(ROW[:17] + ["-inf"]), "non-finite value: '-inf'"),
+    (_line(["1e999"] + ROW[1:]), "non-finite value: '1e999'"),
+    (_line(ROW[:3] + ["inf"] + ROW[4:16] + ["oops", "1"]), "non-finite value: 'inf'"),
+    (_line(ROW[:3] + ["oops"] + ROW[4:16] + ["inf", "1"]), "not a number: 'oops'"),
+])
+def test_pair_line_errors_keep_message_and_line(bad_line, message):
+    lines = [_line(ROW), "# comment", "", bad_line + "  # trailing", _line(ROW)]
+    with pytest.raises(ParseError) as got:
+        list(iter_pairs(lines))
+    with pytest.raises(ParseError) as want:
+        _reference_pairs(lines)
+    assert got.value.line == want.value.line == 4
+    assert str(got.value) == str(want.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("bad_vertex, message", [
+    ("1", "vertex needs 3 coordinates"),
+    ("x 0 0", "not a number: 'x'"),
+    ("0 0 y", "not a number: 'y'"),
+    ("0 nan 0", "non-finite value: 'nan'"),
+    ("inf 0 0", "non-finite value: 'inf'"),
+    ("0 0 -inf", "non-finite value: '-inf'"),
+    ("0 1e999 0", "non-finite value: '1e999'"),
+    ("0 0 0 nan", None),  # tokens past the third are not read
+])
+def test_off_vertex_errors_keep_message_and_line(bad_vertex, message):
+    text = f"OFF\n# comment\n3 1 0\n0 0 0\n\n{bad_vertex}  # trailing\n0 1 0\n3 0 1 2\n"
+    if message is None:
+        assert read_off(io.StringIO(text)) == [((0, 0, 0), (0, 0, 0), (0, 1, 0))]
+        return
+    with pytest.raises(ParseError) as got:
+        read_off(io.StringIO(text))
+    assert got.value.line == 6
+    assert str(got.value) == f"line 6: {message}"
+
+
+def test_off_vertices_are_exact_point3():
+    faces = read_off(io.StringIO(OFF_TEXT.replace("1 1 0", "1e0\t1.0E0 -0.0")))
+    assert repr(faces[0].c) == "Point3(x=1.0, y=1.0, z=-0.0)"
+    assert all(type(f) is Triangle3 and all(type(p) is Point3 for p in f) for f in faces)
+
+
+# --- the collector pause ---------------------------------------------------------
+
+class _WatchedLines(io.StringIO):
+    """A text stream that records whether the collector ran while it was read."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.collector_seen = set()
+
+    def __iter__(self):
+        for line in self.read().splitlines(keepends=True):
+            self.collector_seen.add(gc.isenabled())
+            yield line
+
+    def readlines(self, hint=-1):
+        return list(self)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_pairs, PAIR_LINE + "\n" + PAIR_LINE + "\n"),
+    (read_off, OFF_TEXT),
+    (read_pairs, PAIR_LINE + "\n1 2 3\n"),  # a ParseError
+    (read_off, "OFF\n1 0 0\n0 0 0\n"),  # EmptyMesh
+])
+def test_readers_pause_the_collector_and_restore_it(reader, text):
+    assert gc.isenabled()
+    stream = _WatchedLines(text)
+    try:
+        reader(stream)
+    except (ParseError, EmptyMesh):
+        pass
+    assert stream.collector_seen == {False}
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            reader(_WatchedLines(text))
+        except (ParseError, EmptyMesh):
+            pass
+        assert not gc.isenabled()  # a caller's own pause is kept
+    finally:
+        gc.enable()
+
+
+def test_reading_runs_no_collector_pass():
+    """Not during the parse, and not on the way out while the records are alive."""
+    text = "".join(PAIR_LINE + "\n" for _ in range(2000))
+    passes = []
+
+    def count(phase, info):
+        passes.append(phase)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        records = read_pairs(io.StringIO(text))
+    finally:
+        gc.callbacks.remove(count)
+    assert len(records) == 2000 and passes == []
+
+
+def test_collector_pause_nests():
+    assert gc.isenabled()
+    with collector_paused():
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    pause = collector_paused()  # one instance, as a decorator reuses it
+    with pause:
+        with pause:
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(KeyError):
+        with collector_paused():
+            raise KeyError("restored on the way out")
+    assert gc.isenabled()
