@@ -47,10 +47,6 @@ class ResultRecord(NamedTuple):
     error: str | None = None  # the GeometryError type that skipped the record
 
 
-def _tolerance(eps: float) -> Tolerance:
-    return Tolerance(eps_dist=eps, eps_param=eps)
-
-
 def _evaluate(rid, t1, t2, tol: Tolerance, timing: bool) -> ResultRecord:
     start = time.perf_counter() if timing else 0.0
     try:
@@ -250,14 +246,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: a parser and the help formatters its construction
+# uses hold reference cycles, which a parser built in each ``main`` call
+# would leave to the paused collector
+_PARSER = _build_parser()
+
+
 @collector_paused()
 def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not 0.0 < args.eps < math.inf:
         print("error: --eps must be a positive finite number", file=sys.stderr)
         return 1
-    tol = _tolerance(args.eps)
+    tol = Tolerance(eps_dist=args.eps)
 
     try:
         parse_start = time.perf_counter()

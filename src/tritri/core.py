@@ -42,7 +42,7 @@ class Tolerance:
 
     eps_dist  -- absolute distances (point on plane, point merging)
     eps_area  -- degenerate-triangle gate on the triangle area
-    eps_param -- slack on parametric coordinates expected in [0, 1]
+    eps_param -- not read by the kernel; kept for callers that still pass it
     """
 
     eps_dist: float = 1e-9
@@ -104,11 +104,6 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
 def signed_distance(p, pl: Plane) -> float:
     """Metric signed distance of a point to a plane (normal side positive)."""
     return pl.q * p[0] + pl.w * p[1] + pl.u * p[2] + pl.r
-
-
-def closest_point_on_plane(p, pl: Plane) -> Point3:
-    d = signed_distance(p, pl)
-    return Point3(p[0] - d * pl.q, p[1] - d * pl.w, p[2] - d * pl.u)
 
 
 def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneRelation:

@@ -25,10 +25,6 @@ class PointOffPlane(GeometryError):
     """Point handed to a plane frame does not lie on its plane."""
 
 
-class CoplanarEdges(GeometryError):
-    """Triangle edges lie in the query plane; the coplanar path must be used."""
-
-
 class ParseError(ValueError):
     """Input file is malformed. Carries a 1-based line number when known."""
 

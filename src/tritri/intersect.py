@@ -30,7 +30,7 @@ from .core import (
     vnorm,
     vsub,
 )
-from .errors import CoplanarEdges, NonFiniteInput, PointOffPlane
+from .errors import NonFiniteInput, PointOffPlane
 from .frame import PlaneFrame, Point2, build_frame, from_plane
 from .lineplane import project_triangle_edges
 
@@ -74,8 +74,8 @@ def _check_finite(t: Triangle3) -> None:
 def _map_onto(frame: PlaneFrame, pl: Plane, p, tol: Tolerance) -> Point2:
     """Frame coordinates of ``p`` snapped onto the reference plane.
 
-    The arithmetic of ``core.closest_point_on_plane`` followed by
-    ``frame.to_plane``, in the same order, without building the 3D point.
+    The foot of ``p`` on the plane followed by ``frame.to_plane``, in the
+    same arithmetic order, without building the 3D point.
     """
     q, w, u = pl.q, pl.w, pl.u
     d = q * p[0] + w * p[1] + u * p[2] + pl.r
@@ -174,10 +174,9 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     if relation is PlaneRelation.COINCIDENT:
         return _coplanar_case(p1, p2.tri, tol)
 
-    try:
-        points = project_triangle_edges(p2.tri, pl1, tol)
-    except CoplanarEdges:
-        # borderline coincidence: every edge of t2 sits in the reference plane
+    points = project_triangle_edges(p2.tri, pl1, tol)
+    if points is None:
+        # borderline coincidence: every vertex of t2 sits in the reference plane
         return _coplanar_case(p1, p2.tri, tol)
     if not points:
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.PLANES_CROSS_NO_CONTACT)
@@ -226,10 +225,6 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       sine of eps_dist, so snapping a vertex v of the other triangle onto
       the reference plane moves it by up to eps_dist * (1 + sqrt(2) |v|);
       the 1 alone covers a vertex taken as lying in the plane.
-    * ``2 * eps_param * L``: an edge parameter may overshoot [0, 1] by
-      eps_param along an edge meeting the other plane.  The segment clip
-      clamps its parameters to [0, 1] and adds no overshoot, so the second
-      ``eps_param * L`` covers no slack; it is kept as a safe over-estimate.
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """
@@ -239,8 +234,7 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     area = 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a)))
     inradius = 2.0 * area / sum(edges)
     reach = max(vnorm(a), vnorm(b), vnorm(c))
-    return (tol.eps_dist * (1.0 + 2.0 * reach + longest / inradius)
-            + 2.0 * tol.eps_param * longest + 1e-12 * (1.0 + reach))
+    return tol.eps_dist * (1.0 + 2.0 * reach + longest / inradius) + 1e-12 * (1.0 + reach)
 
 
 def classify_only(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> CaseLabel:

@@ -1,31 +1,28 @@
-"""Intersection of a triangle's edges with a plane.
+"""Intersection of a triangle's edges with a plane, by a vertex code.
 
-An edge (p1, p2) is handled as ``p(t) = p1 + t * (p2 - p1)``; a hit counts
-only when ``t`` stays within [0, 1] (up to ``eps_param``), so membership on
-the edge is decided by the parameter alone.  Each vertex's signed distance
-to the plane is computed once and shared by the two edges that meet there.
+Each vertex is coded -1, 0 or +1 by its signed distance to the plane,
+0 meaning within eps_dist.  A 0-coded vertex lies on the plane and is kept
+as it is; an edge whose ends carry opposite non-zero codes crosses the
+plane, and its crossing is kept.  This is the rule of the exact oracle,
+applied to float distances.
 """
 
 import math
 
 from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
-from .errors import CoplanarEdges, ZeroLengthSegment
 
 
-def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point3]:
-    """Distinct points where the triangle's edges meet the plane.
+def _code(d: float, eps: float) -> int:
+    return 0 if -eps <= d <= eps else (1 if d > 0.0 else -1)
 
-    ``tri`` must be non-degenerate (area at least eps_area), which
-    ``prepare`` checks through ``plane_from_triangle``.  For a triangle
-    whose plane properly intersects ``pl`` this is 0, 1 or 2 points
-    (duplicates within eps_dist merged, edge order a-b, b-c, c-a).
-    An edge lies in the plane when both its endpoints are within eps_dist
-    of it, and then contributes both endpoints; an edge whose direction
-    changes the signed distance by at most eps_dist per unit of t runs
-    parallel to the plane and contributes nothing.  When two or more edges
-    lie in the plane the triangle is coplanar with it and CoplanarEdges is
-    raised.  An edge shorter than eps_dist that does not lie in the plane
-    raises ZeroLengthSegment.
+
+def project_triangle_edges(tri: Triangle3, pl: Plane,
+                           tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point3] | None:
+    """Distinct points where the triangle's boundary meets the plane.
+
+    None when every vertex is 0-coded: the triangle lies in the plane.
+    Otherwise 0, 1 or 2 points, in the order the edges a-b, b-c, c-a
+    reach them, with points within eps_dist of an earlier one merged.
     """
     a, b, c = tri
     q, w, u, r = pl
@@ -33,31 +30,31 @@ def project_triangle_edges(tri: Triangle3, pl: Plane, tol: Tolerance = DEFAULT_T
     da = q * a[0] + w * a[1] + u * a[2] + r
     db = q * b[0] + w * b[1] + u * b[2] + r
     dc = q * c[0] + w * c[1] + u * c[2] + r
-    if abs(da) <= eps and abs(db) <= eps and abs(dc) <= eps:
-        # all three vertices on the plane: every edge lies in it
-        raise CoplanarEdges("triangle lies in the plane")
-    lo, hi = -tol.eps_param, 1.0 + tol.eps_param
+    sa, sb, sc = _code(da, eps), _code(db, eps), _code(dc, eps)
+    if not (sa or sb or sc):
+        return None
     points: list[Point3] = []
-    for p1, d1, p2, d2 in ((a, da, b, db), (b, db, c, dc), (c, dc, a, da)):
-        if abs(d1) <= eps and abs(d2) <= eps:
-            candidates = (Point3(*p1), Point3(*p2))
-        else:
+    # a 0-coded vertex is added at its outgoing edge; the oracle also adds it
+    # at its incoming edge, which carries no crossing, so the order agrees
+    for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):
+        if not s1:
+            pt = Point3(*p1)
+        elif s1 == -s2:
             m, n, o = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
-            if math.sqrt(m * m + n * n + o * o) <= eps:
-                raise ZeroLengthSegment("segment endpoints coincide")
-            # change of signed distance over one unit of t: a world-unit parallel test
             denom = q * m + w * n + u * o
             if abs(denom) <= eps:
+                # exactly, opposite codes put |denom| above 2 eps_dist; where the
+                # distances' rounding exceeds eps_dist (coordinates near 1e8) the
+                # crossing would fall off the edge, or denom be 0
                 continue
             t = -d1 / denom
-            if not lo <= t <= hi:
-                continue
-            candidates = (Point3(p1[0] + t * m, p1[1] + t * n, p1[2] + t * o),)
-        for pt in candidates:
-            for seen in points:
-                x, y, z = pt[0] - seen[0], pt[1] - seen[1], pt[2] - seen[2]
-                if math.sqrt(x * x + y * y + z * z) <= eps:
-                    break
-            else:
-                points.append(pt)
+            pt = Point3(p1[0] + t * m, p1[1] + t * n, p1[2] + t * o)
+        else:
+            continue
+        for seen in points:
+            x, y, z = pt[0] - seen[0], pt[1] - seen[1], pt[2] - seen[2]
+            if math.sqrt(x * x + y * y + z * z) <= eps:
+                break
+        else:
+            points.append(pt)
     return points

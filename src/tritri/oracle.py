@@ -1,11 +1,15 @@
 """Exact-arithmetic reference implementation used by the test suite.
 
 Everything here runs on rational numbers (``fractions.Fraction``), so the
-geometry carries no rounding error.  The algorithms are deliberately
-different from the production path: segments are clipped with half-plane
-parameter intervals and coplanar overlaps with Sutherland-Hodgman polygon
-clipping, so agreement between the two routes is evidence of correctness
-rather than of a shared bug.
+geometry carries no rounding error.  The algorithms follow the production
+path (a vertex code against the reference plane, parameter clipping of the
+segment, Sutherland-Hodgman clipping of coplanar overlaps); what differs
+is the arithmetic and the 2D reduction.  Every value is exact, the 2D work
+happens on the two coordinates left after dropping the normal's largest
+axis rather than in an orthonormal frame of the plane, and orientation
+tests use unnormalised cross products.  Agreement between the two routes
+is evidence that the float kernel's rounding and frame leave the answer
+unchanged.
 
 Tolerance policy mirrors the production contract: the eps thresholds for
 plane coincidence, on-plane vertices and point merging are applied with

@@ -405,11 +405,13 @@ def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
-def test_the_batch_leaves_no_cyclic_garbage():
+def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
     """What lets the CLI pause the collector: reference counting frees the whole batch."""
     rng = random.Random(41)
-    records = list(iter_pairs([_pair_line(t1, t2) for t1, t2 in mixed_pairs(rng, 300)]
-                              + [DEGENERATE, FAR_FROM_ORIGIN]))
+    lines = [_pair_line(t1, t2) for t1, t2 in mixed_pairs(rng, 300)] + [DEGENERATE, FAR_FROM_ORIGIN]
+    records = list(iter_pairs(lines))
+    src = tmp_path / "pairs.txt"
+    src.write_text("\n".join(lines) + "\n")
     field = height_field([[rng.randint(0, 3) / 3 for _ in range(6)] for _ in range(6)])
     gc.disable()
     try:
@@ -420,6 +422,9 @@ def test_the_batch_leaves_no_cyclic_garbage():
                                                 same_mesh=True)
         assert mesh_summary["emitted"] > 0
         del results, mesh_results
+        assert gc.collect() == 0
+        # the whole command, argument parsing included
+        assert main(["pair", "--input", str(src), "--output", str(tmp_path / "out.jsonl")]) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -11,7 +11,6 @@ from tritri.core import (
     Tolerance,
     Triangle3,
     classify_planes,
-    closest_point_on_plane,
     plane_from_triangle,
     signed_distance,
     vcross,
@@ -59,13 +58,6 @@ def test_signed_distance_is_metric():
     pl = plane_from_triangle(T1)
     assert math.isclose(signed_distance(Point3(1, 1, 2.5), pl), 2.5)
     assert math.isclose(signed_distance(Point3(1, 1, -2.5), pl), -2.5)
-
-
-def test_closest_point_on_plane():
-    pl = plane_from_triangle(T1)
-    foot = closest_point_on_plane(Point3(1, 2, 7), pl)
-    assert abs(signed_distance(foot, pl)) < 1e-12
-    assert foot.x == 1 and foot.y == 2
 
 
 def test_classify_parallel_offset():

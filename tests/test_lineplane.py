@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tritri.core import (
     DEFAULT_TOLERANCE,
@@ -9,87 +11,90 @@ from tritri.core import (
     dist3,
     plane_from_triangle,
     signed_distance,
-    vnorm,
     vsub,
 )
-from tritri.errors import CoplanarEdges, DegenerateTriangle, GeometryError, ZeroLengthSegment
+from tritri.errors import DegenerateTriangle
 from tritri.intersect import CaseLabel, intersect, prepare
 from tritri.lineplane import project_triangle_edges
+from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import mixed_pairs
+from conftest import crossing_pair, mixed_pairs
 
 PLANE = plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0)))
+WINDOW = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
 
 
-# Reference: the edge-by-edge form project_triangle_edges had before it
-# became one pass over the vertices' signed distances.  Kept only here.
+# Reference: the exact oracle's vertex-code rule (``oracle._oracle_crossing``)
+# in floats, edge by edge, with the kernel's crossing arithmetic.
 
 def _lerp3(a, b, t):
     return Point3(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
 
 
-def _reference_edge_hit(p1, p2, pl, tol):
-    """("in_plane", None), ("at_point", point) or ("none", None)."""
-    d1 = signed_distance(p1, pl)
-    d2 = signed_distance(p2, pl)
-    if abs(d1) <= tol.eps_dist and abs(d2) <= tol.eps_dist:
-        return "in_plane", None
-    d = vsub(p2, p1)
-    if vnorm(d) <= tol.eps_dist:
-        raise ZeroLengthSegment("segment endpoints coincide")
-    origin = Point3(*p1)
-    m, n, p = d
-    denom = pl.q * m + pl.w * n + pl.u * p
-    if abs(denom) <= tol.eps_dist:
-        return "none", None
-    t = -signed_distance(origin, pl) / denom
-    if -tol.eps_param <= t <= 1.0 + tol.eps_param:
-        return "at_point", _lerp3(p1, p2, t)
-    return "none", None
+def _vertex_code(p, pl, tol):
+    d = signed_distance(p, pl)
+    return 0 if abs(d) <= tol.eps_dist else (1 if d > 0 else -1)
 
 
 def reference_project_triangle_edges(tri, pl, tol=DEFAULT_TOLERANCE):
-    edges = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-    hits = [_reference_edge_hit(a, b, pl, tol) for a, b in edges]
-    if sum(1 for kind, _ in hits if kind == "in_plane") >= 2:
-        raise CoplanarEdges("triangle lies in the plane")
+    codes = [_vertex_code(v, pl, tol) for v in tri]
+    if codes == [0, 0, 0]:
+        return None
     points = []
-    for (kind, point), (a, b) in zip(hits, edges):
-        if kind == "in_plane":
-            candidates = (Point3(*a), Point3(*b))
-        elif kind == "at_point":
-            candidates = (point,)
-        else:
-            continue
-        for c in candidates:
-            if all(dist3(c, seen) > tol.eps_dist for seen in points):
-                points.append(c)
+
+    def add(pt):
+        if all(dist3(pt, seen) > tol.eps_dist for seen in points):
+            points.append(Point3(*pt))
+
+    for i in range(3):
+        j = (i + 1) % 3
+        if codes[i] == 0:
+            add(tri[i])
+        if codes[j] == 0:
+            add(tri[j])
+        if codes[i] * codes[j] < 0:
+            m, n, o = vsub(tri[j], tri[i])
+            t = -signed_distance(tri[i], pl) / (pl.q * m + pl.w * n + pl.u * o)
+            add(_lerp3(tri[i], tri[j], t))
     return points
-
-
-def _outcome(f, tri, pl):
-    try:
-        return repr(f(tri, pl))
-    except GeometryError as exc:
-        return type(exc).__name__
 
 
 def project_checked(tri, pl=PLANE):
     """project_triangle_edges, after checking it against the reference by repr."""
-    want = _outcome(reference_project_triangle_edges, tri, pl)
-    assert _outcome(project_triangle_edges, tri, pl) == want
-    return project_triangle_edges(tri, pl)
+    got = project_triangle_edges(tri, pl)
+    assert repr(got) == repr(reference_project_triangle_edges(tri, pl))
+    return got
+
+
+def _distance_to_span(p, points):
+    """Distance from p to the point or segment that ``points`` spans."""
+    a = points[0]
+    b = points[-1]
+    ab = vsub(b, a)
+    lensq = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]
+    ap = vsub(p, a)
+    t = 0.0 if lensq == 0 else min(1.0, max(0.0, sum(x * y for x, y in zip(ap, ab)) / lensq))
+    return dist3(p, _lerp3(a, b, t))
 
 
 def test_equals_reference_on_mixed_pairs():
     outcomes = set()
+    near_oracle = 0
     for t1, t2 in mixed_pairs(random.Random(59), 2000):
         for a, b in ((t1, t2), (t2, t1)):
             pl = plane_from_triangle(a)
-            got = _outcome(project_triangle_edges, b, pl)
-            assert got == _outcome(reference_project_triangle_edges, b, pl)
-            outcomes.add(got if got == "CoplanarEdges" else got.count("Point3("))
-    assert outcomes == {0, 1, 2, "CoplanarEdges"}
+            got = project_triangle_edges(b, pl)
+            assert repr(got) == repr(reference_project_triangle_edges(b, pl))
+            outcomes.add(None if got is None else len(got))
+            exact = oracle_intersect(a, b)
+            if exact.label in (CaseLabel.TOUCH_POINT, CaseLabel.CROSSING_SEGMENT):
+                # the oracle's points lie on the exact segment, clipped to the window
+                assert got
+                for p in as_floats(exact.points):
+                    assert _distance_to_span(p, got) <= 1e-12
+                near_oracle += 1
+    assert outcomes == {0, 1, 2, None}
+    assert near_oracle > 500
 
 
 def test_edge_crossing_at_quarter():
@@ -129,23 +134,70 @@ def test_edge_in_plane():
     assert pts == [Point3(0.0, 0.0, 0.0), Point3(2.0, 2.0, 0.0)]
 
 
+def _check_no_contact_either_order(tri):
+    for x, y in ((WINDOW, tri), (tri, WINDOW)):
+        assert intersect(x, y)[0] is CaseLabel.CROSSING_PLANES_NO_CONTACT
+        assert oracle_intersect(x, y).label is CaseLabel.CROSSING_PLANES_NO_CONTACT
+
+
 def test_edge_shorter_than_eps_dist_raises():
+    # an edge shorter than eps_dist, a whole unit above the plane: every
+    # vertex is coded +1, so nothing is projected and nothing raises
     tri = Triangle3(Point3(0, 0, 1), Point3(0, 0, 1 + 5e-10), Point3(3, 0, 2))
     assert dist3(tri[0], tri[1]) <= DEFAULT_TOLERANCE.eps_dist
-    with pytest.raises(ZeroLengthSegment):
-        project_checked(tri)
+    assert project_checked(tri) == []
+    _check_no_contact_either_order(tri)
 
 
 def test_slack_hit_just_outside_the_edge_is_kept():
-    # the lowest vertex is 1.5e-9 above the plane, so the triangle misses it
-    # exactly; the edges leaving that vertex meet the plane at t ~ -5e-10
-    # and t ~ 1 + 7.5e-10, inside the eps_param slack, 1.5e-9 apart.  This
-    # pins today's behaviour, a crossing segment 1.5e-9 long.
+    # the lowest vertex is 1.5e-9 above the plane, beyond eps_dist: coded +1
+    # like the others, so the triangle misses the plane, as it does exactly
     tri = Triangle3(Point3(1, 1, 1.5e-9), Point3(1, 1, 3.0), Point3(3, 1, 2.0))
-    pts = project_checked(tri)
-    assert len(pts) == 2 and 1e-9 < dist3(*pts) < 2e-9
-    window = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
-    assert intersect(window, tri)[0] is CaseLabel.CROSSING_SEGMENT
+    assert project_checked(tri) == []
+    _check_no_contact_either_order(tri)
+
+
+def test_sign_change_within_rounding_noise_adds_nothing():
+    # near 1e8 the distances round to multiples of 7.45e-9.  The edge a-b runs
+    # parallel to the plane in floats too (its direction times the normal is
+    # 0.0), yet its ends are coded -1 and +1: its crossing would divide by
+    # zero, so it adds nothing, and the crossing of b-c is the only point
+    base = (100000045.0, 100000058.0, 100000028.0)
+    pl = plane_from_triangle(Triangle3(Point3(*base), Point3(base[0], base[1], base[2] + 1),
+                                       Point3(base[0] + 1, base[1] + 2, base[2])))
+    a = Point3(100000484.0, 100000936.0, 100000033.0)
+    b = Point3(100000485.0, 100000938.0, 100000034.0)
+    tri = Triangle3(a, b, Point3(a.x + 3, a.y - 7, a.z + 2))
+    assert signed_distance(a, pl) == -signed_distance(b, pl) < -DEFAULT_TOLERANCE.eps_dist
+    m, n, o = vsub(b, a)
+    assert pl.q * m + pl.w * n + pl.u * o == 0.0
+    pts = project_triangle_edges(tri, pl)
+    assert len(pts) == 1 and dist3(pts[0], b) < 1.0
+
+
+@st.composite
+def near_plane_pairs(draw):
+    """Crossing grid pairs, one vertex of the second moved to a signed distance
+    of 0.5, 1.5 or 3 eps_dist, either side, from the first one's plane."""
+    t1, t2 = crossing_pair(random.Random(draw(st.integers(0, 2 ** 32))))
+    i = draw(st.integers(0, 2))
+    k = draw(st.sampled_from((0.5, 1.5, 3.0))) * draw(st.sampled_from((-1, 1)))
+    pl = plane_from_triangle(t1)
+    v = t2[i]
+    shift = k * DEFAULT_TOLERANCE.eps_dist - signed_distance(v, pl)
+    moved = Point3(v.x + shift * pl.q, v.y + shift * pl.w, v.z + shift * pl.u)
+    return t1, Triangle3(*(moved if j == i else t2[j] for j in range(3)))
+
+
+@seed(90210)
+@settings(max_examples=300, deadline=None)
+@given(near_plane_pairs())
+def test_vertex_near_the_plane_labels_as_the_oracle(pair):
+    # below the oracle's 1e-8 slack floor, yet the float kernel and the
+    # oracle code the moved vertex alike, so their labels agree
+    t1, t2 = pair
+    for a, b in ((t1, t2), (t2, t1)):
+        assert intersect(a, b)[0] is oracle_intersect(a, b).label
 
 
 def test_project_two_crossings():
@@ -159,12 +211,10 @@ def test_project_two_crossings():
 
 
 def test_project_single_vertex_touch():
-    # one vertex on the plane, the rest on one side: adjacent edges meet
-    # the plane at the same point and dedupe to a single hit
-    tri = Triangle3(Point3(1, 1, 0), Point3(2, 2, 3), Point3(3, 1, 3))
-    pts = project_checked(tri)
-    assert len(pts) == 1
-    assert pts[0] == Point3(1.0, 1.0, 0.0)
+    # one vertex within eps_dist of the plane, the rest on one side: that
+    # vertex is the only point, as given, not moved onto the plane
+    tri = Triangle3(Point3(0.1, 0.7, 4e-10), Point3(2, 2, 3), Point3(3, 1, 3))
+    assert project_checked(tri) == [tri.a]
 
 
 def test_project_no_contact():
@@ -181,9 +231,9 @@ def test_project_edge_in_plane_gives_endpoints():
 
 
 def test_project_coplanar_triangle_raises():
-    tri = Triangle3(Point3(1, 1, 0), Point3(3, 1, 0), Point3(1, 3, 0))
-    with pytest.raises(CoplanarEdges):
-        project_checked(tri)
+    # every vertex within eps_dist of the plane: None, for the coplanar path
+    tri = Triangle3(Point3(1, 1, 0), Point3(3, 1, 5e-10), Point3(1, 3, -5e-10))
+    assert project_checked(tri) is None
 
 
 def test_project_degenerate_triangle_raises():
