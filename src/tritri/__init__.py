@@ -23,14 +23,12 @@ from .core import (
     signed_distance,
 )
 from .clip2d import (
-    ClipKind,
-    ClipResult2,
     Triangle2,
     clip_segment_to_triangle,
     point_in_triangle,
     region_code,
 )
-from .coplanar import ContourKind, ContourResult, intersect_coplanar
+from .coplanar import intersect_coplanar
 from .errors import (
     DegenerateTriangle,
     EmptyMesh,
@@ -44,7 +42,6 @@ from .intersect import (
     EmptyReason,
     IntersectionResult,
     PreparedTriangle,
-    ResultKind,
     classify_only,
     intersect,
     prepare,
@@ -54,10 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaseLabel",
-    "ClipKind",
-    "ClipResult2",
-    "ContourKind",
-    "ContourResult",
     "DEFAULT_TOLERANCE",
     "DegenerateTriangle",
     "EmptyMesh",
@@ -72,7 +65,6 @@ __all__ = [
     "Point2",
     "Point3",
     "PreparedTriangle",
-    "ResultKind",
     "Tolerance",
     "Triangle2",
     "Triangle3",

@@ -17,15 +17,13 @@ segment is clipped in two steps, codes first, then one parameter clip:
   were built from.
 
 Points within ``eps_dist`` of a side line code as inside, so a segment
-that merely grazes the boundary yields a Point result rather than Empty.
+that merely grazes the boundary yields one point rather than none.
 """
 
 import math
-from enum import Enum
-from typing import NamedTuple
 
 from .core import DEFAULT_TOLERANCE, Tolerance
-from .errors import DegenerateTriangle, ZeroLengthSegment
+from .errors import DegenerateTriangle
 from .frame import Point2
 
 _BITS = (2, 4, 1)  # AB, AC, BC
@@ -67,20 +65,6 @@ class Triangle2:
         return self._lines
 
 
-class ClipKind(Enum):
-    EMPTY = "empty"
-    POINT = "point"
-    SEGMENT = "segment"
-
-
-class ClipResult2(NamedTuple):
-    kind: ClipKind
-    points: tuple[Point2, ...] = ()
-
-
-_EMPTY = ClipResult2(ClipKind.EMPTY)
-
-
 def _window_lines(w: Triangle2) -> tuple[tuple[float, float, float], ...]:
     """Normalized side lines in the order AB, AC, BC, positive on the interior side."""
     lines = []
@@ -120,8 +104,8 @@ def _lerp2(a, b, t: float) -> Point2:
     return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
-def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> ClipResult2:
-    """Portion of segment pq inside the window triangle.
+def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+    """Portion of segment pq inside the window triangle: (), (e,) or (e, x).
 
     The signed distances of both endpoints to the three side lines give
     the region codes and the trivial accept/reject answers.  Any other
@@ -129,13 +113,12 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
     endpoints within eps_dist) does not constrain it; every other line
     accepts and rejects with half the boundary tolerance, and cuts at the
     parameter where the unshifted distance is zero, clamped to [0, 1].
-    Clipped ends within eps_dist of each other merge into a Point.
+    Ends within eps_dist of each other merge into one point, also when p
+    and q themselves are that close.
     """
     p = Point2(*p)
     q = Point2(*q)
     eps = tol.eps_dist
-    if _dist2(p, q) <= eps:
-        raise ZeroLengthSegment("clip needs a segment with distinct endpoints")
     dists = [(l1 * p.u + l2 * p.v + l3, l1 * q.u + l2 * q.v + l3) for l1, l2, l3 in w.lines]
     c1 = c2 = 0
     for bit, (da, db) in zip(_BITS, dists):
@@ -144,9 +127,9 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
         if db < -eps:
             c2 |= bit
     if not (c1 or c2):
-        return ClipResult2(ClipKind.SEGMENT, (p, q))
+        return (p,) if _dist2(p, q) <= eps else (p, q)
     if c1 & c2:
-        return _EMPTY
+        return ()
     half = 0.5 * eps
     lo, hi = 0.0, 1.0
     for da, db in dists:
@@ -154,16 +137,16 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
             continue
         if da < -half:
             if db < -half:
-                return _EMPTY
+                return ()
             # entering: t > 0, and t > 1 only when db < 0
             lo = max(lo, min(da / (da - db), 1.0))
         elif db < -half:
             # leaving: t < 1, and t < 0 only when da < 0
             hi = min(hi, max(da / (da - db), 0.0))
     if lo > hi:
-        return _EMPTY
+        return ()
     e = p if lo == 0.0 else _lerp2(p, q, lo)
     x = q if hi == 1.0 else _lerp2(p, q, hi)
     if _dist2(e, x) <= eps:
-        return ClipResult2(ClipKind.POINT, (e,))
-    return ClipResult2(ClipKind.SEGMENT, (e, x))
+        return (e,)
+    return (e, x)

@@ -9,33 +9,20 @@ other comes back as a 3-vertex contour.
 
 Touching contacts are not overlap: a shared edge, a shared vertex or a
 corner graze leaves a polygon whose area is below ``eps_area``, and the
-pair is reported Disjoint.
+pair has no contour.
 """
-
-from enum import Enum
-from typing import NamedTuple
 
 from .clip2d import Triangle2, _dist2, _lerp2
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .frame import Point2
 
 
-class ContourKind(Enum):
-    DISJOINT = "disjoint"
-    CONTOUR = "contour"
-
-
-class ContourResult(NamedTuple):
-    kind: ContourKind
-    vertices: tuple[Point2, ...] = ()
-
-
-def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> ContourResult:
-    """Overlap of two coplanar triangles given in one 2D frame.
+def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+    """Overlap of two coplanar triangles given in one 2D frame: () or 3 to 6 vertices.
 
     Consecutive vertices within ``eps_dist`` of each other are merged, and
-    an overlap of area at most ``eps_area`` counts as Disjoint.  The
-    contour is counter-clockwise, since both triangles are.
+    an overlap of area at most ``eps_area`` counts as none.  The contour
+    is counter-clockwise, since both triangles are.
     """
     poly = [clipped.a, clipped.b, clipped.c]
     for l1, l2, l3 in window.lines:
@@ -61,12 +48,12 @@ def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = D
     while len(cleaned) > 1 and _dist2(cleaned[0], cleaned[-1]) <= tol.eps_dist:
         cleaned.pop()
     if len(cleaned) < 3:
-        return ContourResult(ContourKind.DISJOINT)
+        return ()
     doubled = sum(
         cleaned[k].u * cleaned[(k + 1) % len(cleaned)].v
         - cleaned[k].v * cleaned[(k + 1) % len(cleaned)].u
         for k in range(len(cleaned))
     )
     if abs(doubled) / 2.0 <= tol.eps_area:
-        return ContourResult(ContourKind.DISJOINT)
-    return ContourResult(ContourKind.CONTOUR, tuple(cleaned))
+        return ()
+    return tuple(cleaned)

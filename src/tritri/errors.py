@@ -13,10 +13,6 @@ class NonFiniteInput(GeometryError):
     """An input coordinate is NaN or infinite."""
 
 
-class ZeroLengthSegment(GeometryError):
-    """Segment endpoints coincide within tolerance."""
-
-
 class AnchorOffPlane(GeometryError):
     """Frame anchor does not lie on the plane within tolerance."""
 

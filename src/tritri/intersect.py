@@ -14,8 +14,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import ClipKind, Triangle2, clip_segment_to_triangle, point_in_triangle
-from .coplanar import ContourKind, intersect_coplanar
+from .clip2d import Triangle2, clip_segment_to_triangle, point_in_triangle
+from .coplanar import intersect_coplanar
 from .core import (
     DEFAULT_TOLERANCE,
     Plane,
@@ -44,13 +44,6 @@ class CaseLabel(Enum):
     CROSSING_SEGMENT = "crossing_segment"
 
 
-class ResultKind(Enum):
-    EMPTY = "empty"
-    TOUCH = "touch"
-    SEGMENT = "segment"
-    CONTOUR = "contour"
-
-
 class EmptyReason(Enum):
     PARALLEL_PLANES = "parallel_planes"
     COPLANAR_DISJOINT = "coplanar_disjoint"
@@ -59,7 +52,6 @@ class EmptyReason(Enum):
 
 
 class IntersectionResult(NamedTuple):
-    kind: ResultKind
     points: tuple[Point3, ...] = ()
     reason: EmptyReason | None = None
 
@@ -137,7 +129,7 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
     return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
 
 
-_EMPTY = {reason: IntersectionResult(ResultKind.EMPTY, reason=reason) for reason in EmptyReason}
+_EMPTY = {reason: IntersectionResult(reason=reason) for reason in EmptyReason}
 
 
 def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, IntersectionResult]:
@@ -147,11 +139,11 @@ def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, Intersecti
 def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:
     frame, window = p1.frame_window()
     clipped = Triangle2(*(_map_onto(frame, p1.plane, v, tol) for v in t2), tol=tol)
-    res = intersect_coplanar(window, clipped, tol)
-    if res.kind is ContourKind.DISJOINT:
+    contour = intersect_coplanar(window, clipped, tol)
+    if not contour:
         return _empty(CaseLabel.COPLANAR_NO_CONTACT, EmptyReason.COPLANAR_DISJOINT)
-    lifted = tuple(from_plane(frame, v) for v in res.vertices)
-    return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(ResultKind.CONTOUR, lifted)
+    lifted = tuple(from_plane(frame, v) for v in contour)
+    return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(lifted)
 
 
 def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
@@ -163,7 +155,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     contact and no-contact, parallel planes, crossing planes without
     contact, a single touch point, and a proper crossing segment.  The
     result geometry lies on both supporting planes within eps_dist; a
-    clipped segment that degenerates to one point is reported as Touch.
+    clipped segment that degenerates to one point is a touch point.
     """
     p1 = prepare(t1, tol)
     p2 = prepare(t2, tol)
@@ -185,7 +177,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     if len(points) == 1:
         p2d = _map_onto(frame, pl1, points[0], tol)
         if point_in_triangle(p2d, window, tol):
-            return CaseLabel.TOUCH_POINT, IntersectionResult(ResultKind.TOUCH, (points[0],))
+            return CaseLabel.TOUCH_POINT, IntersectionResult((points[0],))
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
 
     clip = clip_segment_to_triangle(
@@ -194,13 +186,12 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         window,
         tol,
     )
-    if clip.kind is ClipKind.EMPTY:
+    if not clip:
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
-    if clip.kind is ClipKind.POINT:
-        touch = from_plane(frame, clip.points[0])
-        return CaseLabel.TOUCH_POINT, IntersectionResult(ResultKind.TOUCH, (touch,))
-    lifted = tuple(from_plane(frame, p) for p in clip.points)
-    return CaseLabel.CROSSING_SEGMENT, IntersectionResult(ResultKind.SEGMENT, lifted)
+    lifted = tuple(from_plane(frame, p) for p in clip)
+    if len(lifted) == 1:
+        return CaseLabel.TOUCH_POINT, IntersectionResult(lifted)
+    return CaseLabel.CROSSING_SEGMENT, IntersectionResult(lifted)
 
 
 def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -14,20 +14,18 @@ import time
 from tritri import (
     CaseLabel,
     Point3,
-    ResultKind,
     Triangle3,
     intersect,
     plane_from_triangle,
 )
 from tritri.cli import main
 from tritri.clip2d import (
-    ClipKind,
     Point2,
     Triangle2,
     clip_segment_to_triangle,
     region_code,
 )
-from tritri.coplanar import ContourKind, intersect_coplanar
+from tritri.coplanar import intersect_coplanar
 from tritri.frame import build_frame, from_plane, to_plane
 from tritri.oracle import (
     as_floats,
@@ -140,7 +138,7 @@ def _boundary_distance(p, win):
 
 
 def _clips_agree(res, want_pts, win):
-    got = [tuple(p) for p in res.points]
+    got = [tuple(p) for p in res]
     want = [(float(x), float(y)) for x, y in want_pts]
     if len(got) == len(want):
         if len(got) < 2:
@@ -179,7 +177,7 @@ def test_criterion_3_clip_vs_exact(capsys):
         observed.add((region_code(p, win), region_code(q, win)))
         res = clip_segment_to_triangle(p, q, win)
         _, pts = rational_clip_segment(p, q, (win.a, win.b, win.c))
-        if len(res.points) != len(pts):
+        if len(res) != len(pts):
             structural += 1
         if not _clips_agree(res, pts, win):
             failures += 1
@@ -264,8 +262,8 @@ def test_criterion_5_frame_round_trip(capsys):
 
 
 def _contour_area(res):
-    if res.kind is ContourKind.CONTOUR:
-        return abs(polygon_area2([tuple(v) for v in res.vertices]))
+    if res:
+        return abs(polygon_area2([tuple(v) for v in res]))
     return 0.0
 
 
@@ -283,16 +281,15 @@ def test_criterion_6_coplanar_contours(capsys):
         got = _contour_area(res)
         if abs(got - want) > 1e-9 * max(1.0, want):
             failures.append(f"area {got} vs {want}")
-        if res.kind is ContourKind.CONTOUR:
+        if res:
             contours += 1
-            vs = res.vertices
-            if not 3 <= len(vs) <= 6:
-                failures.append(f"{len(vs)} contour vertices")
-            if polygon_area2([tuple(v) for v in vs]) <= 0:
+            if not 3 <= len(res) <= 6:
+                failures.append(f"{len(res)} contour vertices")
+            if polygon_area2([tuple(v) for v in res]) <= 0:
                 failures.append("contour not counter-clockwise")
-            n = len(vs)
+            n = len(res)
             for i in range(n):
-                p0, p1, p2 = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
+                p0, p1, p2 = res[i], res[(i + 1) % n], res[(i + 2) % n]
                 turn = (p1.u - p0.u) * (p2.v - p1.v) - (p1.v - p0.v) * (p2.u - p1.u)
                 if turn < -1e-9:
                     failures.append("reflex contour corner")
@@ -300,8 +297,7 @@ def test_criterion_6_coplanar_contours(capsys):
             inner_vs = [tuple(v) for v in (inner.a, inner.b, inner.c)]
             if all(rational_point_in_triangle(v, (outer.a, outer.b, outer.c)) for v in inner_vs):
                 contained += 1
-                if not (res.kind is ContourKind.CONTOUR
-                        and contours_match([tuple(v) for v in res.vertices], inner_vs, tol=1e-12)):
+                if not contours_match([tuple(v) for v in res], inner_vs, tol=1e-12):
                     failures.append(f"contour is not the contained triangle ({name})")
     elapsed = time.perf_counter() - start
     ok = not failures
@@ -316,10 +312,9 @@ def test_criterion_7_five_vertex_contour(capsys):
     res = intersect_coplanar(window, clipped)
     want = [(11 / 3, 0.0), (17 / 4, 7 / 4), (0.0, 6.0), (0.0, 3.0), (9 / 5, 0.0)]
     ok = (
-        res.kind is ContourKind.CONTOUR
-        and len(res.vertices) == 5
-        and contours_match([tuple(v) for v in res.vertices], want, tol=1e-12)
-        and sum(tuple(v) in {(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)} for v in res.vertices) == 1
+        len(res) == 5
+        and contours_match([tuple(v) for v in res], want, tol=1e-12)
+        and sum(tuple(v) in {(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)} for v in res) == 1
     )
     _verdict(capsys, 7, "pentagon contour with one window vertex", ok)
     assert ok

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import subprocess
@@ -297,6 +298,28 @@ def test_mesh_output_is_byte_identical_across_runs(tmp_path, capsys):
             outputs.append(out.read_bytes())
         capsys.readouterr()
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+# SHA-256 of the record streams of the two runs below, recorded at commit
+# 4ada2f1.  A change that alters records on purpose updates these and says
+# so in CHANGES.md.
+PAIR_MIX_DIGEST = "4a09157efc0f1150807df80dab030e4b31e17612b4fe9dc5b31a55a00302003e"
+HEIGHT_FIELD_DIGEST = "33a288cb119911a189bb66bb2408a3739d6dd3aaa29df595c2c331ec6d11898e"
+
+
+def test_record_streams_match_the_recorded_digests(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(_pair_line(t1, t2) + "\n" for t1, t2 in mixed_pairs(random.Random(1010), 2000)))
+    rng = random.Random(2020)
+    field = tmp_path / "field.off"
+    field.write_text(off_text(height_field([[rng.randint(0, 3) / 3 for _ in range(9)] for _ in range(9)])))
+    digests = []
+    for args in (["pair", "--input", str(pairs)], ["mesh", str(field), str(field)]):
+        out = tmp_path / "out.jsonl"
+        assert main([*args, "--output", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert digests == [PAIR_MIX_DIGEST, HEIGHT_FIELD_DIGEST]
 
 
 def test_output_path_in_a_missing_directory_exits_1_before_any_pair(tmp_path, capsys, monkeypatch):

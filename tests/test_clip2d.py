@@ -2,18 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritri.clip2d import (
-    ClipKind,
     Triangle2,
     clip_segment_to_triangle,
     point_in_triangle,
     region_code,
 )
 from tritri.core import Tolerance
-from tritri.errors import DegenerateTriangle, ZeroLengthSegment
+from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2
 from tritri.oracle import rational_clip_segment
 
@@ -55,49 +54,49 @@ def test_clip_matches_oracle_for_code_pair(c1, c2):
     got = clip_segment_to_triangle(p, q, W)
     kind, pts = rational_clip_segment(tuple(p), tuple(q), (tuple(W.a), tuple(W.b), tuple(W.c)))
     if kind == "empty":
-        assert got.kind is ClipKind.EMPTY
+        assert got == ()
     elif kind == "point":
-        assert got.kind is ClipKind.POINT
-        assert points_match_unordered([tuple(got.points[0])], [(float(pts[0][0]), float(pts[0][1]))])
+        assert len(got) == 1
+        assert points_match_unordered([tuple(got[0])], [(float(pts[0][0]), float(pts[0][1]))])
     else:
-        assert got.kind is ClipKind.SEGMENT
+        assert len(got) == 2
         want = [(float(a), float(b)) for a, b in pts]
-        assert points_match_unordered([tuple(x) for x in got.points], want)
+        assert points_match_unordered([tuple(x) for x in got], want)
 
 
 def test_interior_start_exit_through_hypotenuse():
     res = clip_segment_to_triangle(Point2(1, 1), Point2(5, 1), W)
-    assert res.kind is ClipKind.SEGMENT
-    assert points_match_unordered([tuple(p) for p in res.points], [(1, 1), (3, 1)])
+    assert len(res) == 2
+    assert points_match_unordered([tuple(p) for p in res], [(1, 1), (3, 1)])
 
 
 def test_pass_through_two_sides():
     res = clip_segment_to_triangle(Point2(1, -2), Point2(1, 6), W)
-    assert res.kind is ClipKind.SEGMENT
-    assert points_match_unordered([tuple(p) for p in res.points], [(1, 0), (1, 3)])
+    assert len(res) == 2
+    assert points_match_unordered([tuple(p) for p in res], [(1, 0), (1, 3)])
 
 
 def test_suspicious_miss():
     res = clip_segment_to_triangle(Point2(1, -2), Point2(-2, 1), W)
-    assert res.kind is ClipKind.EMPTY
+    assert res == ()
 
 
 def test_corner_graze_is_point():
     res = clip_segment_to_triangle(Point2(3, -1), Point2(5, 1), W)
-    assert res.kind is ClipKind.POINT
-    assert points_match_unordered([tuple(res.points[0])], [(4, 0)])
+    assert len(res) == 1
+    assert points_match_unordered([tuple(res[0])], [(4, 0)])
 
 
 def test_entry_through_vertex():
     res = clip_segment_to_triangle(Point2(-1, -1), Point2(1, 1), W)
-    assert res.kind is ClipKind.SEGMENT
-    assert points_match_unordered([tuple(p) for p in res.points], [(0, 0), (1, 1)])
+    assert len(res) == 2
+    assert points_match_unordered([tuple(p) for p in res], [(0, 0), (1, 1)])
 
 
 def test_collinear_overlap_along_side():
     res = clip_segment_to_triangle(Point2(5, -1), Point2(-1, 5), W)
-    assert res.kind is ClipKind.SEGMENT
-    assert points_match_unordered([tuple(p) for p in res.points], [(4, 0), (0, 4)])
+    assert len(res) == 2
+    assert points_match_unordered([tuple(p) for p in res], [(4, 0), (0, 4)])
 
 
 def test_collinear_leaving_through_a_sharp_vertex_is_a_point():
@@ -105,32 +104,33 @@ def test_collinear_leaving_through_a_sharp_vertex_is_a_point():
     # half-eps shift of the distances to AC would move the cut about 2e-9
     sharp = Triangle2(Point2(0, 0), Point2(4, 0), Point2(4, 1))
     res = clip_segment_to_triangle(Point2(0, 0), Point2(-3, 0), sharp)
-    assert res == (ClipKind.POINT, (Point2(0.0, 0.0),))
+    assert res == (Point2(0.0, 0.0),)
 
 
 def test_collinear_outside_side_line():
     res = clip_segment_to_triangle(Point2(5, 0), Point2(8, 0), W)
-    assert res.kind is ClipKind.EMPTY
+    assert res == ()
 
 
 def test_zero_length_segment_raises():
-    with pytest.raises(ZeroLengthSegment):
-        clip_segment_to_triangle(Point2(1, 1), Point2(1, 1), W)
+    # a segment of length zero is a point: kept inside the window, dropped outside
+    p = Point2(1, 1)
+    assert clip_segment_to_triangle(p, p, W) == (p,)
+    far = Point2(5, 5)
+    assert clip_segment_to_triangle(far, far, W) == ()
 
 
 def test_clip_uses_the_callers_tolerance():
-    # 5e-10 apart: a zero-length segment at the default eps_dist of 1e-9,
-    # a proper one at 1e-10, entering the window through AB at (1, 0)
+    # 5e-10 apart: one point at the default eps_dist of 1e-9, a proper
+    # segment at 1e-10, entering the window through AB at (1, 0)
     p, q = Point2(1, -2.5e-10), Point2(1, 2.5e-10)
     fine = Tolerance(eps_dist=1e-10)
-    with pytest.raises(ZeroLengthSegment):
-        clip_segment_to_triangle(p, q, W)
+    assert clip_segment_to_triangle(p, q, W) == (p,)
     res = clip_segment_to_triangle(p, q, W, fine)
-    assert res.kind is ClipKind.SEGMENT
-    e, x = res.points
+    assert len(res) == 2
+    e, x = res
     assert math.isclose(e.u, 1.0) and abs(e.v) <= 1e-12 and x == q
-    with pytest.raises(ZeroLengthSegment):
-        clip_segment_to_triangle(Point2(0, 0), Point2(0.5, 0), W, Tolerance(eps_dist=1.0))
+    assert clip_segment_to_triangle(Point2(0, 0), Point2(0.5, 0), W, Tolerance(eps_dist=1.0)) == (Point2(0, 0),)
 
 
 def test_degenerate_window_raises():
@@ -175,15 +175,15 @@ def test_clip_equals_interval_oracle(case):
     got = clip_segment_to_triangle(p, q, w)
     kind, pts = rational_clip_segment(tuple(p), tuple(q), (tuple(w.a), tuple(w.b), tuple(w.c)))
     if kind == "empty":
-        assert got.kind is ClipKind.EMPTY
+        assert got == ()
     elif kind == "point":
-        assert got.kind is ClipKind.POINT
+        assert len(got) == 1
         want = [(float(a), float(b)) for a, b in pts]
-        assert points_match_unordered([tuple(got.points[0])], want)
+        assert points_match_unordered([tuple(got[0])], want)
     else:
-        assert got.kind is ClipKind.SEGMENT
+        assert len(got) == 2
         want = [(float(a), float(b)) for a, b in pts]
-        assert points_match_unordered([tuple(x) for x in got.points], want)
+        assert points_match_unordered([tuple(x) for x in got], want)
 
 
 @given(window_and_segment())
@@ -191,7 +191,7 @@ def test_clip_equals_interval_oracle(case):
 def test_clipped_output_is_inside(case):
     w, p, q = case
     res = clip_segment_to_triangle(p, q, w)
-    for pt in res.points:
+    for pt in res:
         assert region_code(pt, w) == 0
         assert point_in_triangle(pt, w)
 
@@ -204,14 +204,51 @@ def test_trivial_accept_and_reject_soundness(case):
     res = clip_segment_to_triangle(p, q, w)
     if c1 == 0 and c2 == 0:
         assert point_in_triangle(p, w) and point_in_triangle(q, w)
-        assert res.kind is ClipKind.SEGMENT
+        assert res == (p, q)
     if c1 & c2:
-        assert res.kind is ClipKind.EMPTY
+        assert res == ()
+
+
+@st.composite
+def window_and_short_segment(draw):
+    """A window, p anywhere or on a side line, and q within eps_dist of p (often q == p)."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = random.Random(seed)
+    w = random_triangle2(rng)
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    if draw(st.booleans()):
+        p = random_point2(rng)
+    else:
+        a, b = rng.sample([w.a, w.b, w.c], 2)
+        t = draw(st.floats(min_value=-0.5, max_value=1.5))
+        du = draw(st.floats(min_value=-3 * eps, max_value=3 * eps))
+        dv = draw(st.floats(min_value=-3 * eps, max_value=3 * eps))
+        p = Point2(a.u + t * (b.u - a.u) + du, a.v + t * (b.v - a.v) + dv)
+    if draw(st.booleans()):
+        return w, p, p, eps
+    du = draw(st.floats(min_value=-eps, max_value=eps))
+    dv = draw(st.floats(min_value=-eps, max_value=eps))
+    return w, p, Point2(p.u + du, p.v + dv), eps
+
+
+@given(window_and_short_segment())
+@settings(max_examples=400, deadline=None)
+def test_short_segment_is_at_most_one_point(case):
+    w, p, q, eps = case
+    assume(math.hypot(q.u - p.u, q.v - p.v) <= eps)
+    tol = Tolerance(eps_dist=eps)
+    res = clip_segment_to_triangle(p, q, w, tol)
+    assert len(res) <= 1
+    if res:
+        # 1e-14: rounding of the clip parameter's lerp at coordinates below 20
+        assert math.hypot(res[0].u - p.u, res[0].v - p.v) <= eps + 1e-14
+    if p == q:
+        assert res == ((p,) if region_code(p, w, tol) == 0 else ())
 
 
 def _param_interval(p, q, res):
     d2 = (q.u - p.u) ** 2 + (q.v - p.v) ** 2
-    ts = sorted(((pt.u - p.u) * (q.u - p.u) + (pt.v - p.v) * (q.v - p.v)) / d2 for pt in res.points)
+    ts = sorted(((pt.u - p.u) * (q.u - p.u) + (pt.v - p.v) * (q.v - p.v)) / d2 for pt in res)
     if not ts:
         return None
     return ts[0], ts[-1]

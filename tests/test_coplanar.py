@@ -1,7 +1,7 @@
 import random
 
 from tritri.clip2d import Triangle2, point_in_triangle
-from tritri.coplanar import ContourKind, intersect_coplanar
+from tritri.coplanar import intersect_coplanar
 from tritri.core import Tolerance
 from tritri.frame import Point2
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
@@ -20,72 +20,67 @@ def _vertices(t):
 
 
 def _contour_area(res):
-    if res.kind is ContourKind.CONTOUR:
-        return abs(polygon_area2([tuple(v) for v in res.vertices]))
+    if res:
+        return abs(polygon_area2([tuple(v) for v in res]))
     return 0.0
 
 
 def test_identical_triangles_are_their_own_contour():
     res = intersect_coplanar(W4, W4)
-    assert res.kind is ContourKind.CONTOUR
-    assert contours_match([tuple(v) for v in res.vertices], _vertices(W4), tol=0.0)
+    assert contours_match([tuple(v) for v in res], _vertices(W4), tol=0.0)
 
 
 def test_contained_triangle_is_its_own_contour():
     clipped = _tri((1, 1), (2, 1), (1, 2))
     res = intersect_coplanar(W4, clipped)
-    assert res.kind is ContourKind.CONTOUR
-    assert contours_match([tuple(v) for v in res.vertices], _vertices(clipped), tol=0.0)
+    assert contours_match([tuple(v) for v in res], _vertices(clipped), tol=0.0)
 
 
 def test_two_node_entry_exit_fixture():
     # the clipped triangle enters the window at (0, 1) and leaves at (0, 3)
     res = intersect_coplanar(W4, _tri((-1, 1), (2, 1), (-1, 4)))
-    assert res.kind is ContourKind.CONTOUR
-    assert contours_match([tuple(v) for v in res.vertices], [(0, 1), (2, 1), (0, 3)])
+    assert contours_match([tuple(v) for v in res], [(0, 1), (2, 1), (0, 3)])
 
 
 def test_far_disjoint():
     res = intersect_coplanar(W4, _tri((10, 10), (11, 10), (10, 11)))
-    assert res.kind is ContourKind.DISJOINT
+    assert res == ()
 
 
 def test_window_inside_clipped():
     res = intersect_coplanar(W4, _tri((-10, -10), (20, -10), (0, 30)))
-    assert res.kind is ContourKind.CONTOUR
-    assert contours_match([tuple(v) for v in res.vertices], _vertices(W4), tol=1e-12)
+    assert contours_match([tuple(v) for v in res], _vertices(W4), tol=1e-12)
 
 
 def test_five_vertex_contour_with_window_vertex():
     window = _tri((0, 0), (6, 0), (0, 6))
     clipped = _tri((3, -2), (6, 7), (-3, 8))
     res = intersect_coplanar(window, clipped)
-    assert res.kind is ContourKind.CONTOUR
-    assert len(res.vertices) == 5
+    assert len(res) == 5
     want = [(11 / 3, 0.0), (17 / 4, 7 / 4), (0.0, 6.0), (0.0, 3.0), (9 / 5, 0.0)]
-    assert contours_match([tuple(v) for v in res.vertices], want, tol=1e-12)
+    assert contours_match([tuple(v) for v in res], want, tol=1e-12)
     window_vertices = {(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)}
-    passed = [v for v in res.vertices if tuple(v) in window_vertices]
+    passed = [v for v in res if tuple(v) in window_vertices]
     assert len(passed) == 1
 
 
 def test_shared_edge_opposite_interiors_is_disjoint():
     res = intersect_coplanar(W4, _tri((0, 0), (4, 0), (2, -3)))
-    assert res.kind is ContourKind.DISJOINT
+    assert res == ()
 
 
 def test_corner_graze_is_disjoint():
     res = intersect_coplanar(W4, _tri((5, -2), (3, 2), (7, 3)))
-    assert res.kind is ContourKind.DISJOINT
+    assert res == ()
 
 
 def test_overlap_below_eps_area_is_disjoint():
     # a sliver 2e-13 high along side AB: its three corners lie far apart,
     # but its area (about 4e-13) is below the default eps_area of 1e-12
     clipped = _tri((-100, -1e-11), (100, -1e-11), (2, 2e-13))
-    assert intersect_coplanar(W4, clipped).kind is ContourKind.DISJOINT
+    assert intersect_coplanar(W4, clipped) == ()
     res = intersect_coplanar(W4, clipped, Tolerance(eps_area=1e-15))
-    assert res.kind is ContourKind.CONTOUR and len(res.vertices) == 3
+    assert len(res) == 3
 
 
 def test_vertex_exactly_on_window_side():
@@ -93,8 +88,7 @@ def test_vertex_exactly_on_window_side():
     window = _tri((0, 0), (6, 0), (0, 6))
     clipped = _tri((1, 1), (0, -3), (3, 0))
     res = intersect_coplanar(window, clipped)
-    assert res.kind is ContourKind.CONTOUR
-    assert contours_match([tuple(v) for v in res.vertices], [(1, 1), (0.75, 0), (3, 0)])
+    assert contours_match([tuple(v) for v in res], [(1, 1), (0.75, 0), (3, 0)])
 
 
 def test_contour_shape_properties():
@@ -102,11 +96,10 @@ def test_contour_shape_properties():
     seen = 0
     while seen < 200:
         w, c = random_triangle2(rng), random_triangle2(rng)
-        res = intersect_coplanar(w, c)
-        if res.kind is not ContourKind.CONTOUR:
+        vs = intersect_coplanar(w, c)
+        if not vs:
             continue
         seen += 1
-        vs = res.vertices
         assert 3 <= len(vs) <= 6
         area = polygon_area2([tuple(v) for v in vs])
         assert area > 0  # counter-clockwise

@@ -147,7 +147,7 @@ def test_contained_triangle_comes_back_as_its_own_vertices():
         clipped = Triangle2(*(_map_onto(frame, pl, v, DEFAULT_TOLERANCE) for v in t2))
         res = intersect_coplanar(window, clipped)
         own = [tuple(v) for v in (clipped.a, clipped.b, clipped.c)]
-        assert contours_match([tuple(v) for v in res.vertices], own, tol=0.0)
+        assert contours_match([tuple(v) for v in res], own, tol=0.0)
         label, result = intersect(t1, t2)
         assert label is CaseLabel.COPLANAR_CONTOUR
         lifted = [tuple(from_plane(frame, v)) for v in own]

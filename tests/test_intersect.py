@@ -12,7 +12,6 @@ from tritri import (
     EmptyReason,
     NonFiniteInput,
     Point3,
-    ResultKind,
     Triangle3,
     classify_only,
     intersect,
@@ -46,35 +45,32 @@ def _area3(points):
 def test_parallel_planes():
     label, res = intersect(T1, _tri((0, 0, 1), (4, 0, 1), (0, 4, 1)))
     assert label is CaseLabel.PARALLEL_PLANES
-    assert res.kind is ResultKind.EMPTY
+    assert res.points == ()
     assert res.reason is EmptyReason.PARALLEL_PLANES
 
 
 def test_crossing_segment():
     label, res = intersect(T1, _tri((1, 1, -1), (1, 1, 2), (3, 3, 2)))
     assert label is CaseLabel.CROSSING_SEGMENT
-    assert res.kind is ResultKind.SEGMENT
     assert points_match_unordered(res.points, [(1, 1, 0), (5 / 3, 5 / 3, 0)])
 
 
 def test_touch_point():
     label, res = intersect(T1, _tri((1, 1, 0), (2, 2, 3), (3, 1, 3)))
     assert label is CaseLabel.TOUCH_POINT
-    assert res.kind is ResultKind.TOUCH
     assert points_match_unordered(res.points, [(1, 1, 0)])
 
 
 def test_identical_triangles_contour():
     label, res = intersect(T1, T1)
     assert label is CaseLabel.COPLANAR_CONTOUR
-    assert res.kind is ResultKind.CONTOUR
     assert contours_match(res.points, list(T1))
 
 
 def test_coplanar_disjoint():
     label, res = intersect(T1, _tri((10, 10, 0), (14, 10, 0), (10, 14, 0)))
     assert label is CaseLabel.COPLANAR_NO_CONTACT
-    assert res.kind is ResultKind.EMPTY
+    assert res.points == ()
     assert res.reason is EmptyReason.COPLANAR_DISJOINT
 
 
@@ -155,10 +151,9 @@ def test_swap_symmetry():
         l1, r1 = intersect(t1, t2)
         l2, r2 = intersect(t2, t1)
         assert l1 is l2
-        assert r1.kind is r2.kind
-        if r1.kind in (ResultKind.TOUCH, ResultKind.SEGMENT):
+        if l1 in (CaseLabel.TOUCH_POINT, CaseLabel.CROSSING_SEGMENT):
             assert points_match_unordered(r1.points, r2.points, tol=1e-7)
-        elif r1.kind is ResultKind.CONTOUR:
+        elif l1 is CaseLabel.COPLANAR_CONTOUR:
             a1, a2 = _area3(r1.points), _area3(r2.points)
             assert abs(a1 - a2) <= 1e-9 * max(1.0, a1)
 
@@ -187,11 +182,10 @@ def test_rigid_motion_invariance():
         m2 = Triangle3(*(Point3(*_rigid(v)) for v in t2))
         mlabel, mres = intersect(m1, m2)
         assert mlabel is label
-        assert mres.kind is res.kind
         moved = [_rigid(p) for p in res.points]
-        if res.kind in (ResultKind.TOUCH, ResultKind.SEGMENT):
+        if label in (CaseLabel.TOUCH_POINT, CaseLabel.CROSSING_SEGMENT):
             assert points_match_unordered(mres.points, moved, tol=1e-9)
-        elif res.kind is ResultKind.CONTOUR:
+        elif label is CaseLabel.COPLANAR_CONTOUR:
             assert contours_match(mres.points, moved, tol=1e-9)
 
 
@@ -218,6 +212,24 @@ def test_shared_vertex_touch_in_both_orders():
         assert label is CaseLabel.TOUCH_POINT
         assert math.dist(res.points[0], SHARED_VERTEX) <= 1e-9
     assert oracle_intersect(TERRACE_80, TERRACE_111).label is CaseLabel.TOUCH_POINT
+
+
+# The second triangle's edges meet the first one's plane at (1, 1, 0) and
+# (1 + 0.7e-9, 1, 0): 0.7e-9 apart in the plane's frame, under eps_dist, so
+# the clipper merges the two ends into one touch point.
+SHORT_HIT_WINDOW = _tri((0, 0, 0), (4, 0, 0), (0, 4, 0))
+SHORT_HIT_BLADE = _tri((1, 1, 0.9e-9), (1 + 0.7e-9, 1, 1), (1 + 0.7e-9, 1, -1))
+
+
+def test_segment_shorter_than_eps_dist_is_a_touch_in_both_orders():
+    for t1, t2 in ((SHORT_HIT_WINDOW, SHORT_HIT_BLADE), (SHORT_HIT_BLADE, SHORT_HIT_WINDOW)):
+        label, res = intersect(t1, t2)
+        assert label is CaseLabel.TOUCH_POINT
+        # the oracle says crossing_segment (slack 1.1e-9, under the 1e-8
+        # floor) in the first order and touch_point in the second
+        ref = oracle_intersect(t1, t2)
+        for p in as_floats(ref.points):
+            assert math.dist(res.points[0], p) <= 1e-9
 
 
 def _steep_field(rng, rows=4, cols=4):
