@@ -5,10 +5,10 @@ working plane, the other triangle's edge crossings with it become a
 segment, and the segment is clipped against the first triangle's 2D image
 using region codes.  Coplanar pairs are resolved by polygon clipping.
 
-Public entry points are :func:`intersect` and :func:`classify_only`;
-:func:`prepare` does a triangle's own share of the work once, for reuse
-across many ``intersect`` calls.  The 2D machinery (region codes, segment
-clipping, coplanar contours) is also exported for direct use.
+The public entry point is :func:`intersect`; :func:`prepare` does a
+triangle's own share of the work once, for reuse across many ``intersect``
+calls.  The 2D machinery (region codes, segment clipping, coplanar
+contours) is also exported for direct use.
 """
 
 from .core import (
@@ -42,7 +42,6 @@ from .intersect import (
     EmptyReason,
     IntersectionResult,
     PreparedTriangle,
-    classify_only,
     intersect,
     prepare,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Triangle2",
     "Triangle3",
     "build_frame",
-    "classify_only",
     "classify_planes",
     "clip_segment_to_triangle",
     "from_plane",

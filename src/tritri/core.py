@@ -1,8 +1,10 @@
 """Scalar geometric primitives: points, triangles, planes and tolerances.
 
-Planes are stored with a unit normal, so ``signed_distance`` is a metric
-distance.  Plane orientation follows the right-hand rule on the vertex
-order of the defining triangle.
+A plane is its unit normal and one point on it, the defining triangle's
+first vertex.  Every signed distance is measured from that vertex, so its
+rounding grows with the distance from the triangle, not from the world
+origin.  Plane orientation follows the right-hand rule on the vertex order
+of the defining triangle.
 """
 
 import math
@@ -28,12 +30,12 @@ class Triangle3(NamedTuple):
 
 
 class Plane(NamedTuple):
-    """Plane ``q*x + w*y + u*z + r = 0`` with ``(q, w, u)`` unit length."""
+    """Plane through ``o`` with unit normal ``(q, w, u)``."""
 
     q: float
     w: float
     u: float
-    r: float
+    o: Point3
 
 
 @dataclass(frozen=True)
@@ -96,28 +98,26 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     nn = vnorm(n)
     if 0.5 * nn < tol.eps_area:
         raise DegenerateTriangle(f"triangle area {0.5 * nn:g} below tolerance")
-    q, w, u = n[0] / nn, n[1] / nn, n[2] / nn
-    a = t[0]
-    return Plane(q, w, u, -(q * a[0] + w * a[1] + u * a[2]))
+    return Plane(n[0] / nn, n[1] / nn, n[2] / nn, t[0])
 
 
 def signed_distance(p, pl: Plane) -> float:
     """Metric signed distance of a point to a plane (normal side positive)."""
-    return pl.q * p[0] + pl.w * p[1] + pl.u * p[2] + pl.r
+    o = pl.o
+    return pl.q * (p[0] - o[0]) + pl.w * (p[1] - o[1]) + pl.u * (p[2] - o[2])
 
 
 def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneRelation:
     """Coincident, parallel or intersecting.
 
     Normals are unit length, so the cross-product norm is the sine of the
-    dihedral angle.  Coincidence is tested by distance and tolerates
-    opposite normal orientation.
+    dihedral angle.  Coincidence is tested by the distance of p2's point
+    from p1, as the oracle tests it, and tolerates opposite normal
+    orientation.
     """
     c = vcross((p1.q, p1.w, p1.u), (p2.q, p2.w, p2.u))
     if vnorm(c) > tol.eps_dist:
         return PlaneRelation.INTERSECTING
-    # foot of p2 closest to the origin, measured against p1
-    foot = (-p2.r * p2.q, -p2.r * p2.w, -p2.r * p2.u)
-    if abs(signed_distance(foot, p1)) <= tol.eps_dist:
+    if abs(signed_distance(p2.o, p1)) <= tol.eps_dist:
         return PlaneRelation.COINCIDENT
     return PlaneRelation.PARALLEL

@@ -13,14 +13,6 @@ class NonFiniteInput(GeometryError):
     """An input coordinate is NaN or infinite."""
 
 
-class AnchorOffPlane(GeometryError):
-    """Frame anchor does not lie on the plane within tolerance."""
-
-
-class PointOffPlane(GeometryError):
-    """Point handed to a plane frame does not lie on its plane."""
-
-
 class ParseError(ValueError):
     """Input file is malformed. Carries a 1-based line number when known."""
 

@@ -1,14 +1,16 @@
 """Orthonormal 2D coordinate frames embedded in a 3D plane.
 
-The frame maps its anchor point to the 2D origin and preserves distances
-both ways, so clipping done in frame coordinates lifts back isometrically.
+The frame is anchored at the plane's point, its defining triangle's first
+vertex, and maps it to the 2D origin.  ``to_plane`` projects a 3D point
+along the normal, so a point near the plane lands where its foot on the
+plane does; on the plane, the map preserves distances both ways, so
+clipping done in frame coordinates lifts back isometrically.
 """
 
 import math
 from typing import NamedTuple
 
-from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Vec3, signed_distance, vcross, vdot, vsub
-from .errors import AnchorOffPlane, PointOffPlane
+from .core import Plane, Point3, Vec3, vcross, vdot
 
 
 class Point2(NamedTuple):
@@ -23,14 +25,12 @@ class PlaneFrame(NamedTuple):
     n_axis: Vec3
 
 
-def build_frame(pl: Plane, anchor, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneFrame:
-    """Right-handed orthonormal frame (u, v, n) with u x v = n.
+def build_frame(pl: Plane) -> PlaneFrame:
+    """Right-handed orthonormal frame (u, v, n) with u x v = n, anchored at ``pl.o``.
 
     The u axis is seeded from the global axis least aligned with the
     normal and Gram-Schmidt projected into the plane.
     """
-    if abs(signed_distance(anchor, pl)) > tol.eps_dist:
-        raise AnchorOffPlane("anchor does not lie on the plane")
     n = (pl.q, pl.w, pl.u)
     comps = (abs(n[0]), abs(n[1]), abs(n[2]))
     k = comps.index(min(comps))
@@ -41,15 +41,14 @@ def build_frame(pl: Plane, anchor, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneF
     un = math.sqrt(vdot(u, u))
     u = (u[0] / un, u[1] / un, u[2] / un)
     v = vcross(n, u)
-    return PlaneFrame(Point3(*anchor), u, v, n)
+    return PlaneFrame(pl.o, u, v, n)
 
 
-def to_plane(f: PlaneFrame, p, tol: Tolerance = DEFAULT_TOLERANCE) -> Point2:
-    """Frame coordinates of a 3D point lying on the frame's plane."""
-    rel = vsub(p, f.origin)
-    if abs(vdot(rel, f.n_axis)) > tol.eps_dist:
-        raise PointOffPlane("point does not lie on the frame plane")
-    return Point2(vdot(rel, f.u_axis), vdot(rel, f.v_axis))
+def to_plane(f: PlaneFrame, p) -> Point2:
+    """Frame coordinates of the foot of a 3D point on the frame's plane."""
+    o, ua, va = f.origin, f.u_axis, f.v_axis
+    x, y, z = p[0] - o[0], p[1] - o[1], p[2] - o[2]
+    return Point2(x * ua[0] + y * ua[1] + z * ua[2], x * va[0] + y * va[1] + z * va[2])
 
 
 def from_plane(f: PlaneFrame, q) -> Point3:

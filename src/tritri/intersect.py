@@ -3,7 +3,9 @@
 The first triangle's plane is the reference: the second triangle's edges
 are intersected with it, and the resulting points are clipped in a 2D
 frame of that plane against the first triangle's image.  Coincident
-planes switch to the coplanar contour path in the same frame.
+planes switch to the coplanar contour path in the same frame.  The plane
+and the frame share one origin, the first triangle's first vertex, and
+``frame.to_plane`` is the one map from 3D into the frame.
 
 The plane, the frame, the image (the window) and the window's side lines
 belong to one triangle, not to a pair: ``prepare`` keeps them with the
@@ -30,8 +32,8 @@ from .core import (
     vnorm,
     vsub,
 )
-from .errors import NonFiniteInput, PointOffPlane
-from .frame import PlaneFrame, Point2, build_frame, from_plane
+from .errors import NonFiniteInput
+from .frame import PlaneFrame, build_frame, from_plane, to_plane
 from .lineplane import project_triangle_edges
 
 
@@ -63,24 +65,6 @@ def _check_finite(t: Triangle3) -> None:
                 raise NonFiniteInput("triangle coordinates must be finite")
 
 
-def _map_onto(frame: PlaneFrame, pl: Plane, p, tol: Tolerance) -> Point2:
-    """Frame coordinates of ``p`` snapped onto the reference plane.
-
-    The foot of ``p`` on the plane followed by ``frame.to_plane``, in the
-    same arithmetic order, without building the 3D point.
-    """
-    q, w, u = pl.q, pl.w, pl.u
-    d = q * p[0] + w * p[1] + u * p[2] + pl.r
-    o, n = frame.origin, frame.n_axis
-    rx = (p[0] - d * q) - o[0]
-    ry = (p[1] - d * w) - o[1]
-    rz = (p[2] - d * u) - o[2]
-    if abs(rx * n[0] + ry * n[1] + rz * n[2]) > tol.eps_dist:
-        raise PointOffPlane("point does not lie on the frame plane")
-    ua, va = frame.u_axis, frame.v_axis
-    return Point2(rx * ua[0] + ry * ua[1] + rz * ua[2], rx * va[0] + ry * va[1] + rz * va[2])
-
-
 class PreparedTriangle:
     """A checked triangle with the work that depends on it alone.
 
@@ -102,9 +86,8 @@ class PreparedTriangle:
     def frame_window(self) -> tuple[PlaneFrame, Triangle2]:
         """The reference frame anchored at the first vertex, and the window in it."""
         if self._frame_window is None:
-            tri, pl, tol = self.tri, self.plane, self.tol
-            frame = build_frame(pl, tri.a, tol)
-            window = Triangle2(*(_map_onto(frame, pl, v, tol) for v in tri), tol=tol)
+            frame = build_frame(self.plane)
+            window = Triangle2(*(to_plane(frame, v) for v in self.tri), tol=self.tol)
             self._frame_window = (frame, window)
         return self._frame_window
 
@@ -138,7 +121,7 @@ def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, Intersecti
 
 def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:
     frame, window = p1.frame_window()
-    clipped = Triangle2(*(_map_onto(frame, p1.plane, v, tol) for v in t2), tol=tol)
+    clipped = Triangle2(*(to_plane(frame, v) for v in t2), tol=tol)
     contour = intersect_coplanar(window, clipped, tol)
     if not contour:
         return _empty(CaseLabel.COPLANAR_NO_CONTACT, EmptyReason.COPLANAR_DISJOINT)
@@ -175,17 +158,11 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
 
     frame, window = p1.frame_window()
     if len(points) == 1:
-        p2d = _map_onto(frame, pl1, points[0], tol)
-        if point_in_triangle(p2d, window, tol):
+        if point_in_triangle(to_plane(frame, points[0]), window, tol):
             return CaseLabel.TOUCH_POINT, IntersectionResult((points[0],))
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
 
-    clip = clip_segment_to_triangle(
-        _map_onto(frame, pl1, points[0], tol),
-        _map_onto(frame, pl1, points[1], tol),
-        window,
-        tol,
-    )
+    clip = clip_segment_to_triangle(to_plane(frame, points[0]), to_plane(frame, points[1]), window, tol)
     if not clip:
         return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
     lifted = tuple(from_plane(frame, p) for p in clip)
@@ -212,10 +189,13 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       its incenter I by (r + eps_dist) / r, so a vertex v moves out by
       eps_dist * |v - I| / r <= eps_dist * L / r: about 3.5 eps_dist for an
       equilateral triangle, far more near the sharp tip of a sliver.
-    * ``eps_dist * (1 + 2 R)``: a coplanar pair's normals may differ by a
-      sine of eps_dist, so snapping a vertex v of the other triangle onto
-      the reference plane moves it by up to eps_dist * (1 + sqrt(2) |v|);
-      the 1 alone covers a vertex taken as lying in the plane.
+    * ``eps_dist * (1 + L)``: the coplanar path projects the vertices of
+      ``t``, as the second triangle, onto the reference plane along its
+      normal.  The planes count as coincident when their normals differ by
+      a sine of at most eps_dist and the first vertex o of ``t`` lies within
+      eps_dist of the reference plane, so a vertex v moves by at most
+      eps_dist * (1 + |v - o|) <= eps_dist * (1 + L); the 1 alone covers a
+      vertex taken as lying in the plane.
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """
@@ -225,9 +205,4 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     area = 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a)))
     inradius = 2.0 * area / sum(edges)
     reach = max(vnorm(a), vnorm(b), vnorm(c))
-    return tol.eps_dist * (1.0 + 2.0 * reach + longest / inradius) + 1e-12 * (1.0 + reach)
-
-
-def classify_only(t1: Triangle3, t2: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> CaseLabel:
-    """Case label alone; always equal to the label intersect() returns."""
-    return intersect(t1, t2, tol)[0]
+    return tol.eps_dist * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)

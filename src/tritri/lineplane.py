@@ -1,9 +1,9 @@
 """Intersection of a triangle's edges with a plane, by a vertex code.
 
 Each vertex is coded -1, 0 or +1 by its signed distance to the plane,
-0 meaning within eps_dist.  A 0-coded vertex lies on the plane and is kept
-as it is; an edge whose ends carry opposite non-zero codes crosses the
-plane, and its crossing is kept.  This is the rule of the exact oracle,
+taken from the plane's point, 0 meaning within eps_dist.  A 0-coded
+vertex lies on the plane and is kept as it is; an edge whose ends carry
+opposite non-zero codes crosses the plane, and its crossing is kept.  This is the rule of the exact oracle,
 applied to float distances.
 """
 
@@ -25,11 +25,11 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
     reach them, with points within eps_dist of an earlier one merged.
     """
     a, b, c = tri
-    q, w, u, r = pl
+    q, w, u, (ox, oy, oz) = pl
     eps = tol.eps_dist
-    da = q * a[0] + w * a[1] + u * a[2] + r
-    db = q * b[0] + w * b[1] + u * b[2] + r
-    dc = q * c[0] + w * c[1] + u * c[2] + r
+    da = q * (a[0] - ox) + w * (a[1] - oy) + u * (a[2] - oz)
+    db = q * (b[0] - ox) + w * (b[1] - oy) + u * (b[2] - oz)
+    dc = q * (c[0] - ox) + w * (c[1] - oy) + u * (c[2] - oz)
     sa, sb, sc = _code(da, eps), _code(db, eps), _code(dc, eps)
     if not (sa or sb or sc):
         return None
@@ -44,8 +44,8 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
             denom = q * m + w * n + u * o
             if abs(denom) <= eps:
                 # exactly, opposite codes put |denom| above 2 eps_dist; where the
-                # distances' rounding exceeds eps_dist (coordinates near 1e8) the
-                # crossing would fall off the edge, or denom be 0
+                # distances' rounding exceeds eps_dist (a pair whose own extent
+                # is near 1e8) the crossing would fall off the edge, or denom be 0
                 continue
             t = -d1 / denom
             pt = Point3(p1[0] + t * m, p1[1] + t * n, p1[2] + t * o)

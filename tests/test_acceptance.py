@@ -236,7 +236,7 @@ def test_criterion_5_frame_round_trip(capsys):
     start = time.perf_counter()
     for _ in range(100_000):
         tri = _rand_tri3(rng)
-        frame = build_frame(plane_from_triangle(tri), tri.a)
+        frame = build_frame(plane_from_triangle(tri))
         u, v, n = frame.u_axis, frame.v_axis, frame.n_axis
         dots = (
             abs(sum(x * x for x in u) - 1), abs(sum(x * x for x in v) - 1),

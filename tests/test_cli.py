@@ -11,15 +11,16 @@ import pytest
 import tritri.cli
 from tritri.cli import CONTACT_CASES, ResultRecord, _record_json, main, run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
-from tritri.errors import PointOffPlane
+from tritri.errors import DegenerateTriangle
 from tritri.fileio import iter_pairs
+from tritri.oracle import oracle_intersect
 
 from conftest import height_field, mixed_pairs, off_text
 
 CROSSING = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 PARALLEL = "0 0 0  4 0 0  0 4 0   0 0 1  4 0 1  0 4 1"
 DEGENERATE = "0 0 0  1 1 1  2 2 2   0 0 0  4 0 0  0 4 0"
-# a mixed pair translated by 1e7, on which the kernel raises PointOffPlane
+# a mixed pair translated by 1e7
 FAR_FROM_ORIGIN = ("10000004.4375 9999995.15625 9999997.453125  "
                    "9999999.75 9999998.296875 9999991.375  "
                    "9999992.59375 9999991.46875 10000004.796875  "
@@ -105,11 +106,13 @@ def test_pair_far_from_origin_does_not_end_the_run(tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["id"] for r in records if r["id"] != 1] == [0, 2]
-    assert all(r["case"] == "crossing_segment" for r in records if r["id"] != 1)
+    (far,) = iter_pairs([FAR_FROM_ORIGIN])
+    want = oracle_intersect(far.t1, far.t2).label.value
+    assert [(r["id"], r["case"]) for r in records] == [
+        (0, "crossing_segment"), (1, want), (2, "crossing_segment")]
     summary = json.loads(capsys.readouterr().err.strip())
-    assert summary["pairs"] == 3 and summary["skipped"] == 3 - len(records)
-    assert summary["skipped_by"] == {"PointOffPlane": 1}
+    assert summary["pairs"] == 3 and summary["skipped"] == 0
+    assert summary["skipped_by"] == {}
     _assert_counts_add_up(summary)
 
 
@@ -118,7 +121,7 @@ def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
 
     def failing_on_parallel(t1, t2, tol):
         if t2[0][2] == 1:
-            raise PointOffPlane("point handed to a plane frame does not lie on its plane")
+            raise DegenerateTriangle("triangle area below tolerance")
         return kernel(t1, t2, tol)
 
     monkeypatch.setattr(tritri.cli, "intersect", failing_on_parallel)
@@ -126,7 +129,7 @@ def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
     assert [r.case for r in results] == ["crossing_segment", None, "crossing_segment"]
     assert summary["skipped"] == 1 and summary["emitted"] == 2
-    assert summary["skipped_by"] == {"PointOffPlane": 1}
+    assert summary["skipped_by"] == {"DegenerateTriangle": 1}
     _assert_counts_add_up(summary)
 
 
@@ -300,11 +303,11 @@ def test_mesh_output_is_byte_identical_across_runs(tmp_path, capsys):
         assert outputs[0] and outputs[0] == outputs[1]
 
 
-# SHA-256 of the record streams of the two runs below, recorded at commit
-# 4ada2f1.  A change that alters records on purpose updates these and says
-# so in CHANGES.md.
-PAIR_MIX_DIGEST = "4a09157efc0f1150807df80dab030e4b31e17612b4fe9dc5b31a55a00302003e"
-HEIGHT_FIELD_DIGEST = "33a288cb119911a189bb66bb2408a3739d6dd3aaa29df595c2c331ec6d11898e"
+# SHA-256 of the record streams of the two runs below, recorded when plane
+# distances moved to the triangle's first vertex.  A change that alters
+# records on purpose updates these and says so in CHANGES.md.
+PAIR_MIX_DIGEST = "172190c28fa132c8289c996697672fa0d292985da00f06d5d427f4b453084977"
+HEIGHT_FIELD_DIGEST = "5fe4bca648abf1708a6f73504668ba42e4630c4581ac109795449170cbbc7a9a"
 
 
 def test_record_streams_match_the_recorded_digests(tmp_path, capsys):
@@ -440,7 +443,7 @@ def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
     try:
         gc.collect()
         results, summary = run_pairs(records, DEFAULT_TOLERANCE, timing=True)
-        assert summary["skipped_by"] == {"DegenerateTriangle": 1, "PointOffPlane": 1}
+        assert summary["skipped_by"] == {"DegenerateTriangle": 1}
         mesh_results, mesh_summary = run_meshes(field, field, DEFAULT_TOLERANCE,
                                                 same_mesh=True)
         assert mesh_summary["emitted"] > 0

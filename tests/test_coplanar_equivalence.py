@@ -16,10 +16,9 @@ import pytest
 
 from tritri import CaseLabel, Point3, Triangle3, intersect
 from tritri.clip2d import Triangle2
-from tritri.core import DEFAULT_TOLERANCE, plane_from_triangle
+from tritri.core import plane_from_triangle
 from tritri.coplanar import intersect_coplanar
-from tritri.frame import build_frame, from_plane
-from tritri.intersect import _map_onto
+from tritri.frame import build_frame, from_plane, to_plane
 from tritri.oracle import as_floats, oracle_intersect
 
 from conftest import GRID, contours_match, grid_triangle, result_matches_oracle
@@ -141,10 +140,9 @@ def test_coplanar_family_matches_oracle(family):
 def test_contained_triangle_comes_back_as_its_own_vertices():
     # the kernel's own 2D images of t2 pass the clipper untouched
     for t1, t2 in _pairs("clipped_inside", seed=45):
-        pl = plane_from_triangle(t1)
-        frame = build_frame(pl, t1[0])
-        window = Triangle2(*(_map_onto(frame, pl, v, DEFAULT_TOLERANCE) for v in t1))
-        clipped = Triangle2(*(_map_onto(frame, pl, v, DEFAULT_TOLERANCE) for v in t2))
+        frame = build_frame(plane_from_triangle(t1))
+        window = Triangle2(*(to_plane(frame, v) for v in t1))
+        clipped = Triangle2(*(to_plane(frame, v) for v in t2))
         res = intersect_coplanar(window, clipped)
         own = [tuple(v) for v in (clipped.a, clipped.b, clipped.c)]
         assert contours_match([tuple(v) for v in res], own, tol=0.0)

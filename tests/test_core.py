@@ -35,13 +35,24 @@ def test_plane_from_triangle_unit_normal():
     pl = plane_from_triangle(T1)
     assert math.isclose(vnorm((pl.q, pl.w, pl.u)), 1.0, abs_tol=1e-15)
     assert (pl.q, pl.w, pl.u) == (0.0, 0.0, 1.0)
-    assert pl.r == 0.0
+    assert pl.o == T1.a
 
 
 def test_plane_vertices_have_zero_distance():
     rng = random.Random(31)
     for _ in range(200):
         tri = grid_triangle(rng)
+        pl = plane_from_triangle(tri)
+        for v in tri:
+            assert abs(signed_distance(v, pl)) < 1e-12
+
+
+def test_vertices_far_from_the_origin_lie_on_their_plane():
+    # distances are taken from the first vertex, so they round with the
+    # triangle's size, not with its distance from the origin
+    rng = random.Random(33)
+    for _ in range(200):
+        tri = Triangle3(*(Point3(*(c + 1e8 for c in v)) for v in grid_triangle(rng)))
         pl = plane_from_triangle(tri)
         for v in tri:
             assert abs(signed_distance(v, pl)) < 1e-12
@@ -90,5 +101,5 @@ def test_default_tolerance_values():
 
 
 def test_plane_tuple_shape():
-    pl = Plane(0.0, 0.0, 1.0, -2.0)
+    pl = Plane(0.0, 0.0, 1.0, Point3(7, -4, 2))
     assert signed_distance(Point3(5, 5, 3), pl) == 1.0

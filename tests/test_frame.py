@@ -1,18 +1,17 @@
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritri.core import Point3, Triangle3, plane_from_triangle, vdot, vnorm
-from tritri.errors import AnchorOffPlane, DegenerateTriangle, PointOffPlane
+from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2, build_frame, from_plane, to_plane
 
 
 def _frame_for(points):
     tri = Triangle3(*(Point3(*p) for p in points))
     pl = plane_from_triangle(tri)
-    return build_frame(pl, tri.a), pl
+    return build_frame(pl), pl
 
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -55,6 +54,7 @@ def test_round_trip_in_plane(pts, s, t):
 
 def test_anchor_maps_to_origin():
     frame, _ = _frame_for([(3, 1, 2), (5, 1, 2), (3, 4, 2)])
+    assert frame.origin == (3, 1, 2)
     uv = to_plane(frame, Point3(3, 1, 2))
     assert abs(uv.u) <= 1e-15 and abs(uv.v) <= 1e-15
 
@@ -71,17 +71,32 @@ def test_axis_aligned_normals():
         assert abs(vdot(frame.u_axis, n)) <= 1e-15
 
 
-def test_anchor_off_plane_raises():
-    tri = Triangle3(Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0))
-    pl = plane_from_triangle(tri)
-    with pytest.raises(AnchorOffPlane):
-        build_frame(pl, Point3(0, 0, 0.5))
+def _along_normal(p, frame, k):
+    n = frame.n_axis
+    return Point3(p[0] + k * n[0], p[1] + k * n[1], p[2] + k * n[2])
 
 
-def test_to_plane_off_plane_raises():
-    frame, _ = _frame_for([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    with pytest.raises(PointOffPlane):
-        to_plane(frame, Point3(0.2, 0.2, 0.001))
+@given(triangles.filter(_nondegenerate), coords, coords, st.floats(-1e3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_to_plane_projects_along_the_normal(pts, s, t, k):
+    # a point off the plane maps where its foot on the plane does
+    frame, _ = _frame_for(pts)
+    p = Point3(*(frame.origin[i] + s * frame.u_axis[i] + t * frame.v_axis[i] for i in range(3)))
+    got, want = to_plane(frame, _along_normal(p, frame, k)), to_plane(frame, p)
+    assert math.dist(got, want) <= 1e-12 * (1.0 + abs(k) + math.hypot(s, t))
+
+
+def test_to_plane_far_from_the_origin_projects_along_the_normal():
+    # far out, a point moved off the plane lands on its foot within the
+    # rounding of its own coordinates, and no error is raised on the way
+    for shift in (1e4, 1e8):
+        frame, _ = _frame_for([tuple(c + shift for c in v)
+                               for v in ((0, 0, 0), (1, 0, 0.5), (0, 1, 0.25))])
+        for s, t, k in ((0.2, 0.2, 0.001), (0.5, -0.25, 3.0), (-1.0, 2.0, -0.5)):
+            p = Point3(*(frame.origin[i] + s * frame.u_axis[i] + t * frame.v_axis[i]
+                         for i in range(3)))
+            got, want = to_plane(frame, _along_normal(p, frame, k)), to_plane(frame, p)
+            assert math.dist(got, want) <= 1e-15 * shift
 
 
 def test_from_plane_linear():

@@ -13,7 +13,6 @@ from tritri import (
     NonFiniteInput,
     Point3,
     Triangle3,
-    classify_only,
     intersect,
     plane_from_triangle,
     signed_distance,
@@ -21,7 +20,17 @@ from tritri import (
 from tritri.intersect import contact_margin, prepare
 from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import contours_match, height_field, mixed_pairs, points_match_unordered, result_matches_oracle
+from conftest import (
+    contours_match,
+    coplanar_pair,
+    crossing_pair,
+    generic_pair,
+    height_field,
+    mixed_pairs,
+    points_match_unordered,
+    result_matches_oracle,
+    shared_feature_pair,
+)
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
 
@@ -130,19 +139,21 @@ def test_degenerate_triangle_rejected():
 
 
 def test_segment_lies_on_both_planes():
-    rng = random.Random(4242)
-    checked = 0
-    for t1, t2 in mixed_pairs(rng, 400):
-        label, res = intersect(t1, t2)
-        if label is not CaseLabel.CROSSING_SEGMENT:
-            continue
-        checked += 1
-        for pl_tri in (t1, t2):
-            pl = plane_from_triangle(pl_tri)
-            scale = max(abs(c) for v in pl_tri for c in v)
-            for p in res.points:
-                assert abs(signed_distance(p, pl)) <= 1e-9 * max(1.0, scale)
-    assert checked >= 30
+    # distances are taken from each triangle's first vertex, so the bound is
+    # eps_dist plus the spacing of floats at the point, 1.86e-9 near 1e7
+    for shift in (0.0, 1e7):
+        checked = 0
+        for t1, t2 in mixed_pairs(random.Random(4242), 400):
+            t1, t2 = ([[c + shift for c in v] for v in t] for t in (t1, t2))
+            label, res = intersect(t1, t2)
+            if label is not CaseLabel.CROSSING_SEGMENT:
+                continue
+            checked += 1
+            for pl_tri in (t1, t2):
+                pl = plane_from_triangle(pl_tri)
+                for p in res.points:
+                    assert abs(signed_distance(p, pl)) <= 1e-9 + max(math.ulp(c) for c in p)
+        assert checked >= 30
 
 
 def test_swap_symmetry():
@@ -187,12 +198,6 @@ def test_rigid_motion_invariance():
             assert points_match_unordered(mres.points, moved, tol=1e-9)
         elif label is CaseLabel.COPLANAR_CONTOUR:
             assert contours_match(mres.points, moved, tol=1e-9)
-
-
-def test_classify_only_matches_intersect():
-    rng = random.Random(99)
-    for t1, t2 in mixed_pairs(rng, 200):
-        assert classify_only(t1, t2) is intersect(t1, t2)[0]
 
 
 # Faces of a terraced height field that share a vertex, where an edge of the
@@ -264,3 +269,45 @@ def test_height_field_agrees_with_oracle():
                 assert result_matches_oracle(res.points, as_floats(ref.points)), (t1, t2)
                 checked += 1
     assert checked >= 1000
+
+
+# A pair far from the origin is placed by its own vertices: every distance
+# is taken from a triangle's first vertex, so at any offset or magnitude the
+# kernel raises only its two documented errors.
+
+FAMILIES = (generic_pair, coplanar_pair, shared_feature_pair, crossing_pair)
+
+
+@st.composite
+def far_pairs(draw):
+    """Grid pairs of every family, scaled by 2**k (k from -20 to 26) and shifted by up to 1e8."""
+    family = draw(st.sampled_from(FAMILIES))
+    pair = family(random.Random(draw(st.integers(0, 2**32 - 1))))
+    scale = 2.0 ** draw(st.integers(-20, 26))
+    shift = [draw(st.floats(-1e8, 1e8)) for _ in range(3)]
+    return tuple([[c * scale + s for c, s in zip(v, shift)] for v in t] for t in pair)
+
+
+@seed(20262)
+@settings(max_examples=400, deadline=None)
+@given(far_pairs())
+def test_only_documented_errors_at_any_magnitude(pair):
+    t1, t2 = pair
+    for a, b in ((t1, t2), (t2, t1)):
+        try:
+            intersect(a, b)
+        except (DegenerateTriangle, NonFiniteInput):
+            pass
+
+
+def test_labels_survive_power_of_two_translation():
+    # a dyadic grid translated by 2**k stays exact, so the exact answer does
+    # not change, and neither may the label, in either order
+    rng = random.Random(2027)
+    pairs = mixed_pairs(rng, 200)
+    labels = [(intersect(a, b)[0], intersect(b, a)[0]) for a, b in pairs]
+    for k in range(27):
+        for (t1, t2), want in zip(pairs, labels):
+            shift = [rng.choice((-1, 1)) * 2.0 ** k for _ in range(3)]
+            a, b = ([[c + s for c, s in zip(v, shift)] for v in t] for t in (t1, t2))
+            assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)

@@ -158,17 +158,17 @@ def test_slack_hit_just_outside_the_edge_is_kept():
 
 
 def test_sign_change_within_rounding_noise_adds_nothing():
-    # near 1e8 the distances round to multiples of 7.45e-9.  The edge a-b runs
-    # parallel to the plane in floats too (its direction times the normal is
-    # 0.0), yet its ends are coded -1 and +1: its crossing would divide by
-    # zero, so it adds nothing, and the crossing of b-c is the only point
-    base = (100000045.0, 100000058.0, 100000028.0)
-    pl = plane_from_triangle(Triangle3(Point3(*base), Point3(base[0], base[1], base[2] + 1),
-                                       Point3(base[0] + 1, base[1] + 2, base[2])))
-    a = Point3(100000484.0, 100000936.0, 100000033.0)
-    b = Point3(100000485.0, 100000938.0, 100000034.0)
+    # the plane passes through the origin and the edge lies 1.4e8 out, so the
+    # pair's own extent is about 1e8 and the distances round to multiples of
+    # 1.49e-8.  The edge a-b runs parallel to the plane in floats too (its
+    # direction times the normal is 0.0), yet its ends are coded +1 and -1:
+    # its crossing would divide by zero, so it adds nothing, and the crossing
+    # of b-c is the only point
+    pl = plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(-1, 9, 4), Point3(-2, 2, 0)))
+    a = Point3(144421596.0, 127116232.0, 135768914.0)
+    b = Point3(144421620.0, 127116264.0, 135768942.0)
     tri = Triangle3(a, b, Point3(a.x + 3, a.y - 7, a.z + 2))
-    assert signed_distance(a, pl) == -signed_distance(b, pl) < -DEFAULT_TOLERANCE.eps_dist
+    assert signed_distance(a, pl) == -signed_distance(b, pl) > DEFAULT_TOLERANCE.eps_dist
     m, n, o = vsub(b, a)
     assert pl.q * m + pl.w * n + pl.u * o == 0.0
     pts = project_triangle_edges(tri, pl)

@@ -6,6 +6,8 @@ and require the same contact records, on pairs the kernel reports as
 contacts well outside an eps_dist-grown box and on small random meshes.
 """
 
+import random
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -106,8 +108,9 @@ def test_height_fields_match_brute_force(mesh_a, mesh_b):
 def near_coplanar_meshes(draw):
     """Triangles in z = 0 about 1e3 from the origin, against copies tilted about the y axis.
 
-    The tilt stays below eps_dist, so the kernel calls the planes coincident
-    although the faces sit up to about 1e3 * tilt apart; the axes are then
+    The tilt stays below eps_dist, so the normals pass as parallel although
+    the faces sit up to about 1e3 * tilt apart: the planes are coincident or
+    parallel by the gap at a face's first vertex.  The axes are then
     permuted so the gap also falls on the sweep axis.
     """
     grid = st.integers(-8, 8).map(lambda k: k / 4)
@@ -131,6 +134,18 @@ def test_near_coplanar_far_from_origin_matches_brute_force(meshes):
     assert_matches_brute_force(mesh_b, mesh_a)
 
 
+def test_height_field_far_from_origin_matches_brute_force():
+    # 2**23 out, distances are still taken from each face's first vertex, so
+    # the margins keep no term in the distance from the origin but rounding
+    rng = random.Random(20243)
+    heights = [[rng.randint(0, 4) / 4 for _ in range(6)] for _ in range(6)]
+    far = height_field(heights, offset=(2.0 ** 23,) * 3)
+    moved = height_field(heights, offset=(2.0 ** 23 + 0.25, 2.0 ** 23 + 0.25, 2.0 ** 23))
+    assert assert_matches_brute_force(far, far, same_mesh=True)
+    assert assert_matches_brute_force(far, moved)
+    assert assert_matches_brute_force(moved, far)
+
+
 boxes = st.one_of(st.none(), st.tuples(*[st.integers(-4, 4), st.integers(0, 3)] * 3).map(
     lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3], t[4], t[4] + t[5])))
 
@@ -146,8 +161,12 @@ def test_sweep_equals_brute_force_overlap(boxes_a, boxes_b):
 
 
 def test_near_coplanar_far_from_origin_reaches_the_kernel():
-    # a contour between faces 5e-7 apart, as the property above generates them
+    # faces 5e-7 apart, as the property above generates them: the gap is
+    # taken at the second face's first vertex, as the oracle takes it, so
+    # the planes are parallel and there is no contact in either order
     t1 = _tri(((1000, 0, 0), (1002, 0, 0), (1000, 2, 0)))
     t2 = _tri([(x, y, x * 5e-10) for x, y in ((1000.5, 0.5), (1001.5, 0.5), (1000.5, 1.5))])
-    assert [c[1] for c in assert_matches_brute_force([t1], [t2])] == ["coplanar_contour"]
-    assert [c[1] for c in assert_matches_brute_force([t2], [t1])] == ["coplanar_contour"]
+    for first, second in ((t1, t2), (t2, t1)):
+        assert assert_matches_brute_force([first], [second]) == []
+        assert intersect(first, second)[0] is CaseLabel.PARALLEL_PLANES
+        assert oracle_intersect(first, second).label is CaseLabel.PARALLEL_PLANES

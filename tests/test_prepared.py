@@ -10,10 +10,8 @@ import importlib
 import random
 
 from tritri.cli import run_meshes
-from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, plane_from_triangle, signed_distance
-from tritri.errors import PointOffPlane
-from tritri.frame import build_frame, to_plane
-from tritri.intersect import CaseLabel, _map_onto, intersect, prepare
+from tritri.core import DEFAULT_TOLERANCE, Tolerance
+from tritri.intersect import CaseLabel, intersect, prepare
 
 from conftest import coplanar_partner, grid_triangle, height_field, mixed_pairs
 
@@ -22,35 +20,6 @@ LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
 def _heights(rng, n=7):
     return [[rng.randint(0, 4) / 4 for _ in range(n)] for _ in range(n)]
-
-
-def _foot(p, pl) -> Point3:
-    """The point of ``pl`` closest to ``p``: ``p`` moved back along the normal."""
-    d = signed_distance(p, pl)
-    return Point3(p[0] - d * pl.q, p[1] - d * pl.w, p[2] - d * pl.u)
-
-
-def _mapped(f, *args):
-    try:
-        return repr(f(*args))
-    except PointOffPlane:
-        return "PointOffPlane"
-
-
-def test_map_onto_is_snap_then_to_plane_bit_for_bit():
-    rng = random.Random(37)
-    for shift in (0.0, 1e7):  # 1e7 away, rounding trips the on-plane check
-        raised = 0
-        for t1, t2 in mixed_pairs(rng, 500):
-            t1, t2 = ([[c + shift for c in v] for v in t] for t in (t1, t2))
-            pl = plane_from_triangle(t1)
-            frame = build_frame(pl, t1[0])
-            for p in (*t1, *t2):
-                got = _mapped(_map_onto, frame, pl, p, DEFAULT_TOLERANCE)
-                want = _mapped(lambda: to_plane(frame, _foot(p, pl)))
-                assert got == want
-                raised += got == "PointOffPlane"
-        assert (raised > 0) == (shift > 0)
 
 
 def test_prepared_pairs_equal_raw_pairs():
