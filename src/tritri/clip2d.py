@@ -38,15 +38,15 @@ class Triangle2:
     __slots__ = ("a", "b", "c", "_lines")
 
     def __init__(self, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE):
-        a, b, c = Point2(*a), Point2(*b), Point2(*c)
-        area2 = (b.u - a.u) * (c.v - a.v) - (b.v - a.v) * (c.u - a.u)
+        if not (type(a) is type(b) is type(c) is Point2):
+            a, b, c = Point2(*a), Point2(*b), Point2(*c)
+        (au, av), (bu, bv), (cu, cv) = a, b, c
+        area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
         if abs(area2) < 2.0 * tol.eps_area:
             raise DegenerateTriangle("2D triangle area below tolerance")
         if area2 < 0.0:
             b, c = c, b
-        self.a = a
-        self.b = b
-        self.c = c
+        self.a, self.b, self.c = a, b, c
         self._lines = None
 
     def __repr__(self) -> str:
@@ -67,29 +67,27 @@ class Triangle2:
 
 def _window_lines(w: Triangle2) -> tuple[tuple[float, float, float], ...]:
     """Normalized side lines in the order AB, AC, BC, positive on the interior side."""
+    a, b, c = w.a, w.b, w.c
     lines = []
-    for p, q, opp in ((w.a, w.b, w.c), (w.a, w.c, w.b), (w.b, w.c, w.a)):
-        l1 = p.v - q.v
-        l2 = q.u - p.u
-        l3 = p.u * q.v - p.v * q.u
-        if l1 * opp.u + l2 * opp.v + l3 < 0.0:
+    for (pu, pv), (qu, qv), (ou, ov) in ((a, b, c), (a, c, b), (b, c, a)):
+        l1 = pv - qv
+        l2 = qu - pu
+        l3 = pu * qv - pv * qu
+        if l1 * ou + l2 * ov + l3 < 0.0:
             l1, l2, l3 = -l1, -l2, -l3
         ln = math.hypot(l1, l2)
         lines.append((l1 / ln, l2 / ln, l3 / ln))
     return tuple(lines)
 
 
-def _code(p, lines, eps: float) -> int:
+def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+    """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
+    eps = tol.eps_dist
     code = 0
-    for bit, (l1, l2, l3) in zip(_BITS, lines):
+    for bit, (l1, l2, l3) in zip(_BITS, w.lines):
         if l1 * p[0] + l2 * p[1] + l3 < -eps:
             code |= bit
     return code
-
-
-def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
-    return _code(p, w.lines, tol.eps_dist)
 
 
 def point_in_triangle(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -101,7 +99,7 @@ def _dist2(a, b) -> float:
 
 
 def _lerp2(a, b, t: float) -> Point2:
-    return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return tuple.__new__(Point2, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
 
 
 def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
@@ -116,10 +114,11 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
     Ends within eps_dist of each other merge into one point, also when p
     and q themselves are that close.
     """
-    p = Point2(*p)
-    q = Point2(*q)
+    if not (type(p) is type(q) is Point2):
+        p, q = Point2(*p), Point2(*q)
     eps = tol.eps_dist
-    dists = [(l1 * p.u + l2 * p.v + l3, l1 * q.u + l2 * q.v + l3) for l1, l2, l3 in w.lines]
+    (pu, pv), (qu, qv) = p, q
+    dists = [(l1 * pu + l2 * pv + l3, l1 * qu + l2 * qv + l3) for l1, l2, l3 in w.lines]
     c1 = c2 = 0
     for bit, (da, db) in zip(_BITS, dists):
         if da < -eps:

@@ -49,11 +49,8 @@ def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = D
         cleaned.pop()
     if len(cleaned) < 3:
         return ()
-    doubled = sum(
-        cleaned[k].u * cleaned[(k + 1) % len(cleaned)].v
-        - cleaned[k].v * cleaned[(k + 1) % len(cleaned)].u
-        for k in range(len(cleaned))
-    )
+    ring = zip(cleaned, cleaned[1:] + cleaned[:1])
+    doubled = sum(au * bv - av * bu for (au, av), (bu, bv) in ring)
     if abs(doubled) / 2.0 <= tol.eps_area:
         return ()
     return tuple(cleaned)

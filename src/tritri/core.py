@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DegenerateTriangle
+from .errors import DegenerateTriangle, NonFiniteInput
 
 Vec3 = tuple[float, float, float]
 
@@ -92,13 +92,24 @@ def dist3(a, b) -> float:
 def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Plane:
     """Supporting plane of a triangle, normal by the right-hand rule.
 
-    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
+    Raises NonFiniteInput when a coordinate is NaN or infinite, then
+    DegenerateTriangle when the area is below ``tol.eps_area``.  Such a
+    coordinate makes an edge, hence the normal, hence its norm non-finite,
+    so the coordinates are scanned only when the norm is.
     """
-    n = vcross(vsub(t[1], t[0]), vsub(t[2], t[0]))
-    nn = vnorm(n)
+    a, b, c = t
+    ax, ay, az = a
+    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
+    fx, fy, fz = c[0] - ax, c[1] - ay, c[2] - az
+    nx = ey * fz - ez * fy
+    ny = ez * fx - ex * fz
+    nz = ex * fy - ey * fx
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if not math.isfinite(nn) and not all(math.isfinite(x) for v in t for x in v):
+        raise NonFiniteInput("triangle coordinates must be finite")
     if 0.5 * nn < tol.eps_area:
         raise DegenerateTriangle(f"triangle area {0.5 * nn:g} below tolerance")
-    return Plane(n[0] / nn, n[1] / nn, n[2] / nn, t[0])
+    return tuple.__new__(Plane, (nx / nn, ny / nn, nz / nn, a))
 
 
 def signed_distance(p, pl: Plane) -> float:
@@ -115,9 +126,11 @@ def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) ->
     from p1, as the oracle tests it, and tolerates opposite normal
     orientation.
     """
-    c = vcross((p1.q, p1.w, p1.u), (p2.q, p2.w, p2.u))
-    if vnorm(c) > tol.eps_dist:
+    q1, w1, u1, _ = p1
+    q2, w2, u2, o2 = p2
+    cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
+    if math.sqrt(cq * cq + cw * cw + cu * cu) > tol.eps_dist:
         return PlaneRelation.INTERSECTING
-    if abs(signed_distance(p2.o, p1)) <= tol.eps_dist:
+    if abs(signed_distance(o2, p1)) <= tol.eps_dist:
         return PlaneRelation.COINCIDENT
     return PlaneRelation.PARALLEL

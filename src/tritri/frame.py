@@ -10,7 +10,9 @@ clipping done in frame coordinates lifts back isometrically.
 import math
 from typing import NamedTuple
 
-from .core import Plane, Point3, Vec3, vcross, vdot
+from .core import Plane, Point3, Vec3
+
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 class Point2(NamedTuple):
@@ -31,32 +33,28 @@ def build_frame(pl: Plane) -> PlaneFrame:
     The u axis is seeded from the global axis least aligned with the
     normal and Gram-Schmidt projected into the plane.
     """
-    n = (pl.q, pl.w, pl.u)
-    comps = (abs(n[0]), abs(n[1]), abs(n[2]))
-    k = comps.index(min(comps))
+    nx, ny, nz, o = pl
+    comps = (abs(nx), abs(ny), abs(nz))
     seed = [0.0, 0.0, 0.0]
-    seed[k] = 1.0
-    d = vdot(seed, n)
-    u = (seed[0] - d * n[0], seed[1] - d * n[1], seed[2] - d * n[2])
-    un = math.sqrt(vdot(u, u))
-    u = (u[0] / un, u[1] / un, u[2] / un)
-    v = vcross(n, u)
-    return PlaneFrame(pl.o, u, v, n)
+    seed[comps.index(min(comps))] = 1.0
+    sx, sy, sz = seed
+    d = sx * nx + sy * ny + sz * nz
+    ux, uy, uz = sx - d * nx, sy - d * ny, sz - d * nz
+    un = math.sqrt(ux * ux + uy * uy + uz * uz)
+    ux, uy, uz = ux / un, uy / un, uz / un
+    v = (ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux)
+    return _new(PlaneFrame, (o, (ux, uy, uz), v, (nx, ny, nz)))
 
 
 def to_plane(f: PlaneFrame, p) -> Point2:
     """Frame coordinates of the foot of a 3D point on the frame's plane."""
-    o, ua, va = f.origin, f.u_axis, f.v_axis
-    x, y, z = p[0] - o[0], p[1] - o[1], p[2] - o[2]
-    return Point2(x * ua[0] + y * ua[1] + z * ua[2], x * va[0] + y * va[1] + z * va[2])
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = f
+    x, y, z = p[0] - ox, p[1] - oy, p[2] - oz
+    return _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
 
 
 def from_plane(f: PlaneFrame, q) -> Point3:
     """Lift frame coordinates back to 3D."""
     u, v = q
-    o, ua, va = f.origin, f.u_axis, f.v_axis
-    return Point3(
-        o[0] + u * ua[0] + v * va[0],
-        o[1] + u * ua[1] + v * va[1],
-        o[2] + u * ua[2] + v * va[2],
-    )
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = f
+    return _new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))

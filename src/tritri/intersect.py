@@ -12,7 +12,6 @@ belong to one triangle, not to a pair: ``prepare`` keeps them with the
 triangle, so a triangle tested against many partners builds them once.
 """
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -32,9 +31,10 @@ from .core import (
     vnorm,
     vsub,
 )
-from .errors import NonFiniteInput
 from .frame import PlaneFrame, build_frame, from_plane, to_plane
 from .lineplane import project_triangle_edges
+
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 class CaseLabel(Enum):
@@ -56,13 +56,6 @@ class EmptyReason(Enum):
 class IntersectionResult(NamedTuple):
     points: tuple[Point3, ...] = ()
     reason: EmptyReason | None = None
-
-
-def _check_finite(t: Triangle3) -> None:
-    for v in t:
-        for x in v:
-            if not math.isfinite(x):
-                raise NonFiniteInput("triangle coordinates must be finite")
 
 
 class PreparedTriangle:
@@ -87,7 +80,8 @@ class PreparedTriangle:
         """The reference frame anchored at the first vertex, and the window in it."""
         if self._frame_window is None:
             frame = build_frame(self.plane)
-            window = Triangle2(*(to_plane(frame, v) for v in self.tri), tol=self.tol)
+            a, b, c = self.tri
+            window = Triangle2(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), self.tol)
             self._frame_window = (frame, window)
         return self._frame_window
 
@@ -108,25 +102,22 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
         t = t.tri
     if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
         t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
-    _check_finite(t)
     return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
 
 
-_EMPTY = {reason: IntersectionResult(reason=reason) for reason in EmptyReason}
-
-
-def _empty(label: CaseLabel, reason: EmptyReason) -> tuple[CaseLabel, IntersectionResult]:
-    return label, _EMPTY[reason]
+# one shared empty result per EmptyReason, in the enum's order
+_PARALLEL, _DISJOINT, _NO_CROSSING, _OUTSIDE = (IntersectionResult(reason=r) for r in EmptyReason)
 
 
 def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:
     frame, window = p1.frame_window()
-    clipped = Triangle2(*(to_plane(frame, v) for v in t2), tol=tol)
+    a, b, c = t2
+    clipped = Triangle2(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), tol)
     contour = intersect_coplanar(window, clipped, tol)
     if not contour:
-        return _empty(CaseLabel.COPLANAR_NO_CONTACT, EmptyReason.COPLANAR_DISJOINT)
-    lifted = tuple(from_plane(frame, v) for v in contour)
-    return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(lifted)
+        return CaseLabel.COPLANAR_NO_CONTACT, _DISJOINT
+    lifted = tuple(map(from_plane, (frame,) * len(contour), contour))
+    return CaseLabel.COPLANAR_CONTOUR, _new(IntersectionResult, (lifted, None))
 
 
 def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
@@ -145,7 +136,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     pl1 = p1.plane
     relation = classify_planes(pl1, p2.plane, tol)
     if relation is PlaneRelation.PARALLEL:
-        return _empty(CaseLabel.PARALLEL_PLANES, EmptyReason.PARALLEL_PLANES)
+        return CaseLabel.PARALLEL_PLANES, _PARALLEL
     if relation is PlaneRelation.COINCIDENT:
         return _coplanar_case(p1, p2.tri, tol)
 
@@ -154,21 +145,21 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         # borderline coincidence: every vertex of t2 sits in the reference plane
         return _coplanar_case(p1, p2.tri, tol)
     if not points:
-        return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.PLANES_CROSS_NO_CONTACT)
+        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _NO_CROSSING
 
     frame, window = p1.frame_window()
     if len(points) == 1:
         if point_in_triangle(to_plane(frame, points[0]), window, tol):
-            return CaseLabel.TOUCH_POINT, IntersectionResult((points[0],))
-        return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
+            return CaseLabel.TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
+        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _OUTSIDE
 
     clip = clip_segment_to_triangle(to_plane(frame, points[0]), to_plane(frame, points[1]), window, tol)
     if not clip:
-        return _empty(CaseLabel.CROSSING_PLANES_NO_CONTACT, EmptyReason.SEGMENT_OUTSIDE_WINDOW)
-    lifted = tuple(from_plane(frame, p) for p in clip)
+        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _OUTSIDE
+    lifted = tuple(map(from_plane, (frame,) * len(clip), clip))
     if len(lifted) == 1:
-        return CaseLabel.TOUCH_POINT, IntersectionResult(lifted)
-    return CaseLabel.CROSSING_SEGMENT, IntersectionResult(lifted)
+        return CaseLabel.TOUCH_POINT, _new(IntersectionResult, (lifted, None))
+    return CaseLabel.CROSSING_SEGMENT, _new(IntersectionResult, (lifted, None))
 
 
 def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -3,8 +3,8 @@
 Each vertex is coded -1, 0 or +1 by its signed distance to the plane,
 taken from the plane's point, 0 meaning within eps_dist.  A 0-coded
 vertex lies on the plane and is kept as it is; an edge whose ends carry
-opposite non-zero codes crosses the plane, and its crossing is kept.  This is the rule of the exact oracle,
-applied to float distances.
+opposite non-zero codes crosses the plane, and its crossing is kept.
+This is the rule of the exact oracle, applied to float distances.
 """
 
 import math
@@ -48,7 +48,7 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
                 # is near 1e8) the crossing would fall off the edge, or denom be 0
                 continue
             t = -d1 / denom
-            pt = Point3(p1[0] + t * m, p1[1] + t * n, p1[2] + t * o)
+            pt = tuple.__new__(Point3, (p1[0] + t * m, p1[1] + t * n, p1[2] + t * o))
         else:
             continue
         for seen in points:

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 
-from tritri.core import Point3, Triangle3
+from tritri.core import Point3, Triangle3, vcross, vdot, vnorm, vsub
 from tritri.frame import Point2
 from tritri.clip2d import Triangle2
 
@@ -174,6 +174,24 @@ def result_matches_oracle(result_points, oracle_float_points, tol=1e-9) -> bool:
     if len(got) <= 2:
         return points_match_unordered(got, want, tol)
     return contours_match(got, want, tol)
+
+
+def point_segment_distance(p, x, y) -> float:
+    """Euclidean distance from a 3D point to the segment xy."""
+    d = vsub(y, x)
+    t = min(max(vdot(vsub(p, x), d) / vdot(d, d), 0.0), 1.0)
+    return vnorm(vsub(p, (x[0] + t * d[0], x[1] + t * d[1], x[2] + t * d[2])))
+
+
+def point_triangle_distance(p, t) -> float:
+    """Euclidean distance from a 3D point to a triangle, face or boundary."""
+    a, b, c = t
+    n = vcross(vsub(b, a), vsub(c, a))
+    sides = ((a, b), (b, c), (c, a))
+    # p's foot on the plane is inside when it lies left of every side, seen along n
+    if all(vdot(vcross(vsub(y, x), vsub(p, x)), n) >= 0.0 for x, y in sides):
+        return abs(vdot(vsub(p, a), n)) / vnorm(n)
+    return min(point_segment_distance(p, x, y) for x, y in sides)
 
 
 # --- meshes ------------------------------------------------------------------

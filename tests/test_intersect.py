@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tritri import (
@@ -122,6 +122,37 @@ def test_non_finite_input_rejected():
         contact_margin(_tri((0, 0, math.inf), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(NonFiniteInput):
         prepare(_tri((math.nan, 0, 0), (1, 0, 0), (0, 1, 0)))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_vertex = st.tuples(_finite, _finite, _finite)
+
+
+@st.composite
+def _one_non_finite_coordinate(draw):
+    """Any triangle, three equal vertices half the time, with one coordinate NaN or ±inf."""
+    a = draw(_vertex)
+    verts = [a, a, a] if draw(st.booleans()) else [a, draw(_vertex), draw(_vertex)]
+    i, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    bad = list(verts[i])
+    bad[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    verts[i] = tuple(bad)
+    return tuple(verts)
+
+
+@seed(20263)
+@settings(max_examples=300, deadline=None)
+@given(_one_non_finite_coordinate())
+@example(((math.inf, 0.0, 0.0),) * 3)
+@example(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, math.nan, 0.0)))
+@example(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -math.inf)))
+def test_a_non_finite_coordinate_raises_non_finite_input_first(t):
+    # NonFiniteInput, never DegenerateTriangle, also for a degenerate triangle
+    checks = (plane_from_triangle, prepare, contact_margin,
+              lambda t: intersect(t, T1), lambda t: intersect(T1, t))
+    for check in checks:
+        with pytest.raises(NonFiniteInput):
+            check(t)
 
 
 def test_degenerate_triangle_rejected():

@@ -6,6 +6,7 @@ and require the same contact records, on pairs the kernel reports as
 contacts well outside an eps_dist-grown box and on small random meshes.
 """
 
+import math
 import random
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from tritri.cli import CONTACT_CASES, _overlapping_pairs, _prepare_faces, run_meshes
 from tritri.core import DEFAULT_TOLERANCE, Point3, Triangle3
 from tritri.errors import DegenerateTriangle
-from tritri.intersect import CaseLabel, intersect
+from tritri.intersect import CaseLabel, contact_margin, intersect
 from tritri.oracle import oracle_intersect
 
-from conftest import height_field
+from conftest import height_field, point_triangle_distance
 
 WIDE = ((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0))
 SLIVER = ((0.0, -0.02, 0.0), (0.0, 0.02, 0.0), (4.0, 0.0, 0.0))
@@ -170,3 +171,69 @@ def test_near_coplanar_far_from_origin_reaches_the_kernel():
         assert assert_matches_brute_force([first], [second]) == []
         assert intersect(first, second)[0] is CaseLabel.PARALLEL_PLANES
         assert oracle_intersect(first, second).label is CaseLabel.PARALLEL_PLANES
+
+
+def _tilted_coplanar_pair(rng, length, eps):
+    """A fat triangle with longest edge about ``length`` and an overlapping partner.
+
+    Both lie in one randomly oriented plane; the partner is then tilted by
+    a sine below ``eps`` about a line through its first vertex and lifted
+    by a gap below ``eps``, so the kernel takes the pair as coplanar while
+    the partner's far vertices sit up to about ``eps * length`` off the
+    first plane.
+    """
+    while True:
+        n = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        nn = math.sqrt(sum(c * c for c in n))
+        if nn > 0.1:
+            break
+    n = [c / nn for c in n]
+    k = min(range(3), key=lambda i: abs(n[i]))
+    u = [(1.0 if i == k else 0.0) - n[k] * n[i] for i in range(3)]
+    un = math.sqrt(sum(c * c for c in u))
+    u = [c / un for c in u]
+    v = [n[1] * u[2] - n[2] * u[1], n[2] * u[0] - n[0] * u[2], n[0] * u[1] - n[1] * u[0]]
+    origin = [rng.uniform(-length, length) for _ in range(3)]
+
+    def lift(x, y, h):
+        return Point3(*(origin[i] + x * u[i] + y * v[i] + h * n[i] for i in range(3)))
+
+    def fat(cx, cy, size):
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        return [(cx + size * math.cos(turn + a), cy + size * math.sin(turn + a))
+                for a in (0.0, rng.uniform(1.8, 2.4), rng.uniform(3.9, 4.5))]
+
+    first = fat(0.0, 0.0, length / math.sqrt(3.0))
+    second = fat(*(rng.uniform(-0.3, 0.3) * length for _ in range(2)),
+                 rng.uniform(0.5, 1.0) * length / math.sqrt(3.0))
+    sin_tilt, gap = rng.uniform(0.5, 0.95) * eps, rng.uniform(-0.95, 0.95) * eps
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    dx, dy = math.cos(turn), math.sin(turn)
+    ax, ay = second[0]
+    t1 = Triangle3(*(lift(x, y, 0.0) for x, y in first))
+    t2 = Triangle3(*(lift(x, y, gap + sin_tilt * ((x - ax) * dx + (y - ay) * dy))
+                     for x, y in second))
+    return t1, t2
+
+
+@pytest.mark.parametrize("length", [10.0, 100.0, 1000.0])
+def test_contour_points_lie_within_both_contact_margins(length):
+    # the docstring's bound, point by point: a coplanar contour lies in the
+    # reference plane, up to eps_dist * (1 + L) off the other triangle, which
+    # only the margin's snap term covers
+    rng = random.Random(20244 + int(length))
+    eps = DEFAULT_TOLERANCE.eps_dist
+    contours = worst = 0
+    for _ in range(300):
+        t1, t2 = _tilted_coplanar_pair(rng, length, eps)
+        margins = {t: contact_margin(t) for t in (t1, t2)}
+        for first, second in ((t1, t2), (t2, t1)):
+            label, result = intersect(first, second)
+            if label is not CaseLabel.COPLANAR_CONTOUR:
+                continue
+            contours += 1
+            for p in result.points:
+                for t, margin in margins.items():
+                    worst = max(worst, point_triangle_distance(p, t) / margin)
+    assert contours >= 300
+    assert worst <= 1.0
