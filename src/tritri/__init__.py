@@ -24,8 +24,8 @@ from .core import (
 )
 from .clip2d import (
     Triangle2,
+    ccw_vertices,
     clip_segment_to_triangle,
-    point_in_triangle,
     region_code,
 )
 from .coplanar import intersect_coplanar
@@ -68,13 +68,13 @@ __all__ = [
     "Triangle2",
     "Triangle3",
     "build_frame",
+    "ccw_vertices",
     "classify_planes",
     "clip_segment_to_triangle",
     "from_plane",
     "intersect",
     "intersect_coplanar",
     "plane_from_triangle",
-    "point_in_triangle",
     "prepare",
     "region_code",
     "signed_distance",

@@ -266,9 +266,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.mode == "pair":
             records = read_pairs(args.input)
         else:
-            faces_a = read_off(args.mesh_a)
-            faces_b = read_off(args.mesh_b)
             same = os.path.realpath(args.mesh_a) == os.path.realpath(args.mesh_b)
+            faces_a = read_off(args.mesh_a)
+            faces_b = faces_a if same else read_off(args.mesh_b)
         parse_s = time.perf_counter() - parse_start
         # opened before the pairs are computed, so a bad path costs no work
         with (contextlib.nullcontext(sys.stdout) if args.output == "-"

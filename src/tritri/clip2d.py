@@ -17,7 +17,8 @@ segment is clipped in two steps, codes first, then one parameter clip:
   were built from.
 
 Points within ``eps_dist`` of a side line code as inside, so a segment
-that merely grazes the boundary yields one point rather than none.
+that merely grazes the boundary yields one point rather than none.  One
+rule, ``_code``, codes points for ``region_code`` and the clipper alike.
 """
 
 import math
@@ -26,28 +27,35 @@ from .core import DEFAULT_TOLERANCE, Tolerance
 from .errors import DegenerateTriangle
 from .frame import Point2
 
-_BITS = (2, 4, 1)  # AB, AC, BC
 
-
-class Triangle2:
-    """2D triangle normalized to counter-clockwise vertex order.
+def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, Point2, Point2]:
+    """The 2D triangle abc as three points in counter-clockwise order.
 
     Raises DegenerateTriangle when the area is below ``tol.eps_area``.
     """
+    if not (type(a) is type(b) is type(c) is Point2):
+        a, b, c = Point2(*a), Point2(*b), Point2(*c)
+    (au, av), (bu, bv), (cu, cv) = a, b, c
+    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    if abs(area2) < 2.0 * tol.eps_area:
+        raise DegenerateTriangle("2D triangle area below tolerance")
+    if area2 < 0.0:
+        return a, c, b
+    return a, b, c
 
-    __slots__ = ("a", "b", "c", "_lines")
+
+class Triangle2:
+    """2D window: its corners as ``ccw_vertices`` orders them, and its side lines.
+
+    ``lines`` (see ``_window_lines``) is built with the window.  Raises
+    DegenerateTriangle when the area is below ``tol.eps_area``.
+    """
+
+    __slots__ = ("a", "b", "c", "lines")
 
     def __init__(self, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE):
-        if not (type(a) is type(b) is type(c) is Point2):
-            a, b, c = Point2(*a), Point2(*b), Point2(*c)
-        (au, av), (bu, bv), (cu, cv) = a, b, c
-        area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
-        if abs(area2) < 2.0 * tol.eps_area:
-            raise DegenerateTriangle("2D triangle area below tolerance")
-        if area2 < 0.0:
-            b, c = c, b
-        self.a, self.b, self.c = a, b, c
-        self._lines = None
+        self.a, self.b, self.c = a, b, c = ccw_vertices(a, b, c, tol)
+        self.lines = _window_lines(a, b, c)
 
     def __repr__(self) -> str:
         return f"Triangle2({self.a!r}, {self.b!r}, {self.c!r})"
@@ -57,17 +65,9 @@ class Triangle2:
             return NotImplemented
         return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
-    @property
-    def lines(self) -> tuple[tuple[float, float, float], ...]:
-        """Normalized side lines in the order AB, AC, BC, positive inside; built on first use."""
-        if self._lines is None:
-            self._lines = _window_lines(self)
-        return self._lines
 
-
-def _window_lines(w: Triangle2) -> tuple[tuple[float, float, float], ...]:
+def _window_lines(a, b, c) -> tuple[tuple[float, float, float], ...]:
     """Normalized side lines in the order AB, AC, BC, positive on the interior side."""
-    a, b, c = w.a, w.b, w.c
     lines = []
     for (pu, pv), (qu, qv), (ou, ov) in ((a, b, c), (a, c, b), (b, c, a)):
         l1 = pv - qv
@@ -80,18 +80,16 @@ def _window_lines(w: Triangle2) -> tuple[tuple[float, float, float], ...]:
     return tuple(lines)
 
 
+def _code(dists, eps: float) -> int:
+    """Outside code from the signed distances to AB, AC and BC (bit values 2, 4, 1)."""
+    ab, ac, bc = dists
+    return 2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)
+
+
 def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
-    eps = tol.eps_dist
-    code = 0
-    for bit, (l1, l2, l3) in zip(_BITS, w.lines):
-        if l1 * p[0] + l2 * p[1] + l3 < -eps:
-            code |= bit
-    return code
-
-
-def point_in_triangle(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    return region_code(p, w, tol) == 0
+    pu, pv = p[0], p[1]
+    return _code([l1 * pu + l2 * pv + l3 for l1, l2, l3 in w.lines], tol.eps_dist)
 
 
 def _dist2(a, b) -> float:
@@ -118,20 +116,17 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
         p, q = Point2(*p), Point2(*q)
     eps = tol.eps_dist
     (pu, pv), (qu, qv) = p, q
-    dists = [(l1 * pu + l2 * pv + l3, l1 * qu + l2 * qv + l3) for l1, l2, l3 in w.lines]
-    c1 = c2 = 0
-    for bit, (da, db) in zip(_BITS, dists):
-        if da < -eps:
-            c1 |= bit
-        if db < -eps:
-            c2 |= bit
+    lines = w.lines
+    dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in lines]
+    dq = [l1 * qu + l2 * qv + l3 for l1, l2, l3 in lines]
+    c1, c2 = _code(dp, eps), _code(dq, eps)
     if not (c1 or c2):
         return (p,) if _dist2(p, q) <= eps else (p, q)
     if c1 & c2:
         return ()
     half = 0.5 * eps
     lo, hi = 0.0, 1.0
-    for da, db in dists:
+    for da, db in zip(dp, dq):
         if abs(da) <= eps and abs(db) <= eps:
             continue
         if da < -half:

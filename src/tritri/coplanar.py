@@ -17,14 +17,15 @@ from .core import DEFAULT_TOLERANCE, Tolerance
 from .frame import Point2
 
 
-def intersect_coplanar(window: Triangle2, clipped: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+def intersect_coplanar(window: Triangle2, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
     """Overlap of two coplanar triangles given in one 2D frame: () or 3 to 6 vertices.
 
     Consecutive vertices within ``eps_dist`` of each other are merged, and
     an overlap of area at most ``eps_area`` counts as none.  The contour
-    is counter-clockwise, since both triangles are.
+    is counter-clockwise, since the window and ``clipped``, three points
+    ordered by ``ccw_vertices``, both are.
     """
-    poly = [clipped.a, clipped.b, clipped.c]
+    poly = list(clipped)
     for l1, l2, l3 in window.lines:
         if not poly:
             break

@@ -15,7 +15,7 @@ triangle, so a triangle tested against many partners builds them once.
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Triangle2, clip_segment_to_triangle, point_in_triangle
+from .clip2d import Triangle2, ccw_vertices, clip_segment_to_triangle
 from .coplanar import intersect_coplanar
 from .core import (
     DEFAULT_TOLERANCE,
@@ -61,9 +61,9 @@ class IntersectionResult(NamedTuple):
 class PreparedTriangle:
     """A checked triangle with the work that depends on it alone.
 
-    ``plane`` is computed by ``prepare``.  The 2D frame of that plane, the
-    triangle's image in it (the window) and, through ``Triangle2.lines``,
-    the window's side lines are built on the first call of
+    ``plane`` is computed by ``prepare``.  The 2D frame of that plane and
+    the triangle's image in it (the window, a ``Triangle2``, which builds
+    its side lines with it) are built on the first call of
     ``frame_window`` and kept.  All of it is computed under ``tol``;
     ``intersect`` prepares the triangle again under any other tolerance.
     """
@@ -112,7 +112,7 @@ _PARALLEL, _DISJOINT, _NO_CROSSING, _OUTSIDE = (IntersectionResult(reason=r) for
 def _coplanar_case(p1: PreparedTriangle, t2: Triangle3, tol) -> tuple[CaseLabel, IntersectionResult]:
     frame, window = p1.frame_window()
     a, b, c = t2
-    clipped = Triangle2(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), tol)
+    clipped = ccw_vertices(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), tol)
     contour = intersect_coplanar(window, clipped, tol)
     if not contour:
         return CaseLabel.COPLANAR_NO_CONTACT, _DISJOINT
@@ -148,14 +148,14 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         return CaseLabel.CROSSING_PLANES_NO_CONTACT, _NO_CROSSING
 
     frame, window = p1.frame_window()
-    if len(points) == 1:
-        if point_in_triangle(to_plane(frame, points[0]), window, tol):
-            return CaseLabel.TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
-        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _OUTSIDE
-
-    clip = clip_segment_to_triangle(to_plane(frame, points[0]), to_plane(frame, points[1]), window, tol)
+    e = to_plane(frame, points[0])
+    x = e if len(points) == 1 else to_plane(frame, points[1])
+    clip = clip_segment_to_triangle(e, x, window, tol)
     if not clip:
         return CaseLabel.CROSSING_PLANES_NO_CONTACT, _OUTSIDE
+    if len(points) == 1:
+        # clipped as the segment (e, e); reported as itself, not its round trip
+        return CaseLabel.TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
     lifted = tuple(map(from_plane, (frame,) * len(clip), clip))
     if len(lifted) == 1:
         return CaseLabel.TOUCH_POINT, _new(IntersectionResult, (lifted, None))

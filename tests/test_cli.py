@@ -242,6 +242,32 @@ def test_mesh_against_itself_skips_diagonal(tmp_path, capsys):
     assert summary["pairs"] == 1
 
 
+def test_a_mesh_named_twice_is_parsed_once(tmp_path, capsys, monkeypatch):
+    mesh = tmp_path / "a.off"
+    mesh.write_text(SQUARE_OFF)
+    other = tmp_path / "b.off"
+    other.write_text(SQUARE_OFF)
+    out = str(tmp_path / "contacts.jsonl")
+    parse = tritri.cli.read_off
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(tritri.cli, "read_off", counted)
+    # the same file, also when spelled differently, is read once and run as one mesh
+    for second in (mesh, tmp_path / "." / "a.off"):
+        reads.clear()
+        assert main(["mesh", str(mesh), str(second), "--output", out]) == 0
+        assert reads == [str(mesh)]
+        assert json.loads(capsys.readouterr().err.strip())["pairs"] == 1
+    reads.clear()
+    assert main(["mesh", str(mesh), str(other), "--output", out]) == 0
+    assert reads == [str(mesh), str(other)]
+    assert json.loads(capsys.readouterr().err.strip())["pairs"] == 4
+
+
 def test_mesh_summary_counts_every_candidate(tmp_path, capsys):
     ramp = height_field([[0.0] * 5, [1.0] * 5])  # 8 faces along y
     collinear = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))

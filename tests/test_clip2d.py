@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tritri.clip2d import (
     Triangle2,
+    ccw_vertices,
     clip_segment_to_triangle,
-    point_in_triangle,
     region_code,
 )
 from tritri.core import Tolerance
@@ -150,6 +150,26 @@ def test_clockwise_window_normalized():
     assert tuple(t.b) == (4.0, 0.0) and tuple(t.c) == (0.0, 4.0)
 
 
+def test_ccw_vertices_orders_gates_and_wraps():
+    a, b, c = (0, 0), (0, 4), (4, 0)
+    assert ccw_vertices(a, b, c) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+    assert ccw_vertices(a, c, b) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+    assert all(type(v) is Point2 for v in ccw_vertices(a, b, c))
+    w = Triangle2(a, b, c)
+    assert (w.a, w.b, w.c) == ccw_vertices(a, b, c)
+    with pytest.raises(DegenerateTriangle):
+        ccw_vertices((0, 0), (1, 1), (2, 2))
+    with pytest.raises(DegenerateTriangle):
+        ccw_vertices((0, 0), (0.02, 0), (0, 0.01), Tolerance(eps_area=1e-3))
+
+
+def test_window_side_lines_are_unit_normals_pointing_inside():
+    # AB, AC, BC: unit normals pointing inside, offsets from the origin
+    r = 1 / math.sqrt(2)
+    want = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-r, -r, 4 * r)]
+    assert [pytest.approx(line) for line in want] == list(W.lines)
+
+
 def test_boundary_points_code_inside():
     # on a side line (even beyond the segment) the side's bit stays clear
     assert region_code(Point2(2, 0), W) == 0
@@ -193,7 +213,6 @@ def test_clipped_output_is_inside(case):
     res = clip_segment_to_triangle(p, q, w)
     for pt in res:
         assert region_code(pt, w) == 0
-        assert point_in_triangle(pt, w)
 
 
 @given(window_and_segment())
@@ -203,7 +222,6 @@ def test_trivial_accept_and_reject_soundness(case):
     c1, c2 = region_code(p, w), region_code(q, w)
     res = clip_segment_to_triangle(p, q, w)
     if c1 == 0 and c2 == 0:
-        assert point_in_triangle(p, w) and point_in_triangle(q, w)
         assert res == (p, q)
     if c1 & c2:
         assert res == ()

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from tritri import CaseLabel, Point3, Triangle3, intersect
-from tritri.clip2d import Triangle2
+from tritri.clip2d import Triangle2, ccw_vertices
 from tritri.core import plane_from_triangle
 from tritri.coplanar import intersect_coplanar
 from tritri.frame import build_frame, from_plane, to_plane
@@ -142,9 +142,9 @@ def test_contained_triangle_comes_back_as_its_own_vertices():
     for t1, t2 in _pairs("clipped_inside", seed=45):
         frame = build_frame(plane_from_triangle(t1))
         window = Triangle2(*(to_plane(frame, v) for v in t1))
-        clipped = Triangle2(*(to_plane(frame, v) for v in t2))
+        clipped = ccw_vertices(*(to_plane(frame, v) for v in t2))
         res = intersect_coplanar(window, clipped)
-        own = [tuple(v) for v in (clipped.a, clipped.b, clipped.c)]
+        own = [tuple(v) for v in clipped]
         assert contours_match([tuple(v) for v in res], own, tol=0.0)
         label, result = intersect(t1, t2)
         assert label is CaseLabel.COPLANAR_CONTOUR

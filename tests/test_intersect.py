@@ -342,3 +342,26 @@ def test_labels_survive_power_of_two_translation():
             shift = [rng.choice((-1, 1)) * 2.0 ** k for _ in range(3)]
             a, b = ([[c + s for c, s in zip(v, shift)] for v in t] for t in (t1, t2))
             assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)
+
+
+def _vertex_orders(t):
+    """The six listings of a triangle's vertices: three rotations, each also reversed."""
+    a, b, c = t
+    rotations = ((a, b, c), (b, c, a), (c, a, b))
+    return [Triangle3(*r) for r in rotations] + [Triangle3(*r[::-1]) for r in rotations]
+
+
+def test_labels_survive_vertex_rotation_and_reversal():
+    # the exact answer does not depend on how a triangle's vertices are
+    # listed, and neither may the label, in either order
+    rng = random.Random(2028)
+    pairs = mixed_pairs(rng, 2000)
+    for _ in range(8):
+        pairs += itertools.combinations(_steep_field(rng), 2)
+    for t1, t2 in pairs:
+        for a, b in ((t1, t2), (t2, t1)):
+            want = intersect(a, b)[0]
+            for v in _vertex_orders(a):
+                assert intersect(v, b)[0] is want, (v, b)
+            for v in _vertex_orders(b):
+                assert intersect(a, v)[0] is want, (a, v)

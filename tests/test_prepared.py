@@ -9,11 +9,11 @@ per face rather than once per candidate pair.
 import importlib
 import random
 
-from tritri.cli import run_meshes
+from tritri.cli import run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.intersect import CaseLabel, intersect, prepare
 
-from conftest import coplanar_partner, grid_triangle, height_field, mixed_pairs
+from conftest import coplanar_pair, coplanar_partner, grid_triangle, height_field, mixed_pairs
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
@@ -95,3 +95,16 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
     assert len(results) > 2 * len(faces)  # kernel calls, so the bound below bites
     assert 0 < calls["build_frame"] <= len(faces)
     assert 0 < calls["_window_lines"] <= len(faces)
+
+    # coplanar pairs: side lines for the first triangle's window, none for the second
+    pairs = [coplanar_pair(random.Random(59 + k)) for k in range(200)]
+    calls["_window_lines"] = 0
+    _, summary = run_pairs([(k, t1, t2) for k, (t1, t2) in enumerate(pairs)], DEFAULT_TOLERANCE)
+    assert summary["cases"]["coplanar_contour"] > len(pairs) // 4
+    assert 0 < calls["_window_lines"] <= len(pairs)
+    first, rng = prepare(pairs[0][0]), random.Random(61)
+    calls["_window_lines"] = 0
+    for _ in range(20):
+        label, _ = intersect(first, coplanar_partner(rng, first.tri))
+        assert label in (CaseLabel.COPLANAR_CONTOUR, CaseLabel.COPLANAR_NO_CONTACT)
+    assert calls["_window_lines"] == 1
