@@ -24,11 +24,12 @@ usage error (such as ``--jobs 2``).
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
@@ -178,14 +179,11 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
         pairs = len(faces_a) * len(faces_b)
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
     results = []
-    held = None  # the first face whose frame and window the current pairs read
-    for i, j in _overlapping_pairs(boxes_a, boxes_b, same_mesh):
+    for i, group in groupby(_overlapping_pairs(boxes_a, boxes_b, same_mesh), key=itemgetter(0)):
         first = prepared_a[i]
-        if first is not held:
-            if held is not None:
-                held.release()
-            held = first
-        results.append(_evaluate((i, j), first, prepared_b[j], tol, timing))
+        for _, j in group:
+            results.append(_evaluate((i, j), first, prepared_b[j], tol, timing))
+        first.release()
     contacts = sum(r.case in CONTACT_CASES for r in results)
     summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
                          pairs=pairs, degenerate=pairs - good_pairs)
@@ -256,10 +254,11 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     args = _PARSER.parse_args(argv)
-    if not 0.0 < args.eps < math.inf:
+    try:
+        tol = Tolerance(eps_dist=args.eps)
+    except ValueError:
         print("error: --eps must be a positive finite number", file=sys.stderr)
         return 1
-    tol = Tolerance(eps_dist=args.eps)
 
     try:
         parse_start = time.perf_counter()

@@ -40,7 +40,7 @@ class Plane(NamedTuple):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Tolerances used by every predicate in the kernel.
+    """Tolerances used by every predicate in the kernel; each positive and finite.
 
     eps_dist  -- absolute distances (point on plane, point merging)
     eps_area  -- degenerate-triangle gate on the triangle area
@@ -52,8 +52,8 @@ class Tolerance:
     eps_param: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps_dist > 0.0 and self.eps_area > 0.0 and self.eps_param > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0.0 < eps < math.inf for eps in (self.eps_dist, self.eps_area, self.eps_param)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOLERANCE = Tolerance()

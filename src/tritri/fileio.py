@@ -1,11 +1,16 @@
-"""Input parsing for the batch CLI: pair files and ASCII OFF meshes."""
+"""Input parsing for the batch CLI: pair files and ASCII OFF meshes.
+
+Both formats go through one tokenizer, ``_numbered_tokens``: a ``#`` starts
+a comment, a line with no tokens left is skipped, and each ``ParseError``
+names the line's 1-based number in the file.  Coordinates must be finite.
+"""
 
 import contextlib
 import gc
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .core import Point3, Triangle3
 from .errors import EmptyMesh, ParseError
@@ -45,15 +50,27 @@ class collector_paused(contextlib.ContextDecorator):
             gc.enable()
 
 
-def _strip_comment(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
+def _numbered_tokens(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(1-based line number, tokens)`` of each line with tokens left after its # comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
-def _floats(tokens: list[str], lineno: int) -> list[float]:
-    values = []
+def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
+    """The tokens as finite floats, converted in one pass at C speed.
+
+    A bad line is scanned once more, token by token, for the error of its
+    first bad token.
+    """
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        pass
+    else:
+        if all(map(math.isfinite, values)):
+            return values
     for tok in tokens:
         try:
             value = float(tok)
@@ -61,19 +78,6 @@ def _floats(tokens: list[str], lineno: int) -> list[float]:
             raise ParseError(f"not a number: {tok!r}", line=lineno) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite value: {tok!r}", line=lineno)
-        values.append(value)
-    return values
-
-
-def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
-    """``_floats`` in one pass at C speed; a bad line takes ``_floats`` for its error."""
-    try:
-        values = list(map(float, tokens))
-    except ValueError:
-        return _floats(tokens, lineno)
-    if all(map(math.isfinite, values)):
-        return values
-    return _floats(tokens, lineno)
 
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
@@ -91,16 +95,11 @@ def iter_pairs(lines: Iterable[str]) -> Iterable[PairRecord]:
     Record ids count parsed pairs from 0; comment and blank lines do not
     consume ids.  Raises ParseError carrying the 1-based line number.
     """
-    rid = 0
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _strip_comment(raw).split()
-        if not tokens:
-            continue
+    for rid, (lineno, tokens) in enumerate(_numbered_tokens(lines)):
         if len(tokens) != 18:
             raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
         values = _checked_floats(tokens, lineno)
         yield _new(PairRecord, (rid, _triangle(values, 0), _triangle(values, 9)))
-        rid += 1
 
 
 @collector_paused()
@@ -127,66 +126,51 @@ def read_off(source: str | Path | TextIO) -> list[Triangle3]:
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
 
-    # materialize the non-empty payload lines with their original numbers
-    payload: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw)
-        if line:
-            payload.append((lineno, line))
-
-    cursor = 0
-
-    def next_line() -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(payload):
-            raise ParseError("unexpected end of file")
-        item = payload[cursor]
-        cursor += 1
-        return item
-
-    lineno, header = next_line()
-    if header.upper() != "OFF":
-        raise ParseError(f"expected OFF header, got {header!r}", line=lineno)
-
-    lineno, counts_line = next_line()
-    counts = counts_line.split()
-    if len(counts) < 2:
-        raise ParseError("expected vertex and face counts", line=lineno)
+    rows = _numbered_tokens(lines)
     try:
-        n_vertices, n_faces = int(counts[0]), int(counts[1])
-    except ValueError:
-        raise ParseError(f"bad counts line: {counts_line!r}", line=lineno) from None
-    if n_vertices < 0 or n_faces < 0:
-        raise ParseError("negative counts", line=lineno)
+        lineno, tokens = next(rows)
+        header = " ".join(tokens)
+        if header.upper() != "OFF":
+            raise ParseError(f"expected OFF header, got {header!r}", line=lineno)
 
-    vertices: list[Point3] = []
-    for _ in range(n_vertices):
-        lineno, line = next_line()
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise ParseError("vertex needs 3 coordinates", line=lineno)
-        vertices.append(_new(Point3, _checked_floats(tokens[:3], lineno)))
-
-    faces: list[Triangle3] = []
-    for _ in range(n_faces):
-        lineno, line = next_line()
-        tokens = line.split()
+        lineno, counts = next(rows)
+        if len(counts) < 2:
+            raise ParseError("expected vertex and face counts", line=lineno)
         try:
-            arity = int(tokens[0])
-        except (IndexError, ValueError):
-            raise ParseError("face needs a leading vertex count", line=lineno) from None
-        if arity != 3:
-            raise ParseError(f"only triangular faces supported, got {arity}", line=lineno)
-        if len(tokens) < 4:
-            raise ParseError("face needs 3 vertex indices", line=lineno)
-        try:
-            idx = [int(tok) for tok in tokens[1:4]]
+            n_vertices, n_faces = int(counts[0]), int(counts[1])
         except ValueError:
-            raise ParseError("bad vertex index", line=lineno) from None
-        for i in idx:
-            if not 0 <= i < len(vertices):
-                raise ParseError(f"vertex index {i} out of range", line=lineno)
-        faces.append(Triangle3(vertices[idx[0]], vertices[idx[1]], vertices[idx[2]]))
+            raise ParseError(f"bad counts line: {' '.join(counts)!r}", line=lineno) from None
+        if n_vertices < 0 or n_faces < 0:
+            raise ParseError("negative counts", line=lineno)
+
+        vertices: list[Point3] = []
+        for _ in range(n_vertices):
+            lineno, tokens = next(rows)
+            if len(tokens) < 3:
+                raise ParseError("vertex needs 3 coordinates", line=lineno)
+            vertices.append(_new(Point3, _checked_floats(tokens[:3], lineno)))
+
+        faces: list[Triangle3] = []
+        for _ in range(n_faces):
+            lineno, tokens = next(rows)
+            try:
+                arity = int(tokens[0])
+            except ValueError:
+                raise ParseError("face needs a leading vertex count", line=lineno) from None
+            if arity != 3:
+                raise ParseError(f"only triangular faces supported, got {arity}", line=lineno)
+            if len(tokens) < 4:
+                raise ParseError("face needs 3 vertex indices", line=lineno)
+            try:
+                idx = [int(tok) for tok in tokens[1:4]]
+            except ValueError:
+                raise ParseError("bad vertex index", line=lineno) from None
+            for i in idx:
+                if not 0 <= i < len(vertices):
+                    raise ParseError(f"vertex index {i} out of range", line=lineno)
+            faces.append(Triangle3(vertices[idx[0]], vertices[idx[1]], vertices[idx[2]]))
+    except StopIteration:  # raised here only by ``next(rows)``: the lines ran out
+        raise ParseError("unexpected end of file") from None
 
     if not faces:
         raise EmptyMesh("mesh has no faces")

@@ -51,10 +51,10 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
             pt = tuple.__new__(Point3, (p1[0] + t * m, p1[1] + t * n, p1[2] + t * o))
         else:
             continue
-        for seen in points:
-            x, y, z = pt[0] - seen[0], pt[1] - seen[1], pt[2] - seen[2]
+        # at most two edges yield a point, so a point has at most one earlier to merge with
+        if points:
+            x, y, z = pt[0] - points[0][0], pt[1] - points[0][1], pt[2] - points[0][2]
             if math.sqrt(x * x + y * y + z * z) <= eps:
-                break
-        else:
-            points.append(pt)
+                continue
+        points.append(pt)
     return points

@@ -25,10 +25,11 @@ T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
 
 
 def test_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerance(eps_dist=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(eps_area=-1e-9)
+    # and non-finite: each field must be positive and finite
+    for field in ("eps_dist", "eps_area", "eps_param"):
+        for value in (0.0, -1e-9, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Tolerance(**{field: value})
 
 
 def test_plane_from_triangle_unit_normal():

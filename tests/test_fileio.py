@@ -68,26 +68,69 @@ def test_read_off_happy_path():
     assert faces[1] == ((0, 0, 0), (1, 1, 0), (0, 1, 0))
 
 
+def _spaced_out(text):
+    """``text`` with a comment, a blank and a tab-only line before each of its
+    lines, tabs between its tokens and a trailing comment on its line 3 (a
+    vertex line): its line n becomes line 4 n."""
+    out = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        out += ["# comment", "", "\t", line.replace(" ", "\t") + ("  # note" if n == 3 else "")]
+    return "\n".join(out) + "\n"
+
+
+def _assert_same_error_when_spaced_out(text, line):
+    """read_off fails on ``text`` at ``line`` and on ``_spaced_out(text)`` with the
+    same message at line 4 ``line``; ``line`` None is an error with no line."""
+    errors = []
+    for variant in (text, _spaced_out(text)):
+        with pytest.raises(ParseError) as got:
+            read_off(io.StringIO(variant))
+        errors.append(got.value)
+    plain, spaced = errors
+    assert plain.line == line
+    assert spaced.line == (None if line is None else 4 * line)
+    assert str(spaced) == str(plain).replace(f"line {line}:", f"line {spaced.line}:")
+
+
 def test_read_off_bad_header():
     with pytest.raises(ParseError, match="expected OFF header"):
         read_off(io.StringIO("PLY\n1 0 0\n0 0 0\n"))
+    _assert_same_error_when_spaced_out("PLY\n1 0 0\n0 0 0\n", 1)
 
 
 def test_read_off_rejects_quads():
     text = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
     with pytest.raises(ParseError, match="only triangular faces supported, got 4"):
         read_off(io.StringIO(text))
+    _assert_same_error_when_spaced_out(text, 7)
 
 
 def test_read_off_index_out_of_range():
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n"
     with pytest.raises(ParseError, match="vertex index 7 out of range"):
         read_off(io.StringIO(text))
+    _assert_same_error_when_spaced_out(text, 6)
 
 
 def test_read_off_truncated():
     with pytest.raises(ParseError, match="unexpected end of file"):
         read_off(io.StringIO("OFF\n3 1 0\n0 0 0\n"))
+    _assert_same_error_when_spaced_out("OFF\n3 1 0\n0 0 0\n", None)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("OFF\n3\n", 2, "expected vertex and face counts"),
+    ("OFF\n3 x 0\n", 2, "bad counts line: '3 x 0'"),  # the tokens, joined by one space
+    ("OFF\n-1 0 0\n", 2, "negative counts"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", 6, "face needs a leading vertex count"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", 6, "face needs 3 vertex indices"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 y 2\n", 6, "bad vertex index"),
+])
+def test_off_errors_keep_message_and_line(text, line, message):
+    with pytest.raises(ParseError) as got:
+        read_off(io.StringIO(text))
+    assert str(got.value) == f"line {line}: {message}"
+    _assert_same_error_when_spaced_out(text, line)
 
 
 def test_read_off_empty_mesh():

@@ -1,8 +1,9 @@
 """Static checks of the package's imports and exports, with stdlib ``ast`` only.
 
 No linter runs on this package, so these tests catch what a deletion can
-leave behind: an import no code reads any more, or a name in
-``tritri.__all__`` that the package no longer defines.
+leave behind: an import no code reads any more, a private helper no code
+calls any more, or a name in ``tritri.__all__`` that the package no longer
+defines.
 """
 
 import ast
@@ -48,3 +49,28 @@ def test_the_package_imports_only_what_it_exports():
     # what __init__ imports from its modules is there to be exported
     imported = _imported_names(_tree("__init__.py"))
     assert sorted(imported - set(tritri.__all__)) == []
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """The ``_``-prefixed names, dunders aside, that a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    # read in its own module, or imported by another one of the package
+    trees = {name: _tree(name) for name in [*MODULES, "__init__.py"]}
+    unread = []
+    for name, tree in trees.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        imported = {a.name for other, t in trees.items() if other != name
+                    for n in ast.walk(t) if isinstance(n, ast.ImportFrom) for a in n.names}
+        unread += [f"{name}: {p}" for p in sorted(_private_names(tree) - read - imported)]
+    assert unread == []

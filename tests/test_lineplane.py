@@ -134,6 +134,16 @@ def test_edge_in_plane():
     assert pts == [Point3(0.0, 0.0, 0.0), Point3(2.0, 2.0, 0.0)]
 
 
+def test_crossing_within_eps_dist_of_a_vertex_merges_into_it():
+    # the 0-coded vertex comes first; the crossing of the opposite edge lies
+    # 5e-10 from it, within eps_dist, so the two are one point
+    tri = Triangle3(Point3(0, 0, 0), Point3(5e-10, 0, 1), Point3(5e-10, 0, -1))
+    assert project_checked(tri) == [Point3(0, 0, 0)]
+    for x, y in ((WINDOW, tri), (tri, WINDOW)):
+        assert intersect(x, y)[0] is CaseLabel.TOUCH_POINT
+        assert oracle_intersect(x, y).label is CaseLabel.TOUCH_POINT
+
+
 def _check_no_contact_either_order(tri):
     for x, y in ((WINDOW, tri), (tri, WINDOW)):
         assert intersect(x, y)[0] is CaseLabel.CROSSING_PLANES_NO_CONTACT
