@@ -95,7 +95,9 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     Raises NonFiniteInput when a coordinate is NaN or infinite, then
     DegenerateTriangle when the area is below ``tol.eps_area``.  Such a
     coordinate makes an edge, hence the normal, hence its norm non-finite,
-    so the coordinates are scanned only when the norm is.
+    so the coordinates are scanned only when the norm is.  When they are
+    finite, the squares overflowed (legs above about 1e77), and the norm is
+    taken again with ``math.hypot``, which does not square.
     """
     a, b, c = t
     ax, ay, az = a
@@ -105,8 +107,10 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     ny = ez * fx - ex * fz
     nz = ex * fy - ey * fx
     nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if not math.isfinite(nn) and not all(math.isfinite(x) for v in t for x in v):
-        raise NonFiniteInput("triangle coordinates must be finite")
+    if not math.isfinite(nn):
+        if not all(math.isfinite(x) for v in t for x in v):
+            raise NonFiniteInput("triangle coordinates must be finite")
+        nn = math.hypot(nx, ny, nz)
     if 0.5 * nn < tol.eps_area:
         raise DegenerateTriangle(f"triangle area {0.5 * nn:g} below tolerance")
     return tuple.__new__(Plane, (nx / nn, ny / nn, nz / nn, a))

@@ -34,8 +34,7 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
     if not (sa or sb or sc):
         return None
     points: list[Point3] = []
-    # a 0-coded vertex is added at its outgoing edge; the oracle also adds it
-    # at its incoming edge, which carries no crossing, so the order agrees
+    # a 0-coded vertex is added at its outgoing edge, as the oracle adds it
     for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):
         if not s1:
             pt = Point3(*p1)

@@ -2,22 +2,24 @@
 
 Everything here runs on rational numbers (``fractions.Fraction``), so the
 geometry carries no rounding error.  The algorithms follow the production
-path (a vertex code against the reference plane, parameter clipping of the
-segment, Sutherland-Hodgman clipping of coplanar overlaps); what differs
-is the arithmetic and the 2D reduction.  Every value is exact, the 2D work
-happens on the two coordinates left after dropping the normal's largest
-axis rather than in an orthonormal frame of the plane, and orientation
-tests use unnormalised cross products.  Agreement between the two routes
-is evidence that the float kernel's rounding and frame leave the answer
-unchanged.
+path: a vertex code against the reference plane, with each 0-coded vertex
+kept once, at its outgoing edge; one parameter clip of the resulting
+segment against the window, a lone point being clipped as the segment
+from it to itself; and Sutherland-Hodgman clipping of coplanar overlaps.
+What differs is the arithmetic and the 2D reduction.  Every value is
+exact, the 2D work happens on the two coordinates left after dropping the
+normal's largest axis rather than in an orthonormal frame of the plane,
+and orientation tests use unnormalised cross products.  Agreement between
+the two routes is evidence that the float kernel's rounding and frame
+leave the answer unchanged.
 
 Tolerance policy mirrors the production contract: the eps thresholds for
 plane coincidence, on-plane vertices and point merging are applied with
-exact squared comparisons, while 2D inside tests use the boundary-
-inclusive zero threshold.  Every result carries a ``slack`` value, the
-smallest nonzero margin encountered; a pair whose slack is tiny sits near
-a classification boundary and a float implementation may legitimately
-flip it.
+exact squared comparisons, while the one 2D window test, ``_window_span``,
+is boundary-inclusive with a zero threshold.  Every result carries a
+``slack`` value, the smallest nonzero margin encountered; a pair whose
+slack is tiny sits near a classification boundary and a float
+implementation may legitimately flip it.
 """
 
 import math
@@ -99,11 +101,39 @@ def as_floats(points):
 # --- 2D reference primitives -------------------------------------------------
 
 
+def _window_span(p, q, w, margins):
+    """Parameters (lo, hi) of segment pq inside the ccw triangle w (Liang & Barsky).
+
+    None at the first side both ends lie strictly outside; otherwise the
+    segment misses the window exactly when lo > hi.  Each nonzero
+    orientation seen is appended to ``margins`` as a distance.
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    for e in range(3):
+        a, b = w[e], w[(e + 1) % 3]
+        dp = _orient(a, b, p)
+        dq = _orient(a, b, q)
+        side_len = math.sqrt(float(_dsq2(a, b)))
+        if dp:
+            margins.append(abs(float(dp)) / side_len)
+        if dq:
+            margins.append(abs(float(dq)) / side_len)
+        if dp < 0 and dq < 0:
+            return None
+        if dp >= 0 and dq >= 0:
+            continue
+        t = dp / (dp - dq)
+        if dp < 0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+    return lo, hi
+
+
 def rational_point_in_triangle(p, tri) -> bool:
-    """Boundary-inclusive containment, exact."""
-    a, b, c = _ccw([_rp2(v) for v in tri])
+    """Boundary-inclusive containment, exact: p clipped as the segment (p, p)."""
     p = _rp2(p)
-    return _orient(a, b, p) >= 0 and _orient(b, c, p) >= 0 and _orient(c, a, p) >= 0
+    return _window_span(p, p, _ccw([_rp2(v) for v in tri]), []) is not None
 
 
 def rational_clip_segment(p, q, tri, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -113,28 +143,13 @@ def rational_clip_segment(p, q, tri, tol: Tolerance = DEFAULT_TOLERANCE):
     clipped extent is within eps_dist collapse to a point, mirroring the
     production promotion rule.
     """
-    verts = _ccw([_rp2(v) for v in tri])
     p, q = _rp2(p), _rp2(q)
-    epsq = _fr(tol.eps_dist) ** 2
-    lo, hi = Fraction(0), Fraction(1)
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        dp = _orient(a, b, p)
-        dq = _orient(a, b, q)
-        if dp < 0 and dq < 0:
-            return "empty", []
-        if dp >= 0 and dq >= 0:
-            continue
-        t = dp / (dp - dq)
-        if dp < 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-    if lo > hi:
+    span = _window_span(p, q, _ccw([_rp2(v) for v in tri]), [])
+    if span is None or span[0] > span[1]:
         return "empty", []
-    e = _lerp2(p, q, lo)
-    x = _lerp2(p, q, hi)
-    if _dsq2(e, x) <= epsq:
+    e = _lerp2(p, q, span[0])
+    x = _lerp2(p, q, span[1])
+    if _dsq2(e, x) <= _fr(tol.eps_dist) ** 2:
         return "point", [e]
     return "segment", [e, x]
 
@@ -269,98 +284,53 @@ def _oracle_crossing(rt1, rt2, n1, n2, d1, margins, tol) -> OracleResult:
     eps = _fr(tol.eps_dist)
     epsq = eps * eps
     d2 = -_dot3(n2, rt2[0])
-    n1len = math.sqrt(float(_dot3(n1, n1)))
-    n2len = math.sqrt(float(_dot3(n2, n2)))
+    n1sq, n2sq = _dot3(n1, n1), _dot3(n2, n2)
+    n1len, n2len = math.sqrt(float(n1sq)), math.sqrt(float(n2sq))
 
     sd = [_dot3(n1, v) + d1 for v in rt2]
-    on_plane = [s * s <= epsq * _dot3(n1, n1) for s in sd]
-    for s, onp in zip(sd, on_plane):
-        if s and not onp:
+    zero = [0 if s * s <= epsq * n1sq else (1 if s > 0 else -1) for s in sd]
+    for s, z in zip(sd, zero):
+        if z:
             margins.append(abs(float(s)) / n1len)
     for v in rt1:
         s = _dot3(n2, v) + d2
-        if s and not (s * s <= epsq * _dot3(n2, n2)):
+        if s * s > epsq * n2sq:
             margins.append(abs(float(s)) / n2len)
 
-    zero = [0 if onp else (1 if s > 0 else -1) for s, onp in zip(sd, on_plane)]
-    if sum(1 for a in range(3) if zero[a] == 0 and zero[(a + 1) % 3] == 0) >= 2:
-        # all edges effectively in the reference plane: coplanar after all
+    if not any(zero):
+        # every vertex effectively in the reference plane: coplanar after all
         return _oracle_coplanar(rt1, rt2, n1, d1, margins, tol)
 
+    # a 0-coded vertex at its outgoing edge, a crossing where the codes are
+    # opposite and non-zero; points within eps_dist merge
     points: list[RPoint3] = []
-
-    def add(pt):
-        if all(_dsq3(pt, seen) > epsq for seen in points):
-            points.append(pt)
-
     for a in range(3):
         b = (a + 1) % 3
-        za, zb = zero[a], zero[b]
-        if za == 0 and zb == 0:
-            add(rt2[a])
-            add(rt2[b])
-        elif za == 0:
-            add(rt2[a])
-        elif zb == 0:
-            add(rt2[b])
-        elif za != zb:
-            t = sd[a] / (sd[a] - sd[b])
-            add(_lerp3(rt2[a], rt2[b], t))
+        if not zero[a]:
+            pt = rt2[a]
+        elif zero[a] == -zero[b]:
+            pt = _lerp3(rt2[a], rt2[b], sd[a] / (sd[a] - sd[b]))
+        else:
+            continue
+        if all(_dsq3(pt, seen) > epsq for seen in points):
+            points.append(pt)
 
     label_empty = CaseLabel.CROSSING_PLANES_NO_CONTACT
     if not points:
         return OracleResult(label_empty, (), min(margins, default=math.inf))
 
+    # a lone point is clipped as the segment from it to itself
     k, i, j = _project_axes(n1)
     w2 = _ccw([(v[i], v[j]) for v in rt1])
-
-    if len(points) == 1:
-        p2 = (points[0][i], points[0][j])
-        inside = True
-        for e in range(3):
-            a, b = w2[e], w2[(e + 1) % 3]
-            o = _orient(a, b, p2)
-            if o:
-                margins.append(abs(float(o)) / math.sqrt(float(_dsq2(a, b))))
-            if o < 0:
-                inside = False
-        slack = min(margins, default=math.inf)
-        if inside:
-            return OracleResult(CaseLabel.TOUCH_POINT, (points[0],), slack)
-        return OracleResult(label_empty, (), slack)
-
-    p3, q3 = points[0], points[1]
-    p2, q2 = (p3[i], p3[j]), (q3[i], q3[j])
-    seg_len = math.sqrt(float(_dsq3(p3, q3)))
-    lo, hi = Fraction(0), Fraction(1)
-    empty = False
-    for e in range(3):
-        a, b = w2[e], w2[(e + 1) % 3]
-        dp = _orient(a, b, p2)
-        dq = _orient(a, b, q2)
-        side_len = math.sqrt(float(_dsq2(a, b)))
-        if dp:
-            margins.append(abs(float(dp)) / side_len)
-        if dq:
-            margins.append(abs(float(dq)) / side_len)
-        if dp < 0 and dq < 0:
-            empty = True
-            break
-        if dp >= 0 and dq >= 0:
-            continue
-        t = dp / (dp - dq)
-        if dp < 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-    if not empty and lo > hi:
-        margins.append(float(lo - hi) * seg_len)
-        empty = True
-    if empty:
+    p3, q3 = points[0], points[-1]
+    span = _window_span((p3[i], p3[j]), (q3[i], q3[j]), w2, margins)
+    if span is None or span[0] > span[1]:
+        if span:
+            margins.append(float(span[0] - span[1]) * math.sqrt(float(_dsq3(p3, q3))))
         return OracleResult(label_empty, (), min(margins, default=math.inf))
 
-    e3 = _lerp3(p3, q3, lo)
-    x3 = _lerp3(p3, q3, hi)
+    e3 = _lerp3(p3, q3, span[0])
+    x3 = _lerp3(p3, q3, span[1])
     extent = _dsq3(e3, x3)
     if extent:
         margins.append(math.sqrt(float(extent)))

@@ -74,3 +74,15 @@ def test_every_private_name_is_read():
                     for n in ast.walk(t) if isinstance(n, ast.ImportFrom) for a in n.names}
         unread += [f"{name}: {p}" for p in sorted(_private_names(tree) - read - imported)]
     assert unread == []
+
+
+def test_the_oracle_imports_no_kernel_geometry():
+    # the oracle referees the kernel, so it may share the tolerance, the
+    # error and the labels, but none of the kernel's geometry
+    imported = set()
+    for node in ast.walk(_tree("oracle.py")):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tritri")):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("tritri") for a in node.names):
+            imported.add("import tritri")
+    assert imported <= {"DEFAULT_TOLERANCE", "Tolerance", "DegenerateTriangle", "CaseLabel"}

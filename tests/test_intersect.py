@@ -344,6 +344,19 @@ def test_labels_survive_power_of_two_translation():
             assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)
 
 
+@pytest.mark.parametrize("k", [256, 300, 400, 500])
+def test_crossing_scaled_past_the_squared_norm_overflow(k):
+    # legs of 2**k square past the float range in the normal's norm; the
+    # points must still be exactly 2**k times the unit-scale ones
+    t2 = _tri((1, 1, -1), (1, 1, 2), (3, 3, 2))
+    s = 2.0 ** k
+    big1, big2 = (_tri(*([c * s for c in v] for v in t)) for t in (T1, t2))
+    for (a, b), (x, y) in (((T1, t2), (big1, big2)), ((t2, T1), (big2, big1))):
+        label, res = intersect(x, y)
+        assert label is CaseLabel.CROSSING_SEGMENT
+        assert res.points == tuple(tuple(c * s for c in p) for p in intersect(a, b)[1].points)
+
+
 def _vertex_orders(t):
     """The six listings of a triangle's vertices: three rotations, each also reversed."""
     a, b, c = t

@@ -24,8 +24,10 @@ PLANE = plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0
 WINDOW = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
 
 
-# Reference: the exact oracle's vertex-code rule (``oracle._oracle_crossing``)
-# in floats, edge by edge, with the kernel's crossing arithmetic.
+# Reference: the vertex-code rule in floats, edge by edge, with the kernel's
+# crossing arithmetic.  It adds a 0-coded vertex at both of its edges, where
+# the kernel and the oracle add it at its outgoing edge only, so it checks
+# that rule rather than restating it.
 
 def _lerp3(a, b, t):
     return Point3(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))

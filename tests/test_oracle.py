@@ -22,11 +22,12 @@ W2 = ((0, 0), (4, 0), (0, 4))
 
 
 def test_point_in_triangle_is_boundary_inclusive():
-    assert rational_point_in_triangle((1, 1), W2)
-    assert rational_point_in_triangle((2, 0), W2)
-    assert rational_point_in_triangle((0, 0), W2)
-    assert rational_point_in_triangle((2, 2), W2)
-    assert not rational_point_in_triangle((Fraction(-1, 10 ** 9), 1), W2)
+    inside = [(1, 1), (2, 0), (0, 0), (2, 2)]
+    outside = [(Fraction(-1, 10 ** 9), 1), (3, 3)]
+    for p in inside + outside:
+        assert rational_point_in_triangle(p, W2) is (p in inside)
+        # the one window test: a point clipped as the segment from it to itself
+        assert (rational_clip_segment(p, p, W2)[0] != "empty") is (p in inside)
 
 
 def test_clip_segment_pass_through():
@@ -74,6 +75,18 @@ def test_touch_slack_ignores_exact_zero_margins():
     res = oracle_intersect(T1, ((1, 1, 0), (2, 2, 3), (3, 1, 3)))
     assert res.label is CaseLabel.TOUCH_POINT
     assert res.slack > 1e-3
+
+
+def test_lone_point_slack_stops_at_the_rejecting_side():
+    # the lone touch point lies outside side AB, and 6.6e-10 outside the
+    # line through BC; the window test stops at AB, so BC, which decides
+    # nothing here, adds no margin
+    t2 = ((5, -1 + 2 ** -30, 0), (6, 0, 3), (7, -2, 3))
+    res = oracle_intersect(T1, t2)
+    assert res.label is CaseLabel.CROSSING_PLANES_NO_CONTACT
+    assert res.slack > 1e-8
+    for a, b in ((T1, t2), (t2, T1)):
+        assert intersect(a, b)[0] is oracle_intersect(a, b).label is res.label
 
 
 def test_scaling_invariance():
