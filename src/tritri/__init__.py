@@ -23,10 +23,10 @@ from .core import (
     signed_distance,
 )
 from .clip2d import (
-    Triangle2,
     ccw_vertices,
     clip_segment_to_triangle,
     region_code,
+    window_lines,
 )
 from .coplanar import intersect_coplanar
 from .errors import (
@@ -65,7 +65,6 @@ __all__ = [
     "Point3",
     "PreparedTriangle",
     "Tolerance",
-    "Triangle2",
     "Triangle3",
     "build_frame",
     "ccw_vertices",
@@ -79,4 +78,5 @@ __all__ = [
     "region_code",
     "signed_distance",
     "to_plane",
+    "window_lines",
 ]

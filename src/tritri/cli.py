@@ -160,8 +160,8 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
     overlap reach the kernel; the summary counts the others as ``culled``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
-    Each face is prepared once, so its plane, frame, window and side lines
-    are built at most once per face, not once per pair.  For a mesh against
+    Each face is prepared once, so its plane, frame and window (its side
+    lines) are built at most once per face, not once per pair.  For a mesh against
     itself, diagonal pairs are excluded and symmetric pairs tested once
     (i < j).  The results are the kernel's records, in lexicographic (i, j)
     order.  Only the first triangle's frame and window are read, so a face's

@@ -1,6 +1,8 @@
 """Clipping of 2D segments against a triangular window.
 
-Every point gets a 3-bit region code, one bit per window side line, set
+The window is the tuple of its three side lines, which ``window_lines``
+builds from its corners; no code reads the corners afterwards.  Every
+point gets a 3-bit region code, one bit per window side line, set
 when the point lies strictly outside that line by more than ``eps_dist``:
 
     bit value 2 -- outside line AB
@@ -27,6 +29,9 @@ from .core import DEFAULT_TOLERANCE, Tolerance
 from .errors import DegenerateTriangle
 from .frame import Point2
 
+# a window: its side lines AB, AC, BC as (l1, l2, l3), l1 * u + l2 * v + l3 >= 0 inside
+Window = tuple[tuple[float, float, float], ...]
+
 
 def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, Point2, Point2]:
     """The 2D triangle abc as three points in counter-clockwise order.
@@ -44,30 +49,14 @@ def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, P
     return a, b, c
 
 
-class Triangle2:
-    """2D window: its corners as ``ccw_vertices`` orders them, and its side lines.
+def window_lines(a, b, c, tol: Tolerance) -> Window:
+    """The 2D window abc as its three normalized side lines, positive inside.
 
-    ``lines`` (see ``_window_lines``) is built with the window.  Raises
-    DegenerateTriangle when the area is below ``tol.eps_area``.
+    The lines come in the order AB, AC, BC of the corners as ``ccw_vertices``
+    orders them, which raises DegenerateTriangle when the area is below
+    ``tol.eps_area``.
     """
-
-    __slots__ = ("a", "b", "c", "lines")
-
-    def __init__(self, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE):
-        self.a, self.b, self.c = a, b, c = ccw_vertices(a, b, c, tol)
-        self.lines = _window_lines(a, b, c)
-
-    def __repr__(self) -> str:
-        return f"Triangle2({self.a!r}, {self.b!r}, {self.c!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Triangle2):
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-
-def _window_lines(a, b, c) -> tuple[tuple[float, float, float], ...]:
-    """Normalized side lines in the order AB, AC, BC, positive on the interior side."""
+    a, b, c = ccw_vertices(a, b, c, tol)
     lines = []
     for (pu, pv), (qu, qv), (ou, ov) in ((a, b, c), (a, c, b), (b, c, a)):
         l1 = pv - qv
@@ -86,10 +75,10 @@ def _code(dists, eps: float) -> int:
     return 2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)
 
 
-def region_code(p, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+def region_code(p, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
     pu, pv = p[0], p[1]
-    return _code([l1 * pu + l2 * pv + l3 for l1, l2, l3 in w.lines], tol.eps_dist)
+    return _code([l1 * pu + l2 * pv + l3 for l1, l2, l3 in window], tol.eps_dist)
 
 
 def _dist2(a, b) -> float:
@@ -100,7 +89,7 @@ def _lerp2(a, b, t: float) -> Point2:
     return tuple.__new__(Point2, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
 
 
-def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
     """Portion of segment pq inside the window triangle: (), (e,) or (e, x).
 
     The signed distances of both endpoints to the three side lines give
@@ -116,9 +105,8 @@ def clip_segment_to_triangle(p, q, w: Triangle2, tol: Tolerance = DEFAULT_TOLERA
         p, q = Point2(*p), Point2(*q)
     eps = tol.eps_dist
     (pu, pv), (qu, qv) = p, q
-    lines = w.lines
-    dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in lines]
-    dq = [l1 * qu + l2 * qv + l3 for l1, l2, l3 in lines]
+    dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in window]
+    dq = [l1 * qu + l2 * qv + l3 for l1, l2, l3 in window]
     c1, c2 = _code(dp, eps), _code(dq, eps)
     if not (c1 or c2):
         return (p,) if _dist2(p, q) <= eps else (p, q)

@@ -12,21 +12,22 @@ corner graze leaves a polygon whose area is below ``eps_area``, and the
 pair has no contour.
 """
 
-from .clip2d import Triangle2, _dist2, _lerp2
+from .clip2d import Window, _dist2, _lerp2
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .frame import Point2
 
 
-def intersect_coplanar(window: Triangle2, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
     """Overlap of two coplanar triangles given in one 2D frame: () or 3 to 6 vertices.
 
     Consecutive vertices within ``eps_dist`` of each other are merged, and
     an overlap of area at most ``eps_area`` counts as none.  The contour
-    is counter-clockwise, since the window and ``clipped``, three points
-    ordered by ``ccw_vertices``, both are.
+    is counter-clockwise, since the window's side lines are built from
+    corners in that order and ``clipped`` holds three points ordered by
+    ``ccw_vertices``.
     """
     poly = list(clipped)
-    for l1, l2, l3 in window.lines:
+    for l1, l2, l3 in window:
         if not poly:
             break
         kept: list[Point2] = []

@@ -69,10 +69,6 @@ def vsub(a, b) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def vdot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def vcross(a, b) -> Vec3:
     return (
         a[1] * b[2] - a[2] * b[1],

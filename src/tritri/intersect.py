@@ -7,15 +7,15 @@ planes switch to the coplanar contour path in the same frame.  The plane
 and the frame share one origin, the first triangle's first vertex, and
 ``frame.to_plane`` is the one map from 3D into the frame.
 
-The plane, the frame, the image (the window) and the window's side lines
-belong to one triangle, not to a pair: ``prepare`` keeps them with the
+The plane, the frame and the image (the window, kept as its three side
+lines) belong to one triangle, not to a pair: ``prepare`` keeps them with the
 triangle, so a triangle tested against many partners builds them once.
 """
 
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Triangle2, ccw_vertices, clip_segment_to_triangle
+from .clip2d import Window, ccw_vertices, clip_segment_to_triangle, window_lines
 from .coplanar import intersect_coplanar
 from .core import (
     DEFAULT_TOLERANCE,
@@ -62,8 +62,8 @@ class PreparedTriangle:
     """A checked triangle with the work that depends on it alone.
 
     ``plane`` is computed by ``prepare``.  The 2D frame of that plane and
-    the triangle's image in it (the window, a ``Triangle2``, which builds
-    its side lines with it) are built on the first call of
+    the triangle's image in it (the window, as the side lines that
+    ``window_lines`` builds) are made on the first call of
     ``frame_window`` and kept.  All of it is computed under ``tol``;
     ``intersect`` prepares the triangle again under any other tolerance.
     """
@@ -74,15 +74,15 @@ class PreparedTriangle:
         self.tri = tri
         self.plane = plane
         self.tol = tol
-        self._frame_window: tuple[PlaneFrame, Triangle2] | None = None
+        self._frame_window: tuple[PlaneFrame, Window] | None = None
 
-    def frame_window(self) -> tuple[PlaneFrame, Triangle2]:
-        """The reference frame anchored at the first vertex, and the window in it."""
+    def frame_window(self) -> tuple[PlaneFrame, Window]:
+        """The reference frame anchored at the first vertex, and the window's side lines in it."""
         if self._frame_window is None:
             frame = build_frame(self.plane)
             a, b, c = self.tri
-            window = Triangle2(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), self.tol)
-            self._frame_window = (frame, window)
+            lines = window_lines(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), self.tol)
+            self._frame_window = (frame, lines)
         return self._frame_window
 
     def release(self) -> None:

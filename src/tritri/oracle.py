@@ -101,23 +101,21 @@ def as_floats(points):
 # --- 2D reference primitives -------------------------------------------------
 
 
-def _window_span(p, q, w, margins):
+def _window_span(p, q, w, margins=None):
     """Parameters (lo, hi) of segment pq inside the ccw triangle w (Liang & Barsky).
 
     None at the first side both ends lie strictly outside; otherwise the
-    segment misses the window exactly when lo > hi.  Each nonzero
-    orientation seen is appended to ``margins`` as a distance.
+    segment misses the window exactly when lo > hi.  Given a ``margins``
+    list, each nonzero orientation seen is appended to it as a distance.
     """
     lo, hi = Fraction(0), Fraction(1)
     for e in range(3):
         a, b = w[e], w[(e + 1) % 3]
         dp = _orient(a, b, p)
         dq = _orient(a, b, q)
-        side_len = math.sqrt(float(_dsq2(a, b)))
-        if dp:
-            margins.append(abs(float(dp)) / side_len)
-        if dq:
-            margins.append(abs(float(dq)) / side_len)
+        if margins is not None:
+            side_len = math.sqrt(float(_dsq2(a, b)))
+            margins.extend(abs(float(d)) / side_len for d in (dp, dq) if d)
         if dp < 0 and dq < 0:
             return None
         if dp >= 0 and dq >= 0:
@@ -133,7 +131,7 @@ def _window_span(p, q, w, margins):
 def rational_point_in_triangle(p, tri) -> bool:
     """Boundary-inclusive containment, exact: p clipped as the segment (p, p)."""
     p = _rp2(p)
-    return _window_span(p, p, _ccw([_rp2(v) for v in tri]), []) is not None
+    return _window_span(p, p, _ccw([_rp2(v) for v in tri])) is not None
 
 
 def rational_clip_segment(p, q, tri, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -144,7 +142,7 @@ def rational_clip_segment(p, q, tri, tol: Tolerance = DEFAULT_TOLERANCE):
     production promotion rule.
     """
     p, q = _rp2(p), _rp2(q)
-    span = _window_span(p, q, _ccw([_rp2(v) for v in tri]), [])
+    span = _window_span(p, q, _ccw([_rp2(v) for v in tri]))
     if span is None or span[0] > span[1]:
         return "empty", []
     e = _lerp2(p, q, span[0])

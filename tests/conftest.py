@@ -11,9 +11,9 @@ import itertools
 import math
 import random
 
-from tritri.core import Point3, Triangle3, vcross, vdot, vnorm, vsub
+from tritri.core import Point3, Triangle3, vcross, vnorm, vsub
 from tritri.frame import Point2
-from tritri.clip2d import Triangle2
+from tritri.clip2d import ccw_vertices
 
 GRID = 64
 SPAN = 640  # +/- 10 in grid steps
@@ -119,12 +119,13 @@ def mixed_pairs(rng: random.Random, count: int):
 # --- 2D ----------------------------------------------------------------------
 
 
-def random_triangle2(rng: random.Random, lo=-10.0, hi=10.0, min_area=0.5) -> Triangle2:
+def random_triangle2(rng: random.Random, lo=-10.0, hi=10.0, min_area=0.5) -> tuple[Point2, Point2, Point2]:
+    """Three corners of a window of area above min_area, ordered by ``ccw_vertices``."""
     while True:
         pts = [Point2(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3)]
         ar = (pts[1].u - pts[0].u) * (pts[2].v - pts[0].v) - (pts[1].v - pts[0].v) * (pts[2].u - pts[0].u)
         if abs(ar) / 2.0 > min_area:
-            return Triangle2(*pts)
+            return ccw_vertices(*pts)
 
 
 def random_point2(rng: random.Random, lo=-15.0, hi=15.0) -> Point2:
@@ -176,10 +177,14 @@ def result_matches_oracle(result_points, oracle_float_points, tol=1e-9) -> bool:
     return contours_match(got, want, tol)
 
 
+def dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def point_segment_distance(p, x, y) -> float:
     """Euclidean distance from a 3D point to the segment xy."""
     d = vsub(y, x)
-    t = min(max(vdot(vsub(p, x), d) / vdot(d, d), 0.0), 1.0)
+    t = min(max(dot3(vsub(p, x), d) / dot3(d, d), 0.0), 1.0)
     return vnorm(vsub(p, (x[0] + t * d[0], x[1] + t * d[1], x[2] + t * d[2])))
 
 
@@ -189,8 +194,8 @@ def point_triangle_distance(p, t) -> float:
     n = vcross(vsub(b, a), vsub(c, a))
     sides = ((a, b), (b, c), (c, a))
     # p's foot on the plane is inside when it lies left of every side, seen along n
-    if all(vdot(vcross(vsub(y, x), vsub(p, x)), n) >= 0.0 for x, y in sides):
-        return abs(vdot(vsub(p, a), n)) / vnorm(n)
+    if all(dot3(vcross(vsub(y, x), vsub(p, x)), n) >= 0.0 for x, y in sides):
+        return abs(dot3(vsub(p, a), n)) / vnorm(n)
     return min(point_segment_distance(p, x, y) for x, y in sides)
 
 

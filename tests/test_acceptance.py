@@ -12,6 +12,7 @@ import random
 import time
 
 from tritri import (
+    DEFAULT_TOLERANCE,
     CaseLabel,
     Point3,
     Triangle3,
@@ -21,10 +22,10 @@ from tritri import (
 from tritri.cli import main
 from tritri.clip2d import (
     Point2,
-    Triangle2,
     ccw_vertices,
     clip_segment_to_triangle,
     region_code,
+    window_lines,
 )
 from tritri.coplanar import intersect_coplanar
 from tritri.frame import build_frame, from_plane, to_plane
@@ -133,12 +134,12 @@ def _line_distance(p, a, b):
     return abs(cross) / math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def _boundary_distance(p, win):
-    a, b, c = win.a, win.b, win.c
+def _boundary_distance(p, corners):
+    a, b, c = corners
     return min(_line_distance(p, a, b), _line_distance(p, a, c), _line_distance(p, b, c))
 
 
-def _clips_agree(res, want_pts, win):
+def _clips_agree(res, want_pts, corners):
     got = [tuple(p) for p in res]
     want = [(float(x), float(y)) for x, y in want_pts]
     if len(got) == len(want):
@@ -150,7 +151,7 @@ def _clips_agree(res, want_pts, win):
     # smaller than the tolerance (a graze the two routes resolve differently)
     small, big = sorted((got, want), key=len)
     if not small:
-        return len(big) == 1 and _boundary_distance(big[0], win) <= 1e-9
+        return len(big) == 1 and _boundary_distance(big[0], corners) <= 1e-9
     if len(small) == 1 and len(big) == 2:
         return _d2(*big) <= 2e-9 and _d2(small[0], big[0]) <= 2e-9
     return False
@@ -158,7 +159,8 @@ def _clips_agree(res, want_pts, win):
 
 def test_criterion_3_clip_vs_exact(capsys):
     rng = random.Random(30003)
-    canonical = Triangle2(Point2(0, 0), Point2(4, 0), Point2(0, 4))
+    canonical = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+    canonical_win = window_lines(*canonical, DEFAULT_TOLERANCE)
     observed = set()
     failures = structural = 0
     total = 100_000
@@ -169,18 +171,19 @@ def test_criterion_3_clip_vs_exact(capsys):
             ra, rb = _REP[a], _REP[b]
             p = Point2(ra[0] + rng.uniform(-0.3, 0.3), ra[1] + rng.uniform(-0.3, 0.3))
             q = Point2(rb[0] + rng.uniform(-0.3, 0.3), rb[1] + rng.uniform(-0.3, 0.3))
-            win = canonical
+            corners, win = canonical, canonical_win
         else:
-            win = random_triangle2(rng)
+            corners = random_triangle2(rng)
+            win = window_lines(*corners, DEFAULT_TOLERANCE)
             p, q = random_point2(rng), random_point2(rng)
         if p == q:
             continue
         observed.add((region_code(p, win), region_code(q, win)))
         res = clip_segment_to_triangle(p, q, win)
-        _, pts = rational_clip_segment(p, q, (win.a, win.b, win.c))
+        _, pts = rational_clip_segment(p, q, corners)
         if len(res) != len(pts):
             structural += 1
-        if not _clips_agree(res, pts, win):
+        if not _clips_agree(res, pts, corners):
             failures += 1
     elapsed = time.perf_counter() - start
     missing = [cp for cp in _CODE_PAIRS if cp not in observed]
@@ -197,8 +200,8 @@ def test_criterion_4_region_code_soundness(capsys):
     failures = 0
     start = time.perf_counter()
     for _ in range(10_000):
-        win = random_triangle2(rng)
-        a, b, c = win.a, win.b, win.c
+        a, b, c = random_triangle2(rng)
+        win = window_lines(a, b, c, DEFAULT_TOLERANCE)
         for _ in range(70):
             p = random_point2(rng, lo=-20, hi=20)
             if region_code(p, win) == 7:
@@ -275,9 +278,8 @@ def test_criterion_6_coplanar_contours(capsys):
     start = time.perf_counter()
     for _ in range(10_000):
         w, c = random_triangle2(rng), random_triangle2(rng)
-        res = intersect_coplanar(w, (c.a, c.b, c.c))
-        poly = rational_polygon_intersection(
-            [tuple(v) for v in (c.a, c.b, c.c)], [tuple(v) for v in (w.a, w.b, w.c)])
+        res = intersect_coplanar(window_lines(*w, DEFAULT_TOLERANCE), c)
+        poly = rational_polygon_intersection([tuple(v) for v in c], [tuple(v) for v in w])
         want = float(rational_polygon_area(poly)) if poly else 0.0
         got = _contour_area(res)
         if abs(got - want) > 1e-9 * max(1.0, want):
@@ -295,8 +297,8 @@ def test_criterion_6_coplanar_contours(capsys):
                 if turn < -1e-9:
                     failures.append("reflex contour corner")
         for inner, outer, name in ((c, w, "clipped in window"), (w, c, "window in clipped")):
-            inner_vs = [tuple(v) for v in (inner.a, inner.b, inner.c)]
-            if all(rational_point_in_triangle(v, (outer.a, outer.b, outer.c)) for v in inner_vs):
+            inner_vs = [tuple(v) for v in inner]
+            if all(rational_point_in_triangle(v, outer) for v in inner_vs):
                 contained += 1
                 if not contours_match([tuple(v) for v in res], inner_vs, tol=1e-12):
                     failures.append(f"contour is not the contained triangle ({name})")
@@ -308,7 +310,7 @@ def test_criterion_6_coplanar_contours(capsys):
 
 
 def test_criterion_7_five_vertex_contour(capsys):
-    window = Triangle2(Point2(0, 0), Point2(6, 0), Point2(0, 6))
+    window = window_lines(Point2(0, 0), Point2(6, 0), Point2(0, 6), DEFAULT_TOLERANCE)
     clipped = ccw_vertices(Point2(3, -2), Point2(6, 7), Point2(-3, 8))
     res = intersect_coplanar(window, clipped)
     want = [(11 / 3, 0.0), (17 / 4, 7 / 4), (0.0, 6.0), (0.0, 3.0), (9 / 5, 0.0)]

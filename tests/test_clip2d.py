@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritri.clip2d import (
-    Triangle2,
     ccw_vertices,
     clip_segment_to_triangle,
     region_code,
+    window_lines,
 )
-from tritri.core import Tolerance
+from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2
 from tritri.oracle import rational_clip_segment
@@ -19,7 +19,8 @@ from tritri.oracle import rational_clip_segment
 from conftest import points_match_unordered, random_point2, random_triangle2
 
 # canonical right-triangle window: AB along y=0, AC along x=0, BC on x+y=4
-W = Triangle2(Point2(0, 0), Point2(4, 0), Point2(0, 4))
+CORNERS = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+W = window_lines(*CORNERS, DEFAULT_TOLERANCE)
 
 # representative point for every region code
 REP = {
@@ -52,7 +53,7 @@ def test_clip_matches_oracle_for_code_pair(c1, c2):
         q = Point2(q.u + 0.5, q.v + 0.25)
         assert region_code(q, W) == c2
     got = clip_segment_to_triangle(p, q, W)
-    kind, pts = rational_clip_segment(tuple(p), tuple(q), (tuple(W.a), tuple(W.b), tuple(W.c)))
+    kind, pts = rational_clip_segment(tuple(p), tuple(q), CORNERS)
     if kind == "empty":
         assert got == ()
     elif kind == "point":
@@ -102,7 +103,7 @@ def test_collinear_overlap_along_side():
 def test_collinear_leaving_through_a_sharp_vertex_is_a_point():
     # along line AB away from A; the angle at A is about 14 degrees, so a
     # half-eps shift of the distances to AC would move the cut about 2e-9
-    sharp = Triangle2(Point2(0, 0), Point2(4, 0), Point2(4, 1))
+    sharp = window_lines(Point2(0, 0), Point2(4, 0), Point2(4, 1), DEFAULT_TOLERANCE)
     res = clip_segment_to_triangle(Point2(0, 0), Point2(-3, 0), sharp)
     assert res == (Point2(0.0, 0.0),)
 
@@ -135,19 +136,19 @@ def test_clip_uses_the_callers_tolerance():
 
 def test_degenerate_window_raises():
     with pytest.raises(DegenerateTriangle):
-        Triangle2(Point2(0, 0), Point2(1, 1), Point2(2, 2))
+        window_lines(Point2(0, 0), Point2(1, 1), Point2(2, 2), DEFAULT_TOLERANCE)
 
 
 def test_window_area_gate_uses_the_callers_tolerance():
     small = (Point2(0, 0), Point2(0.02, 0), Point2(0, 0.01))  # area 1e-4
-    Triangle2(*small)
+    window_lines(*small, DEFAULT_TOLERANCE)
     with pytest.raises(DegenerateTriangle):
-        Triangle2(*small, tol=Tolerance(eps_area=1e-3))
+        window_lines(*small, Tolerance(eps_area=1e-3))
 
 
 def test_clockwise_window_normalized():
-    t = Triangle2(Point2(0, 0), Point2(0, 4), Point2(4, 0))
-    assert tuple(t.b) == (4.0, 0.0) and tuple(t.c) == (0.0, 4.0)
+    a, b, c = Point2(0, 0), Point2(0, 4), Point2(4, 0)
+    assert window_lines(a, b, c, DEFAULT_TOLERANCE) == window_lines(a, c, b, DEFAULT_TOLERANCE) == W
 
 
 def test_ccw_vertices_orders_gates_and_wraps():
@@ -155,8 +156,8 @@ def test_ccw_vertices_orders_gates_and_wraps():
     assert ccw_vertices(a, b, c) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
     assert ccw_vertices(a, c, b) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
     assert all(type(v) is Point2 for v in ccw_vertices(a, b, c))
-    w = Triangle2(a, b, c)
-    assert (w.a, w.b, w.c) == ccw_vertices(a, b, c)
+    ordered = ccw_vertices(a, b, c)
+    assert window_lines(a, b, c, DEFAULT_TOLERANCE) == window_lines(*ordered, DEFAULT_TOLERANCE)
     with pytest.raises(DegenerateTriangle):
         ccw_vertices((0, 0), (1, 1), (2, 2))
     with pytest.raises(DegenerateTriangle):
@@ -167,7 +168,7 @@ def test_window_side_lines_are_unit_normals_pointing_inside():
     # AB, AC, BC: unit normals pointing inside, offsets from the origin
     r = 1 / math.sqrt(2)
     want = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-r, -r, 4 * r)]
-    assert [pytest.approx(line) for line in want] == list(W.lines)
+    assert [pytest.approx(line) for line in want] == list(W)
 
 
 def test_boundary_points_code_inside():
@@ -191,9 +192,9 @@ def window_and_segment(draw):
 @given(window_and_segment())
 @settings(max_examples=300, deadline=None)
 def test_clip_equals_interval_oracle(case):
-    w, p, q = case
-    got = clip_segment_to_triangle(p, q, w)
-    kind, pts = rational_clip_segment(tuple(p), tuple(q), (tuple(w.a), tuple(w.b), tuple(w.c)))
+    corners, p, q = case
+    got = clip_segment_to_triangle(p, q, window_lines(*corners, DEFAULT_TOLERANCE))
+    kind, pts = rational_clip_segment(tuple(p), tuple(q), corners)
     if kind == "empty":
         assert got == ()
     elif kind == "point":
@@ -209,7 +210,8 @@ def test_clip_equals_interval_oracle(case):
 @given(window_and_segment())
 @settings(max_examples=200, deadline=None)
 def test_clipped_output_is_inside(case):
-    w, p, q = case
+    corners, p, q = case
+    w = window_lines(*corners, DEFAULT_TOLERANCE)
     res = clip_segment_to_triangle(p, q, w)
     for pt in res:
         assert region_code(pt, w) == 0
@@ -218,7 +220,8 @@ def test_clipped_output_is_inside(case):
 @given(window_and_segment())
 @settings(max_examples=200, deadline=None)
 def test_trivial_accept_and_reject_soundness(case):
-    w, p, q = case
+    corners, p, q = case
+    w = window_lines(*corners, DEFAULT_TOLERANCE)
     c1, c2 = region_code(p, w), region_code(q, w)
     res = clip_segment_to_triangle(p, q, w)
     if c1 == 0 and c2 == 0:
@@ -229,7 +232,7 @@ def test_trivial_accept_and_reject_soundness(case):
 
 @st.composite
 def window_and_short_segment(draw):
-    """A window, p anywhere or on a side line, and q within eps_dist of p (often q == p)."""
+    """A window's corners, p anywhere or on a side line, and q within eps_dist of p (often q == p)."""
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = random.Random(seed)
     w = random_triangle2(rng)
@@ -237,7 +240,7 @@ def window_and_short_segment(draw):
     if draw(st.booleans()):
         p = random_point2(rng)
     else:
-        a, b = rng.sample([w.a, w.b, w.c], 2)
+        a, b = rng.sample(list(w), 2)
         t = draw(st.floats(min_value=-0.5, max_value=1.5))
         du = draw(st.floats(min_value=-3 * eps, max_value=3 * eps))
         dv = draw(st.floats(min_value=-3 * eps, max_value=3 * eps))
@@ -252,9 +255,10 @@ def window_and_short_segment(draw):
 @given(window_and_short_segment())
 @settings(max_examples=400, deadline=None)
 def test_short_segment_is_at_most_one_point(case):
-    w, p, q, eps = case
+    corners, p, q, eps = case
     assume(math.hypot(q.u - p.u, q.v - p.v) <= eps)
     tol = Tolerance(eps_dist=eps)
+    w = window_lines(*corners, tol)
     res = clip_segment_to_triangle(p, q, w, tol)
     assert len(res) <= 1
     if res:
@@ -275,10 +279,12 @@ def _param_interval(p, q, res):
 @given(window_and_segment())
 @settings(max_examples=200, deadline=None)
 def test_window_growth_monotonicity(case):
-    w, p, q = case
-    cx = (w.a.u + w.b.u + w.c.u) / 3.0
-    cy = (w.a.v + w.b.v + w.c.v) / 3.0
-    grown = Triangle2(*(Point2(cx + 2 * (v.u - cx), cy + 2 * (v.v - cy)) for v in (w.a, w.b, w.c)))
+    corners, p, q = case
+    cx = sum(v.u for v in corners) / 3.0
+    cy = sum(v.v for v in corners) / 3.0
+    w = window_lines(*corners, DEFAULT_TOLERANCE)
+    grown_corners = [Point2(cx + 2 * (v.u - cx), cy + 2 * (v.v - cy)) for v in corners]
+    grown = window_lines(*grown_corners, DEFAULT_TOLERANCE)
     small = _param_interval(p, q, clip_segment_to_triangle(p, q, w))
     big = _param_interval(p, q, clip_segment_to_triangle(p, q, grown))
     if small is None:

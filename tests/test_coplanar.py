@@ -1,26 +1,23 @@
 import random
 
-from tritri.clip2d import Triangle2, ccw_vertices, region_code
+from tritri.clip2d import ccw_vertices, region_code, window_lines
 from tritri.coplanar import intersect_coplanar
-from tritri.core import Tolerance
+from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.frame import Point2
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
 
 from conftest import contours_match, polygon_area2, random_triangle2
 
-W4 = Triangle2(Point2(0, 0), Point2(4, 0), Point2(0, 4))
-
-
 def _window(*pts):
-    return Triangle2(*(Point2(*p) for p in pts))
+    return window_lines(*(Point2(*p) for p in pts), DEFAULT_TOLERANCE)
 
 
 def _tri(*pts):
     return ccw_vertices(*(Point2(*p) for p in pts))
 
 
-def _corners(w):
-    return (w.a, w.b, w.c)
+C4 = _tri((0, 0), (4, 0), (0, 4))
+W4 = window_lines(*C4, DEFAULT_TOLERANCE)
 
 
 def _vertices(t):
@@ -34,8 +31,8 @@ def _contour_area(res):
 
 
 def test_identical_triangles_are_their_own_contour():
-    res = intersect_coplanar(W4, _corners(W4))
-    assert contours_match([tuple(v) for v in res], _vertices(_corners(W4)), tol=0.0)
+    res = intersect_coplanar(W4, C4)
+    assert contours_match([tuple(v) for v in res], _vertices(C4), tol=0.0)
 
 
 def test_contained_triangle_is_its_own_contour():
@@ -57,7 +54,7 @@ def test_far_disjoint():
 
 def test_window_inside_clipped():
     res = intersect_coplanar(W4, _tri((-10, -10), (20, -10), (0, 30)))
-    assert contours_match([tuple(v) for v in res], _vertices(_corners(W4)), tol=1e-12)
+    assert contours_match([tuple(v) for v in res], _vertices(C4), tol=1e-12)
 
 
 def test_five_vertex_contour_with_window_vertex():
@@ -104,7 +101,8 @@ def test_contour_shape_properties():
     seen = 0
     while seen < 200:
         w, c = random_triangle2(rng), random_triangle2(rng)
-        vs = intersect_coplanar(w, _corners(c))
+        windows = [window_lines(*t, DEFAULT_TOLERANCE) for t in (w, c)]
+        vs = intersect_coplanar(windows[0], c)
         if not vs:
             continue
         seen += 1
@@ -117,17 +115,15 @@ def test_contour_shape_properties():
             cross = (b.u - a.u) * (cpt.v - b.v) - (b.v - a.v) * (cpt.u - b.u)
             assert cross > -1e-9
         for v in vs:
-            assert region_code(v, w) == 0 and region_code(v, c) == 0
+            assert all(region_code(v, lines) == 0 for lines in windows)
 
 
 def test_area_matches_rational_clipping():
     rng = random.Random(808)
     for _ in range(300):
         w, c = random_triangle2(rng), random_triangle2(rng)
-        res = intersect_coplanar(w, _corners(c))
-        poly = rational_polygon_intersection(
-            [tuple(v) for v in (c.a, c.b, c.c)], [tuple(v) for v in (w.a, w.b, w.c)]
-        )
+        res = intersect_coplanar(window_lines(*w, DEFAULT_TOLERANCE), c)
+        poly = rational_polygon_intersection(_vertices(c), _vertices(w))
         want = float(rational_polygon_area(poly)) if poly else 0.0
         got = _contour_area(res)
         assert abs(got - want) <= 1e-9 * max(1.0, want)
@@ -137,6 +133,6 @@ def test_area_symmetry():
     rng = random.Random(909)
     for _ in range(200):
         w, c = random_triangle2(rng), random_triangle2(rng)
-        a1 = _contour_area(intersect_coplanar(w, _corners(c)))
-        a2 = _contour_area(intersect_coplanar(c, _corners(w)))
+        a1 = _contour_area(intersect_coplanar(window_lines(*w, DEFAULT_TOLERANCE), c))
+        a2 = _contour_area(intersect_coplanar(window_lines(*c, DEFAULT_TOLERANCE), w))
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1, a2)

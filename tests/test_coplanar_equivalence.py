@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from tritri import CaseLabel, Point3, Triangle3, intersect
-from tritri.clip2d import Triangle2, ccw_vertices
-from tritri.core import plane_from_triangle
+from tritri.clip2d import ccw_vertices, window_lines
+from tritri.core import DEFAULT_TOLERANCE, plane_from_triangle
 from tritri.coplanar import intersect_coplanar
 from tritri.frame import build_frame, from_plane, to_plane
 from tritri.oracle import as_floats, oracle_intersect
@@ -141,7 +141,7 @@ def test_contained_triangle_comes_back_as_its_own_vertices():
     # the kernel's own 2D images of t2 pass the clipper untouched
     for t1, t2 in _pairs("clipped_inside", seed=45):
         frame = build_frame(plane_from_triangle(t1))
-        window = Triangle2(*(to_plane(frame, v) for v in t1))
+        window = window_lines(*(to_plane(frame, v) for v in t1), DEFAULT_TOLERANCE)
         clipped = ccw_vertices(*(to_plane(frame, v) for v in t2))
         res = intersect_coplanar(window, clipped)
         own = [tuple(v) for v in clipped]

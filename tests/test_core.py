@@ -14,7 +14,6 @@ from tritri.core import (
     plane_from_triangle,
     signed_distance,
     vcross,
-    vdot,
     vnorm,
 )
 from tritri.errors import DegenerateTriangle
@@ -92,7 +91,6 @@ def test_classify_intersecting():
 
 def test_cross_dot_conventions():
     assert vcross((1, 0, 0), (0, 1, 0)) == (0.0, 0.0, 1.0)
-    assert vdot((1, 2, 3), (4, 5, 6)) == 32.0
 
 
 def test_default_tolerance_values():

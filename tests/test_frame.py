@@ -3,9 +3,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritri.core import Point3, Triangle3, plane_from_triangle, vdot, vnorm
+from tritri.core import Point3, Triangle3, plane_from_triangle, vnorm
 from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2, build_frame, from_plane, to_plane
+
+from conftest import dot3
 
 
 def _frame_for(points):
@@ -37,9 +39,9 @@ def test_frame_axes_orthonormal(pts):
     assert abs(vnorm(frame.u_axis) - 1) <= 1e-12
     assert abs(vnorm(frame.v_axis) - 1) <= 1e-12
     assert abs(vnorm(frame.n_axis) - 1) <= 1e-12
-    assert abs(vdot(frame.u_axis, frame.v_axis)) <= 1e-12
-    assert abs(vdot(frame.u_axis, frame.n_axis)) <= 1e-12
-    assert abs(vdot(frame.v_axis, frame.n_axis)) <= 1e-12
+    assert abs(dot3(frame.u_axis, frame.v_axis)) <= 1e-12
+    assert abs(dot3(frame.u_axis, frame.n_axis)) <= 1e-12
+    assert abs(dot3(frame.v_axis, frame.n_axis)) <= 1e-12
 
 
 @given(triangles.filter(_nondegenerate), coords, coords)
@@ -48,7 +50,7 @@ def test_round_trip_in_plane(pts, s, t):
     frame, _ = _frame_for(pts)
     p = Point3(*(frame.origin[i] + s * frame.u_axis[i] + t * frame.v_axis[i] for i in range(3)))
     back = from_plane(frame, to_plane(frame, p))
-    scale = 1.0 + math.sqrt(vdot(p, p))
+    scale = 1.0 + math.sqrt(dot3(p, p))
     assert max(abs(back[i] - p[i]) for i in range(3)) <= 1e-12 * scale
 
 
@@ -68,7 +70,7 @@ def test_axis_aligned_normals():
     ):
         frame, pl = _frame_for(pts)
         n = (pl.q, pl.w, pl.u)
-        assert abs(vdot(frame.u_axis, n)) <= 1e-15
+        assert abs(dot3(frame.u_axis, n)) <= 1e-15
 
 
 def _along_normal(p, frame, k):

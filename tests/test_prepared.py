@@ -77,7 +77,7 @@ def test_triangle_prepared_under_another_tolerance_is_prepared_again():
 
 def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
     faces = height_field(_heights(random.Random(53), 8))
-    calls = {"build_frame": 0, "_window_lines": 0}
+    calls = {"build_frame": 0, "window_lines": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -90,21 +90,21 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
 
     # the modules, not the functions tritri/__init__.py re-exports under their names
     counted(importlib.import_module("tritri.intersect"), "build_frame")
-    counted(importlib.import_module("tritri.clip2d"), "_window_lines")
+    counted(importlib.import_module("tritri.intersect"), "window_lines")
     results, _ = run_meshes(faces, faces, DEFAULT_TOLERANCE, same_mesh=True)
     assert len(results) > 2 * len(faces)  # kernel calls, so the bound below bites
     assert 0 < calls["build_frame"] <= len(faces)
-    assert 0 < calls["_window_lines"] <= len(faces)
+    assert 0 < calls["window_lines"] <= len(faces)
 
     # coplanar pairs: side lines for the first triangle's window, none for the second
     pairs = [coplanar_pair(random.Random(59 + k)) for k in range(200)]
-    calls["_window_lines"] = 0
+    calls["window_lines"] = 0
     _, summary = run_pairs([(k, t1, t2) for k, (t1, t2) in enumerate(pairs)], DEFAULT_TOLERANCE)
     assert summary["cases"]["coplanar_contour"] > len(pairs) // 4
-    assert 0 < calls["_window_lines"] <= len(pairs)
+    assert 0 < calls["window_lines"] <= len(pairs)
     first, rng = prepare(pairs[0][0]), random.Random(61)
-    calls["_window_lines"] = 0
+    calls["window_lines"] = 0
     for _ in range(20):
         label, _ = intersect(first, coplanar_partner(rng, first.tri))
         assert label in (CaseLabel.COPLANAR_CONTOUR, CaseLabel.COPLANAR_NO_CONTACT)
-    assert calls["_window_lines"] == 1
+    assert calls["window_lines"] == 1
