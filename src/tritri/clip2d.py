@@ -33,6 +33,17 @@ from .frame import Point2
 Window = tuple[tuple[float, float, float], ...]
 
 
+def _clockwise(au, av, bu, bv, cu, cv, tol: Tolerance) -> bool:
+    """Whether the 2D triangle abc turns clockwise.
+
+    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
+    """
+    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    if abs(area2) < 2.0 * tol.eps_area:
+        raise DegenerateTriangle("2D triangle area below tolerance")
+    return area2 < 0.0
+
+
 def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, Point2, Point2]:
     """The 2D triangle abc as three points in counter-clockwise order.
 
@@ -40,33 +51,39 @@ def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, P
     """
     if not (type(a) is type(b) is type(c) is Point2):
         a, b, c = Point2(*a), Point2(*b), Point2(*c)
-    (au, av), (bu, bv), (cu, cv) = a, b, c
-    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
-    if abs(area2) < 2.0 * tol.eps_area:
-        raise DegenerateTriangle("2D triangle area below tolerance")
-    if area2 < 0.0:
+    if _clockwise(*a, *b, *c, tol):
         return a, c, b
     return a, b, c
+
+
+def _side_line(pu, pv, qu, qv, ou, ov) -> tuple[float, float, float]:
+    """The line through p and q, normalized, positive on the side of o."""
+    l1 = pv - qv
+    l2 = qu - pu
+    l3 = pu * qv - pv * qu
+    ln = math.hypot(l1, l2)
+    if l1 * ou + l2 * ov + l3 < 0.0:
+        ln = -ln
+    return (l1 / ln, l2 / ln, l3 / ln)
+
+
+def _side_lines(au, av, bu, bv, cu, cv, tol: Tolerance) -> Window:
+    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``."""
+    if _clockwise(au, av, bu, bv, cu, cv, tol):
+        bu, bv, cu, cv = cu, cv, bu, bv
+    return (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
+            _side_line(bu, bv, cu, cv, au, av))
 
 
 def window_lines(a, b, c, tol: Tolerance) -> Window:
     """The 2D window abc as its three normalized side lines, positive inside.
 
     The lines come in the order AB, AC, BC of the corners as ``ccw_vertices``
-    orders them, which raises DegenerateTriangle when the area is below
-    ``tol.eps_area``.
+    orders them; a window whose area is below ``tol.eps_area`` raises
+    DegenerateTriangle.
     """
-    a, b, c = ccw_vertices(a, b, c, tol)
-    lines = []
-    for (pu, pv), (qu, qv), (ou, ov) in ((a, b, c), (a, c, b), (b, c, a)):
-        l1 = pv - qv
-        l2 = qu - pu
-        l3 = pu * qv - pv * qu
-        if l1 * ou + l2 * ov + l3 < 0.0:
-            l1, l2, l3 = -l1, -l2, -l3
-        ln = math.hypot(l1, l2)
-        lines.append((l1 / ln, l2 / ln, l3 / ln))
-    return tuple(lines)
+    (au, av), (bu, bv), (cu, cv) = a, b, c
+    return _side_lines(au, av, bu, bv, cu, cv, tol)
 
 
 def _code(dists, eps: float) -> int:

@@ -8,7 +8,6 @@ of the defining triangle.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,22 +37,35 @@ class Plane(NamedTuple):
     o: Point3
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _ToleranceFields(NamedTuple):
+    eps_dist: float = 1e-9
+    eps_area: float = 1e-12
+    eps_param: float = 1e-9
+
+
+class Tolerance(_ToleranceFields):
     """Tolerances used by every predicate in the kernel; each positive and finite.
 
     eps_dist  -- absolute distances (point on plane, point merging)
     eps_area  -- degenerate-triangle gate on the triangle area
     eps_param -- not read by the kernel; kept for callers that still pass it
+
+    A named tuple, so that importing the package loads neither
+    ``dataclasses`` nor ``inspect``.
     """
 
-    eps_dist: float = 1e-9
-    eps_area: float = 1e-12
-    eps_param: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(0.0 < eps < math.inf for eps in (self.eps_dist, self.eps_area, self.eps_param)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(0.0 < eps < math.inf for eps in self):
             raise ValueError("tolerances must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the route of ``_replace``, which would otherwise skip the check
+        return cls(*iterable)
 
 
 DEFAULT_TOLERANCE = Tolerance()

@@ -81,12 +81,7 @@ def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
 
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
-
-
-def _triangle(v: list[float], k: int) -> Triangle3:
-    """The triangle of ``v[k:k + 9]``, as the exact types ``prepare`` takes uncopied."""
-    return _new(Triangle3, (_new(Point3, v[k:k + 3]), _new(Point3, v[k + 3:k + 6]),
-                            _new(Point3, v[k + 6:k + 9])))
+_SIX_POINTS = (Point3,) * 6
 
 
 def iter_pairs(lines: Iterable[str]) -> Iterable[PairRecord]:
@@ -98,8 +93,10 @@ def iter_pairs(lines: Iterable[str]) -> Iterable[PairRecord]:
     for rid, (lineno, tokens) in enumerate(_numbered_tokens(lines)):
         if len(tokens) != 18:
             raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
-        values = _checked_floats(tokens, lineno)
-        yield _new(PairRecord, (rid, _triangle(values, 0), _triangle(values, 9)))
+        it = iter(_checked_floats(tokens, lineno))
+        # the exact types prepare takes uncopied
+        a, b, c, d, e, f = map(_new, _SIX_POINTS, zip(it, it, it))
+        yield _new(PairRecord, (rid, _new(Triangle3, (a, b, c)), _new(Triangle3, (d, e, f))))
 
 
 @collector_paused()

@@ -34,11 +34,14 @@ def build_frame(pl: Plane) -> PlaneFrame:
     normal and Gram-Schmidt projected into the plane.
     """
     nx, ny, nz, o = pl
-    comps = (abs(nx), abs(ny), abs(nz))
-    seed = [0.0, 0.0, 0.0]
-    seed[comps.index(min(comps))] = 1.0
-    sx, sy, sz = seed
-    d = sx * nx + sy * ny + sz * nz
+    # the first axis of least |component|; d = seed . n, whose sign of zero
+    # never reaches u, since a zero d makes u the seed itself
+    if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
+        sx, sy, sz, d = 1.0, 0.0, 0.0, nx
+    elif abs(ny) <= abs(nz):
+        sx, sy, sz, d = 0.0, 1.0, 0.0, ny
+    else:
+        sx, sy, sz, d = 0.0, 0.0, 1.0, nz
     ux, uy, uz = sx - d * nx, sy - d * ny, sz - d * nz
     un = math.sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux / un, uy / un, uz / un

@@ -23,8 +23,8 @@ implementation may legitimately flip it.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .errors import DegenerateTriangle
@@ -194,8 +194,7 @@ def rational_polygon_area(pts) -> Fraction:
 # --- 3D reference ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     label: CaseLabel
     points: tuple[RPoint3, ...]
     slack: float

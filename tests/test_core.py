@@ -29,6 +29,8 @@ def test_tolerance_rejects_nonpositive():
         for value in (0.0, -1e-9, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 Tolerance(**{field: value})
+            with pytest.raises(ValueError):
+                Tolerance()._replace(**{field: value})
 
 
 def test_plane_from_triangle_unit_normal():

@@ -1,12 +1,16 @@
-"""Static checks of the package's imports and exports, with stdlib ``ast`` only.
+"""Checks of the package's imports and exports.
 
-No linter runs on this package, so these tests catch what a deletion can
-leave behind: an import no code reads any more, a private helper no code
-calls any more, or a name in ``tritri.__all__`` that the package no longer
-defines.
+No linter runs on this package, so static checks, with stdlib ``ast`` only,
+catch what a deletion can leave behind: an import no code reads any more, a
+private helper no code calls any more, or a name in ``tritri.__all__`` that
+the package no longer defines.  One more check imports the CLI in a fresh
+interpreter and looks at the modules it loaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,13 @@ def test_the_oracle_imports_no_kernel_geometry():
         elif isinstance(node, ast.Import) and any(a.name.startswith("tritri") for a in node.names):
             imported.add("import tritri")
     assert imported <= {"DEFAULT_TOLERANCE", "Tolerance", "DegenerateTriangle", "CaseLabel"}
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every CLI run, and the package needs neither
+    code = ("import sys, tritri.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tritri import (
+    DEFAULT_TOLERANCE,
     CaseLabel,
     DegenerateTriangle,
     EmptyReason,
@@ -93,6 +94,35 @@ def test_crossing_planes_segment_misses_window():
     label, res = intersect(T1, _tri((10, 10, -1), (10, 10, 2), (12, 12, 2)))
     assert label is CaseLabel.CROSSING_PLANES_NO_CONTACT
     assert res.reason is EmptyReason.SEGMENT_OUTSIDE_WINDOW
+
+
+def test_triangle_wholly_beside_the_other_plane_is_rejected_in_both_orders():
+    # t2 crosses T1's plane along x = 6, beside T1; every vertex of T1 lies
+    # on one side of t2's plane, so the pair is rejected before any clip
+    t2 = _tri((6, -1, -1), (6, 1, -1), (6, 0, 1))
+    for a, b in ((T1, t2), (t2, T1)):
+        label, res = intersect(a, b)
+        assert label is CaseLabel.CROSSING_PLANES_NO_CONTACT
+        assert res.points == ()
+        assert res.reason is EmptyReason.PLANES_CROSS_NO_CONTACT
+
+
+def test_sliver_tip_within_the_window_slack_of_the_other_plane_stays_a_touch():
+    # the window accepts points up to about eps_dist * L / r beyond a corner
+    # (contact_margin); near this sliver's tip L / r is about 65, so t2,
+    # whose vertex lies in the sliver's plane 2**-25 (about 30 eps_dist)
+    # beyond the tip, touches it, although the whole sliver lies on one
+    # side of t2's plane x = -2**-25 by more than eps_dist
+    sliver = _tri((0, 0, 0), (64, 1, 0), (64, -1, 0))
+    d = 2.0 ** -25
+    t2 = _tri((-d, 0, 0), (-d, -1, 1), (-d, 1, 1))
+    eps = DEFAULT_TOLERANCE.eps_dist
+    assert 20 * eps < d < 40 * eps
+    longest = math.hypot(64, 1)
+    assert longest / (128 / (2 * longest + 2)) >= 50  # L / r, with r = 2 area / perimeter
+    label, res = intersect(sliver, t2)
+    assert label is CaseLabel.TOUCH_POINT
+    assert res.points == ((-d, 0.0, 0.0),)
 
 
 def test_segment_collapsing_to_corner_is_touch():

@@ -7,10 +7,13 @@ per face rather than once per candidate pair.
 """
 
 import importlib
+import math
 import random
 
+from tritri.clip2d import window_lines
 from tritri.cli import run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
+from tritri.frame import build_frame, to_plane
 from tritri.intersect import CaseLabel, intersect, prepare
 
 from conftest import coplanar_pair, coplanar_partner, grid_triangle, height_field, mixed_pairs
@@ -61,6 +64,33 @@ def test_one_prepared_triangle_against_many_partners():
         assert cached == prepare(t1).frame_window()
 
 
+def _bits(x):
+    """Every float of a nested tuple as ``float.hex``, so that -0.0 and 0.0 differ."""
+    return tuple(map(_bits, x)) if isinstance(x, tuple) else float(x).hex()
+
+
+def test_frame_window_is_built_frame_and_window_lines_bit_for_bit():
+    triangles = [
+        ((0, 0, 0), (4, 0, 0), (0, 4, 0)),  # normal (0, 0, 1)
+        ((1, 1, -2), (1, -3, -2), (-3, 1, -2)),  # (0, 0, -1)
+        ((1, 0, 0), (1, 0, 3), (1, 3, 0)),  # (-1, 0, 0)
+        ((0, 2, 0), (3, 2, 0), (0, 2, 3)),  # (0, -1, 0)
+        ((0, 0, 0), (1, -1, 0), (0, 0, 1)),  # (-1, -1, 0) / sqrt 2: two equal components
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0)),  # (-1, -1, -1) / sqrt 3: all negative, all equal
+        ((2, -1, 3), (1, 0, 4), (2, 0, -1)),  # (-5, -4, -1) / sqrt 42: all negative
+    ]
+    triangles += [t for pair in mixed_pairs(random.Random(67), 500) for t in pair]
+    signed_zero_origins = 0
+    for t in triangles:
+        p = prepare(t)
+        frame = build_frame(p.plane)
+        a, b, c = (to_plane(frame, v) for v in p.tri)
+        assert _bits(p.frame_window()) == _bits((frame, window_lines(a, b, c, DEFAULT_TOLERANCE)))
+        signed_zero_origins += any(math.copysign(1.0, x) < 0.0 for x in a)
+    # some origins map to -0.0, so the first corner's signs of zero are compared too
+    assert signed_zero_origins > 0
+
+
 def test_triangle_prepared_under_another_tolerance_is_prepared_again():
     wide = ((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0))
     spike = ((1.0, 1.0, 0.01), (1.0, 1.0, 5.0), (3.0, 1.0, 5.0))
@@ -77,7 +107,7 @@ def test_triangle_prepared_under_another_tolerance_is_prepared_again():
 
 def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
     faces = height_field(_heights(random.Random(53), 8))
-    calls = {"build_frame": 0, "window_lines": 0}
+    calls = {"build_frame": 0, "_frame_window": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -90,21 +120,22 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
 
     # the modules, not the functions tritri/__init__.py re-exports under their names
     counted(importlib.import_module("tritri.intersect"), "build_frame")
-    counted(importlib.import_module("tritri.intersect"), "window_lines")
+    # the one builder of a first triangle's frame and window side lines
+    counted(importlib.import_module("tritri.intersect"), "_frame_window")
     results, _ = run_meshes(faces, faces, DEFAULT_TOLERANCE, same_mesh=True)
     assert len(results) > 2 * len(faces)  # kernel calls, so the bound below bites
     assert 0 < calls["build_frame"] <= len(faces)
-    assert 0 < calls["window_lines"] <= len(faces)
+    assert 0 < calls["_frame_window"] <= len(faces)
 
-    # coplanar pairs: side lines for the first triangle's window, none for the second
+    # coplanar pairs: a frame and window for the first triangle, none for the second
     pairs = [coplanar_pair(random.Random(59 + k)) for k in range(200)]
-    calls["window_lines"] = 0
+    calls["_frame_window"] = 0
     _, summary = run_pairs([(k, t1, t2) for k, (t1, t2) in enumerate(pairs)], DEFAULT_TOLERANCE)
     assert summary["cases"]["coplanar_contour"] > len(pairs) // 4
-    assert 0 < calls["window_lines"] <= len(pairs)
+    assert 0 < calls["_frame_window"] <= len(pairs)
     first, rng = prepare(pairs[0][0]), random.Random(61)
-    calls["window_lines"] = 0
+    calls["_frame_window"] = 0
     for _ in range(20):
         label, _ = intersect(first, coplanar_partner(rng, first.tri))
         assert label in (CaseLabel.COPLANAR_CONTOUR, CaseLabel.COPLANAR_NO_CONTACT)
-    assert calls["window_lines"] == 1
+    assert calls["_frame_window"] == 1
