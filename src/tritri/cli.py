@@ -56,7 +56,8 @@ def _evaluate(rid, t1, t2, tol: Tolerance, timing: bool) -> ResultRecord:
         # degenerate input, or a pair the kernel cannot place: skip it, not the run
         return ResultRecord(rid, None, (), error=type(exc).__name__)
     us = round((time.perf_counter() - start) * 1e6) if timing else None
-    return ResultRecord(rid, label.value, result.points, us)
+    # past the named tuple's Python-level __new__ and the enum's value property
+    return tuple.__new__(ResultRecord, (rid, label._value_, result.points, us, None))
 
 
 def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,

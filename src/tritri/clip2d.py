@@ -20,7 +20,11 @@ segment is clipped in two steps, codes first, then one parameter clip:
 
 Points within ``eps_dist`` of a side line code as inside, so a segment
 that merely grazes the boundary yields one point rather than none.  One
-rule, ``_code``, codes points for ``region_code`` and the clipper alike.
+rule, ``_code``, codes points for ``region_code`` and the clipper alike,
+from three signed distances.  The clipper keeps a segment's six distances
+in locals and builds no list on the way: the parameter clip walks the
+three (start, end) distance pairs, cut points are interpolated in place,
+and ends merge by ``math.dist``.
 """
 
 import math
@@ -86,24 +90,17 @@ def window_lines(a, b, c, tol: Tolerance) -> Window:
     return _side_lines(au, av, bu, bv, cu, cv, tol)
 
 
-def _code(dists, eps: float) -> int:
+def _code(ab: float, ac: float, bc: float, eps: float) -> int:
     """Outside code from the signed distances to AB, AC and BC (bit values 2, 4, 1)."""
-    ab, ac, bc = dists
     return 2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)
 
 
 def region_code(p, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
     pu, pv = p[0], p[1]
-    return _code([l1 * pu + l2 * pv + l3 for l1, l2, l3 in window], tol.eps_dist)
-
-
-def _dist2(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _lerp2(a, b, t: float) -> Point2:
-    return tuple.__new__(Point2, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = window
+    return _code(a1 * pu + a2 * pv + a3, b1 * pu + b2 * pv + b3, c1 * pu + c2 * pv + c3,
+                 tol.eps_dist)
 
 
 def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
@@ -122,16 +119,17 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
         p, q = Point2(*p), Point2(*q)
     eps = tol.eps_dist
     (pu, pv), (qu, qv) = p, q
-    dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in window]
-    dq = [l1 * qu + l2 * qv + l3 for l1, l2, l3 in window]
-    c1, c2 = _code(dp, eps), _code(dq, eps)
-    if not (c1 or c2):
-        return (p,) if _dist2(p, q) <= eps else (p, q)
-    if c1 & c2:
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = window
+    p_ab, p_ac, p_bc = a1 * pu + a2 * pv + a3, b1 * pu + b2 * pv + b3, c1 * pu + c2 * pv + c3
+    q_ab, q_ac, q_bc = a1 * qu + a2 * qv + a3, b1 * qu + b2 * qv + b3, c1 * qu + c2 * qv + c3
+    code_p, code_q = _code(p_ab, p_ac, p_bc, eps), _code(q_ab, q_ac, q_bc, eps)
+    if not (code_p or code_q):
+        return (p,) if math.dist(p, q) <= eps else (p, q)
+    if code_p & code_q:
         return ()
     half = 0.5 * eps
     lo, hi = 0.0, 1.0
-    for da, db in zip(dp, dq):
+    for da, db in ((p_ab, q_ab), (p_ac, q_ac), (p_bc, q_bc)):
         if abs(da) <= eps and abs(db) <= eps:
             continue
         if da < -half:
@@ -144,8 +142,8 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
             hi = min(hi, max(da / (da - db), 0.0))
     if lo > hi:
         return ()
-    e = p if lo == 0.0 else _lerp2(p, q, lo)
-    x = q if hi == 1.0 else _lerp2(p, q, hi)
-    if _dist2(e, x) <= eps:
+    e = p if lo == 0.0 else tuple.__new__(Point2, (pu + lo * (qu - pu), pv + lo * (qv - pv)))
+    x = q if hi == 1.0 else tuple.__new__(Point2, (pu + hi * (qu - pu), pv + hi * (qv - pv)))
+    if math.dist(e, x) <= eps:
         return (e,)
     return (e, x)

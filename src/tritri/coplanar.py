@@ -10,11 +10,19 @@ other comes back as a 3-vertex contour.
 Touching contacts are not overlap: a shared edge, a shared vertex or a
 corner graze leaves a polygon whose area is below ``eps_area``, and the
 pair has no contour.
+
+Each pass walks the edges from the polygon's first vertex and carries an
+edge's end, with its distance to the line, over as the next edge's start,
+so every vertex is unpacked and measured once per pass.
 """
 
-from .clip2d import Window, _dist2, _lerp2
+import math
+
+from .clip2d import Window
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .frame import Point2
+
+_new = tuple.__new__
 
 
 def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
@@ -31,28 +39,37 @@ def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERAN
         if not poly:
             break
         kept: list[Point2] = []
-        for k, s in enumerate(poly):
-            e = poly[(k + 1) % len(poly)]
-            ds = l1 * s.u + l2 * s.v + l3
-            de = l1 * e.u + l2 * e.v + l3
+        s = poly[0]
+        su, sv = s
+        ds = l1 * su + l2 * sv + l3
+        poly.append(s)  # the closing edge ends where the first one starts
+        for e in poly[1:]:
+            eu, ev = e
+            de = l1 * eu + l2 * ev + l3
             if ds >= 0.0:
                 kept.append(s)
                 if de < 0.0:
-                    kept.append(_lerp2(s, e, ds / (ds - de)))
+                    t = ds / (ds - de)
+                    kept.append(_new(Point2, (su + t * (eu - su), sv + t * (ev - sv))))
             elif de >= 0.0:
-                kept.append(_lerp2(s, e, ds / (ds - de)))
+                t = ds / (ds - de)
+                kept.append(_new(Point2, (su + t * (eu - su), sv + t * (ev - sv))))
+            s, su, sv, ds = e, eu, ev, de
         poly = kept
 
+    eps = tol.eps_dist
     cleaned: list[Point2] = []
     for pt in poly:
-        if not cleaned or _dist2(cleaned[-1], pt) > tol.eps_dist:
+        if not cleaned or math.dist(cleaned[-1], pt) > eps:
             cleaned.append(pt)
-    while len(cleaned) > 1 and _dist2(cleaned[0], cleaned[-1]) <= tol.eps_dist:
+    while len(cleaned) > 1 and math.dist(cleaned[0], cleaned[-1]) <= eps:
         cleaned.pop()
     if len(cleaned) < 3:
         return ()
-    ring = zip(cleaned, cleaned[1:] + cleaned[:1])
-    doubled = sum(au * bv - av * bu for (au, av), (bu, bv) in ring)
+    # left to right from the edge (first, second), so the rounding does not hang on sum()
+    doubled = 0.0
+    for (au, av), (bu, bv) in zip(cleaned, cleaned[1:] + cleaned[:1]):
+        doubled += au * bv - av * bu
     if abs(doubled) / 2.0 <= tol.eps_area:
         return ()
     return tuple(cleaned)

@@ -1,14 +1,21 @@
 """Input parsing for the batch CLI: pair files and ASCII OFF meshes.
 
-Both formats go through one tokenizer, ``_numbered_tokens``: a ``#`` starts
-a comment, a line with no tokens left is skipped, and each ``ParseError``
-names the line's 1-based number in the file.  Coordinates must be finite.
+In both formats a ``#`` starts a comment, a line with no tokens left is
+skipped, and each ``ParseError`` names the line's 1-based number in the
+file.  Coordinates must be finite.  The per-line tokenizer,
+``_numbered_tokens``, reads OFF files and the pair lines of ``iter_pairs``.
+``read_pairs`` reads its stream in chunks of ``_CHUNK_LINES`` lines and
+parses a chunk of plain pair lines (18 finite numbers or none, so no ``#``)
+in a few passes at C speed; any other chunk goes through ``iter_pairs``,
+from the chunk's first line number and the next record id, so it gives the
+same records or raises the same ``ParseError``.
 """
 
 import contextlib
 import gc
 import math
 import sys
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -50,9 +57,12 @@ class collector_paused(contextlib.ContextDecorator):
             gc.enable()
 
 
-def _numbered_tokens(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(1-based line number, tokens)`` of each line with tokens left after its # comment."""
-    for lineno, raw in enumerate(lines, start=1):
+def _numbered_tokens(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tokens)`` of each line with tokens left after its # comment.
+
+    The first line is numbered ``first_line``.
+    """
+    for lineno, raw in enumerate(lines, start=first_line):
         tokens = raw.partition("#")[0].split()
         if tokens:
             yield lineno, tokens
@@ -82,15 +92,17 @@ def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
 _SIX_POINTS = (Point3,) * 6
+_CHUNK_LINES = 1024  # lines read_pairs parses at once: a chunk's tokens are all held together
 
 
-def iter_pairs(lines: Iterable[str]) -> Iterable[PairRecord]:
+def iter_pairs(lines: Iterable[str], first_line: int = 1, first_id: int = 0) -> Iterable[PairRecord]:
     """Parse a pair stream: one pair per line, 18 numbers, # comments.
 
-    Record ids count parsed pairs from 0; comment and blank lines do not
-    consume ids.  Raises ParseError carrying the 1-based line number.
+    Record ids count parsed pairs from ``first_id`` (default 0); comment
+    and blank lines do not consume ids.  Raises ParseError carrying the
+    line number, counted from ``first_line`` (default 1).
     """
-    for rid, (lineno, tokens) in enumerate(_numbered_tokens(lines)):
+    for rid, (lineno, tokens) in enumerate(_numbered_tokens(lines, first_line), start=first_id):
         if len(tokens) != 18:
             raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
         it = iter(_checked_floats(tokens, lineno))
@@ -99,15 +111,51 @@ def iter_pairs(lines: Iterable[str]) -> Iterable[PairRecord]:
         yield _new(PairRecord, (rid, _new(Triangle3, (a, b, c)), _new(Triangle3, (d, e, f))))
 
 
+def _plain_pairs(chunk: list[str], first_id: int) -> list[PairRecord] | None:
+    """The records of a chunk of pair lines, or None if it needs ``iter_pairs``.
+
+    None for a chunk with a line of other than 0 or 18 tokens, or with a
+    token that is not a finite float.  That covers every ``#``: a row that
+    holds one has another length, or a token ``float`` rejects.
+    """
+    rows = [line.split() for line in chunk]
+    if not set(map(len, rows)) <= {0, 18}:
+        return None
+    try:
+        values = list(map(float, chain.from_iterable(rows)))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    it = iter(values)
+    points = map(_new, repeat(Point3), zip(it, it, it))
+    tris = map(_new, repeat(Triangle3), zip(points, points, points))
+    return list(map(_new, repeat(PairRecord), zip(count(first_id), tris, tris)))
+
+
+def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
+    records: list[PairRecord] = []
+    lines = iter(lines)
+    first_line = 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        plain = _plain_pairs(chunk, len(records))
+        records += iter_pairs(chunk, first_line, len(records)) if plain is None else plain
+        first_line += len(chunk)
+    return records
+
+
 @collector_paused()
 def read_pairs(source: str | Path | TextIO) -> list[PairRecord]:
-    """Read pair records from a path, '-' for stdin, or an open stream."""
+    """Read pair records from a path, '-' for stdin, or an open stream.
+
+    The same records as ``iter_pairs``, or the same ParseError.
+    """
     if hasattr(source, "read"):
-        return list(iter_pairs(source))
+        return _read_pairs(source)
     if str(source) == "-":
-        return list(iter_pairs(sys.stdin))
+        return _read_pairs(sys.stdin)
     with open(source, "r", encoding="utf-8") as handle:
-        return list(iter_pairs(handle))
+        return _read_pairs(handle)
 
 
 @collector_paused()

@@ -37,7 +37,7 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
     # a 0-coded vertex is added at its outgoing edge, as the oracle adds it
     for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):
         if not s1:
-            pt = Point3(*p1)
+            pt = tuple.__new__(Point3, p1)
         elif s1 == -s2:
             m, n, o = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
             denom = q * m + w * n + u * o

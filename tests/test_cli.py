@@ -163,6 +163,27 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_a_commented_crlf_copy_gives_the_same_records(tmp_path, capsys):
+    """Over several read chunks: comment lines, trailing comments, blank lines, CRLF ends."""
+    lines = [_pair_line(t1, t2) for t1, t2 in mixed_pairs(random.Random(23), 2500)]
+    clean = tmp_path / "clean.txt"
+    clean.write_text("".join(line + "\n" for line in lines))
+    messy_lines = ["# a copy with comments"]
+    for k, line in enumerate(lines):
+        if k % 97 == 0:
+            messy_lines += ["", f"# pair {k}", "\t"]
+        messy_lines.append(line + ("  # note" if k % 13 == 0 else ""))
+    messy = tmp_path / "messy.txt"
+    messy.write_bytes("".join(line + "\r\n" for line in messy_lines).encode("utf-8"))
+    outputs = []
+    for src in (clean, messy):
+        out = tmp_path / f"{src.stem}.jsonl"
+        assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1000
+
+
 def test_parse_failure_exits_1(tmp_path, capsys):
     src = tmp_path / "pairs.txt"
     src.write_text("1 2 3\n")

@@ -293,3 +293,120 @@ def test_window_growth_monotonicity(case):
     slop = 1e-9 / math.sqrt((q.u - p.u) ** 2 + (q.v - p.v) ** 2)
     assert big[0] <= small[0] + slop
     assert big[1] >= small[1] - slop
+
+
+# --- the list-based clipper, kept as the reference for the unpacked one ----------
+
+def _reference_code(dists, eps):
+    ab, ac, bc = dists
+    return 2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)
+
+
+def _reference_dist2(a, b):
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _reference_lerp2(a, b, t):
+    return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def _reference_clip(p, q, window, tol=DEFAULT_TOLERANCE):
+    if not (type(p) is type(q) is Point2):
+        p, q = Point2(*p), Point2(*q)
+    eps = tol.eps_dist
+    (pu, pv), (qu, qv) = p, q
+    dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in window]
+    dq = [l1 * qu + l2 * qv + l3 for l1, l2, l3 in window]
+    c1, c2 = _reference_code(dp, eps), _reference_code(dq, eps)
+    if not (c1 or c2):
+        return (p,) if _reference_dist2(p, q) <= eps else (p, q)
+    if c1 & c2:
+        return ()
+    half = 0.5 * eps
+    lo, hi = 0.0, 1.0
+    for da, db in zip(dp, dq):
+        if abs(da) <= eps and abs(db) <= eps:
+            continue
+        if da < -half:
+            if db < -half:
+                return ()
+            lo = max(lo, min(da / (da - db), 1.0))
+        elif db < -half:
+            hi = min(hi, max(da / (da - db), 0.0))
+    if lo > hi:
+        return ()
+    e = p if lo == 0.0 else _reference_lerp2(p, q, lo)
+    x = q if hi == 1.0 else _reference_lerp2(p, q, hi)
+    if _reference_dist2(e, x) <= eps:
+        return (e,)
+    return (e, x)
+
+
+def _hex_points(points):
+    return [(type(pt), pt[0].hex(), pt[1].hex()) for pt in points]
+
+
+def _sliver_triangle2(rng):
+    """A window about 1 to 20 long whose height is 1e-5 to 1e-1 of its length."""
+    while True:
+        a, b = random_point2(rng, -10.0, 10.0), random_point2(rng, -10.0, 10.0)
+        if math.hypot(b.u - a.u, b.v - a.v) >= 1.0:
+            break
+    h = math.hypot(b.u - a.u, b.v - a.v) * 10.0 ** rng.uniform(-5, -1)
+    return ccw_vertices(a, b, _on_line(a, b, rng.uniform(-0.2, 1.2), h))
+
+
+def _on_line(a, b, t, d):
+    """The point at parameter t along ab, moved d off the line ab."""
+    length = math.hypot(b.u - a.u, b.v - a.v)
+    return Point2(a.u + t * (b.u - a.u) - d * (b.v - a.v) / length,
+                  a.v + t * (b.v - a.v) + d * (b.u - a.u) / length)
+
+
+def _near_side(rng, corners, eps):
+    """Two corners and an offset from their line of 0 to 2 eps_dist, either side."""
+    a, b = rng.sample(list(corners), 2)
+    return a, b, eps * rng.choice([0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0]) * rng.choice([-1.0, 1.0])
+
+
+def _clip_case(rng):
+    """A window, a segment and a tolerance, drawn from the clipper's edge cases."""
+    eps = rng.choice([1e-9, 1e-6, 1e-3])
+    corners = _sliver_triangle2(rng) if rng.random() < 0.3 else random_triangle2(rng)
+    kind = rng.randrange(5)
+    if kind == 0:  # anywhere
+        p, q = random_point2(rng), random_point2(rng)
+    elif kind == 1:  # one or both ends within a few eps_dist of a side line
+        a, b, d = _near_side(rng, corners, eps)
+        p = _on_line(a, b, rng.uniform(-0.5, 1.5), d)
+        a, b, d = _near_side(rng, corners, eps)
+        q = _on_line(a, b, rng.uniform(-0.5, 1.5), d) if rng.random() < 0.5 else random_point2(rng)
+    elif kind == 2:  # collinear with a side, on it or just off it
+        a, b, d = _near_side(rng, corners, eps)
+        p, q = _on_line(a, b, rng.uniform(-0.5, 1.5), d), _on_line(a, b, rng.uniform(-0.5, 1.5), d)
+    elif kind == 3:  # zero-length, or shorter than eps_dist
+        a, b, d = _near_side(rng, corners, eps)
+        p = _on_line(a, b, rng.uniform(-0.5, 1.5), d) if rng.random() < 0.5 else random_point2(rng)
+        q = p if rng.random() < 0.5 else Point2(p.u + rng.uniform(-eps, eps), p.v + rng.uniform(-eps, eps))
+    else:  # from near a corner
+        c = rng.choice(corners)
+        p = Point2(c.u + rng.uniform(-2 * eps, 2 * eps), c.v + rng.uniform(-2 * eps, 2 * eps))
+        q = random_point2(rng)
+    if rng.random() < 0.5:
+        p, q = q, p
+    return corners, p, q, Tolerance(eps_dist=eps)
+
+
+def test_unpacked_clip_equals_the_list_based_clip_bit_for_bit():
+    rng = random.Random(1984)
+    sizes = {0: 0, 1: 0, 2: 0}
+    for _ in range(12_000):
+        corners, p, q, tol = _clip_case(rng)
+        w = window_lines(*corners, tol)
+        got = clip_segment_to_triangle(p, q, w, tol)
+        assert _hex_points(got) == _hex_points(_reference_clip(p, q, w, tol)), (corners, p, q, tol)
+        sizes[len(got)] += 1
+        for pt in (p, q):
+            assert region_code(pt, w, tol) == _reference_code(
+                [l1 * pt.u + l2 * pt.v + l3 for l1, l2, l3 in w], tol.eps_dist)
+    assert min(sizes.values()) > 1000, sizes

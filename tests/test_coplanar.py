@@ -1,12 +1,14 @@
+import math
 import random
 
 from tritri.clip2d import ccw_vertices, region_code, window_lines
 from tritri.coplanar import intersect_coplanar
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
+from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
 
-from conftest import contours_match, polygon_area2, random_triangle2
+from conftest import contours_match, polygon_area2, random_point2, random_triangle2
 
 def _window(*pts):
     return window_lines(*(Point2(*p) for p in pts), DEFAULT_TOLERANCE)
@@ -136,3 +138,107 @@ def test_area_symmetry():
         a1 = _contour_area(intersect_coplanar(window_lines(*w, DEFAULT_TOLERANCE), c))
         a2 = _contour_area(intersect_coplanar(window_lines(*c, DEFAULT_TOLERANCE), w))
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1, a2)
+
+
+# --- the list-based contour, kept as the reference for the unpacked one ----------
+
+def _reference_lerp2(a, b, t):
+    return tuple.__new__(Point2, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+
+
+def _reference_dist2(a, b):
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _reference_intersect_coplanar(window, clipped, tol=DEFAULT_TOLERANCE):
+    poly = list(clipped)
+    for l1, l2, l3 in window:
+        if not poly:
+            break
+        kept = []
+        for k, s in enumerate(poly):
+            e = poly[(k + 1) % len(poly)]
+            ds = l1 * s.u + l2 * s.v + l3
+            de = l1 * e.u + l2 * e.v + l3
+            if ds >= 0.0:
+                kept.append(s)
+                if de < 0.0:
+                    kept.append(_reference_lerp2(s, e, ds / (ds - de)))
+            elif de >= 0.0:
+                kept.append(_reference_lerp2(s, e, ds / (ds - de)))
+        poly = kept
+    cleaned = []
+    for pt in poly:
+        if not cleaned or _reference_dist2(cleaned[-1], pt) > tol.eps_dist:
+            cleaned.append(pt)
+    while len(cleaned) > 1 and _reference_dist2(cleaned[0], cleaned[-1]) <= tol.eps_dist:
+        cleaned.pop()
+    if len(cleaned) < 3:
+        return ()
+    ring = zip(cleaned, cleaned[1:] + cleaned[:1])
+    doubled = sum(au * bv - av * bu for (au, av), (bu, bv) in ring)
+    if abs(doubled) / 2.0 <= tol.eps_area:
+        return ()
+    return tuple(cleaned)
+
+
+def _near(rng, p, eps):
+    return Point2(p.u + rng.uniform(-2 * eps, 2 * eps), p.v + rng.uniform(-2 * eps, 2 * eps))
+
+
+def _on_side(rng, a, b, eps):
+    t = rng.uniform(-0.2, 1.2)
+    return _near(rng, Point2(a.u + t * (b.u - a.u), a.v + t * (b.v - a.v)), eps)
+
+
+def _coplanar_case(rng, eps):
+    """Window corners and the clipped triangle's three points, from the contour's edge cases."""
+    w = random_triangle2(rng)
+    a, b, c = w
+    kind = rng.randrange(6)
+    if kind == 0:  # anywhere
+        pts = random_triangle2(rng)
+    elif kind == 1:  # identical, or each corner moved by up to 2 eps_dist
+        pts = w if rng.random() < 0.5 else [_near(rng, v, eps) for v in w]
+    elif kind == 2:  # one holds the other, scaled about the centroid
+        cu, cv = (a.u + b.u + c.u) / 3.0, (a.v + b.v + c.v) / 3.0
+        f = rng.choice([rng.uniform(0.05, 0.999), rng.uniform(1.001, 4.0), 1.0 - 1e-12])
+        pts = [Point2(cu + f * (v.u - cu), cv + f * (v.v - cv)) for v in w]
+    elif kind == 3:  # a sliver along a side, inside, outside or across it
+        p, q = rng.sample(list(w), 2)
+        length = math.hypot(q.u - p.u, q.v - p.v)
+        h = length * 10.0 ** rng.uniform(-14, -2) * rng.choice([-1.0, 1.0])
+        t = rng.uniform(-0.5, 1.5)
+        tip = Point2(p.u + t * (q.u - p.u) - h * (q.v - p.v) / length,
+                     p.v + t * (q.v - p.v) + h * (q.u - p.u) / length)
+        pts = [_on_side(rng, p, q, eps), _on_side(rng, p, q, eps), tip]
+    elif kind == 4:  # sharing an edge or a vertex, the rest on either side
+        p, q = rng.sample(list(w), 2)
+        pts = [p, q if rng.random() < 0.5 else random_point2(rng), random_point2(rng)]
+    else:  # corners on the window's sides, within a few eps_dist
+        sides = [(a, b), (b, c), (c, a)]
+        pts = [_on_side(rng, *rng.choice(sides), eps) for _ in range(3)]
+    return w, pts
+
+
+def test_unpacked_contour_equals_the_list_based_contour_bit_for_bit():
+    rng = random.Random(1974)
+    cases = contours = 0
+    sizes = set()
+    while cases < 12_000:
+        eps = rng.choice([1e-9, 1e-6, 1e-3])
+        tol = Tolerance(eps_dist=eps, eps_area=rng.choice([1e-12, eps * eps, eps]))
+        w, pts = _coplanar_case(rng, eps)
+        try:
+            clipped = ccw_vertices(*pts, tol)
+        except DegenerateTriangle:
+            continue
+        window = window_lines(*w, tol)
+        got = intersect_coplanar(window, clipped, tol)
+        want = _reference_intersect_coplanar(window, clipped, tol)
+        assert [(type(v), v.u.hex(), v.v.hex()) for v in got] == \
+            [(type(v), v.u.hex(), v.v.hex()) for v in want], (w, pts, tol)
+        cases += 1
+        contours += bool(got)
+        sizes.add(len(got))
+    assert sizes == {0, 3, 4, 5, 6} and 2000 < contours < 10_000, (sizes, contours)

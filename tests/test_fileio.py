@@ -1,3 +1,4 @@
+import functools
 import gc
 import io
 import math
@@ -5,6 +6,7 @@ import random
 
 import pytest
 
+import tritri.fileio
 from tritri.core import Point3, Triangle3
 from tritri.errors import EmptyMesh, ParseError
 from tritri.fileio import PairRecord, collector_paused, iter_pairs, read_off, read_pairs
@@ -270,6 +272,107 @@ def test_off_vertices_are_exact_point3():
     faces = read_off(io.StringIO(OFF_TEXT.replace("1 1 0", "1e0\t1.0E0 -0.0")))
     assert repr(faces[0].c) == "Point3(x=1.0, y=1.0, z=-0.0)"
     assert all(type(f) is Triangle3 and all(type(p) is Point3 for p in f) for f in faces)
+
+
+# --- the chunked read ---------------------------------------------------------------
+
+CHUNK = tritri.fileio._CHUNK_LINES
+BAD_LINES = [
+    (_line(ROW[:17]), "expected 18 numbers, got 17"),
+    (_line(ROW + ["1"]), "expected 18 numbers, got 19"),
+    (_line(ROW[:7] + ["1..5"] + ROW[8:]), "not a number: '1..5'"),
+    (_line(ROW[:5] + ["nan"] + ROW[6:]), "non-finite value: 'nan'"),
+    (_line(["-inf"] + ROW[1:]), "non-finite value: '-inf'"),
+]
+
+
+def _chunked_text(rng, count, commented_chunks=()):
+    """``count`` lines: pair lines split by spaces, tabs, form feeds and vertical
+    tabs, blank and whitespace-only lines, LF and CRLF ends; comment lines and
+    trailing comments only in the chunks numbered in ``commented_chunks``."""
+    lines = []
+    for n in range(count):
+        commented = n // CHUNK in commented_chunks
+        if commented and n % CHUNK == 0:
+            lines.append(f"# chunk {n // CHUNK}")
+            continue
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "  ", "\t", "\f", " \v "]
+                                    + (["# a comment line", "\t#"] if commented else [])))
+            continue
+        seps = [rng.choice([" ", "  ", "\t", "\f", " \v"]) for _ in range(17)]
+        line = _number(rng) + "".join(sep + _number(rng) for sep in seps)
+        if commented and rng.random() < 0.1:
+            line += rng.choice(["  # note", "#1 2 3"])
+        lines.append(rng.choice(["", "\t", " \f"]) + line)
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+@pytest.mark.parametrize("count, commented_chunks", [
+    (0, ()), (1, ()), (CHUNK, ()), (CHUNK + 1, (1,)), (3 * CHUNK + 500, (1, 3)),
+])
+def test_chunked_read_equals_the_per_line_parser(tmp_path, monkeypatch, count, commented_chunks):
+    text = _chunked_text(random.Random(count), count, commented_chunks)
+    assert text.count("\n") == count
+    want = [repr(r) for r in iter_pairs(io.StringIO(text, newline=""))]
+    fallbacks = []
+
+    def per_line(lines, first_line, first_id):
+        fallbacks.append(first_line)
+        return iter_pairs(lines, first_line, first_id)
+
+    monkeypatch.setattr(tritri.fileio, "iter_pairs", per_line)
+    got_stream = read_pairs(io.StringIO(text, newline=""))  # lines keep their \r\n
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got_path = read_pairs(path)
+    assert [repr(r) for r in got_stream] == [repr(r) for r in got_path] == want
+    assert [r.id for r in got_path] == list(range(len(want)))
+    _assert_exact_types(got_path)
+    # only a chunk with a comment goes line by line, from its own first line
+    assert fallbacks == [1 + k * CHUNK for k in commented_chunks] * 2
+
+
+@pytest.mark.parametrize("line", [
+    _line(ROW) + "#",  # 18 numbers: the last token is "9#"
+    _line(ROW[:17]) + " #9",  # 17 numbers and a comment
+    "#" + _line(ROW),  # a comment line of 18 tokens
+])
+def test_a_comment_in_an_18_token_row_is_a_comment(line):
+    text = (_line(ROW) + "\n") * 100 + line + "\n" + (_line(ROW) + "\n") * 100
+    try:
+        want = [repr(r) for r in iter_pairs(io.StringIO(text))]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_pairs(io.StringIO(text))
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc)) == (101, "line 101: expected 18 numbers, got 17")
+    else:
+        assert [repr(r) for r in read_pairs(io.StringIO(text))] == want
+        assert len(want) in (200, 201)
+
+
+@functools.cache
+def _error_test_lines(commented):
+    text = _chunked_text(random.Random(7), 3 * CHUNK + 500, (1, 3) if commented else ())
+    return tuple(io.StringIO(text, newline="").readlines())  # splitlines would split at \f and \v
+
+
+@pytest.mark.parametrize("commented", [False, True])
+@pytest.mark.parametrize("where", ["first of a chunk", "middle chunk", "last of a chunk", "last chunk"])
+@pytest.mark.parametrize("bad_line, message", BAD_LINES)
+def test_chunked_read_raises_the_per_line_error(commented, where, bad_line, message):
+    lines = list(_error_test_lines(commented))
+    lineno = {"first of a chunk": CHUNK + 1, "middle chunk": CHUNK + 300,
+              "last of a chunk": 2 * CHUNK, "last chunk": 3 * CHUNK + 400}[where]
+    lines[lineno - 1] = "\t" + bad_line + "\r\n"
+    lines[lineno + 5] = _line(ROW[:3]) + "\n"  # a later error is not the one raised
+    text = "".join(lines)
+    with pytest.raises(ParseError) as got:
+        read_pairs(io.StringIO(text, newline=""))
+    with pytest.raises(ParseError) as want:
+        list(iter_pairs(io.StringIO(text, newline="")))
+    assert got.value.line == want.value.line == lineno
+    assert str(got.value) == str(want.value) == f"line {lineno}: {message}"
 
 
 # --- the collector pause ---------------------------------------------------------
