@@ -9,39 +9,48 @@ clears that plane by more than the clip's reach is rejected before its
 frame is needed, with the reason PLANES_CROSS_NO_CONTACT, which otherwise
 means that the second triangle misses the reference plane.  Coincident
 planes switch to the coplanar contour path in the same frame.  The plane
-and the frame share one origin, the first triangle's first vertex, and
-``frame.to_plane`` is the one map from 3D into the frame; the window's
-build repeats its expressions inline.
+and the frame share one origin, the first triangle's first vertex.
 
 The plane, the frame and the image (the window, kept as its three side
 lines) belong to one triangle, not to a pair: ``prepare`` keeps them with the
 triangle, so a triangle tested against many partners builds them once.
+
+``intersect`` is one straight-line body on floats for raw, plain-sequence
+and prepared triangles.  Its blocks repeat, expression for expression, the
+public helpers, which stay as the API:
+
+* each unit normal is ``core.plane_from_triangle``'s, kept as three
+  floats; a norm that is not finite or below the area gate takes
+  ``plane_from_triangle`` itself, which raises NonFiniteInput before
+  DegenerateTriangle, or retakes an overflowed norm with ``math.hypot``;
+* the plane relation is ``core.classify_planes``;
+* the frame and window build, ``_frame_window``, is ``frame.build_frame``,
+  then ``frame.to_plane`` of the corners, then ``clip2d.window_lines``
+  (pinned by ``tests/test_prepared.py``);
+* points go into the frame by ``frame.to_plane`` and out of it by
+  ``frame.from_plane``, and the coplanar second triangle is put in
+  counter-clockwise order as ``clip2d.ccw_vertices`` orders it.
+
+The edge crossings (``lineplane.project_triangle_edges``), the segment clip
+(``clip2d.clip_segment_to_triangle``) and the coplanar contour
+(``coplanar.intersect_coplanar``) stay calls.  ``tests/test_kernel_reference.py``
+holds the kernel composed of the helpers, and requires the same label,
+reason, error and point bits on every pair it draws.
 """
 
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Window, _side_lines, ccw_vertices, clip_segment_to_triangle
+from .clip2d import Window, _clockwise, _side_lines, clip_segment_to_triangle
 from .coplanar import intersect_coplanar
-from .core import (
-    DEFAULT_TOLERANCE,
-    Plane,
-    PlaneRelation,
-    Point3,
-    Tolerance,
-    Triangle3,
-    classify_planes,
-    dist3,
-    plane_from_triangle,
-    vcross,
-    vnorm,
-    vsub,
-)
-from .frame import PlaneFrame, build_frame, from_plane, to_plane
+from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
+from .frame import PlaneFrame, Point2
 from .lineplane import project_triangle_edges
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
+_sqrt = math.sqrt
+_INF = math.inf
 
 
 class CaseLabel(Enum):
@@ -93,7 +102,8 @@ class PreparedTriangle:
         and ``window_lines`` give.
         """
         if self._frame_window is None:
-            self._frame_window = _frame_window(self.tri, self.plane, self.tol)
+            q, w, u, _ = self.plane
+            self._frame_window = _frame_window(self.tri, q, w, u, self.tol)
         return self._frame_window
 
     def release(self) -> None:
@@ -101,33 +111,35 @@ class PreparedTriangle:
         self._frame_window = None
 
 
-def _frame_window(tri: Triangle3, plane: Plane, tol: Tolerance) -> tuple[PlaneFrame, Window]:
-    """The frame of ``plane`` and the side lines of ``tri``'s image in it; see ``frame_window``."""
-    frame = build_frame(plane)
-    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = frame
-    _, b, c = tri
+def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple[PlaneFrame, Window]:
+    """The frame of the plane through ``tri`` with unit normal (nx, ny, nz), and the window in it.
+
+    See ``PreparedTriangle.frame_window``: ``build_frame``'s expressions,
+    then ``to_plane``'s for the corners, then ``window_lines``.
+    """
+    a, b, c = tri
+    # build_frame: the u axis is seeded from the first axis of least |component|;
+    # d = seed . n, whose sign of zero never reaches u, since a zero d makes u the seed itself
+    if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
+        sx, sy, sz, d = 1.0, 0.0, 0.0, nx
+    elif abs(ny) <= abs(nz):
+        sx, sy, sz, d = 0.0, 1.0, 0.0, ny
+    else:
+        sx, sy, sz, d = 0.0, 0.0, 1.0, nz
+    ux, uy, uz = sx - d * nx, sy - d * ny, sz - d * nz
+    un = _sqrt(ux * ux + uy * uy + uz * uz)
+    ux, uy, uz = ux / un, uy / un, uz / un
+    vx, vy, vz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
     # to_plane's expressions; the first vertex is the origin, so each of its
     # offsets is +0.0, and only its products keep the axes' signs of zero
+    ox, oy, oz = a
     x, y, z = b[0] - ox, b[1] - oy, b[2] - oz
     bu, bv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     x, y, z = c[0] - ox, c[1] - oy, c[2] - oz
     cu, cv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     au, av = 0.0 * ux + 0.0 * uy + 0.0 * uz, 0.0 * vx + 0.0 * vy + 0.0 * vz
+    frame = _new(PlaneFrame, (a, (ux, uy, uz), (vx, vy, vz), (nx, ny, nz)))
     return frame, _side_lines(au, av, bu, bv, cu, cv, tol)
-
-
-def _tri_plane(t, tol: Tolerance) -> tuple[Triangle3, Plane]:
-    """The triangle of ``t`` and its plane under ``tol``, taken from ``t`` if prepared under ``tol``.
-
-    Raises NonFiniteInput and DegenerateTriangle on the checks ``intersect`` makes.
-    """
-    if isinstance(t, PreparedTriangle):
-        if t.tol is tol or t.tol == tol:
-            return t.tri, t.plane
-        t = t.tri
-    if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
-        t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
-    return t, plane_from_triangle(t, tol)
 
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
@@ -136,72 +148,49 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
     ``t`` is a triangle of three 3D points, or a PreparedTriangle.  Raises
     NonFiniteInput and DegenerateTriangle on the checks ``intersect`` makes.
     """
-    tri, plane = _tri_plane(t, tol)
-    if isinstance(t, PreparedTriangle) and t.plane is plane:
-        return t
-    return PreparedTriangle(tri, plane, tol)
+    if isinstance(t, PreparedTriangle):
+        if t.tol is tol or t.tol == tol:
+            return t
+        t = t.tri
+    if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
+        t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
+    return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
 
 
-# one shared empty result per EmptyReason, in the enum's order
+# one shared empty result per EmptyReason, in the enum's order, and the
+# labels as module names: a global read costs less than a class attribute's
 _PARALLEL, _DISJOINT, _NO_CROSSING, _OUTSIDE = (IntersectionResult(reason=r) for r in EmptyReason)
+(_COPLANAR_NO_CONTACT, _COPLANAR_CONTOUR, _PARALLEL_PLANES, _CROSSING_NO_CONTACT, _TOUCH_POINT,
+ _CROSSING_SEGMENT) = CaseLabel
 
 
-def _first_frame_window(t1, tri1: Triangle3, pl1: Plane, tol: Tolerance) -> tuple[PlaneFrame, Window]:
-    """The first triangle's frame and window: kept with ``t1`` if it is prepared under ``tol``."""
-    if isinstance(t1, PreparedTriangle) and t1.plane is pl1:
-        return t1.frame_window()
-    return _frame_window(tri1, pl1, tol)
+def _reject_margin(t1, t2, eps: float) -> float:
+    """How far ``t1`` must clear ``t2``'s plane to be out of the clip's reach.
 
-
-def _coplanar_case(frame: PlaneFrame, window: Window, t2: Triangle3,
-                   tol: Tolerance) -> tuple[CaseLabel, IntersectionResult]:
-    a, b, c = t2
-    clipped = ccw_vertices(to_plane(frame, a), to_plane(frame, b), to_plane(frame, c), tol)
-    contour = intersect_coplanar(window, clipped, tol)
-    if not contour:
-        return CaseLabel.COPLANAR_NO_CONTACT, _DISJOINT
-    lifted = tuple(map(from_plane, (frame,) * len(contour), contour))
-    return CaseLabel.COPLANAR_CONTOUR, _new(IntersectionResult, (lifted, None))
-
-
-def _clear_of_plane(t1: Triangle3, t2: Triangle3, pl2: Plane, tol: Tolerance) -> bool:
-    """Whether ``t1`` lies on one side of ``t2``'s plane, out of the clip's reach.
-
-    Moeller's first test, from the second triangle's side: the three
-    vertices of ``t1`` are coded against ``pl2`` as ``project_triangle_edges``
-    codes those of ``t2`` against ``t1``'s plane.  The clip accepts points
-    up to eps_dist * L / r outside ``t1`` (L its longest edge, r its
-    inradius; see ``contact_margin``), and a vertex of ``t2`` within
-    eps_dist of ``t1``'s plane is taken as lying in it, so a contact is ruled
-    out only when every vertex clears ``pl2`` by more than
-    eps_dist * (1 + L / r) plus rounding.  That margin is computed only when
-    the three codes agree, with L / r <= 3 L^2 / |e x f| (e, f the edges
-    from the first vertex).
+    Moeller's first test, from the second triangle's side: ``intersect``
+    codes the three vertices of ``t1`` against ``t2``'s plane as
+    ``project_triangle_edges`` codes those of ``t2`` against ``t1``'s
+    plane.  The clip accepts points up to eps_dist * L / r outside ``t1``
+    (L its longest edge, r its inradius; see ``contact_margin``), and a
+    vertex of ``t2`` within eps_dist of ``t1``'s plane is taken as lying in
+    it, so a contact is ruled out only when every vertex clears the plane by
+    more than eps_dist * (1 + L / r) plus rounding.  That margin is computed
+    only when the three codes agree, with L / r <= 3 L^2 / |e x f| (e, f the
+    edges from the first vertex).
     """
     a, b, c = t1
-    q, w, u, (ox, oy, oz) = pl2
-    da = q * (a[0] - ox) + w * (a[1] - oy) + u * (a[2] - oz)
-    db = q * (b[0] - ox) + w * (b[1] - oy) + u * (b[2] - oz)
-    dc = q * (c[0] - ox) + w * (c[1] - oy) + u * (c[2] - oz)
-    eps = tol.eps_dist
-    if da > eps and db > eps and dc > eps:
-        clearance = min(da, db, dc)
-    elif da < -eps and db < -eps and dc < -eps:
-        clearance = -max(da, db, dc)
-    else:
-        return False
     ax, ay, az = a
     ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
     fx, fy, fz = c[0] - ax, c[1] - ay, c[2] - az
     gx, gy, gz = fx - ex, fy - ey, fz - ez
     nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-    # not 0: plane_from_triangle took the norm of this same cross product
+    # not 0: the plane's area gate took the norm of this same cross product
     twice_area = math.hypot(nx, ny, nz)
     longest2 = max(ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz,
                    gx * gx + gy * gy + gz * gz)
     reach = max(map(abs, (*a, *b, *c, *t2[0], *t2[1], *t2[2])))
     # with edges past about 1e154 the squares overflow: the margin is NaN, and nothing is rejected
-    return clearance > eps * (1.0 + 3.0 * longest2 / twice_area) + 1e-12 * (1.0 + reach)
+    return eps * (1.0 + 3.0 * longest2 / twice_area) + 1e-12 * (1.0 + reach)
 
 
 def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
@@ -215,34 +204,108 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     result geometry lies on both supporting planes within eps_dist; a
     clipped segment that degenerates to one point is a touch point.
     """
-    tri1, pl1 = _tri_plane(t1, tol)
-    tri2, pl2 = _tri_plane(t2, tol)
-    relation = classify_planes(pl1, pl2, tol)
-    if relation is PlaneRelation.PARALLEL:
-        return CaseLabel.PARALLEL_PLANES, _PARALLEL
-    if relation is PlaneRelation.COINCIDENT:
-        return _coplanar_case(*_first_frame_window(t1, tri1, pl1, tol), tri2, tol)
+    eps = tol.eps_dist
+    # each unit normal: plane_from_triangle's expressions, or the plane kept by
+    # prepare under tol; a norm that is not finite, or below the area gate,
+    # takes plane_from_triangle itself, which raises or retakes it with hypot
+    kept = None  # t1 prepared under tol: its frame and window are kept with it
+    if isinstance(t1, PreparedTriangle):
+        if t1.tol is tol or t1.tol == tol:
+            kept = t1
+        t1 = t1.tri
+    a1, b1, c1 = t1
+    ax, ay, az = a1
+    if kept is None:
+        ex, ey, ez = b1[0] - ax, b1[1] - ay, b1[2] - az
+        fx, fy, fz = c1[0] - ax, c1[1] - ay, c1[2] - az
+        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+        nn = _sqrt(nx * nx + ny * ny + nz * nz)
+        if tol.eps_area <= 0.5 * nn < _INF:
+            q1, w1, u1 = nx / nn, ny / nn, nz / nn
+        else:
+            q1, w1, u1, _ = plane_from_triangle(t1, tol)
+    else:
+        q1, w1, u1, _ = kept.plane
 
-    points = project_triangle_edges(tri2, pl1, tol)
-    if points is None:
-        # borderline coincidence: every vertex of t2 sits in the reference plane
-        return _coplanar_case(*_first_frame_window(t1, tri1, pl1, tol), tri2, tol)
-    if not points or _clear_of_plane(tri1, tri2, pl2, tol):
-        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _NO_CROSSING
+    plane2 = None
+    if isinstance(t2, PreparedTriangle):
+        if t2.tol is tol or t2.tol == tol:
+            plane2 = t2.plane
+        t2 = t2.tri
+    a2, b2, c2 = t2
+    gx, gy, gz = a2
+    if plane2 is None:
+        ex, ey, ez = b2[0] - gx, b2[1] - gy, b2[2] - gz
+        fx, fy, fz = c2[0] - gx, c2[1] - gy, c2[2] - gz
+        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+        nn = _sqrt(nx * nx + ny * ny + nz * nz)
+        if tol.eps_area <= 0.5 * nn < _INF:
+            q2, w2, u2 = nx / nn, ny / nn, nz / nn
+        else:
+            q2, w2, u2, _ = plane_from_triangle(t2, tol)
+    else:
+        q2, w2, u2, _ = plane2
 
-    frame, window = _first_frame_window(t1, tri1, pl1, tol)
-    e = to_plane(frame, points[0])
-    x = e if len(points) == 1 else to_plane(frame, points[1])
-    clip = clip_segment_to_triangle(e, x, window, tol)
-    if not clip:
-        return CaseLabel.CROSSING_PLANES_NO_CONTACT, _OUTSIDE
-    if len(points) == 1:
-        # clipped as the segment (e, e); reported as itself, not its round trip
-        return CaseLabel.TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
-    lifted = tuple(map(from_plane, (frame,) * len(clip), clip))
-    if len(lifted) == 1:
-        return CaseLabel.TOUCH_POINT, _new(IntersectionResult, (lifted, None))
-    return CaseLabel.CROSSING_SEGMENT, _new(IntersectionResult, (lifted, None))
+    # classify_planes: the normals' cross product is the sine of the dihedral
+    # angle; coincidence is the distance of t2's first vertex from t1's plane
+    cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
+    if _sqrt(cq * cq + cw * cw + cu * cu) > eps:
+        points = project_triangle_edges(t2, (q1, w1, u1, a1), tol)
+        # None is a borderline coincidence: every vertex of t2 sits in t1's plane
+        coplanar = points is None
+        if not coplanar:
+            if not points:
+                return _CROSSING_NO_CONTACT, _NO_CROSSING
+            # the early reject: t1's vertices coded against t2's plane
+            da = q2 * (ax - gx) + w2 * (ay - gy) + u2 * (az - gz)
+            db = q2 * (b1[0] - gx) + w2 * (b1[1] - gy) + u2 * (b1[2] - gz)
+            dc = q2 * (c1[0] - gx) + w2 * (c1[1] - gy) + u2 * (c1[2] - gz)
+            if da > eps and db > eps and dc > eps:
+                if min(da, db, dc) > _reject_margin(t1, t2, eps):
+                    return _CROSSING_NO_CONTACT, _NO_CROSSING
+            elif da < -eps and db < -eps and dc < -eps:
+                if -max(da, db, dc) > _reject_margin(t1, t2, eps):
+                    return _CROSSING_NO_CONTACT, _NO_CROSSING
+    elif abs(q1 * (gx - ax) + w1 * (gy - ay) + u1 * (gz - az)) <= eps:
+        coplanar = True
+    else:
+        return _PARALLEL_PLANES, _PARALLEL
+
+    frame, window = _frame_window(t1, q1, w1, u1, tol) if kept is None else kept.frame_window()
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = frame
+    if coplanar:
+        # t2 in the frame, by to_plane's expressions, and counter-clockwise as ccw_vertices orders it
+        mapped = []
+        for px, py, pz in t2:
+            x, y, z = px - ox, py - oy, pz - oz
+            mapped.append((x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+        (pu, pv), (qu, qv), (su, sv) = mapped
+        if _clockwise(pu, pv, qu, qv, su, sv, tol):
+            mapped[1], mapped[2] = mapped[2], mapped[1]
+        clip = intersect_coplanar(window, mapped, tol)
+        if not clip:
+            return _COPLANAR_NO_CONTACT, _DISJOINT
+        label = _COPLANAR_CONTOUR
+    else:
+        # the crossing points in the frame, by to_plane's expressions
+        px, py, pz = points[0]
+        x, y, z = px - ox, py - oy, pz - oz
+        e = end = _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+        if len(points) == 2:
+            px, py, pz = points[1]
+            x, y, z = px - ox, py - oy, pz - oz
+            end = _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+        clip = clip_segment_to_triangle(e, end, window, tol)
+        if not clip:
+            return _CROSSING_NO_CONTACT, _OUTSIDE
+        if len(points) == 1:
+            # clipped as the segment (e, e); reported as itself, not its round trip
+            return _TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
+        label = _TOUCH_POINT if len(clip) == 1 else _CROSSING_SEGMENT
+    # from_plane's expressions
+    lifted = tuple([_new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
+                    for u, v in clip])
+    return label, _new(IntersectionResult, (lifted, None))
 
 
 def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
@@ -273,10 +336,20 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """
-    a, b, c = prepare(t, tol).tri
-    edges = (dist3(a, b), dist3(b, c), dist3(c, a))
-    longest = max(edges)
-    area = 0.5 * vnorm(vcross(vsub(b, a), vsub(c, a)))
-    inradius = 2.0 * area / sum(edges)
-    reach = max(vnorm(a), vnorm(b), vnorm(c))
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
+    # the expressions of dist3, vcross, vnorm and sum over the edges, flat
+    x, y, z = ax - bx, ay - by, az - bz
+    ab = _sqrt(x * x + y * y + z * z)
+    x, y, z = bx - cx, by - cy, bz - cz
+    bc = _sqrt(x * x + y * y + z * z)
+    x, y, z = cx - ax, cy - ay, cz - az
+    ca = _sqrt(x * x + y * y + z * z)
+    longest = max(ab, bc, ca)
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    fx, fy, fz = cx - ax, cy - ay, cz - az
+    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    area = 0.5 * _sqrt(nx * nx + ny * ny + nz * nz)
+    inradius = 2.0 * area / (ab + bc + ca)
+    reach = max(_sqrt(ax * ax + ay * ay + az * az), _sqrt(bx * bx + by * by + bz * bz),
+                _sqrt(cx * cx + cy * cy + cz * cz))
     return tol.eps_dist * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)

@@ -350,26 +350,34 @@ def test_mesh_output_is_byte_identical_across_runs(tmp_path, capsys):
         assert outputs[0] and outputs[0] == outputs[1]
 
 
-# SHA-256 of the record streams of the two runs below, recorded when plane
-# distances moved to the triangle's first vertex.  A change that alters
-# records on purpose updates these and says so in CHANGES.md.
+# SHA-256 of the record streams of the three runs below, recorded when plane
+# distances moved to the triangle's first vertex (the two-mesh stream, whose
+# first triangle comes from one file and second from another, was recorded
+# later, on the same code).  A change that alters records on purpose updates
+# these and says so in CHANGES.md.
 PAIR_MIX_DIGEST = "172190c28fa132c8289c996697672fa0d292985da00f06d5d427f4b453084977"
 HEIGHT_FIELD_DIGEST = "5fe4bca648abf1708a6f73504668ba42e4630c4581ac109795449170cbbc7a9a"
+TWO_FIELDS_DIGEST = "778d92a4ca15e49f5c7ca4508ab257566464dee1421a006b598d59e80c6bf8b4"
 
 
 def test_record_streams_match_the_recorded_digests(tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("".join(_pair_line(t1, t2) + "\n" for t1, t2 in mixed_pairs(random.Random(1010), 2000)))
     rng = random.Random(2020)
-    field = tmp_path / "field.off"
-    field.write_text(off_text(height_field([[rng.randint(0, 3) / 3 for _ in range(9)] for _ in range(9)])))
+    heights = [[rng.randint(0, 3) / 3 for _ in range(9)] for _ in range(9)]
+    field, moved = tmp_path / "field.off", tmp_path / "moved.off"
+    field.write_text(off_text(height_field(heights)))
+    moved.write_text(off_text(height_field(heights, offset=(0.25, 0.5, 0.0))))
     digests = []
-    for args in (["pair", "--input", str(pairs)], ["mesh", str(field), str(field)]):
+    for args in (["pair", "--input", str(pairs)], ["mesh", str(field), str(field)],
+                 ["mesh", str(field), str(moved)]):
         out = tmp_path / "out.jsonl"
         assert main([*args, "--output", str(out)]) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    capsys.readouterr()
-    assert digests == [PAIR_MIX_DIGEST, HEIGHT_FIELD_DIGEST]
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    # the terraces overlap flat and cross on the slopes
+    assert {"coplanar_contour", "crossing_segment"} <= summary["cases"].keys()
+    assert digests == [PAIR_MIX_DIGEST, HEIGHT_FIELD_DIGEST, TWO_FIELDS_DIGEST]
 
 
 def test_output_path_in_a_missing_directory_exits_1_before_any_pair(tmp_path, capsys, monkeypatch):

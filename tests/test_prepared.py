@@ -107,7 +107,7 @@ def test_triangle_prepared_under_another_tolerance_is_prepared_again():
 
 def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
     faces = height_field(_heights(random.Random(53), 8))
-    calls = {"build_frame": 0, "_frame_window": 0}
+    calls = {"_frame_window": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -118,13 +118,11 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    # the modules, not the functions tritri/__init__.py re-exports under their names
-    counted(importlib.import_module("tritri.intersect"), "build_frame")
+    # the module, not the names tritri/__init__.py re-exports; _frame_window is
     # the one builder of a first triangle's frame and window side lines
     counted(importlib.import_module("tritri.intersect"), "_frame_window")
     results, _ = run_meshes(faces, faces, DEFAULT_TOLERANCE, same_mesh=True)
     assert len(results) > 2 * len(faces)  # kernel calls, so the bound below bites
-    assert 0 < calls["build_frame"] <= len(faces)
     assert 0 < calls["_frame_window"] <= len(faces)
 
     # coplanar pairs: a frame and window for the first triangle, none for the second
