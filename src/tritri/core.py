@@ -77,26 +77,6 @@ class PlaneRelation(Enum):
     INTERSECTING = "intersecting"
 
 
-def vsub(a, b) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vcross(a, b) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def vnorm(a) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def dist3(a, b) -> float:
-    return vnorm(vsub(a, b))
-
-
 def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Plane:
     """Supporting plane of a triangle, normal by the right-hand rule.
 

@@ -2,14 +2,9 @@
 
 The first triangle's plane is the reference: the second triangle's edges
 are intersected with it, and the resulting points are clipped in a 2D
-frame of that plane against the first triangle's image.  Before the clip,
-the first triangle's vertices are coded against the second triangle's
-plane (Moeller's first test, from the other side): a first triangle that
-clears that plane by more than the clip's reach is rejected before its
-frame is needed, with the reason PLANES_CROSS_NO_CONTACT, which otherwise
-means that the second triangle misses the reference plane.  Coincident
-planes switch to the coplanar contour path in the same frame.  The plane
-and the frame share one origin, the first triangle's first vertex.
+frame of that plane against the first triangle's image.  Coincident planes
+switch to the coplanar contour path in the same frame.  The plane and the
+frame share one origin, the first triangle's first vertex.
 
 The plane, the frame and the image (the window, kept as its three side
 lines) belong to one triangle, not to a pair: ``prepare`` keeps them with the
@@ -164,35 +159,6 @@ _PARALLEL, _DISJOINT, _NO_CROSSING, _OUTSIDE = (IntersectionResult(reason=r) for
  _CROSSING_SEGMENT) = CaseLabel
 
 
-def _reject_margin(t1, t2, eps: float) -> float:
-    """How far ``t1`` must clear ``t2``'s plane to be out of the clip's reach.
-
-    Moeller's first test, from the second triangle's side: ``intersect``
-    codes the three vertices of ``t1`` against ``t2``'s plane as
-    ``project_triangle_edges`` codes those of ``t2`` against ``t1``'s
-    plane.  The clip accepts points up to eps_dist * L / r outside ``t1``
-    (L its longest edge, r its inradius; see ``contact_margin``), and a
-    vertex of ``t2`` within eps_dist of ``t1``'s plane is taken as lying in
-    it, so a contact is ruled out only when every vertex clears the plane by
-    more than eps_dist * (1 + L / r) plus rounding.  That margin is computed
-    only when the three codes agree, with L / r <= 3 L^2 / |e x f| (e, f the
-    edges from the first vertex).
-    """
-    a, b, c = t1
-    ax, ay, az = a
-    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
-    fx, fy, fz = c[0] - ax, c[1] - ay, c[2] - az
-    gx, gy, gz = fx - ex, fy - ey, fz - ez
-    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-    # not 0: the plane's area gate took the norm of this same cross product
-    twice_area = math.hypot(nx, ny, nz)
-    longest2 = max(ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz,
-                   gx * gx + gy * gy + gz * gz)
-    reach = max(map(abs, (*a, *b, *c, *t2[0], *t2[1], *t2[2])))
-    # with edges past about 1e154 the squares overflow: the margin is NaN, and nothing is rejected
-    return eps * (1.0 + 3.0 * longest2 / twice_area) + 1e-12 * (1.0 + reach)
-
-
 def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, IntersectionResult]:
     """Classify and construct the intersection of two triangles.
 
@@ -253,19 +219,8 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         points = project_triangle_edges(t2, (q1, w1, u1, a1), tol)
         # None is a borderline coincidence: every vertex of t2 sits in t1's plane
         coplanar = points is None
-        if not coplanar:
-            if not points:
-                return _CROSSING_NO_CONTACT, _NO_CROSSING
-            # the early reject: t1's vertices coded against t2's plane
-            da = q2 * (ax - gx) + w2 * (ay - gy) + u2 * (az - gz)
-            db = q2 * (b1[0] - gx) + w2 * (b1[1] - gy) + u2 * (b1[2] - gz)
-            dc = q2 * (c1[0] - gx) + w2 * (c1[1] - gy) + u2 * (c1[2] - gz)
-            if da > eps and db > eps and dc > eps:
-                if min(da, db, dc) > _reject_margin(t1, t2, eps):
-                    return _CROSSING_NO_CONTACT, _NO_CROSSING
-            elif da < -eps and db < -eps and dc < -eps:
-                if -max(da, db, dc) > _reject_margin(t1, t2, eps):
-                    return _CROSSING_NO_CONTACT, _NO_CROSSING
+        if not (coplanar or points):
+            return _CROSSING_NO_CONTACT, _NO_CROSSING
     elif abs(q1 * (gx - ax) + w1 * (gy - ay) + u1 * (gz - az)) <= eps:
         coplanar = True
     else:
@@ -337,7 +292,7 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       operations on coordinates of size R.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
-    # the expressions of dist3, vcross, vnorm and sum over the edges, flat
+    # each edge, the cross product and each vertex as sqrt(x * x + y * y + z * z), flat
     x, y, z = ax - bx, ay - by, az - bz
     ab = _sqrt(x * x + y * y + z * z)
     x, y, z = bx - cx, by - cy, bz - cz

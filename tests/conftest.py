@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 
-from tritri.core import Point3, Triangle3, vcross, vnorm, vsub
+from tritri.core import Point3, Triangle3
 from tritri.frame import Point2
 from tritri.clip2d import ccw_vertices
 
@@ -179,6 +179,22 @@ def result_matches_oracle(result_points, oracle_float_points, tol=1e-9) -> bool:
 
 def dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def vsub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def vcross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def vnorm(a) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def dist3(a, b) -> float:
+    return vnorm(vsub(a, b))
 
 
 def point_segment_distance(p, x, y) -> float:

@@ -13,12 +13,10 @@ from tritri.core import (
     classify_planes,
     plane_from_triangle,
     signed_distance,
-    vcross,
-    vnorm,
 )
 from tritri.errors import DegenerateTriangle
 
-from conftest import grid_triangle
+from conftest import grid_triangle, vnorm
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
 
@@ -89,10 +87,6 @@ def test_classify_intersecting():
     t2 = Triangle3(Point3(0, 0, -1), Point3(1, 0, 1), Point3(0, 1, 1))
     rel = classify_planes(plane_from_triangle(T1), plane_from_triangle(t2))
     assert rel is PlaneRelation.INTERSECTING
-
-
-def test_cross_dot_conventions():
-    assert vcross((1, 0, 0), (0, 1, 0)) == (0.0, 0.0, 1.0)
 
 
 def test_default_tolerance_values():

@@ -3,11 +3,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritri.core import Point3, Triangle3, plane_from_triangle, vnorm
+from tritri.core import Point3, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle
 from tritri.frame import Point2, build_frame, from_plane, to_plane
 
-from conftest import dot3
+from conftest import dot3, vnorm
 
 
 def _frame_for(points):

@@ -2,8 +2,8 @@
 
 No linter runs on this package, so static checks, with stdlib ``ast`` only,
 catch what a deletion can leave behind: an import no code reads any more, a
-private helper no code calls any more, or a name in ``tritri.__all__`` that
-the package no longer defines.  One more check imports the CLI in a fresh
+helper no code calls any more, or a name in ``tritri.__all__`` that the
+package no longer defines.  One more check imports the CLI in a fresh
 interpreter and looks at the modules it loaded.
 """
 
@@ -77,6 +77,18 @@ def test_every_private_name_is_read():
         imported = {a.name for other, t in trees.items() if other != name
                     for n in ast.walk(t) if isinstance(n, ast.ImportFrom) for a in n.names}
         unread += [f"{name}: {p}" for p in sorted(_private_names(tree) - read - imported)]
+    assert unread == []
+
+
+def test_every_public_function_and_class_is_exported_or_read():
+    # a public helper that is neither exported nor read is dead code; the
+    # oracle is exempt, since its API serves the tests and the benchmark
+    trees = {name: _tree(name) for name in MODULES}
+    read = {n.id for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{name}: {node.name}" for name, tree in trees.items() if name != "oracle.py"
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in {*read, *tritri.__all__}]
     assert unread == []
 
 

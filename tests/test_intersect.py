@@ -96,15 +96,16 @@ def test_crossing_planes_segment_misses_window():
     assert res.reason is EmptyReason.SEGMENT_OUTSIDE_WINDOW
 
 
-def test_triangle_wholly_beside_the_other_plane_is_rejected_in_both_orders():
-    # t2 crosses T1's plane along x = 6, beside T1; every vertex of T1 lies
-    # on one side of t2's plane, so the pair is rejected before any clip
+def test_triangle_beside_the_other_misses_its_window_in_one_order_and_its_plane_in_the_other():
+    # t2 crosses T1's plane along x = 6, beside T1, so its segment is clipped
+    # away; every vertex of T1 lies on one side of t2's plane x = 6
     t2 = _tri((6, -1, -1), (6, 1, -1), (6, 0, 1))
-    for a, b in ((T1, t2), (t2, T1)):
+    for a, b, reason in ((T1, t2, EmptyReason.SEGMENT_OUTSIDE_WINDOW),
+                         (t2, T1, EmptyReason.PLANES_CROSS_NO_CONTACT)):
         label, res = intersect(a, b)
         assert label is CaseLabel.CROSSING_PLANES_NO_CONTACT
         assert res.points == ()
-        assert res.reason is EmptyReason.PLANES_CROSS_NO_CONTACT
+        assert res.reason is reason
 
 
 def test_sliver_tip_within_the_window_slack_of_the_other_plane_stays_a_touch():

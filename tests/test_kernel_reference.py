@@ -6,10 +6,9 @@ lines are computed inline.  The reference below is the kernel written as
 the composition of the public functions each inline block mirrors
 (``plane_from_triangle``, ``classify_planes``, ``project_triangle_edges``,
 ``build_frame``, ``window_lines``, ``to_plane``,
-``clip_segment_to_triangle``, ``intersect_coplanar`` and ``from_plane``),
-with the first triangle's early reject written out.  Labels, reasons,
-errors and every bit of every point (``float.hex``, so -0.0 and 0.0
-differ) must agree.
+``clip_segment_to_triangle``, ``intersect_coplanar`` and ``from_plane``).
+Labels, reasons, errors and every bit of every point (``float.hex``, so
+-0.0 and 0.0 differ) must agree.
 """
 
 import math
@@ -26,11 +25,7 @@ from tritri.core import (
     Tolerance,
     Triangle3,
     classify_planes,
-    dist3,
     plane_from_triangle,
-    vcross,
-    vnorm,
-    vsub,
 )
 from tritri.errors import DegenerateTriangle, NonFiniteInput
 from tritri.frame import build_frame, from_plane, to_plane
@@ -45,7 +40,7 @@ from tritri.intersect import (
 )
 from tritri.lineplane import project_triangle_edges
 
-from conftest import coplanar_partner, grid_triangle, mixed_pairs
+from conftest import coplanar_partner, dist3, grid_triangle, mixed_pairs, vcross, vnorm, vsub
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
@@ -60,26 +55,6 @@ def _reference_tri_plane(t, tol):
         t = t.tri
     tri = Triangle3(*(Point3(*v) for v in t))
     return tri, plane_from_triangle(tri, tol)
-
-
-def _reference_clear_of_plane(t1, t2, pl2, tol):
-    """Whether every vertex of ``t1`` clears ``pl2`` by eps_dist * (1 + 3 L^2 / |e x f|) and rounding."""
-    q, w, u, o = pl2
-    da, db, dc = (q * (v[0] - o[0]) + w * (v[1] - o[1]) + u * (v[2] - o[2]) for v in t1)
-    eps = tol.eps_dist
-    if da > eps and db > eps and dc > eps:
-        clearance = min(da, db, dc)
-    elif da < -eps and db < -eps and dc < -eps:
-        clearance = -max(da, db, dc)
-    else:
-        return False
-    a, b, c = t1
-    e, f = vsub(b, a), vsub(c, a)
-    g = vsub(f, e)
-    nx, ny, nz = vcross(e, f)
-    longest2 = max(sum(x * x for x in e), sum(x * x for x in f), sum(x * x for x in g))
-    reach = max(map(abs, (*a, *b, *c, *t2[0], *t2[1], *t2[2])))
-    return clearance > eps * (1.0 + 3.0 * longest2 / math.hypot(nx, ny, nz)) + 1e-12 * (1.0 + reach)
 
 
 def _reference_coplanar(frame, window, tri2, tol):
@@ -107,7 +82,7 @@ def reference_intersect(t1, t2, tol=DEFAULT_TOLERANCE):
     points = project_triangle_edges(tri2, pl1, tol)
     if points is None:
         return _reference_coplanar(*frame_window(), tri2, tol)
-    if not points or _reference_clear_of_plane(tri1, tri2, pl2, tol):
+    if not points:
         return (CaseLabel.CROSSING_PLANES_NO_CONTACT,
                 IntersectionResult(reason=EmptyReason.PLANES_CROSS_NO_CONTACT))
     frame, window = frame_window()
@@ -171,10 +146,13 @@ def _sliver(rng):
 
 
 def _near_the_margin(rng, tol):
-    """A sliver moved off a crossing triangle's plane to near the early reject's margin.
+    """A sliver moved off a crossing triangle's plane to near the clip's reach.
 
-    Its nearest vertex ends up at 0.9 to 1.1 times the margin, or half the
-    time within 1e-5 of it, relative, where the rounding term counts.
+    The clip accepts points up to eps_dist * L / r outside the sliver (L its
+    longest edge, r its inradius; see ``contact_margin``), and L / r <= 3 L^2
+    / |e x f| (e, f the edges from the first vertex).  The sliver's nearest
+    vertex ends up at 0.9 to 1.1 times eps_dist * (1 + 3 L^2 / |e x f|) plus
+    a rounding term, or half the time within 1e-5 of it, relative.
     """
     t1, t2 = _sliver(rng), grid_triangle(rng)
     pl2 = plane_from_triangle(t2, tol)
@@ -225,7 +203,7 @@ def test_flat_intersect_equals_the_composed_kernel_bit_for_bit():
     assert min(seen[CaseLabel.COPLANAR_CONTOUR], seen[CaseLabel.PARALLEL_PLANES]) > 100, seen
     total += sum(seen.values())
 
-    # slivers near the first triangle's early reject, under two tolerances
+    # slivers near the clip's reach beyond the first triangle, under two tolerances
     for tol in (DEFAULT_TOLERANCE, LOOSE):
         near = []
         while len(near) < 1000:
@@ -255,6 +233,25 @@ def test_flat_intersect_equals_the_composed_kernel_bit_for_bit():
     seen = _check(_both_orders(scaled))
     total += sum(seen.values())
     assert total >= 10_000
+
+
+def test_planes_cross_no_contact_means_the_second_triangle_misses_the_first_plane():
+    # the reason of a crossing pair without contact says which test decided
+    # it: the second triangle's vertex codes, or the clip of its segment
+    rng = random.Random(2020)
+    cases = [(pair, DEFAULT_TOLERANCE) for pair in _both_orders(mixed_pairs(rng, 1000))]
+    cases += [(_near_the_margin(rng, tol), tol) for tol in (DEFAULT_TOLERANCE, LOOSE)
+              for _ in range(1000)]
+    seen = {EmptyReason.PLANES_CROSS_NO_CONTACT: 0, EmptyReason.SEGMENT_OUTSIDE_WINDOW: 0}
+    for (t1, t2), tol in cases:
+        label, result = intersect(t1, t2, tol)
+        if label is CaseLabel.CROSSING_PLANES_NO_CONTACT:
+            missed = project_triangle_edges(t2, plane_from_triangle(t1, tol), tol) == []
+            want = (EmptyReason.PLANES_CROSS_NO_CONTACT if missed
+                    else EmptyReason.SEGMENT_OUTSIDE_WINDOW)
+            assert result.reason is want, (t1, t2, tol)
+            seen[want] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_the_inline_plane_raises_non_finite_input_before_degenerate_triangle():

@@ -8,17 +8,15 @@ from tritri.core import (
     DEFAULT_TOLERANCE,
     Point3,
     Triangle3,
-    dist3,
     plane_from_triangle,
     signed_distance,
-    vsub,
 )
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import CaseLabel, intersect, prepare
 from tritri.lineplane import project_triangle_edges
 from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import crossing_pair, mixed_pairs
+from conftest import crossing_pair, dist3, mixed_pairs, vsub
 
 PLANE = plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0)))
 WINDOW = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
