@@ -14,9 +14,9 @@ same records or raises the same ``ParseError``.
 import contextlib
 import gc
 import math
+import os
 import sys
 from itertools import chain, count, islice, repeat
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .core import Point3, Triangle3
@@ -145,7 +145,7 @@ def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
 
 
 @collector_paused()
-def read_pairs(source: str | Path | TextIO) -> list[PairRecord]:
+def read_pairs(source: str | os.PathLike | TextIO) -> list[PairRecord]:
     """Read pair records from a path, '-' for stdin, or an open stream.
 
     The same records as ``iter_pairs``, or the same ParseError.
@@ -159,7 +159,7 @@ def read_pairs(source: str | Path | TextIO) -> list[PairRecord]:
 
 
 @collector_paused()
-def read_off(source: str | Path | TextIO) -> list[Triangle3]:
+def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
     """Read an ASCII OFF triangle soup.
 
     Only 3-vertex faces are accepted; anything else is a ParseError.

@@ -23,6 +23,7 @@ implementation may legitimately flip it.
 """
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -93,6 +94,26 @@ def _ccw(tri):
     return (a, b, c) if o > 0 else (a, c, b)
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _root(q: Fraction) -> float:
+    """The square root of a rational q >= 0 as a float, saturating at inf.
+
+    Past the float range, the root comes from the integer part of q, which
+    is then at least 1e308, so the loss is far below a float's precision.
+    """
+    if q <= _FLOAT_MAX:
+        return math.sqrt(q)
+    root = math.isqrt(math.floor(q))
+    return float(root) if root <= _FLOAT_MAX else math.inf
+
+
+def _dist(num, densq) -> float:
+    """``|num| / sqrt(densq)`` as a float, from the exact ratio, so it never overflows."""
+    return _root(num * num / densq)
+
+
 def as_floats(points):
     """Rational points converted to float tuples for comparisons."""
     return [tuple(float(x) for x in p) for p in points]
@@ -114,8 +135,8 @@ def _window_span(p, q, w, margins=None):
         dp = _orient(a, b, p)
         dq = _orient(a, b, q)
         if margins is not None:
-            side_len = math.sqrt(float(_dsq2(a, b)))
-            margins.extend(abs(float(d)) / side_len for d in (dp, dq) if d)
+            side_sq = _dsq2(a, b)
+            margins.extend(_dist(d, side_sq) for d in (dp, dq) if d)
         if dp < 0 and dq < 0:
             return None
         if dp >= 0 and dq >= 0:
@@ -245,7 +266,7 @@ def oracle_intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> OracleResult
     if crsq <= epsq * n1sq * n2sq:
         gap = _dot3(n1, rt2[0]) + d1
         if gap:
-            margins.append(abs(float(gap)) / math.sqrt(float(n1sq)))
+            margins.append(_dist(gap, n1sq))
         if gap * gap <= epsq * n1sq:
             return _oracle_coplanar(rt1, rt2, n1, d1, margins, tol)
         return OracleResult(CaseLabel.PARALLEL_PLANES, (), min(margins, default=math.inf))
@@ -266,12 +287,12 @@ def _oracle_coplanar(rt1, rt2, n1, d1, margins, tol) -> OracleResult:
             for p in pts:
                 o = _orient(a, b, p)
                 if o:
-                    margins.append(abs(float(o)) / math.sqrt(float(lensq)))
+                    margins.append(_dist(o, lensq))
 
     poly = rational_polygon_intersection(c2, w2)
     area = rational_polygon_area(poly) if poly else Fraction(0)
     if area > 0:
-        margins.append(math.sqrt(float(area)))
+        margins.append(_root(area))
         lifted = tuple(_lift(n1, d1, k, i, j, p) for p in poly)
         return OracleResult(CaseLabel.COPLANAR_CONTOUR, lifted, min(margins, default=math.inf))
     return OracleResult(CaseLabel.COPLANAR_NO_CONTACT, (), min(margins, default=math.inf))
@@ -282,17 +303,16 @@ def _oracle_crossing(rt1, rt2, n1, n2, d1, margins, tol) -> OracleResult:
     epsq = eps * eps
     d2 = -_dot3(n2, rt2[0])
     n1sq, n2sq = _dot3(n1, n1), _dot3(n2, n2)
-    n1len, n2len = math.sqrt(float(n1sq)), math.sqrt(float(n2sq))
 
     sd = [_dot3(n1, v) + d1 for v in rt2]
     zero = [0 if s * s <= epsq * n1sq else (1 if s > 0 else -1) for s in sd]
     for s, z in zip(sd, zero):
         if z:
-            margins.append(abs(float(s)) / n1len)
+            margins.append(_dist(s, n1sq))
     for v in rt1:
         s = _dot3(n2, v) + d2
         if s * s > epsq * n2sq:
-            margins.append(abs(float(s)) / n2len)
+            margins.append(_dist(s, n2sq))
 
     if not any(zero):
         # every vertex effectively in the reference plane: coplanar after all
@@ -323,14 +343,14 @@ def _oracle_crossing(rt1, rt2, n1, n2, d1, margins, tol) -> OracleResult:
     span = _window_span((p3[i], p3[j]), (q3[i], q3[j]), w2, margins)
     if span is None or span[0] > span[1]:
         if span:
-            margins.append(float(span[0] - span[1]) * math.sqrt(float(_dsq3(p3, q3))))
+            margins.append(float(span[0] - span[1]) * _root(_dsq3(p3, q3)))
         return OracleResult(label_empty, (), min(margins, default=math.inf))
 
     e3 = _lerp3(p3, q3, span[0])
     x3 = _lerp3(p3, q3, span[1])
     extent = _dsq3(e3, x3)
     if extent:
-        margins.append(math.sqrt(float(extent)))
+        margins.append(_root(extent))
     slack = min(margins, default=math.inf)
     if extent <= epsq:
         return OracleResult(CaseLabel.TOUCH_POINT, (e3,), slack)

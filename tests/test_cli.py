@@ -2,9 +2,6 @@ import gc
 import hashlib
 import json
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -509,14 +506,6 @@ def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    src = Path(tritri.cli.__file__).parents[1]
-    code = "import sys, tritri.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": str(src)}, timeout=60)
-    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("rec", [

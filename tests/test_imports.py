@@ -104,11 +104,13 @@ def test_the_oracle_imports_no_kernel_geometry():
     assert imported <= {"DEFAULT_TOLERANCE", "Tolerance", "DegenerateTriangle", "CaseLabel"}
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    # both cost start-up time on every CLI run, and the package needs neither
-    code = ("import sys, tritri.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+def test_importing_the_cli_loads_no_slow_module():
+    # each costs start-up time on every CLI run, and the CLI needs none: it
+    # runs serially, and pathlib served only type annotations.  ``-S`` keeps
+    # ``site`` from loading any of them first
+    slow = ["concurrent.futures", "dataclasses", "inspect", "pathlib"]
+    code = f"import sys, tritri.cli; print(sorted(set({slow!r}) & sys.modules.keys()))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Checks on the exact-arithmetic reference, plus spot agreement with intersect()."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,32 @@ def test_scaling_invariance():
         assert sorted(scaled.points) == sorted(
             tuple(s * c for c in p) for p in base.points
         )
+
+
+@pytest.mark.parametrize("k", [100, 200, 300, 400, 500])
+def test_scaling_by_a_power_of_two_keeps_labels_and_points(k):
+    # 2**k scales every float coordinate exactly; the margins, and so the
+    # slack, take squared quantities far past the float range
+    s = 2.0 ** k
+    for t1, t2 in mixed_pairs(random.Random(331), 40):
+        big1 = tuple(tuple(s * x for x in v) for v in t1)
+        big2 = tuple(tuple(s * x for x in v) for v in t2)
+        for a, b, big_a, big_b in ((t1, t2, big1, big2), (t2, t1, big2, big1)):
+            base = oracle_intersect(a, b)
+            scaled = oracle_intersect(big_a, big_b)
+            assert scaled.label is base.label
+            assert scaled.points == tuple(tuple(c * 2 ** k for c in p) for p in base.points)
+            assert 0 < scaled.slack <= math.inf
+
+
+def test_legs_of_1e150_against_a_unit_triangle():
+    legs = ((0, 0, 0), (1e150, 0, 0), (0, 1e150, 0))
+    unit = ((1, 1, -1), (1, 1, 1), (2, 1, 1))
+    for a, b in ((legs, unit), (unit, legs)):
+        res = oracle_intersect(a, b)
+        assert res.label is CaseLabel.CROSSING_SEGMENT
+        assert sorted(res.points) == [(1, 1, 0), (Fraction(3, 2), 1, 0)]
+        assert res.slack == 0.5
 
 
 def test_degenerate_rejected():
