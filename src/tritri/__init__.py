@@ -42,6 +42,7 @@ from .intersect import (
     EmptyReason,
     IntersectionResult,
     PreparedTriangle,
+    contact_margin,
     intersect,
     prepare,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "ccw_vertices",
     "classify_planes",
     "clip_segment_to_triangle",
+    "contact_margin",
     "from_plane",
     "intersect",
     "intersect_coplanar",

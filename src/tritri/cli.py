@@ -4,14 +4,18 @@ Two modes: ``tritri pair`` reads triangle pairs (18 numbers per line) and
 emits one JSON record per pair; ``tritri mesh`` reads two OFF triangle
 soups, prepares each face once (``intersect.prepare``), sends the cross
 pairs whose grown bounding boxes overlap to the kernel, and emits records
-for contacting pairs.
+for contacting pairs.  Those candidates come from a sweep over the boxes
+sorted by low x; for two meshes, only the boxes that meet the other
+mesh's overall box enter it.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
 stream is byte-identical across runs.  Per-record timing (the ``us``
 field) is therefore opt-in via --timing.  Besides the counts, the summary
 gives the time spent parsing (``parse_us``), computing (``elapsed_us``),
-writing records (``emit_us``) and in the whole run (``total_us``).
+choosing the mesh pairs for the kernel, a part of computing
+(``candidates_us``, 0 in pair mode), writing records (``emit_us``) and in
+the whole run (``total_us``).
 
 ``main`` pauses the cyclic garbage collector (``fileio.collector_paused``):
 the batch makes only acyclic objects, which reference counting frees, so
@@ -21,9 +25,10 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped or a
 usage error (such as ``--jobs 2``).
 
 The ``tritri`` command and ``python -m tritri`` run ``entry_point``, not
-``main``: once ``main`` returns (and its ``with`` block has closed
-``--output``), it flushes stdout and stderr and ends the process by
-``os._exit``, skipping interpreter finalization and ``atexit`` handlers,
+``main``: ``main`` flushes the records itself, so a failed write (stdout a
+closed pipe) is its ``error:`` line and exit 1.  Once ``main`` returns (and
+its ``with`` block has closed ``--output``), ``entry_point`` flushes stderr
+and ends the process by ``os._exit``, skipping interpreter finalization and ``atexit`` handlers,
 which a run spends milliseconds on and needs nothing from.  The exit codes
 are the same.  In-process callers of ``main()`` are unaffected: it returns
 its code and never reaches ``os._exit``.
@@ -35,6 +40,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -43,7 +49,7 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
 from .fileio import PairRecord, collector_paused, read_off, read_pairs
-from .intersect import PreparedTriangle, contact_margin, intersect, prepare
+from .intersect import PreparedTriangle, _margin, intersect, prepare
 
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
@@ -69,8 +75,11 @@ def _evaluate(rid, t1, t2, tol: Tolerance, timing: bool) -> ResultRecord:
 
 
 def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
-               pairs: int | None = None, degenerate: int = 0) -> dict:
-    """Counts over all ``pairs`` candidates (default: one per result).
+               pairs: int | None = None, degenerate: int = 0, candidates: float = 0.0) -> dict:
+    """Counts over all ``pairs`` candidates (default: one per result), and the times.
+
+    ``elapsed`` is the whole computation and ``candidates`` the part of it
+    spent choosing the pairs for the kernel, in seconds.
 
     ``degenerate`` counts candidates skipped before the kernel; they and the
     results without a case are ``skipped``, and ``skipped_by`` splits them
@@ -95,6 +104,7 @@ def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
         "culled": pairs - degenerate - len(results),
         "cases": dict(sorted(cases.items())),
         "elapsed_us": round(elapsed * 1e6),
+        "candidates_us": round(candidates * 1e6),
         "pairs_per_s": round(pairs / elapsed) if elapsed > 0 else None,
     }
 
@@ -113,8 +123,11 @@ def _prepare_faces(faces: Sequence[Triangle3], tol: Tolerance
                    ) -> tuple[list[PreparedTriangle | None], list[tuple | None]]:
     """Per face, the prepared triangle and its bounding box grown by ``contact_margin``.
 
-    Both are None for a degenerate face.
+    Both are None for a degenerate face.  One pass per face: ``prepare``
+    checks it and builds its plane, and the margin and the box come from
+    its nine coordinates, unpacked once.
     """
+    eps = tol.eps_dist
     prepared: list[PreparedTriangle | None] = []
     boxes: list[tuple | None] = []
     for face in faces:
@@ -124,39 +137,67 @@ def _prepare_faces(faces: Sequence[Triangle3], tol: Tolerance
             prepared.append(None)
             boxes.append(None)
             continue
-        m = contact_margin(pt, tol)
-        xs, ys, zs = zip(*pt.tri)
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pt.tri
+        m = _margin(ax, ay, az, bx, by, bz, cx, cy, cz, eps)
         prepared.append(pt)
-        boxes.append((min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m,
-                      min(zs) - m, max(zs) + m))
+        boxes.append((min(ax, bx, cx) - m, max(ax, bx, cx) + m, min(ay, by, cy) - m,
+                      max(ay, by, cy) + m, min(az, bz, cz) - m, max(az, bz, cz) + m))
     return prepared, boxes
+
+
+def _meeting(entries: list[tuple[int, tuple]], others: list[tuple[int, tuple]]
+             ) -> list[tuple[int, tuple]]:
+    """The (index, box) entries whose box meets the hull of the ``others``' boxes."""
+    x0, x1, y0, y1, z0, z1 = zip(*[box for _, box in others])
+    hx0, hx1, hy0, hy1, hz0, hz1 = min(x0), max(x1), min(y0), max(y1), min(z0), max(z1)
+    return [e for e in entries if e[1][0] <= hx1 and hx0 <= e[1][1] and e[1][2] <= hy1
+            and hy0 <= e[1][3] and e[1][4] <= hz1 and hz0 <= e[1][5]]
+
+
+def _by_low_x(entries: list[tuple[int, tuple]]) -> tuple[list[float], list[tuple[int, tuple]]]:
+    """The boxes' low x's in ascending order, and the (index, box) entries in that order."""
+    entries = sorted(entries, key=lambda e: e[1][0])
+    return [box[0] for _, box in entries], entries
 
 
 def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple | None],
                        same_mesh: bool) -> list[tuple[int, int]]:
     """Sorted (i, j) pairs whose boxes overlap as closed intervals; None boxes never do.
 
-    Sort-and-sweep along x (Baraff 1992): boxes enter in order of their low
-    x and are checked on y and z against the open boxes of the other mesh,
-    after dropping those whose high x lies below the entering low x.  For a
-    mesh against itself there is one list of open boxes and pairs come out
-    i < j.
+    For two meshes, a box that misses the other mesh's hull (the box
+    holding all its boxes) has no partner there, so it is dropped first
+    (Ericson 2004, ch. 7).  The rest are sorted by low x.  A box meets on
+    x the other mesh's boxes whose low x lies in its own x interval, found
+    by bisection, and those are checked on y and z.  A tie on low x is
+    taken from mesh A's side, so each pair is found once.  For a mesh
+    against itself the window of a box starts just after it in the sorted
+    order, and pairs come out i < j.
     """
-    entering = [(box[0], 0, i, box) for i, box in enumerate(boxes_a) if box is not None]
-    if not same_mesh:
-        entering += [(box[0], 1, j, box) for j, box in enumerate(boxes_b) if box is not None]
-    entering.sort()  # (low x, side, index) is unique, so boxes are never compared
-    open_boxes: tuple[list, list] = ([], [])
+    a = [(i, box) for i, box in enumerate(boxes_a) if box is not None]
+    if same_mesh:
+        low, entries = _by_low_x(a)
+        pairs = []
+        for k, (i, (_, x1, y0, y1, z0, z1)) in enumerate(entries, start=1):
+            for j, ob in entries[k:bisect_right(low, x1, k)]:
+                if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
+                    pairs.append((i, j) if i < j else (j, i))
+        pairs.sort()
+        return pairs
+    b = [(j, box) for j, box in enumerate(boxes_b) if box is not None]
+    if not (a and b):
+        return []
+    a, b = _meeting(a, b), _meeting(b, a)
+    low_a, a = _by_low_x(a)
+    low_b, b = _by_low_x(b)
     pairs = []
-    for low_x, side, k, box in entering:
-        _, _, y0, y1, z0, z1 = box
-        other = open_boxes[0 if same_mesh else 1 - side]
-        other[:] = [(m, ob) for m, ob in other if ob[1] >= low_x]
-        for m, ob in other:
+    for i, (x0, x1, y0, y1, z0, z1) in a:  # B boxes with x0 <= low x <= x1
+        for j, ob in b[bisect_left(low_b, x0):bisect_right(low_b, x1)]:
             if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
-                # mesh A's index first; the lower index first within one mesh
-                pairs.append((m, k) if side or (same_mesh and m < k) else (k, m))
-        open_boxes[side].append((k, box))
+                pairs.append((i, j))
+    for j, (x0, x1, y0, y1, z0, z1) in b:  # A boxes with x0 < low x <= x1
+        for i, ob in a[bisect_right(low_a, x0):bisect_right(low_a, x1)]:
+            if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
+                pairs.append((i, j))
     pairs.sort()
     return pairs
 
@@ -167,7 +208,9 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     """Mesh test behind a box broad phase; only contacting pairs are emitted downstream.
 
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
-    overlap reach the kernel; the summary counts the others as ``culled``.
+    overlap reach the kernel; the summary counts the others as ``culled``,
+    and the time spent preparing the faces and finding those pairs as
+    ``candidates_us``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
     Each face is prepared once, so its plane, frame and window (its side
     lines) are built at most once per face, not once per pair.  For a mesh against
@@ -187,15 +230,17 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     else:
         pairs = len(faces_a) * len(faces_b)
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
+    candidates = _overlapping_pairs(boxes_a, boxes_b, same_mesh)
+    candidates_s = time.perf_counter() - start
     results = []
-    for i, group in groupby(_overlapping_pairs(boxes_a, boxes_b, same_mesh), key=itemgetter(0)):
+    for i, group in groupby(candidates, key=itemgetter(0)):
         first = prepared_a[i]
         for _, j in group:
             results.append(_evaluate((i, j), first, prepared_b[j], tol, timing))
         first.release()
     contacts = sum(r.case in CONTACT_CASES for r in results)
     summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
-                         pairs=pairs, degenerate=pairs - good_pairs)
+                         pairs=pairs, degenerate=pairs - good_pairs, candidates=candidates_s)
     return results, summary
 
 
@@ -290,7 +335,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 emitted = (r for r in results if r.case in CONTACT_CASES)
             emit_start = time.perf_counter()
             _emit(emitted, out)
-        emit_s = time.perf_counter() - emit_start  # closing the file flushes the last records
+            # here, so that a write that fails (a closed pipe) is reported as an error
+            out.flush()
+        emit_s = time.perf_counter() - emit_start
     except (ParseError, EmptyMesh, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -307,13 +354,15 @@ def entry_point() -> NoReturn:
     """Run ``main`` as the whole process, then end it without finalization.
 
     Argparse's ``SystemExit`` (``--help``, a usage error) and any uncaught
-    exception leave the normal way.  A flush that raises (say, stdout is a
-    closed pipe) leaves through ``sys.exit``, so the interpreter reports the
-    failure just as it would after a plain ``sys.exit(main())``.
+    exception leave the normal way.  ``main`` flushes the records it writes
+    to stdout, so a write that fails there (say, stdout is a closed pipe)
+    is its ``error:`` line and exit 1; the bytes it could not write go with
+    the process.  Only stderr is flushed here.  A flush that raises leaves
+    through ``sys.exit``, so the interpreter reports the failure just as it
+    would after a plain ``sys.exit(main())``.
     """
     code = main()
     try:
-        sys.stdout.flush()
         sys.stderr.flush()
     except Exception:  # any kind: the normal exit flushes again and reports it
         sys.exit(code)

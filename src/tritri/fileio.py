@@ -3,12 +3,13 @@
 In both formats a ``#`` starts a comment, a line with no tokens left is
 skipped, and each ``ParseError`` names the line's 1-based number in the
 file.  Coordinates must be finite.  The per-line tokenizer,
-``_numbered_tokens``, reads OFF files and the pair lines of ``iter_pairs``.
-``read_pairs`` reads its stream in chunks of ``_CHUNK_LINES`` lines and
-parses a chunk of plain pair lines (18 finite numbers or none, so no ``#``)
-in a few passes at C speed; any other chunk goes through ``iter_pairs``,
-from the chunk's first line number and the next record id, so it gives the
-same records or raises the same ``ParseError``.
+``_numbered_tokens``, reads the pair lines of ``iter_pairs`` and the OFF
+files that ``read_off``'s bulk parse turns down.  ``read_pairs`` reads its
+stream in chunks of ``_CHUNK_LINES`` lines and parses a chunk of plain pair
+lines (18 finite numbers or none, so no ``#``) in a few passes at C speed;
+any other chunk goes through ``iter_pairs``, from the chunk's first line
+number and the next record id, so it gives the same records or raises the
+same ``ParseError``.
 """
 
 import contextlib
@@ -158,19 +159,8 @@ def read_pairs(source: str | os.PathLike | TextIO) -> list[PairRecord]:
         return _read_pairs(handle)
 
 
-@collector_paused()
-def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
-    """Read an ASCII OFF triangle soup.
-
-    Only 3-vertex faces are accepted; anything else is a ParseError.
-    Raises EmptyMesh when the file holds no faces.
-    """
-    if hasattr(source, "read"):
-        lines = source.readlines()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-
+def _scan_off(lines: list[str]) -> list[Triangle3]:
+    """``read_off``'s result from its lines, read line by line to name a bad one."""
     rows = _numbered_tokens(lines)
     try:
         lineno, tokens = next(rows)
@@ -213,10 +203,67 @@ def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
             for i in idx:
                 if not 0 <= i < len(vertices):
                     raise ParseError(f"vertex index {i} out of range", line=lineno)
-            faces.append(Triangle3(vertices[idx[0]], vertices[idx[1]], vertices[idx[2]]))
+            faces.append(_new(Triangle3, (vertices[idx[0]], vertices[idx[1]], vertices[idx[2]])))
     except StopIteration:  # raised here only by ``next(rows)``: the lines ran out
         raise ParseError("unexpected end of file") from None
 
     if not faces:
         raise EmptyMesh("mesh has no faces")
     return faces
+
+
+def _bulk_off(lines: list[str]) -> list[Triangle3] | None:
+    """``read_off``'s faces from its lines in a few passes at C speed, or None.
+
+    None for any file that ``_scan_off`` would reject, and for some it would
+    accept (a leading vertex count spelled other than ``3``, coordinates
+    whose sum overflows), so a None sends the file to ``_scan_off``.  The
+    tokens are ``_numbered_tokens``' and each is converted by the same
+    ``float`` or ``int``, so the faces are the same.
+    """
+    rows = list(filter(None, [line.partition("#")[0].split() for line in lines]))
+    if len(rows) < 2 or " ".join(rows[0]).upper() != "OFF" or len(rows[1]) < 2:
+        return None
+    try:
+        n_vertices, n_faces = int(rows[1][0]), int(rows[1][1])
+    except ValueError:
+        return None
+    face_rows = rows[2 + n_vertices:2 + n_vertices + n_faces]
+    if n_vertices < 0 or n_faces <= 0 or len(face_rows) != n_faces:
+        return None
+    vertex_rows = rows[2:2 + n_vertices]
+    if min(map(len, vertex_rows), default=3) < 3 or min(map(len, face_rows)) < 4:
+        return None
+    try:
+        coords = list(map(float, chain.from_iterable([row[:3] for row in vertex_rows])))
+        idx = list(map(int, chain.from_iterable([row[1:4] for row in face_rows])))
+    except ValueError:
+        return None
+    # a non-finite coordinate makes the sum inf or nan
+    if not math.isfinite(sum(coords)) or [row[0] for row in face_rows].count("3") != n_faces:
+        return None
+    if not (0 <= min(idx) and max(idx) < n_vertices):
+        return None
+    it = iter(coords)
+    vertices = list(map(_new, repeat(Point3), zip(it, it, it)))
+    corners = map(vertices.__getitem__, idx)
+    return list(map(_new, repeat(Triangle3), zip(corners, corners, corners)))
+
+
+@collector_paused()
+def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
+    """Read an ASCII OFF triangle soup.
+
+    Only 3-vertex faces are accepted; anything else is a ParseError.
+    Raises EmptyMesh when the file holds no faces.  Faces that share a
+    vertex index share its ``Point3``.  The file is read whole and parsed
+    in bulk; only a file the bulk parse turns down is scanned line by line,
+    which names the first bad line.
+    """
+    if hasattr(source, "read"):
+        lines = source.readlines()
+    else:
+        with open(source, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")  # newlines are already translated to "\n"
+    faces = _bulk_off(lines)
+    return _scan_off(lines) if faces is None else faces

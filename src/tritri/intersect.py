@@ -292,6 +292,12 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       operations on coordinates of size R.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
+    return _margin(ax, ay, az, bx, by, bz, cx, cy, cz, tol.eps_dist)
+
+
+def _margin(ax: float, ay: float, az: float, bx: float, by: float, bz: float,
+            cx: float, cy: float, cz: float, eps: float) -> float:
+    """``contact_margin`` of a checked triangle with these corners, under ``eps_dist`` ``eps``."""
     # each edge, the cross product and each vertex as sqrt(x * x + y * y + z * z), flat
     x, y, z = ax - bx, ay - by, az - bz
     ab = _sqrt(x * x + y * y + z * z)
@@ -307,4 +313,4 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     inradius = 2.0 * area / (ab + bc + ca)
     reach = max(_sqrt(ax * ax + ay * ay + az * az), _sqrt(bx * bx + by * by + bz * bz),
                 _sqrt(cx * cx + cy * cy + cz * cz))
-    return tol.eps_dist * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)
+    return eps * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)

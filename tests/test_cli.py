@@ -211,6 +211,11 @@ def test_summary_splits_the_run_into_phases(tmp_path, capsys):
         phases = [summary[k] for k in ("parse_us", "elapsed_us", "emit_us", "total_us")]
         assert all(type(us) is int and us >= 0 for us in phases)
         assert summary["total_us"] >= sum(phases[:3]) - 3  # each phase is rounded
+        # preparing the faces and the broad phase, a part of the compute phase
+        assert type(summary["candidates_us"]) is int
+        assert 0 <= summary["candidates_us"] <= summary["elapsed_us"]
+        if argv[0] == "pair":
+            assert summary["candidates_us"] == 0
 
 
 def test_all_degenerate_exits_2(tmp_path, capsys):

@@ -135,9 +135,100 @@ def test_off_errors_keep_message_and_line(text, line, message):
     _assert_same_error_when_spaced_out(text, line)
 
 
+OFF_ERRORS = [
+    ("PLY\n1 0 0\n0 0 0\n", "line 1: expected OFF header, got 'PLY'"),
+    ("OFF\n3\n", "line 2: expected vertex and face counts"),
+    ("OFF\n3 x 0\n", "line 2: bad counts line: '3 x 0'"),
+    ("OFF\n-1 0 0\n", "line 2: negative counts"),
+    ("OFF\n3 1 0\n0 0\n", "line 3: vertex needs 3 coordinates"),
+    ("OFF\n3 1 0\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n", "line 4: non-finite value: 'nan'"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "line 6: face needs a leading vertex count"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n",
+     "line 6: only triangular faces supported, got 4"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "line 6: face needs 3 vertex indices"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 y 2\n", "line 6: bad vertex index"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "line 6: vertex index -1 out of range"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "unexpected end of file"),
+]
+
+
+@pytest.mark.parametrize("text, message", OFF_ERRORS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_off_errors_from_a_path_keep_message_and_line(text, message, newline, tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_bytes(text.replace("\n", newline).encode())
+    for source in (path, io.StringIO(text.replace("\n", newline))):
+        with pytest.raises(ParseError) as got:
+            read_off(source)
+        assert str(got.value) == message
+
+
 def test_read_off_empty_mesh():
     with pytest.raises(EmptyMesh):
         read_off(io.StringIO("OFF\n1 0 0\n0 0 0\n"))
+
+
+# --- the bulk OFF parse --------------------------------------------------------
+
+SQUARE_FACES = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
+                ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))]
+
+OFF_VARIANTS = {
+    "plain": OFF_TEXT,
+    "comments": ("# leading\nOFF # header\n# counts next\n4 2 0 # counts\n0 0 0\n1 0 0 #x\n"
+                 "1 1 0\n# between\n0 1 0\n3 0 1 2 # first\n#3 9 9 9\n3 0 2 3\n# end\n"),
+    "blank lines": "\nOFF\n\n4 2 0\n \n0 0 0\n\t\n1 0 0\n1 1 0\n0 1 0\n\n3 0 1 2\n3 0 2 3\n\n",
+    "crlf": OFF_TEXT.replace("\n", "\r\n"),
+    "colours": OFF_TEXT.replace("0 0 0\n", "0 0 0 0.5 0.5 0.5 1\n").replace(
+        "3 0 1 2", "3 0 1 2 255 0 0").replace("3 0 2 3", "3 0 2 3 0.1 0.2 0.3 1.0"),
+    "edge count": OFF_TEXT.replace("4 2 0", "4 2 5"),
+    "no edge count": OFF_TEXT.replace("4 2 0", "4 2"),
+    "trailing lines": OFF_TEXT + "3 0 1 3\nnot a face\n1 2\n",
+    "lower-case header": OFF_TEXT.replace("OFF", "off"),
+    "no final newline": OFF_TEXT.rstrip("\n"),
+    "signed arity": OFF_TEXT.replace("3 0 1 2", "+3 0 1 2"),  # left to the line scan
+}
+
+
+def _assert_square(faces):
+    assert faces == SQUARE_FACES
+    assert all(type(f) is Triangle3 and all(type(p) is Point3 for p in f) for f in faces)
+    # one Point3 per vertex index: vertices 0 and 2 are shared by both faces
+    assert faces[0].a is faces[1].a and faces[0].c is faces[1].b
+    assert len({id(p) for f in faces for p in f}) == 4
+
+
+@pytest.mark.parametrize("name", sorted(OFF_VARIANTS))
+def test_off_variants_give_the_square(name, tmp_path):
+    text = OFF_VARIANTS[name]
+    _assert_square(read_off(io.StringIO(text)))
+    path = tmp_path / "square.off"
+    path.write_bytes(text.encode())  # CRLF kept on disk, for the reader to translate
+    _assert_square(read_off(path))
+    _assert_square(read_off(str(path)))
+    # the bulk parse takes every variant but one, which it leaves to the line scan
+    lines = text.splitlines(keepends=True)
+    assert tritri.fileio._scan_off(lines) == SQUARE_FACES
+    if name == "signed arity":
+        assert tritri.fileio._bulk_off(lines) is None
+    else:
+        _assert_square(tritri.fileio._bulk_off(lines))
+
+
+def test_the_bulk_parse_equals_the_line_scan_on_a_large_mesh(tmp_path):
+    rng = random.Random(29)
+    verts = [" ".join(repr(rng.uniform(-1e3, 1e3)) for _ in range(3)) for _ in range(300)]
+    faces = [f"3 {rng.randrange(300)} {rng.randrange(300)} {rng.randrange(300)}"
+             for _ in range(500)]
+    text = "\n".join(["OFF", "300 500 0", *verts, *faces]) + "\n"
+    lines = text.splitlines(keepends=True)
+    want = tritri.fileio._scan_off(lines)
+    assert tritri.fileio._bulk_off(lines) == want
+    path = tmp_path / "soup.off"
+    path.write_text(text)
+    got = read_off(path)
+    assert got == want and [tuple(map(repr, p)) for f in got for p in f] == [
+        tuple(map(repr, p)) for f in want for p in f]
 
 
 # --- the per-token parser, kept as the reference for the one-pass parse ------

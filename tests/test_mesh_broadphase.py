@@ -147,15 +147,39 @@ def test_height_field_far_from_origin_matches_brute_force():
     assert assert_matches_brute_force(moved, far)
 
 
+@pytest.mark.parametrize("corner", [(4, 4, 0), (-4, 4, 0.5), (4.25, -4, 0)])
+def test_height_fields_meeting_at_a_corner_match_brute_force(corner):
+    # two fields of 5 x 5 cells that overlap in one corner cell or less: only
+    # the faces near that corner have a box that meets the other mesh's hull
+    rng = random.Random(20245)
+    heights = [[rng.randint(0, 2) / 2 for _ in range(6)] for _ in range(6)]
+    field, moved = height_field(heights), height_field(heights, offset=corner)
+    for mesh_a, mesh_b in ((field, moved), (moved, field)):
+        assert_matches_brute_force(mesh_a, mesh_b)
+        results, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
+        _, boxes_a = _prepare_faces(mesh_a, DEFAULT_TOLERANCE)
+        _, boxes_b = _prepare_faces(mesh_b, DEFAULT_TOLERANCE)
+        overlaps = brute_force_overlaps(boxes_a, boxes_b)
+        assert [r.id for r in results] == overlaps
+        assert summary["culled"] == 50 * 50 - len(overlaps) > 50 * 49
+        assert summary["pairs"] == 50 * 50 and summary["skipped"] == 0
+
+
 boxes = st.one_of(st.none(), st.tuples(*[st.integers(-4, 4), st.integers(0, 3)] * 3).map(
     lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3], t[4], t[4] + t[5])))
 
 
 @seed(20242)
 @settings(max_examples=300, deadline=None)
-@given(st.lists(boxes, max_size=12), st.lists(boxes, max_size=12))
-def test_sweep_equals_brute_force_overlap(boxes_a, boxes_b):
-    # integer boxes: many shared and touching faces
+@given(st.lists(boxes, max_size=12), st.lists(boxes, max_size=12),
+       st.tuples(*[st.integers(-12, 12)] * 3))
+def test_sweep_equals_brute_force_overlap(boxes_a, boxes_b, offset):
+    # integer boxes: many shared and touching faces.  Mesh B is moved by an
+    # integer offset, so the two meshes' hulls overlap in part, touch in one
+    # face or miss, and the hull cull drops some boxes, all or none
+    dx, dy, dz = offset
+    boxes_b = [None if b is None else (b[0] + dx, b[1] + dx, b[2] + dy, b[3] + dy,
+                                       b[4] + dz, b[5] + dz) for b in boxes_b]
     assert _overlapping_pairs(boxes_a, boxes_b, False) == brute_force_overlaps(boxes_a, boxes_b)
     assert (_overlapping_pairs(boxes_a, boxes_a, True)
             == brute_force_overlaps(boxes_a, boxes_a, same_mesh=True))

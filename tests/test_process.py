@@ -24,7 +24,7 @@ from conftest import height_field, mixed_pairs, off_text
 SRC = Path(tritri.cli.__file__).resolve().parents[1]
 PYPROJECT = SRC.parent / "pyproject.toml"
 DEGENERATE = "0 0 0  1 1 1  2 2 2   0 0 0  4 0 0  0 4 0\n"
-TIMING_FIELDS = {"elapsed_us", "pairs_per_s", "parse_us", "emit_us", "total_us"}
+TIMING_FIELDS = {"elapsed_us", "candidates_us", "pairs_per_s", "parse_us", "emit_us", "total_us"}
 
 
 def _child(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -122,15 +122,28 @@ def test_the_process_exits_as_main_returns(inputs, tmp_path, capsys, monkeypatch
             assert run.stderr.decode() == want_err, args
 
 
-def test_a_closed_pipe_on_stdout_exits_1_with_one_line(tmp_path):
-    # enough records to outgrow stdout's buffer, so the write fails inside main
-    pairs = _pair_file(tmp_path / "pairs.txt", mixed_pairs(random.Random(47), 1000))
+def _into_a_closed_pipe(tmp_path, count) -> subprocess.CompletedProcess:
+    """``tritri pair`` on ``count`` pairs, its stdout a pipe whose read end is closed."""
+    pairs = _pair_file(tmp_path / "pairs.txt", mixed_pairs(random.Random(47), count))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = _child(["-m", "tritri", "pair", "--input", str(pairs)], stdout=write_end)
+        return _child(["-m", "tritri", "pair", "--input", str(pairs)], stdout=write_end)
     finally:
         os.close(write_end)
+
+
+def test_a_closed_pipe_on_stdout_exits_1_with_one_line(tmp_path):
+    # enough records to outgrow stdout's buffer, so the write fails inside main
+    run = _into_a_closed_pipe(tmp_path, 1000)
+    assert run.returncode == 1
+    assert run.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_records_that_fit_the_buffer_fail_on_a_closed_pipe_as_well(tmp_path):
+    # 3 records fit in stdout's buffer, so only main's flush of them reaches
+    # the pipe; a failure there is main's error too, not one at exit
+    run = _into_a_closed_pipe(tmp_path, 3)
     assert run.returncode == 1
     assert run.stderr == b"error: [Errno 32] Broken pipe\n"
 
