@@ -14,15 +14,13 @@ contours) is also exported for direct use.
 from .core import (
     DEFAULT_TOLERANCE,
     Plane,
-    PlaneRelation,
     Point3,
     Tolerance,
     Triangle3,
-    classify_planes,
     plane_from_triangle,
-    signed_distance,
 )
 from .clip2d import (
+    Point2,
     ccw_vertices,
     clip_segment_to_triangle,
     region_code,
@@ -36,11 +34,11 @@ from .errors import (
     NonFiniteInput,
     ParseError,
 )
-from .frame import PlaneFrame, Point2, build_frame, from_plane, to_plane
 from .intersect import (
     CaseLabel,
     EmptyReason,
     IntersectionResult,
+    PlaneFrame,
     PreparedTriangle,
     contact_margin,
     intersect,
@@ -61,24 +59,18 @@ __all__ = [
     "ParseError",
     "Plane",
     "PlaneFrame",
-    "PlaneRelation",
     "Point2",
     "Point3",
     "PreparedTriangle",
     "Tolerance",
     "Triangle3",
-    "build_frame",
     "ccw_vertices",
-    "classify_planes",
     "clip_segment_to_triangle",
     "contact_margin",
-    "from_plane",
     "intersect",
     "intersect_coplanar",
     "plane_from_triangle",
     "prepare",
     "region_code",
-    "signed_distance",
-    "to_plane",
     "window_lines",
 ]

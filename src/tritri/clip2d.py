@@ -28,10 +28,16 @@ and ends merge by ``math.dist``.
 """
 
 import math
+from typing import NamedTuple
 
 from .core import DEFAULT_TOLERANCE, Tolerance
 from .errors import DegenerateTriangle
-from .frame import Point2
+
+
+class Point2(NamedTuple):
+    u: float
+    v: float
+
 
 # a window: its side lines AB, AC, BC as (l1, l2, l3), l1 * u + l2 * v + l3 >= 0 inside
 Window = tuple[tuple[float, float, float], ...]

@@ -18,9 +18,8 @@ so every vertex is unpacked and measured once per pass.
 
 import math
 
-from .clip2d import Window
+from .clip2d import Point2, Window
 from .core import DEFAULT_TOLERANCE, Tolerance
-from .frame import Point2
 
 _new = tuple.__new__
 

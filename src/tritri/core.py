@@ -8,12 +8,9 @@ of the defining triangle.
 """
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle, NonFiniteInput
-
-Vec3 = tuple[float, float, float]
 
 
 class Point3(NamedTuple):
@@ -71,12 +68,6 @@ class Tolerance(_ToleranceFields):
 DEFAULT_TOLERANCE = Tolerance()
 
 
-class PlaneRelation(Enum):
-    COINCIDENT = "coincident"
-    PARALLEL = "parallel"
-    INTERSECTING = "intersecting"
-
-
 def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Plane:
     """Supporting plane of a triangle, normal by the right-hand rule.
 
@@ -84,8 +75,9 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     DegenerateTriangle when the area is below ``tol.eps_area``.  Such a
     coordinate makes an edge, hence the normal, hence its norm non-finite,
     so the coordinates are scanned only when the norm is.  When they are
-    finite, the squares overflowed (legs above about 1e77), and the norm is
-    taken again with ``math.hypot``, which does not square.
+    finite, the squares or the cross product overflowed (legs above about
+    1e77), and the normal is taken again from the coordinates scaled by a
+    power of two, which is exact and keeps its direction.
     """
     a, b, c = t
     ax, ay, az = a
@@ -98,31 +90,20 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     if not math.isfinite(nn):
         if not all(math.isfinite(x) for v in t for x in v):
             raise NonFiniteInput("triangle coordinates must be finite")
+        # 2**-k puts the largest |coordinate| in [2**509, 2**510), so an edge is
+        # below 2**511, the cross product below 2**1023, and hypot does not
+        # square; no smaller scale would do, so a thin triangle's small
+        # coordinates stay clear of underflow.  The area gate scales by 2**-2k
+        # and underflows to 0 for a large k, so a zero norm is caught on its own
+        k = math.frexp(max(abs(x) for v in t for x in v))[1] - 510
+        s = math.ldexp(1.0, -k)
+        ax, ay, az = ax * s, ay * s, az * s
+        ex, ey, ez = b[0] * s - ax, b[1] * s - ay, b[2] * s - az
+        fx, fy, fz = c[0] * s - ax, c[1] * s - ay, c[2] * s - az
+        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
         nn = math.hypot(nx, ny, nz)
-    if 0.5 * nn < tol.eps_area:
+        if not nn or 0.5 * nn < math.ldexp(tol.eps_area, -2 * k):
+            raise DegenerateTriangle(f"triangle area {math.ldexp(0.5 * nn, 2 * k):g} below tolerance")
+    elif 0.5 * nn < tol.eps_area:
         raise DegenerateTriangle(f"triangle area {0.5 * nn:g} below tolerance")
     return tuple.__new__(Plane, (nx / nn, ny / nn, nz / nn, a))
-
-
-def signed_distance(p, pl: Plane) -> float:
-    """Metric signed distance of a point to a plane (normal side positive)."""
-    o = pl.o
-    return pl.q * (p[0] - o[0]) + pl.w * (p[1] - o[1]) + pl.u * (p[2] - o[2])
-
-
-def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneRelation:
-    """Coincident, parallel or intersecting.
-
-    Normals are unit length, so the cross-product norm is the sine of the
-    dihedral angle.  Coincidence is tested by the distance of p2's point
-    from p1, as the oracle tests it, and tolerates opposite normal
-    orientation.
-    """
-    q1, w1, u1, _ = p1
-    q2, w2, u2, o2 = p2
-    cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
-    if math.sqrt(cq * cq + cw * cw + cu * cu) > tol.eps_dist:
-        return PlaneRelation.INTERSECTING
-    if abs(signed_distance(o2, p1)) <= tol.eps_dist:
-        return PlaneRelation.COINCIDENT
-    return PlaneRelation.PARALLEL

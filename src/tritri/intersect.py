@@ -4,48 +4,42 @@ The first triangle's plane is the reference: the second triangle's edges
 are intersected with it, and the resulting points are clipped in a 2D
 frame of that plane against the first triangle's image.  Coincident planes
 switch to the coplanar contour path in the same frame.  The plane and the
-frame share one origin, the first triangle's first vertex.
+frame share one origin, the first triangle's first vertex.  A point maps
+into the frame by projection along the normal, so a point near the plane
+lands where its foot on the plane does; on the plane the map preserves
+distances both ways, so what is clipped in the frame lifts back isometrically.
 
 The plane, the frame and the image (the window, kept as its three side
 lines) belong to one triangle, not to a pair: ``prepare`` keeps them with the
 triangle, so a triangle tested against many partners builds them once.
 
 ``intersect`` is one straight-line body on floats for raw, plain-sequence
-and prepared triangles.  Its blocks repeat, expression for expression, the
-public helpers, which stay as the API:
-
-* each unit normal is ``core.plane_from_triangle``'s, kept as three
-  floats; a norm that is not finite or below the area gate takes
-  ``plane_from_triangle`` itself, which raises NonFiniteInput before
-  DegenerateTriangle, or retakes an overflowed norm with ``math.hypot``;
-* the plane relation is ``core.classify_planes``;
-* the frame and window build, ``_frame_window``, is ``frame.build_frame``,
-  then ``frame.to_plane`` of the corners, then ``clip2d.window_lines``
-  (pinned by ``tests/test_prepared.py``);
-* points go into the frame by ``frame.to_plane`` and out of it by
-  ``frame.from_plane``, and the coplanar second triangle is put in
-  counter-clockwise order as ``clip2d.ccw_vertices`` orders it.
-
-The edge crossings (``lineplane.project_triangle_edges``), the segment clip
+and prepared triangles: it builds the normals, the plane relation, the
+frame and the maps into and out of the frame inline.  A norm that is not
+finite or below the area gate takes ``core.plane_from_triangle``, which
+raises NonFiniteInput before DegenerateTriangle.  The edge crossings
+(``lineplane.project_triangle_edges``), the segment clip
 (``clip2d.clip_segment_to_triangle``) and the coplanar contour
-(``coplanar.intersect_coplanar``) stay calls.  ``tests/test_kernel_reference.py``
-holds the kernel composed of the helpers, and requires the same label,
-reason, error and point bits on every pair it draws.
+(``coplanar.intersect_coplanar``) are calls.  ``tests/test_kernel_reference.py``
+holds a reference kernel composed of separate plane, frame and map
+functions, and requires the same label, reason, error and point bits on
+every pair it draws.
 """
 
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Window, _clockwise, _side_lines, clip_segment_to_triangle
+from .clip2d import Point2, Window, _clockwise, _side_lines, clip_segment_to_triangle
 from .coplanar import intersect_coplanar
 from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
-from .frame import PlaneFrame, Point2
 from .lineplane import project_triangle_edges
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
 _sqrt = math.sqrt
 _INF = math.inf
+
+Vec3 = tuple[float, float, float]
 
 
 class CaseLabel(Enum):
@@ -67,6 +61,15 @@ class EmptyReason(Enum):
 class IntersectionResult(NamedTuple):
     points: tuple[Point3, ...] = ()
     reason: EmptyReason | None = None
+
+
+class PlaneFrame(NamedTuple):
+    """Right-handed orthonormal frame (u, v, n) of a plane, u x v = n, anchored at ``origin``."""
+
+    origin: Point3
+    u_axis: Vec3
+    v_axis: Vec3
+    n_axis: Vec3
 
 
 class PreparedTriangle:
@@ -93,8 +96,7 @@ class PreparedTriangle:
 
         Built on the first call, in one pass: the frame, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats, bit for bit what ``build_frame``, ``to_plane``
-        and ``window_lines`` give.
+        from those six floats, as ``window_lines`` builds them.
         """
         if self._frame_window is None:
             q, w, u, _ = self.plane
@@ -109,11 +111,10 @@ class PreparedTriangle:
 def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple[PlaneFrame, Window]:
     """The frame of the plane through ``tri`` with unit normal (nx, ny, nz), and the window in it.
 
-    See ``PreparedTriangle.frame_window``: ``build_frame``'s expressions,
-    then ``to_plane``'s for the corners, then ``window_lines``.
+    See ``PreparedTriangle.frame_window``.
     """
     a, b, c = tri
-    # build_frame: the u axis is seeded from the first axis of least |component|;
+    # the u axis is seeded from the first axis of least |component|;
     # d = seed . n, whose sign of zero never reaches u, since a zero d makes u the seed itself
     if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
         sx, sy, sz, d = 1.0, 0.0, 0.0, nx
@@ -125,7 +126,7 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
     un = _sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux / un, uy / un, uz / un
     vx, vy, vz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
-    # to_plane's expressions; the first vertex is the origin, so each of its
+    # the corners in the frame; the first vertex is the origin, so each of its
     # offsets is +0.0, and only its products keep the axes' signs of zero
     ox, oy, oz = a
     x, y, z = b[0] - ox, b[1] - oy, b[2] - oz
@@ -171,9 +172,9 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     clipped segment that degenerates to one point is a touch point.
     """
     eps = tol.eps_dist
-    # each unit normal: plane_from_triangle's expressions, or the plane kept by
-    # prepare under tol; a norm that is not finite, or below the area gate,
-    # takes plane_from_triangle itself, which raises or retakes it with hypot
+    # each unit normal, or the plane kept by prepare under tol; a norm that is
+    # not finite, or below the area gate, takes plane_from_triangle, which
+    # raises or takes the normal again from rescaled coordinates
     kept = None  # t1 prepared under tol: its frame and window are kept with it
     if isinstance(t1, PreparedTriangle):
         if t1.tol is tol or t1.tol == tol:
@@ -212,8 +213,8 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     else:
         q2, w2, u2, _ = plane2
 
-    # classify_planes: the normals' cross product is the sine of the dihedral
-    # angle; coincidence is the distance of t2's first vertex from t1's plane
+    # the normals' cross product is the sine of the dihedral angle; coincidence is
+    # the distance of t2's first vertex from t1's plane, whichever way the normals point
     cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
     if _sqrt(cq * cq + cw * cw + cu * cu) > eps:
         points = project_triangle_edges(t2, (q1, w1, u1, a1), tol)
@@ -229,7 +230,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     frame, window = _frame_window(t1, q1, w1, u1, tol) if kept is None else kept.frame_window()
     (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = frame
     if coplanar:
-        # t2 in the frame, by to_plane's expressions, and counter-clockwise as ccw_vertices orders it
+        # t2 in the frame, counter-clockwise as ccw_vertices orders it
         mapped = []
         for px, py, pz in t2:
             x, y, z = px - ox, py - oy, pz - oz
@@ -242,7 +243,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
             return _COPLANAR_NO_CONTACT, _DISJOINT
         label = _COPLANAR_CONTOUR
     else:
-        # the crossing points in the frame, by to_plane's expressions
+        # the crossing points in the frame
         px, py, pz = points[0]
         x, y, z = px - ox, py - oy, pz - oz
         e = end = _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
@@ -257,7 +258,6 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
             # clipped as the segment (e, e); reported as itself, not its round trip
             return _TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
         label = _TOUCH_POINT if len(clip) == 1 else _CROSSING_SEGMENT
-    # from_plane's expressions
     lifted = tuple([_new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
                     for u, v in clip])
     return label, _new(IntersectionResult, (lifted, None))
@@ -271,7 +271,7 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     within ``contact_margin(s)`` of ``s``, so the bounding boxes of the two
     triangles, grown by their margins, overlap.  ``t`` may be prepared.
     Raises NonFiniteInput and DegenerateTriangle on the per-triangle checks
-    ``intersect`` starts with.
+    ``intersect`` starts with.  It is +inf where its terms overflow.
 
     With R the largest vertex norm, L the longest edge and r the inradius,
     the terms cover, to first order in the tolerances:
@@ -313,4 +313,7 @@ def _margin(ax: float, ay: float, az: float, bx: float, by: float, bz: float,
     inradius = 2.0 * area / (ab + bc + ca)
     reach = max(_sqrt(ax * ax + ay * ay + az * az), _sqrt(bx * bx + by * by + bz * bz),
                 _sqrt(cx * cx + cy * cy + cz * cz))
-    return eps * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)
+    m = eps * (1.0 + longest + longest / inradius) + 1e-12 * (1.0 + reach)
+    # overflowed squares can make it NaN: +inf instead grows a box over
+    # everything, where a NaN would poison the hull of a mesh's boxes
+    return m if m < _INF else _INF

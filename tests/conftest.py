@@ -10,10 +10,13 @@ the exact oracle's classification honest on degenerate families.
 import itertools
 import math
 import random
+from enum import Enum
 
-from tritri.core import Point3, Triangle3
-from tritri.frame import Point2
-from tritri.clip2d import ccw_vertices
+from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
+from tritri.clip2d import Point2, ccw_vertices
+from tritri.intersect import PlaneFrame
+
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 GRID = 64
 SPAN = 640  # +/- 10 in grid steps
@@ -195,6 +198,75 @@ def vnorm(a) -> float:
 
 def dist3(a, b) -> float:
     return vnorm(vsub(a, b))
+
+
+# --- the plane relation and frame maps intersect computes inline; see test_kernel_reference
+
+
+class PlaneRelation(Enum):
+    COINCIDENT = "coincident"
+    PARALLEL = "parallel"
+    INTERSECTING = "intersecting"
+
+
+def signed_distance(p, pl: Plane) -> float:
+    """Metric signed distance of a point to a plane (normal side positive)."""
+    o = pl.o
+    return pl.q * (p[0] - o[0]) + pl.w * (p[1] - o[1]) + pl.u * (p[2] - o[2])
+
+
+def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) -> PlaneRelation:
+    """Coincident, parallel or intersecting.
+
+    Normals are unit length, so the cross-product norm is the sine of the
+    dihedral angle.  Coincidence is tested by the distance of p2's point
+    from p1, as the oracle tests it, and tolerates opposite normal
+    orientation.
+    """
+    q1, w1, u1, _ = p1
+    q2, w2, u2, o2 = p2
+    cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
+    if math.sqrt(cq * cq + cw * cw + cu * cu) > tol.eps_dist:
+        return PlaneRelation.INTERSECTING
+    if abs(signed_distance(o2, p1)) <= tol.eps_dist:
+        return PlaneRelation.COINCIDENT
+    return PlaneRelation.PARALLEL
+
+
+def build_frame(pl: Plane) -> PlaneFrame:
+    """Right-handed orthonormal frame (u, v, n) with u x v = n, anchored at ``pl.o``.
+
+    The u axis is seeded from the global axis least aligned with the
+    normal and Gram-Schmidt projected into the plane.
+    """
+    nx, ny, nz, o = pl
+    # the first axis of least |component|; d = seed . n, whose sign of zero
+    # never reaches u, since a zero d makes u the seed itself
+    if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
+        sx, sy, sz, d = 1.0, 0.0, 0.0, nx
+    elif abs(ny) <= abs(nz):
+        sx, sy, sz, d = 0.0, 1.0, 0.0, ny
+    else:
+        sx, sy, sz, d = 0.0, 0.0, 1.0, nz
+    ux, uy, uz = sx - d * nx, sy - d * ny, sz - d * nz
+    un = math.sqrt(ux * ux + uy * uy + uz * uz)
+    ux, uy, uz = ux / un, uy / un, uz / un
+    v = (ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux)
+    return _new(PlaneFrame, (o, (ux, uy, uz), v, (nx, ny, nz)))
+
+
+def to_plane(f: PlaneFrame, p) -> Point2:
+    """Frame coordinates of the foot of a 3D point on the frame's plane."""
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = f
+    x, y, z = p[0] - ox, p[1] - oy, p[2] - oz
+    return _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+
+
+def from_plane(f: PlaneFrame, q) -> Point3:
+    """Lift frame coordinates back to 3D."""
+    u, v = q
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = f
+    return _new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
 
 
 def point_segment_distance(p, x, y) -> float:

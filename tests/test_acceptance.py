@@ -17,7 +17,7 @@ from tritri import (
     Point3,
     Triangle3,
     intersect,
-    plane_from_triangle,
+    prepare,
 )
 from tritri.cli import main
 from tritri.clip2d import (
@@ -28,7 +28,6 @@ from tritri.clip2d import (
     window_lines,
 )
 from tritri.coplanar import intersect_coplanar
-from tritri.frame import build_frame, from_plane, to_plane
 from tritri.oracle import (
     as_floats,
     oracle_intersect,
@@ -40,12 +39,14 @@ from tritri.oracle import (
 
 from conftest import (
     contours_match,
+    from_plane,
     mixed_pairs,
     points_match_unordered,
     polygon_area2,
     random_point2,
     random_triangle2,
     result_matches_oracle,
+    to_plane,
 )
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
@@ -240,7 +241,7 @@ def test_criterion_5_frame_round_trip(capsys):
     start = time.perf_counter()
     for _ in range(100_000):
         tri = _rand_tri3(rng)
-        frame = build_frame(plane_from_triangle(tri))
+        frame = prepare(tri).frame_window()[0]  # the frame intersect clips in
         u, v, n = frame.u_axis, frame.v_axis, frame.n_axis
         dots = (
             abs(sum(x * x for x in u) - 1), abs(sum(x * x for x in v) - 1),

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritri.clip2d import (
+    Point2,
     ccw_vertices,
     clip_segment_to_triangle,
     region_code,
@@ -13,7 +14,6 @@ from tritri.clip2d import (
 )
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle
-from tritri.frame import Point2
 from tritri.oracle import rational_clip_segment
 
 from conftest import points_match_unordered, random_point2, random_triangle2

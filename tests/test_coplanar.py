@@ -1,11 +1,10 @@
 import math
 import random
 
-from tritri.clip2d import ccw_vertices, region_code, window_lines
+from tritri.clip2d import Point2, ccw_vertices, region_code, window_lines
 from tritri.coplanar import intersect_coplanar
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle
-from tritri.frame import Point2
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
 
 from conftest import contours_match, polygon_area2, random_point2, random_triangle2

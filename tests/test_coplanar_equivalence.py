@@ -18,10 +18,10 @@ from tritri import CaseLabel, Point3, Triangle3, intersect
 from tritri.clip2d import ccw_vertices, window_lines
 from tritri.core import DEFAULT_TOLERANCE, plane_from_triangle
 from tritri.coplanar import intersect_coplanar
-from tritri.frame import build_frame, from_plane, to_plane
 from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import GRID, contours_match, grid_triangle, result_matches_oracle
+from conftest import (GRID, build_frame, contours_match, from_plane, grid_triangle,
+                      result_matches_oracle, to_plane)
 
 SLACK_FLOOR = 1e-8  # as in acceptance criterion 2
 PAIRS_PER_FAMILY = 150

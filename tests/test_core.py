@@ -3,20 +3,11 @@ import random
 
 import pytest
 
-from tritri.core import (
-    DEFAULT_TOLERANCE,
-    Plane,
-    PlaneRelation,
-    Point3,
-    Tolerance,
-    Triangle3,
-    classify_planes,
-    plane_from_triangle,
-    signed_distance,
-)
+from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle
+from tritri.intersect import CaseLabel, intersect
 
-from conftest import grid_triangle, vnorm
+from conftest import grid_triangle, signed_distance, vnorm
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
 
@@ -65,36 +56,14 @@ def test_degenerate_triangle_raises():
         plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0)))
 
 
-def test_signed_distance_is_metric():
-    pl = plane_from_triangle(T1)
-    assert math.isclose(signed_distance(Point3(1, 1, 2.5), pl), 2.5)
-    assert math.isclose(signed_distance(Point3(1, 1, -2.5), pl), -2.5)
-
-
-def test_classify_parallel_offset():
-    t2 = Triangle3(*(Point3(v.x, v.y, v.z + 1) for v in T1))
-    rel = classify_planes(plane_from_triangle(T1), plane_from_triangle(t2))
-    assert rel is PlaneRelation.PARALLEL
-
-
-def test_classify_coincident_reversed_orientation():
-    t2 = Triangle3(T1.a, T1.c, T1.b)  # same plane, opposite normal
-    rel = classify_planes(plane_from_triangle(T1), plane_from_triangle(t2))
-    assert rel is PlaneRelation.COINCIDENT
-
-
-def test_classify_intersecting():
-    t2 = Triangle3(Point3(0, 0, -1), Point3(1, 0, 1), Point3(0, 1, 1))
-    rel = classify_planes(plane_from_triangle(T1), plane_from_triangle(t2))
-    assert rel is PlaneRelation.INTERSECTING
+def test_coincident_planes_of_either_orientation_and_crossing_planes_get_their_labels():
+    flipped = Triangle3(T1.a, T1.c, T1.b)  # same plane, opposite normal
+    crossing = Triangle3(Point3(0, 0, -1), Point3(1, 0, 1), Point3(0, 1, 1))
+    assert intersect(T1, flipped)[0] is CaseLabel.COPLANAR_CONTOUR
+    assert intersect(T1, crossing)[0] is CaseLabel.CROSSING_SEGMENT
 
 
 def test_default_tolerance_values():
     assert DEFAULT_TOLERANCE.eps_dist == 1e-9
     assert DEFAULT_TOLERANCE.eps_area == 1e-12
     assert DEFAULT_TOLERANCE.eps_param == 1e-9
-
-
-def test_plane_tuple_shape():
-    pl = Plane(0.0, 0.0, 1.0, Point3(7, -4, 2))
-    assert signed_distance(Point3(5, 5, 3), pl) == 1.0

@@ -3,17 +3,18 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritri.core import Point3, Triangle3, plane_from_triangle
+from tritri.clip2d import Point2
+from tritri.core import Point3, Triangle3
 from tritri.errors import DegenerateTriangle
-from tritri.frame import Point2, build_frame, from_plane, to_plane
+from tritri.intersect import prepare
 
-from conftest import dot3, vnorm
+from conftest import dot3, from_plane, to_plane, vnorm
 
 
 def _frame_for(points):
-    tri = Triangle3(*(Point3(*p) for p in points))
-    pl = plane_from_triangle(tri)
-    return build_frame(pl), pl
+    # the frame intersect clips in, as prepare keeps it
+    p = prepare(Triangle3(*(Point3(*v) for v in points)))
+    return p.frame_window()[0], p.plane
 
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -26,7 +27,7 @@ triangles = st.tuples(
 
 def _nondegenerate(pts):
     try:
-        plane_from_triangle(Triangle3(*(Point3(*p) for p in pts)))
+        prepare(Triangle3(*(Point3(*p) for p in pts))).frame_window()
         return True
     except DegenerateTriangle:
         return False

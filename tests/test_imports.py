@@ -4,11 +4,14 @@ No linter runs on this package, so static checks, with stdlib ``ast`` only,
 catch what a deletion can leave behind: an import no code reads any more, a
 helper no code calls any more, or a name in ``tritri.__all__`` that the
 package no longer defines.  One more check imports the CLI in a fresh
-interpreter and looks at the modules it loaded.
+interpreter and looks at the modules it loaded, and one resolves the
+package paths that README.md names.
 """
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +105,19 @@ def test_the_oracle_imports_no_kernel_geometry():
         elif isinstance(node, ast.Import) and any(a.name.startswith("tritri") for a in node.names):
             imported.add("import tritri")
     assert imported <= {"DEFAULT_TOLERANCE", "Tolerance", "DegenerateTriangle", "CaseLabel"}
+
+
+def test_every_package_path_in_the_readme_resolves():
+    # a module merged away, or a name moved, leaves its old path in the prose
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paths = set(re.findall(r"`(tritri(?:\.\w+)+)`", readme))
+    for path in paths:
+        module, _, name = path.rpartition(".")
+        try:
+            importlib.import_module(path)
+        except ImportError:  # then a name in a module, which must import
+            assert hasattr(importlib.import_module(module), name), path
+    assert paths
 
 
 def test_importing_the_cli_loads_no_slow_module():

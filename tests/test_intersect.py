@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -16,7 +17,6 @@ from tritri import (
     Triangle3,
     intersect,
     plane_from_triangle,
-    signed_distance,
 )
 from tritri.intersect import contact_margin, prepare
 from tritri.oracle import as_floats, oracle_intersect
@@ -31,6 +31,7 @@ from conftest import (
     points_match_unordered,
     result_matches_oracle,
     shared_feature_pair,
+    signed_distance,
 )
 
 T1 = Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0))
@@ -386,6 +387,34 @@ def test_crossing_scaled_past_the_squared_norm_overflow(k):
         label, res = intersect(x, y)
         assert label is CaseLabel.CROSSING_SEGMENT
         assert res.points == tuple(tuple(c * s for c in p) for p in intersect(a, b)[1].points)
+
+
+def test_legs_past_the_cross_product_overflow_get_a_unit_normal():
+    # legs of 1e160 overflow the cross product itself, not only its squares
+    huge, line = _tri((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)), _tri((0, 0, 0), (1e160,) * 3, (2e160,) * 3)
+    small = _tri((1, 1, -1), (1, 1, 1), (2, 1, 1))
+    assert plane_from_triangle(huge)[:3] == prepare(huge).plane[:3] == (0.0, 0.0, 1.0)
+    for a, b in ((huge, small), (small, huge)):
+        assert intersect(a, b)[0] is oracle_intersect(a, b).label is CaseLabel.CROSSING_SEGMENT
+        assert intersect(prepare(a), prepare(b))[0] is CaseLabel.CROSSING_SEGMENT
+    for call in (plane_from_triangle, prepare, lambda t: intersect(t, small), lambda t: intersect(small, t)):
+        with pytest.raises(DegenerateTriangle):
+            call(line)
+
+
+def test_every_power_of_two_scale_gives_a_unit_normal_or_a_documented_error():
+    pairs = mixed_pairs(random.Random(2029), 20)
+    for k in range(-20, 1001):
+        for pair in pairs:
+            t1, t2 = ([[c * 2.0 ** k for c in v] for v in t] for t in pair)
+            if not all(math.isfinite(c) for t in (t1, t2) for v in t for c in v):
+                continue
+            for a, b in ((t1, t2), (t2, t1)):
+                with contextlib.suppress(DegenerateTriangle):
+                    n = plane_from_triangle(a)[:3]
+                    assert all(map(math.isfinite, n)) and abs(math.hypot(*n) - 1.0) <= 1e-15, (k, a)
+                with contextlib.suppress(DegenerateTriangle, NonFiniteInput):
+                    intersect(a, b)
 
 
 def _vertex_orders(t):

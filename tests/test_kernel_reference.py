@@ -1,14 +1,14 @@
-"""``intersect`` is the composition of the public helpers, bit for bit.
+"""``intersect`` is the composition of one function per step, bit for bit.
 
 ``intersect`` runs as one straight-line body: the plane, the plane
 relation, the frame, the maps into and out of it and the window's side
 lines are computed inline.  The reference below is the kernel written as
-the composition of the public functions each inline block mirrors
-(``plane_from_triangle``, ``classify_planes``, ``project_triangle_edges``,
-``build_frame``, ``window_lines``, ``to_plane``,
-``clip_segment_to_triangle``, ``intersect_coplanar`` and ``from_plane``).
-Labels, reasons, errors and every bit of every point (``float.hex``, so
--0.0 and 0.0 differ) must agree.
+the composition of ``plane_from_triangle``, ``classify_planes``,
+``project_triangle_edges``, ``build_frame``, ``window_lines``,
+``to_plane``, ``clip_segment_to_triangle``, ``intersect_coplanar`` and
+``from_plane``; the plane relation and the frame maps are test code in
+``conftest``.  Labels, reasons, errors and every bit of every point
+(``float.hex``, so -0.0 and 0.0 differ) must agree.
 """
 
 import math
@@ -18,17 +18,8 @@ import pytest
 
 from tritri.clip2d import ccw_vertices, clip_segment_to_triangle, window_lines
 from tritri.coplanar import intersect_coplanar
-from tritri.core import (
-    DEFAULT_TOLERANCE,
-    PlaneRelation,
-    Point3,
-    Tolerance,
-    Triangle3,
-    classify_planes,
-    plane_from_triangle,
-)
+from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle, NonFiniteInput
-from tritri.frame import build_frame, from_plane, to_plane
 from tritri.intersect import (
     CaseLabel,
     EmptyReason,
@@ -40,12 +31,13 @@ from tritri.intersect import (
 )
 from tritri.lineplane import project_triangle_edges
 
-from conftest import coplanar_partner, dist3, grid_triangle, mixed_pairs, vcross, vnorm, vsub
+from conftest import (PlaneRelation, build_frame, classify_planes, coplanar_partner, dist3,
+                      from_plane, grid_triangle, mixed_pairs, to_plane, vcross, vnorm, vsub)
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
 
-# --- the kernel as a composition of the public helpers ----------------------
+# --- the kernel as a composition of one function per step ---------------------
 
 
 def _reference_tri_plane(t, tol):
@@ -227,7 +219,7 @@ def test_flat_intersect_equals_the_composed_kernel_bit_for_bit():
     total += sum(_check([(_as_lists(t1), _as_lists(t2)) for t1, t2 in mixed[:1000]]).values())
 
     # scaled by 2**k for k up to 500: past about 2**256 the squared norm
-    # overflows and the plane takes its hypot branch
+    # overflows and the plane is taken again from rescaled coordinates
     scaled = [_scaled(pair, rng.randint(-30, 500)) for pair in mixed[:1000]]
     scaled += [_scaled(pair, k) for pair, k in zip(mixed, range(256, 501))]
     seen = _check(_both_orders(scaled))

@@ -4,19 +4,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tritri.core import (
-    DEFAULT_TOLERANCE,
-    Point3,
-    Triangle3,
-    plane_from_triangle,
-    signed_distance,
-)
+from tritri.core import DEFAULT_TOLERANCE, Point3, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import CaseLabel, intersect, prepare
 from tritri.lineplane import project_triangle_edges
 from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import crossing_pair, dist3, mixed_pairs, vsub
+from conftest import crossing_pair, dist3, mixed_pairs, signed_distance, vsub
 
 PLANE = plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(4, 0, 0), Point3(0, 4, 0)))
 WINDOW = ((0, 0, 0), (4, 0, 0), (0, 4, 0))

@@ -63,6 +63,14 @@ def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TO
     return want
 
 
+def test_a_face_whose_margin_overflows_hides_no_other_contact():
+    # legs of 1e160 overflow the margin's squared edges: its box must span everything
+    huge, g = _tri(((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0))), _tri(((1, 1, -1), (1, 1, 1), (2, 1, 1)))
+    assert contact_margin(huge) == math.inf
+    assert len(assert_matches_brute_force([huge, _tri(WIDE)], [g])) == 2
+    assert len(assert_matches_brute_force([g], [_tri(WIDE), huge])) == 2
+
+
 @pytest.mark.parametrize("d", [5e-9, 5e-7, 0.05])
 def test_edge_parameter_slack_reaches_the_kernel(d):
     # the spike's lowest vertex is d above the wide face, beyond eps_dist, so

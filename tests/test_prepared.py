@@ -13,10 +13,10 @@ import random
 from tritri.clip2d import window_lines
 from tritri.cli import run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
-from tritri.frame import build_frame, to_plane
 from tritri.intersect import CaseLabel, intersect, prepare
 
-from conftest import coplanar_pair, coplanar_partner, grid_triangle, height_field, mixed_pairs
+from conftest import (build_frame, coplanar_pair, coplanar_partner, grid_triangle, height_field,
+                      mixed_pairs, to_plane)
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
