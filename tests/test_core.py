@@ -56,11 +56,20 @@ def test_degenerate_triangle_raises():
         plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0)))
 
 
-def test_coincident_planes_of_either_orientation_and_crossing_planes_get_their_labels():
-    flipped = Triangle3(T1.a, T1.c, T1.b)  # same plane, opposite normal
-    crossing = Triangle3(Point3(0, 0, -1), Point3(1, 0, 1), Point3(0, 1, 1))
-    assert intersect(T1, flipped)[0] is CaseLabel.COPLANAR_CONTOUR
-    assert intersect(T1, crossing)[0] is CaseLabel.CROSSING_SEGMENT
+def test_signed_distance_is_metric():
+    pl = plane_from_triangle(T1)
+    assert math.isclose(signed_distance(Point3(1, 1, 2.5), pl), 2.5)
+    assert math.isclose(signed_distance(Point3(1, 1, -2.5), pl), -2.5)
+
+
+def test_classify_coincident_reversed_orientation():
+    t2 = Triangle3(T1.a, T1.c, T1.b)  # same plane, opposite normal
+    assert intersect(T1, t2)[0] is CaseLabel.COPLANAR_CONTOUR
+
+
+def test_classify_intersecting():
+    t2 = Triangle3(Point3(0, 0, -1), Point3(1, 0, 1), Point3(0, 1, 1))
+    assert intersect(T1, t2)[0] is CaseLabel.CROSSING_SEGMENT
 
 
 def test_default_tolerance_values():
