@@ -77,7 +77,8 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     so the coordinates are scanned only when the norm is.  When they are
     finite, the squares or the cross product overflowed (legs above about
     1e77), and the normal is taken again from the coordinates scaled by a
-    power of two, which is exact and keeps its direction.
+    power of two, which is exact for every coordinate above about 2**-1531
+    times the largest one.
     """
     a, b, c = t
     ax, ay, az = a
@@ -92,8 +93,9 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
             raise NonFiniteInput("triangle coordinates must be finite")
         # 2**-k puts the largest |coordinate| in [2**509, 2**510), so an edge is
         # below 2**511, the cross product below 2**1023, and hypot does not
-        # square; no smaller scale would do, so a thin triangle's small
-        # coordinates stay clear of underflow.  The area gate scales by 2**-2k
+        # square.  The scale is exact except for a coordinate below 2**(k-1022),
+        # which becomes subnormal and may lose bits: that can tilt the normal of a
+        # sliver no wider than that, or zero it.  The area gate scales by 2**-2k
         # and underflows to 0 for a large k, so a zero norm is caught on its own
         k = math.frexp(max(abs(x) for v in t for x in v))[1] - 510
         s = math.ldexp(1.0, -k)

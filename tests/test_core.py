@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3, plane_from_triangle
+from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import CaseLabel, intersect
 
@@ -60,6 +60,11 @@ def test_signed_distance_is_metric():
     pl = plane_from_triangle(T1)
     assert math.isclose(signed_distance(Point3(1, 1, 2.5), pl), 2.5)
     assert math.isclose(signed_distance(Point3(1, 1, -2.5), pl), -2.5)
+
+
+def test_plane_tuple_shape():
+    pl = Plane(0.0, 0.0, 1.0, Point3(7, -4, 2))
+    assert signed_distance(Point3(5, 5, 3), pl) == 1.0
 
 
 def test_classify_coincident_reversed_orientation():

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from tritri import (
@@ -343,24 +343,27 @@ FAMILIES = (generic_pair, coplanar_pair, shared_feature_pair, crossing_pair)
 
 @st.composite
 def far_pairs(draw):
-    """Grid pairs of every family, scaled by 2**k (k from -20 to 26) and shifted by up to 1e8."""
+    """Grid pairs of every family, scaled by 2**k (k from -20 to 1000) and shifted by up to 1e8."""
     family = draw(st.sampled_from(FAMILIES))
     pair = family(random.Random(draw(st.integers(0, 2**32 - 1))))
-    scale = 2.0 ** draw(st.integers(-20, 26))
+    scale = 2.0 ** draw(st.integers(-20, 26) | st.integers(27, 1000))
     shift = [draw(st.floats(-1e8, 1e8)) for _ in range(3)]
     return tuple([[c * scale + s for c, s in zip(v, shift)] for v in t] for t in pair)
 
 
 @seed(20262)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(far_pairs())
 def test_only_documented_errors_at_any_magnitude(pair):
+    # a finite triangle gets a finite unit normal, or DegenerateTriangle
+    assume(all(math.isfinite(c) for t in pair for v in t for c in v))
     t1, t2 = pair
     for a, b in ((t1, t2), (t2, t1)):
-        try:
+        with contextlib.suppress(DegenerateTriangle):
+            n = plane_from_triangle(a)[:3]
+            assert all(map(math.isfinite, n)) and abs(math.hypot(*n) - 1.0) <= 1e-15, a
+        with contextlib.suppress(DegenerateTriangle):
             intersect(a, b)
-        except (DegenerateTriangle, NonFiniteInput):
-            pass
 
 
 def test_labels_survive_power_of_two_translation():
@@ -376,10 +379,11 @@ def test_labels_survive_power_of_two_translation():
             assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)
 
 
-@pytest.mark.parametrize("k", [256, 300, 400, 500])
+@pytest.mark.parametrize("k", [256, 300, 400, 500, 532, 1000])
 def test_crossing_scaled_past_the_squared_norm_overflow(k):
-    # legs of 2**k square past the float range in the normal's norm; the
-    # points must still be exactly 2**k times the unit-scale ones
+    # legs of 2**k square past the float range in the normal's norm, and from
+    # k = 511 the cross product overflows too; the points must still be
+    # exactly 2**k times the unit-scale ones
     t2 = _tri((1, 1, -1), (1, 1, 2), (3, 3, 2))
     s = 2.0 ** k
     big1, big2 = (_tri(*([c * s for c in v] for v in t)) for t in (T1, t2))
@@ -400,21 +404,6 @@ def test_legs_past_the_cross_product_overflow_get_a_unit_normal():
     for call in (plane_from_triangle, prepare, lambda t: intersect(t, small), lambda t: intersect(small, t)):
         with pytest.raises(DegenerateTriangle):
             call(line)
-
-
-def test_every_power_of_two_scale_gives_a_unit_normal_or_a_documented_error():
-    pairs = mixed_pairs(random.Random(2029), 20)
-    for k in range(-20, 1001):
-        for pair in pairs:
-            t1, t2 = ([[c * 2.0 ** k for c in v] for v in t] for t in pair)
-            if not all(math.isfinite(c) for t in (t1, t2) for v in t for c in v):
-                continue
-            for a, b in ((t1, t2), (t2, t1)):
-                with contextlib.suppress(DegenerateTriangle):
-                    n = plane_from_triangle(a)[:3]
-                    assert all(map(math.isfinite, n)) and abs(math.hypot(*n) - 1.0) <= 1e-15, (k, a)
-                with contextlib.suppress(DegenerateTriangle, NonFiniteInput):
-                    intersect(a, b)
 
 
 def _vertex_orders(t):
