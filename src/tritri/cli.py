@@ -4,9 +4,9 @@ Two modes: ``tritri pair`` reads triangle pairs (18 numbers per line) and
 emits one JSON record per pair; ``tritri mesh`` reads two OFF triangle
 soups, prepares each face once (``intersect.prepare``), sends the cross
 pairs whose grown bounding boxes overlap to the kernel, and emits records
-for contacting pairs.  Those candidates come from a sweep over the boxes
-sorted by low x; for two meshes, only the boxes that meet the other
-mesh's overall box enter it.
+for contacting pairs.  Those candidates come from one sweep over a list of
+boxes sorted by low x; for two meshes, the boxes of both that meet the
+other mesh's overall box share that list.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
@@ -40,7 +40,7 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -154,50 +154,34 @@ def _meeting(entries: list[tuple[int, tuple]], others: list[tuple[int, tuple]]
             and hy0 <= e[1][3] and e[1][4] <= hz1 and hz0 <= e[1][5]]
 
 
-def _by_low_x(entries: list[tuple[int, tuple]]) -> tuple[list[float], list[tuple[int, tuple]]]:
-    """The boxes' low x's in ascending order, and the (index, box) entries in that order."""
-    entries = sorted(entries, key=lambda e: e[1][0])
-    return [box[0] for _, box in entries], entries
-
-
 def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple | None],
                        same_mesh: bool) -> list[tuple[int, int]]:
     """Sorted (i, j) pairs whose boxes overlap as closed intervals; None boxes never do.
 
     For two meshes, a box that misses the other mesh's hull (the box
     holding all its boxes) has no partner there, so it is dropped first
-    (Ericson 2004, ch. 7).  The rest are sorted by low x.  A box meets on
-    x the other mesh's boxes whose low x lies in its own x interval, found
-    by bisection, and those are checked on y and z.  A tie on low x is
-    taken from mesh A's side, so each pair is found once.  For a mesh
-    against itself the window of a box starts just after it in the sorted
-    order, and pairs come out i < j.
+    (Ericson 2004, ch. 7), and mesh B's boxes are numbered on from mesh
+    A's, j as ``len(boxes_a) + j``.  The boxes are sorted into one list by
+    low x, and each is checked on y and z against the boxes after it whose
+    low x lies in its x interval, found by bisection, so each pair is found
+    once.  For two meshes, only the pairs with a box from each are kept.
     """
-    a = [(i, box) for i, box in enumerate(boxes_a) if box is not None]
-    if same_mesh:
-        low, entries = _by_low_x(a)
-        pairs = []
-        for k, (i, (_, x1, y0, y1, z0, z1)) in enumerate(entries, start=1):
-            for j, ob in entries[k:bisect_right(low, x1, k)]:
-                if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
-                    pairs.append((i, j) if i < j else (j, i))
-        pairs.sort()
-        return pairs
-    b = [(j, box) for j, box in enumerate(boxes_b) if box is not None]
-    if not (a and b):
-        return []
-    a, b = _meeting(a, b), _meeting(b, a)
-    low_a, a = _by_low_x(a)
-    low_b, b = _by_low_x(b)
+    n = len(boxes_a)
+    entries = [(i, box) for i, box in enumerate(boxes_a) if box is not None]
+    if not same_mesh:
+        b = [(n + j, box) for j, box in enumerate(boxes_b) if box is not None]
+        if not (entries and b):
+            return []
+        entries = _meeting(entries, b) + _meeting(b, entries)
+    entries.sort(key=lambda e: e[1][0])
+    low = [box[0] for _, box in entries]
     pairs = []
-    for i, (x0, x1, y0, y1, z0, z1) in a:  # B boxes with x0 <= low x <= x1
-        for j, ob in b[bisect_left(low_b, x0):bisect_right(low_b, x1)]:
+    for k, (i, (_, x1, y0, y1, z0, z1)) in enumerate(entries, start=1):
+        for j, ob in entries[k:bisect_right(low, x1, k)]:
             if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
-                pairs.append((i, j))
-    for j, (x0, x1, y0, y1, z0, z1) in b:  # A boxes with x0 < low x <= x1
-        for i, ob in a[bisect_right(low_a, x0):bisect_right(low_a, x1)]:
-            if ob[2] <= y1 and y0 <= ob[3] and ob[4] <= z1 and z0 <= ob[5]:
-                pairs.append((i, j))
+                pairs.append((i, j) if i < j else (j, i))
+    if not same_mesh:
+        pairs = [(i, j - n) for i, j in pairs if i < n <= j]
     pairs.sort()
     return pairs
 

@@ -43,13 +43,13 @@ class Point2(NamedTuple):
 Window = tuple[tuple[float, float, float], ...]
 
 
-def _clockwise(au, av, bu, bv, cu, cv, tol: Tolerance) -> bool:
+def _clockwise(au, av, bu, bv, cu, cv, eps_area: float) -> bool:
     """Whether the 2D triangle abc turns clockwise.
 
-    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
+    Raises DegenerateTriangle when the area is below ``eps_area``.
     """
     area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
-    if abs(area2) < 2.0 * tol.eps_area:
+    if abs(area2) < 2.0 * eps_area:
         raise DegenerateTriangle("2D triangle area below tolerance")
     return area2 < 0.0
 
@@ -61,7 +61,7 @@ def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, P
     """
     if not (type(a) is type(b) is type(c) is Point2):
         a, b, c = Point2(*a), Point2(*b), Point2(*c)
-    if _clockwise(*a, *b, *c, tol):
+    if _clockwise(*a, *b, *c, tol.eps_area):
         return a, c, b
     return a, b, c
 
@@ -77,12 +77,30 @@ def _side_line(pu, pv, qu, qv, ou, ov) -> tuple[float, float, float]:
     return (l1 / ln, l2 / ln, l3 / ln)
 
 
-def _side_lines(au, av, bu, bv, cu, cv, tol: Tolerance) -> Window:
-    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``."""
-    if _clockwise(au, av, bu, bv, cu, cv, tol):
+def _side_lines(au, av, bu, bv, cu, cv, eps_area: float) -> Window:
+    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``.
+
+    Past about 1e154 an offset's products overflow, and the area's may: the
+    lines are then taken again from the corners scaled by 2**-k, as
+    ``plane_from_triangle`` scales them, and their offsets scaled back.
+    """
+    if _clockwise(au, av, bu, bv, cu, cv, eps_area):
         bu, bv, cu, cv = cu, cv, bu, bv
-    return (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
-            _side_line(bu, bv, cu, cv, au, av))
+    lines = (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
+             _side_line(bu, bv, cu, cv, au, av))
+    if math.isfinite(lines[0][2]) and math.isfinite(lines[1][2]) and math.isfinite(lines[2][2]):
+        return lines
+    # 2**-k puts the largest |coordinate| in [2**509, 2**510), where no product
+    # overflows, so smaller (or non-finite) corners gain nothing by it.  The area
+    # gate underflows to 0 for a large k; the least subnormal turns down a zero area
+    k = math.frexp(max(map(abs, (au, av, bu, bv, cu, cv))))[1] - 510
+    if k <= 0:
+        return lines
+    s = math.ldexp(1.0, -k)
+    lines = _side_lines(au * s, av * s, bu * s, bv * s, cu * s, cv * s,
+                        math.ldexp(eps_area, -2 * k) or math.ulp(0.0))
+    s = math.ldexp(1.0, k)  # a product, not ldexp, so an offset past the float range is inf
+    return tuple([(l1, l2, l3 * s) for l1, l2, l3 in lines])
 
 
 def window_lines(a, b, c, tol: Tolerance) -> Window:
@@ -93,7 +111,7 @@ def window_lines(a, b, c, tol: Tolerance) -> Window:
     DegenerateTriangle.
     """
     (au, av), (bu, bv), (cu, cv) = a, b, c
-    return _side_lines(au, av, bu, bv, cu, cv, tol)
+    return _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
 
 
 def _code(ab: float, ac: float, bc: float, eps: float) -> int:

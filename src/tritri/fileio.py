@@ -69,19 +69,20 @@ def _numbered_tokens(lines: Iterable[str], first_line: int = 1) -> Iterator[tupl
             yield lineno, tokens
 
 
-def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
-    """The tokens as finite floats, converted in one pass at C speed.
-
-    A bad line is scanned once more, token by token, for the error of its
-    first bad token.
-    """
+def _finite_floats(tokens: Iterable[str]) -> list[float] | None:
+    """The tokens as floats, in one pass at C speed, or None if one is not a finite float."""
     try:
         values = list(map(float, tokens))
     except ValueError:
-        pass
-    else:
-        if all(map(math.isfinite, values)):
-            return values
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
+    """The tokens as finite floats, or the ParseError of the first token that is not one."""
+    values = _finite_floats(tokens)
+    if values is not None:
+        return values
     for tok in tokens:
         try:
             value = float(tok)
@@ -122,11 +123,8 @@ def _plain_pairs(chunk: list[str], first_id: int) -> list[PairRecord] | None:
     rows = [line.split() for line in chunk]
     if not set(map(len, rows)) <= {0, 18}:
         return None
-    try:
-        values = list(map(float, chain.from_iterable(rows)))
-    except ValueError:
-        return None
-    if not all(map(math.isfinite, values)):
+    values = _finite_floats(chain.from_iterable(rows))
+    if values is None:
         return None
     it = iter(values)
     points = map(_new, repeat(Point3), zip(it, it, it))
@@ -216,10 +214,10 @@ def _bulk_off(lines: list[str]) -> list[Triangle3] | None:
     """``read_off``'s faces from its lines in a few passes at C speed, or None.
 
     None for any file that ``_scan_off`` would reject, and for some it would
-    accept (a leading vertex count spelled other than ``3``, coordinates
-    whose sum overflows), so a None sends the file to ``_scan_off``.  The
-    tokens are ``_numbered_tokens``' and each is converted by the same
-    ``float`` or ``int``, so the faces are the same.
+    accept (a leading vertex count spelled other than ``3``), so a None
+    sends the file to ``_scan_off``.  The tokens are ``_numbered_tokens``'
+    and each is converted by the same ``float`` or ``int``, and checked
+    by the same ``_finite_floats``, so the faces are the same.
     """
     rows = list(filter(None, [line.partition("#")[0].split() for line in lines]))
     if len(rows) < 2 or " ".join(rows[0]).upper() != "OFF" or len(rows[1]) < 2:
@@ -234,13 +232,12 @@ def _bulk_off(lines: list[str]) -> list[Triangle3] | None:
     vertex_rows = rows[2:2 + n_vertices]
     if min(map(len, vertex_rows), default=3) < 3 or min(map(len, face_rows)) < 4:
         return None
+    coords = _finite_floats(chain.from_iterable([row[:3] for row in vertex_rows]))
     try:
-        coords = list(map(float, chain.from_iterable([row[:3] for row in vertex_rows])))
         idx = list(map(int, chain.from_iterable([row[1:4] for row in face_rows])))
     except ValueError:
         return None
-    # a non-finite coordinate makes the sum inf or nan
-    if not math.isfinite(sum(coords)) or [row[0] for row in face_rows].count("3") != n_faces:
+    if coords is None or [row[0] for row in face_rows].count("3") != n_faces:
         return None
     if not (0 <= min(idx) and max(idx) < n_vertices):
         return None

@@ -135,7 +135,7 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
     cu, cv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     au, av = 0.0 * ux + 0.0 * uy + 0.0 * uz, 0.0 * vx + 0.0 * vy + 0.0 * vz
     frame = _new(PlaneFrame, (a, (ux, uy, uz), (vx, vy, vz), (nx, ny, nz)))
-    return frame, _side_lines(au, av, bu, bv, cu, cv, tol)
+    return frame, _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
 
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
@@ -236,7 +236,7 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
             x, y, z = px - ox, py - oy, pz - oz
             mapped.append((x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
         (pu, pv), (qu, qv), (su, sv) = mapped
-        if _clockwise(pu, pv, qu, qv, su, sv, tol):
+        if _clockwise(pu, pv, qu, qv, su, sv, tol.eps_area):
             mapped[1], mapped[2] = mapped[2], mapped[1]
         clip = intersect_coplanar(window, mapped, tol)
         if not clip:

@@ -171,6 +171,18 @@ def test_window_side_lines_are_unit_normals_pointing_inside():
     assert [pytest.approx(line) for line in want] == list(W)
 
 
+def test_window_past_the_offset_overflow_is_the_unit_window_scaled():
+    # at 2**600 the BC offset's products pass the float range, and a
+    # collinear window's area is inf - inf
+    s = 2.0 ** 600
+    big = window_lines(Point2(0, 0), Point2(s, 0), Point2(0, s), DEFAULT_TOLERANCE)
+    unit = window_lines(Point2(0, 0), Point2(1, 0), Point2(0, 1), DEFAULT_TOLERANCE)
+    assert big == tuple((l1, l2, l3 * s) for l1, l2, l3 in unit)
+    assert region_code(Point2(s, s), big) == 1 and region_code(Point2(s / 4, s / 4), big) == 0
+    with pytest.raises(DegenerateTriangle):
+        window_lines(Point2(0, 0), Point2(s, s), Point2(2 * s, 2 * s), DEFAULT_TOLERANCE)
+
+
 def test_boundary_points_code_inside():
     # on a side line (even beyond the segment) the side's bit stays clear
     assert region_code(Point2(2, 0), W) == 0

@@ -4,8 +4,8 @@ No linter runs on this package, so static checks, with stdlib ``ast`` only,
 catch what a deletion can leave behind: an import no code reads any more, a
 helper no code calls any more, or a name in ``tritri.__all__`` that the
 package no longer defines.  One more check imports the CLI in a fresh
-interpreter and looks at the modules it loaded, and one resolves the
-package paths that README.md names.
+interpreter and looks at the modules it loaded, one resolves the
+package paths that README.md names, and one runs its Python examples.
 """
 
 import ast
@@ -21,6 +21,7 @@ import pytest
 import tritri
 
 PACKAGE = Path(tritri.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -109,11 +110,22 @@ def test_the_oracle_imports_no_kernel_geometry():
 
 def test_every_package_path_in_the_readme_resolves():
     # a module merged away, or a name moved, leaves its old path in the prose
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    paths = set(re.findall(r"`(tritri(?:\.\w+)+)`", readme))
+    paths = set(re.findall(r"`(tritri(?:\.\w+)+)`", README.read_text(encoding="utf-8")))
     assert paths
     for path in paths:
         pkgutil.resolve_name(path)  # imports the longest module prefix, then looks up the rest
+
+
+def test_the_readme_python_examples_run():
+    # in order and in one namespace, as a reader pastes them into one session
+    readme = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"```python\n(.*?)```", readme, re.S))
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        # padded with newlines, so that a traceback names the README's own line
+        code = "\n" * readme.count("\n", 0, block.start(1)) + block[1]
+        exec(compile(code, str(README), "exec"), namespace)
 
 
 def test_importing_the_cli_loads_no_slow_module():

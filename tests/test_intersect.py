@@ -379,6 +379,22 @@ def test_labels_survive_power_of_two_translation():
             assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)
 
 
+def test_labels_survive_power_of_two_scaling():
+    # scaling by 2**k is exact, so the exact answer does not change, and
+    # neither may the label, in either order; past about 2**512 the window's
+    # offsets are taken from rescaled corners
+    pairs = mixed_pairs(random.Random(2027), 200)
+
+    def labels(k):
+        s = 2.0 ** k
+        scaled = [[[[c * s for c in v] for v in t] for t in pair] for pair in pairs]
+        return [(intersect(a, b)[0], intersect(b, a)[0]) for a, b in scaled]
+
+    want = labels(500)
+    for k in (520, 600, 800, 1000):
+        assert labels(k) == want, k
+
+
 @pytest.mark.parametrize("k", [256, 300, 400, 500, 532, 1000])
 def test_crossing_scaled_past_the_squared_norm_overflow(k):
     # legs of 2**k square past the float range in the normal's norm, and from

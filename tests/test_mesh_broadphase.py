@@ -67,8 +67,9 @@ def test_a_face_whose_margin_overflows_hides_no_other_contact():
     # legs of 1e160 overflow the margin's squared edges: its box must span everything
     huge, g = _tri(((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0))), _tri(((1, 1, -1), (1, 1, 1), (2, 1, 1)))
     assert contact_margin(huge) == math.inf
-    assert len(assert_matches_brute_force([huge, _tri(WIDE)], [g])) == 2
-    assert len(assert_matches_brute_force([g], [_tri(WIDE), huge])) == 2
+    for faces in ([huge, _tri(WIDE)], [_tri(WIDE), huge]):  # the infinite box first or last, in A or B
+        assert len(assert_matches_brute_force(faces, [g])) == 2
+        assert len(assert_matches_brute_force([g], faces)) == 2
 
 
 @pytest.mark.parametrize("d", [5e-9, 5e-7, 0.05])
@@ -189,6 +190,8 @@ def test_sweep_equals_brute_force_overlap(boxes_a, boxes_b, offset):
     boxes_b = [None if b is None else (b[0] + dx, b[1] + dx, b[2] + dy, b[3] + dy,
                                        b[4] + dz, b[5] + dz) for b in boxes_b]
     assert _overlapping_pairs(boxes_a, boxes_b, False) == brute_force_overlaps(boxes_a, boxes_b)
+    # one list as two meshes: the diagonal pairs (i, i), B's boxes numbered on from A's
+    assert _overlapping_pairs(boxes_a, boxes_a, False) == brute_force_overlaps(boxes_a, boxes_a)
     assert (_overlapping_pairs(boxes_a, boxes_a, True)
             == brute_force_overlaps(boxes_a, boxes_a, same_mesh=True))
 
