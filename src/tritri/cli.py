@@ -232,21 +232,13 @@ def _record_json(rec: ResultRecord) -> str:
     """The record as compact JSON, byte for byte what ``json.dumps`` writes.
 
     The line is built directly: the ``repr`` of an int or a finite float is
-    the text ``json.dumps`` writes for it.  ``json.dumps`` spells infinities
-    and NaN differently; theirs are the only reprs here with an ``n``, so a
-    record holding one goes through ``json.dumps`` itself.
+    the text ``json.dumps`` writes for it.  Infinities and NaN, the only
+    reprs here with an ``n``, are respelled as ``json.dumps`` spells them.
     """
     points = ",".join([f"[{x!r},{y!r},{z!r}]" for x, y, z in rec.points])
-    rid = rec.id
     if "n" in points:
-        payload: dict = {
-            "id": list(rid) if isinstance(rid, tuple) else rid,
-            "case": rec.case,
-            "points": [list(p) for p in rec.points],
-        }
-        if rec.us is not None:
-            payload["us"] = rec.us
-        return json.dumps(payload, separators=(",", ":"))
+        points = points.replace("inf", "Infinity").replace("nan", "NaN")
+    rid = rec.id
     rid = f"[{rid[0]!r},{rid[1]!r}]" if isinstance(rid, tuple) else repr(rid)
     case = "null" if rec.case is None else encode_basestring_ascii(rec.case)
     us = "" if rec.us is None else f',"us":{rec.us!r}'

@@ -2,14 +2,12 @@
 
 In both formats a ``#`` starts a comment, a line with no tokens left is
 skipped, and each ``ParseError`` names the line's 1-based number in the
-file.  Coordinates must be finite.  The per-line tokenizer,
-``_numbered_tokens``, reads the pair lines of ``iter_pairs`` and the OFF
-files that ``read_off``'s bulk parse turns down.  ``read_pairs`` reads its
-stream in chunks of ``_CHUNK_LINES`` lines and parses a chunk of plain pair
-lines (18 finite numbers or none, so no ``#``) in a few passes at C speed;
-any other chunk goes through ``iter_pairs``, from the chunk's first line
-number and the next record id, so it gives the same records or raises the
-same ``ParseError``.
+file.  Coordinates must be finite.  Each format has one parse: every line
+is cut at its ``#`` and split once, and the numbers are converted in one
+pass at C speed.  Only when that pass fails are the rows walked one by
+one, to raise the first bad line's error.  ``read_pairs`` parses its
+stream ``_CHUNK_LINES`` lines at a time, so only one chunk's tokens are
+held at once; ``read_off`` reads its file whole.
 """
 
 import contextlib
@@ -18,7 +16,7 @@ import math
 import os
 import sys
 from itertools import chain, count, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .core import Point3, Triangle3
 from .errors import EmptyMesh, ParseError
@@ -58,17 +56,6 @@ class collector_paused(contextlib.ContextDecorator):
             gc.enable()
 
 
-def _numbered_tokens(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, tokens)`` of each line with tokens left after its # comment.
-
-    The first line is numbered ``first_line``.
-    """
-    for lineno, raw in enumerate(lines, start=first_line):
-        tokens = raw.partition("#")[0].split()
-        if tokens:
-            yield lineno, tokens
-
-
 def _finite_floats(tokens: Iterable[str]) -> list[float] | None:
     """The tokens as floats, in one pass at C speed, or None if one is not a finite float."""
     try:
@@ -78,11 +65,8 @@ def _finite_floats(tokens: Iterable[str]) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
-def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
-    """The tokens as finite floats, or the ParseError of the first token that is not one."""
-    values = _finite_floats(tokens)
-    if values is not None:
-        return values
+def _check_floats(tokens: list[str], lineno: int) -> None:
+    """Raise the ParseError of the first token that is not a finite float."""
     for tok in tokens:
         try:
             value = float(tok)
@@ -93,40 +77,34 @@ def _checked_floats(tokens: list[str], lineno: int) -> list[float]:
 
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
-_SIX_POINTS = (Point3,) * 6
 _CHUNK_LINES = 1024  # lines read_pairs parses at once: a chunk's tokens are all held together
 
 
-def iter_pairs(lines: Iterable[str], first_line: int = 1, first_id: int = 0) -> Iterable[PairRecord]:
-    """Parse a pair stream: one pair per line, 18 numbers, # comments.
+@contextlib.contextmanager
+def _undecodable_is_a_parse_error():
+    """Turn a byte the input's encoding cannot decode into a ParseError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not {exc.encoding} text: byte {exc.object[exc.start]:#04x}") from None
 
-    Record ids count parsed pairs from ``first_id`` (default 0); comment
-    and blank lines do not consume ids.  Raises ParseError carrying the
-    line number, counted from ``first_line`` (default 1).
+
+def _pair_records(chunk: list[str], first_line: int, first_id: int) -> list[PairRecord]:
+    """The records of a chunk of pair lines, the first numbered ``first_line``.
+
+    Record ids count the lines with numbers from ``first_id``.  The numbers
+    of the whole chunk are converted and checked in one pass; only when
+    that fails are its rows walked, to raise the first bad line's error.
     """
-    for rid, (lineno, tokens) in enumerate(_numbered_tokens(lines, first_line), start=first_id):
-        if len(tokens) != 18:
-            raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
-        it = iter(_checked_floats(tokens, lineno))
-        # the exact types prepare takes uncopied
-        a, b, c, d, e, f = map(_new, _SIX_POINTS, zip(it, it, it))
-        yield _new(PairRecord, (rid, _new(Triangle3, (a, b, c)), _new(Triangle3, (d, e, f))))
-
-
-def _plain_pairs(chunk: list[str], first_id: int) -> list[PairRecord] | None:
-    """The records of a chunk of pair lines, or None if it needs ``iter_pairs``.
-
-    None for a chunk with a line of other than 0 or 18 tokens, or with a
-    token that is not a finite float.  That covers every ``#``: a row that
-    holds one has another length, or a token ``float`` rejects.
-    """
-    rows = [line.split() for line in chunk]
-    if not set(map(len, rows)) <= {0, 18}:
-        return None
-    values = _finite_floats(chain.from_iterable(rows))
+    rows = [line.partition("#")[0].split() for line in chunk]
+    values = _finite_floats(chain.from_iterable(rows)) if set(map(len, rows)) <= {0, 18} else None
     if values is None:
-        return None
+        for lineno, tokens in enumerate(rows, first_line):
+            if tokens and len(tokens) != 18:
+                raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
+            _check_floats(tokens, lineno)
     it = iter(values)
+    # the exact types prepare takes uncopied
     points = map(_new, repeat(Point3), zip(it, it, it))
     tris = map(_new, repeat(Triangle3), zip(points, points, points))
     return list(map(_new, repeat(PairRecord), zip(count(first_id), tris, tris)))
@@ -137,17 +115,19 @@ def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
     lines = iter(lines)
     first_line = 1
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        plain = _plain_pairs(chunk, len(records))
-        records += iter_pairs(chunk, first_line, len(records)) if plain is None else plain
+        records += _pair_records(chunk, first_line, len(records))
         first_line += len(chunk)
     return records
 
 
 @collector_paused()
+@_undecodable_is_a_parse_error()
 def read_pairs(source: str | os.PathLike | TextIO) -> list[PairRecord]:
     """Read pair records from a path, '-' for stdin, or an open stream.
 
-    The same records as ``iter_pairs``, or the same ParseError.
+    One pair per line, 18 numbers.  Record ids count the pairs from 0;
+    comment and blank lines do not consume ids.  A bad line, or a byte the
+    input cannot decode, is a ParseError.
     """
     if hasattr(source, "read"):
         return _read_pairs(source)
@@ -157,35 +137,61 @@ def read_pairs(source: str | os.PathLike | TextIO) -> list[PairRecord]:
         return _read_pairs(handle)
 
 
-def _scan_off(lines: list[str]) -> list[Triangle3]:
-    """``read_off``'s result from its lines, read line by line to name a bad one."""
-    rows = _numbered_tokens(lines)
+def _need(rows: list, count: int) -> None:
+    """The ParseError of a file whose rows run out before ``count`` of them."""
+    if len(rows) < count:
+        raise ParseError("unexpected end of file")
+
+
+def _off_faces(lines: list[str]) -> list[Triangle3]:
+    """``read_off``'s faces from its lines.
+
+    The vertex coordinates are converted in one ``float`` pass and the face
+    indices in one ``int`` pass; only where a pass fails are its rows walked
+    one by one, to name the first bad line.  The face walk also takes a
+    leading count spelled other than ``3``, such as ``+3``.
+    """
+    rows = [(lineno, tokens) for lineno, line in enumerate(lines, start=1)
+            if (tokens := line.partition("#")[0].split())]
+    _need(rows, 1)
+    lineno, tokens = rows[0]
+    header = " ".join(tokens)
+    if header.upper() != "OFF":
+        raise ParseError(f"expected OFF header, got {header!r}", line=lineno)
+    _need(rows, 2)
+    lineno, counts = rows[1]
+    if len(counts) < 2:
+        raise ParseError("expected vertex and face counts", line=lineno)
     try:
-        lineno, tokens = next(rows)
-        header = " ".join(tokens)
-        if header.upper() != "OFF":
-            raise ParseError(f"expected OFF header, got {header!r}", line=lineno)
+        n_vertices, n_faces = int(counts[0]), int(counts[1])
+    except ValueError:
+        raise ParseError(f"bad counts line: {' '.join(counts)!r}", line=lineno) from None
+    if n_vertices < 0 or n_faces < 0:
+        raise ParseError("negative counts", line=lineno)
 
-        lineno, counts = next(rows)
-        if len(counts) < 2:
-            raise ParseError("expected vertex and face counts", line=lineno)
-        try:
-            n_vertices, n_faces = int(counts[0]), int(counts[1])
-        except ValueError:
-            raise ParseError(f"bad counts line: {' '.join(counts)!r}", line=lineno) from None
-        if n_vertices < 0 or n_faces < 0:
-            raise ParseError("negative counts", line=lineno)
-
-        vertices: list[Point3] = []
-        for _ in range(n_vertices):
-            lineno, tokens = next(rows)
+    vertex_rows = rows[2:2 + n_vertices]
+    coords = [tokens[:3] for _, tokens in vertex_rows]
+    short = min(map(len, coords), default=3) < 3
+    values = None if short else _finite_floats(chain.from_iterable(coords))
+    if values is None:
+        for lineno, tokens in vertex_rows:
             if len(tokens) < 3:
                 raise ParseError("vertex needs 3 coordinates", line=lineno)
-            vertices.append(_new(Point3, _checked_floats(tokens[:3], lineno)))
+            _check_floats(tokens[:3], lineno)
+    _need(rows, 2 + n_vertices)
+    it = iter(values)
+    vertices = list(map(_new, repeat(Point3), zip(it, it, it)))
 
-        faces: list[Triangle3] = []
-        for _ in range(n_faces):
-            lineno, tokens = next(rows)
+    face_rows = rows[2 + n_vertices:2 + n_vertices + n_faces]
+    try:
+        idx = list(map(int, chain.from_iterable([tokens[1:4] for _, tokens in face_rows])))
+    except ValueError:
+        idx = []
+    # walked if a row is short of 3 indices, its count is not "3", or an index is out of range
+    if (len(idx) != 3 * len(face_rows) or [t[0] for _, t in face_rows].count("3") != len(face_rows)
+            or (idx and not 0 <= min(idx) <= max(idx) < n_vertices)):
+        idx = []
+        for lineno, tokens in face_rows:
             try:
                 arity = int(tokens[0])
             except ValueError:
@@ -195,72 +201,33 @@ def _scan_off(lines: list[str]) -> list[Triangle3]:
             if len(tokens) < 4:
                 raise ParseError("face needs 3 vertex indices", line=lineno)
             try:
-                idx = [int(tok) for tok in tokens[1:4]]
+                face = [int(tok) for tok in tokens[1:4]]
             except ValueError:
                 raise ParseError("bad vertex index", line=lineno) from None
-            for i in idx:
+            for i in face:
                 if not 0 <= i < len(vertices):
                     raise ParseError(f"vertex index {i} out of range", line=lineno)
-            faces.append(_new(Triangle3, (vertices[idx[0]], vertices[idx[1]], vertices[idx[2]])))
-    except StopIteration:  # raised here only by ``next(rows)``: the lines ran out
-        raise ParseError("unexpected end of file") from None
-
-    if not faces:
+            idx += face
+    _need(rows, 2 + n_vertices + n_faces)
+    if not idx:
         raise EmptyMesh("mesh has no faces")
-    return faces
-
-
-def _bulk_off(lines: list[str]) -> list[Triangle3] | None:
-    """``read_off``'s faces from its lines in a few passes at C speed, or None.
-
-    None for any file that ``_scan_off`` would reject, and for some it would
-    accept (a leading vertex count spelled other than ``3``), so a None
-    sends the file to ``_scan_off``.  The tokens are ``_numbered_tokens``'
-    and each is converted by the same ``float`` or ``int``, and checked
-    by the same ``_finite_floats``, so the faces are the same.
-    """
-    rows = list(filter(None, [line.partition("#")[0].split() for line in lines]))
-    if len(rows) < 2 or " ".join(rows[0]).upper() != "OFF" or len(rows[1]) < 2:
-        return None
-    try:
-        n_vertices, n_faces = int(rows[1][0]), int(rows[1][1])
-    except ValueError:
-        return None
-    face_rows = rows[2 + n_vertices:2 + n_vertices + n_faces]
-    if n_vertices < 0 or n_faces <= 0 or len(face_rows) != n_faces:
-        return None
-    vertex_rows = rows[2:2 + n_vertices]
-    if min(map(len, vertex_rows), default=3) < 3 or min(map(len, face_rows)) < 4:
-        return None
-    coords = _finite_floats(chain.from_iterable([row[:3] for row in vertex_rows]))
-    try:
-        idx = list(map(int, chain.from_iterable([row[1:4] for row in face_rows])))
-    except ValueError:
-        return None
-    if coords is None or [row[0] for row in face_rows].count("3") != n_faces:
-        return None
-    if not (0 <= min(idx) and max(idx) < n_vertices):
-        return None
-    it = iter(coords)
-    vertices = list(map(_new, repeat(Point3), zip(it, it, it)))
     corners = map(vertices.__getitem__, idx)
     return list(map(_new, repeat(Triangle3), zip(corners, corners, corners)))
 
 
 @collector_paused()
+@_undecodable_is_a_parse_error()
 def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
     """Read an ASCII OFF triangle soup.
 
     Only 3-vertex faces are accepted; anything else is a ParseError.
     Raises EmptyMesh when the file holds no faces.  Faces that share a
-    vertex index share its ``Point3``.  The file is read whole and parsed
-    in bulk; only a file the bulk parse turns down is scanned line by line,
-    which names the first bad line.
+    vertex index share its ``Point3``.  A byte the input cannot decode is a
+    ParseError too.
     """
     if hasattr(source, "read"):
         lines = source.readlines()
     else:
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().split("\n")  # newlines are already translated to "\n"
-    faces = _bulk_off(lines)
-    return _scan_off(lines) if faces is None else faces
+    return _off_faces(lines)

@@ -1,7 +1,10 @@
 import gc
 import hashlib
+import io
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ import tritri.cli
 from tritri.cli import CONTACT_CASES, ResultRecord, _record_json, main, run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
 from tritri.errors import DegenerateTriangle
-from tritri.fileio import iter_pairs
+from tritri.fileio import read_pairs
 from tritri.oracle import oracle_intersect
 
 from conftest import height_field, mixed_pairs, off_text
@@ -70,7 +73,7 @@ def _assert_counts_add_up(summary):
 
 
 def test_run_pairs_keeps_order_and_counts():
-    records = list(iter_pairs([CROSSING, PARALLEL, DEGENERATE, CROSSING]))
+    records = read_pairs(io.StringIO("\n".join([CROSSING, PARALLEL, DEGENERATE, CROSSING])))
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
     assert [r.id for r in results] == [0, 1, 2, 3]
     assert [r.case for r in results] == [
@@ -103,7 +106,7 @@ def test_pair_far_from_origin_does_not_end_the_run(tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    (far,) = iter_pairs([FAR_FROM_ORIGIN])
+    (far,) = read_pairs(io.StringIO(FAR_FROM_ORIGIN))
     want = oracle_intersect(far.t1, far.t2).label.value
     assert [(r["id"], r["case"]) for r in records] == [
         (0, "crossing_segment"), (1, want), (2, "crossing_segment")]
@@ -122,7 +125,7 @@ def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
         return kernel(t1, t2, tol)
 
     monkeypatch.setattr(tritri.cli, "intersect", failing_on_parallel)
-    records = list(iter_pairs([CROSSING, PARALLEL, CROSSING]))
+    records = read_pairs(io.StringIO("\n".join([CROSSING, PARALLEL, CROSSING])))
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
     assert [r.case for r in results] == ["crossing_segment", None, "crossing_segment"]
     assert summary["skipped"] == 1 and summary["emitted"] == 2
@@ -186,6 +189,36 @@ def test_parse_failure_exits_1(tmp_path, capsys):
     src.write_text("1 2 3\n")
     assert main(["pair", "--input", str(src)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["path", "stream"])
+@pytest.mark.parametrize("mode", ["pair", "mesh"])
+def test_an_undecodable_byte_is_a_parse_failure(tmp_path, capsys, monkeypatch, mode, via):
+    good = CROSSING + "\n" if mode == "pair" else SQUARE_OFF
+    data = good.encode() + b"# caf\xff\n" + good.encode()
+    if via == "path":
+        src = tmp_path / "input"
+        src.write_bytes(data)
+        name = str(src)
+    elif mode == "pair":  # stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        name = "-"
+    else:  # a pipe, opened by its /dev/fd path
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        name = f"/dev/fd/{read_end}"
+    other = tmp_path / "square.off"
+    other.write_text(SQUARE_OFF)
+    out = tmp_path / "records.jsonl"
+    argv = ["pair", "--input", name] if mode == "pair" else ["mesh", name, str(other)]
+    try:
+        assert main([*argv, "--output", str(out)]) == 1
+    finally:
+        if via == "stream" and mode == "mesh":
+            os.close(read_end)
+    assert capsys.readouterr().err == "error: not utf-8 text: byte 0xff\n"
+    assert not out.exists()  # no record written
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -492,7 +525,7 @@ def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
     """What lets the CLI pause the collector: reference counting frees the whole batch."""
     rng = random.Random(41)
     lines = [_pair_line(t1, t2) for t1, t2 in mixed_pairs(rng, 300)] + [DEGENERATE, FAR_FROM_ORIGIN]
-    records = list(iter_pairs(lines))
+    records = read_pairs(io.StringIO("\n".join(lines)))
     src = tmp_path / "pairs.txt"
     src.write_text("\n".join(lines) + "\n")
     field = height_field([[rng.randint(0, 3) / 3 for _ in range(6)] for _ in range(6)])

@@ -3,13 +3,14 @@ import gc
 import io
 import math
 import random
+import re
 
 import pytest
 
 import tritri.fileio
 from tritri.core import Point3, Triangle3
 from tritri.errors import EmptyMesh, ParseError
-from tritri.fileio import PairRecord, collector_paused, iter_pairs, read_off, read_pairs
+from tritri.fileio import PairRecord, collector_paused, read_off, read_pairs
 
 PAIR_LINE = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 
@@ -26,7 +27,7 @@ OFF
 """
 
 
-def test_iter_pairs_skips_comments_and_blanks():
+def test_read_pairs_skips_comments_and_blanks():
     lines = [
         "# header comment",
         "",
@@ -34,26 +35,26 @@ def test_iter_pairs_skips_comments_and_blanks():
         "   ",
         PAIR_LINE + "  # trailing note",
     ]
-    records = list(iter_pairs(lines))
+    records = read_pairs(io.StringIO("\n".join(lines)))
     assert [r.id for r in records] == [0, 1]
     assert records[0].t1.a == (0.0, 0.0, 0.0)
     assert records[0].t2.c == (3.0, 3.0, 2.0)
     assert records[0].t1 == records[1].t1
 
 
-def test_iter_pairs_wrong_token_count():
+def test_read_pairs_wrong_token_count():
     with pytest.raises(ParseError) as exc:
-        list(iter_pairs(["", "1 2 3"]))
+        read_pairs(io.StringIO("\n1 2 3"))
     assert "expected 18 numbers, got 3" in str(exc.value)
     assert exc.value.line == 2
 
 
-def test_iter_pairs_rejects_bad_tokens():
+def test_read_pairs_rejects_bad_tokens():
     bad = PAIR_LINE.replace("-1", "x")
     with pytest.raises(ParseError, match="not a number"):
-        list(iter_pairs([bad]))
+        read_pairs(io.StringIO(bad))
     with pytest.raises(ParseError, match="non-finite"):
-        list(iter_pairs([PAIR_LINE.replace("-1", "nan")]))
+        read_pairs(io.StringIO(PAIR_LINE.replace("-1", "nan")))
 
 
 def test_read_pairs_from_path_and_stream(tmp_path):
@@ -149,6 +150,18 @@ OFF_ERRORS = [
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 y 2\n", "line 6: bad vertex index"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "line 6: vertex index -1 out of range"),
     ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "unexpected end of file"),
+    # two faults: the earlier line is named, in either order, also where the
+    # one-pass conversion fails only on the later one
+    ("OFF\n3 1 0\n0 x 0\n1 0\n0 1 0\n3 0 1 2\n", "line 3: not a number: 'x'"),
+    ("OFF\n3 1 0\n0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "line 3: vertex needs 3 coordinates"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1\n", "line 6: vertex index 7 out of range"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n3 0 1 7\n", "line 6: face needs 3 vertex indices"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n4 0 1 2\n", "line 6: vertex index -1 out of range"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n3 0 1 -1\n",
+     "line 6: only triangular faces supported, got 4"),
+    ("OFF\n3 1 0\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 9\n", "line 4: non-finite value: 'nan'"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n", "line 6: vertex index 9 out of range"),
+    ("OFF\n3 1 0\n0 0 0\n1 nan 0\n", "line 4: non-finite value: 'nan'"),
 ]
 
 
@@ -168,7 +181,7 @@ def test_read_off_empty_mesh():
         read_off(io.StringIO("OFF\n1 0 0\n0 0 0\n"))
 
 
-# --- the bulk OFF parse --------------------------------------------------------
+# --- OFF variants and a large mesh ----------------------------------------------
 
 SQUARE_FACES = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
                 ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))]
@@ -186,7 +199,7 @@ OFF_VARIANTS = {
     "trailing lines": OFF_TEXT + "3 0 1 3\nnot a face\n1 2\n",
     "lower-case header": OFF_TEXT.replace("OFF", "off"),
     "no final newline": OFF_TEXT.rstrip("\n"),
-    "signed arity": OFF_TEXT.replace("3 0 1 2", "+3 0 1 2"),  # left to the line scan
+    "signed arity": OFF_TEXT.replace("3 0 1 2", "+3 0 1 2"),  # taken by the face walk
 }
 
 
@@ -206,29 +219,22 @@ def test_off_variants_give_the_square(name, tmp_path):
     path.write_bytes(text.encode())  # CRLF kept on disk, for the reader to translate
     _assert_square(read_off(path))
     _assert_square(read_off(str(path)))
-    # the bulk parse takes every variant but one, which it leaves to the line scan
-    lines = text.splitlines(keepends=True)
-    assert tritri.fileio._scan_off(lines) == SQUARE_FACES
-    if name == "signed arity":
-        assert tritri.fileio._bulk_off(lines) is None
-    else:
-        _assert_square(tritri.fileio._bulk_off(lines))
 
 
-def test_the_bulk_parse_equals_the_line_scan_on_a_large_mesh(tmp_path):
+def test_a_large_mesh_gives_the_generated_faces(tmp_path):
     rng = random.Random(29)
-    verts = [" ".join(repr(rng.uniform(-1e3, 1e3)) for _ in range(3)) for _ in range(300)]
-    faces = [f"3 {rng.randrange(300)} {rng.randrange(300)} {rng.randrange(300)}"
-             for _ in range(500)]
-    text = "\n".join(["OFF", "300 500 0", *verts, *faces]) + "\n"
-    lines = text.splitlines(keepends=True)
-    want = tritri.fileio._scan_off(lines)
-    assert tritri.fileio._bulk_off(lines) == want
+    coords = [[rng.uniform(-1e3, 1e3) for _ in range(3)] for _ in range(300)]
+    idx = [[rng.randrange(300) for _ in range(3)] for _ in range(500)]
+    lines = [" ".join(map(repr, v)) for v in coords] + ["3 " + " ".join(map(str, f)) for f in idx]
     path = tmp_path / "soup.off"
-    path.write_text(text)
+    path.write_text("\n".join(["OFF", "300 500 0", *lines]) + "\n")
     got = read_off(path)
-    assert got == want and [tuple(map(repr, p)) for f in got for p in f] == [
-        tuple(map(repr, p)) for f in want for p in f]
+    assert [[[c.hex() for c in p] for p in face] for face in got] == [
+        [[c.hex() for c in coords[i]] for i in face] for face in idx]
+    # one Point3 per vertex index
+    points = {i: p for face, tri in zip(idx, got) for i, p in zip(face, tri)}
+    assert all(p is points[i] for face, tri in zip(idx, got) for i, p in zip(face, tri))
+    assert len({id(p) for tri in got for p in tri}) == len(points)
 
 
 # --- the per-token parser, kept as the reference for the one-pass parse ------
@@ -298,7 +304,7 @@ def test_one_pass_parse_equals_the_per_token_parser(tmp_path):
     assert "\r\n" in text and "\t" in text and "e-" in text and "E+" in text
     assert "-0.0" in text and "#" in text
     want = [repr(r) for r in _reference_pairs(io.StringIO(text, newline=""))]
-    got_lines = list(iter_pairs(io.StringIO(text, newline="")))  # lines keep their \r\n
+    got_lines = read_pairs(io.StringIO(text, newline=""))  # lines keep their \r\n
     path = tmp_path / "pairs.txt"
     path.write_bytes(text.encode("utf-8"))
     got_path = read_pairs(path)
@@ -316,6 +322,8 @@ def _line(tokens):
     return " ".join(tokens)
 
 
+# a later fault, which the error does not name
+@pytest.mark.parametrize("later", [_line(ROW), _line(ROW[:3]), _line(ROW[:5] + ["x"] + ROW[6:])])
 @pytest.mark.parametrize("bad_line, message", [
     (_line(ROW[:17]), "expected 18 numbers, got 17"),
     (_line(ROW + ["1"]), "expected 18 numbers, got 19"),
@@ -328,10 +336,10 @@ def _line(tokens):
     (_line(ROW[:3] + ["inf"] + ROW[4:16] + ["oops", "1"]), "non-finite value: 'inf'"),
     (_line(ROW[:3] + ["oops"] + ROW[4:16] + ["inf", "1"]), "not a number: 'oops'"),
 ])
-def test_pair_line_errors_keep_message_and_line(bad_line, message):
-    lines = [_line(ROW), "# comment", "", bad_line + "  # trailing", _line(ROW)]
+def test_pair_line_errors_keep_message_and_line(bad_line, message, later):
+    lines = [_line(ROW), "# comment", "", bad_line + "  # trailing", later, _line(ROW)]
     with pytest.raises(ParseError) as got:
-        list(iter_pairs(lines))
+        read_pairs(io.StringIO("\n".join(lines)))
     with pytest.raises(ParseError) as want:
         _reference_pairs(lines)
     assert got.value.line == want.value.line == 4
@@ -402,17 +410,10 @@ def _chunked_text(rng, count, commented_chunks=()):
 @pytest.mark.parametrize("count, commented_chunks", [
     (0, ()), (1, ()), (CHUNK, ()), (CHUNK + 1, (1,)), (3 * CHUNK + 500, (1, 3)),
 ])
-def test_chunked_read_equals_the_per_line_parser(tmp_path, monkeypatch, count, commented_chunks):
+def test_chunked_read_equals_the_per_line_parser(tmp_path, count, commented_chunks):
     text = _chunked_text(random.Random(count), count, commented_chunks)
     assert text.count("\n") == count
-    want = [repr(r) for r in iter_pairs(io.StringIO(text, newline=""))]
-    fallbacks = []
-
-    def per_line(lines, first_line, first_id):
-        fallbacks.append(first_line)
-        return iter_pairs(lines, first_line, first_id)
-
-    monkeypatch.setattr(tritri.fileio, "iter_pairs", per_line)
+    want = [repr(r) for r in _reference_pairs(io.StringIO(text, newline=""))]
     got_stream = read_pairs(io.StringIO(text, newline=""))  # lines keep their \r\n
     path = tmp_path / "pairs.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -420,8 +421,10 @@ def test_chunked_read_equals_the_per_line_parser(tmp_path, monkeypatch, count, c
     assert [repr(r) for r in got_stream] == [repr(r) for r in got_path] == want
     assert [r.id for r in got_path] == list(range(len(want)))
     _assert_exact_types(got_path)
-    # only a chunk with a comment goes line by line, from its own first line
-    assert fallbacks == [1 + k * CHUNK for k in commented_chunks] * 2
+    # the comments change nothing: the same text with them stripped gives the same records
+    stripped = re.sub(r"#[^\r\n]*", "", text)
+    assert ("#" in text) == bool(commented_chunks) and "#" not in stripped
+    assert [repr(r) for r in read_pairs(io.StringIO(stripped, newline=""))] == want
 
 
 @pytest.mark.parametrize("line", [
@@ -432,7 +435,7 @@ def test_chunked_read_equals_the_per_line_parser(tmp_path, monkeypatch, count, c
 def test_a_comment_in_an_18_token_row_is_a_comment(line):
     text = (_line(ROW) + "\n") * 100 + line + "\n" + (_line(ROW) + "\n") * 100
     try:
-        want = [repr(r) for r in iter_pairs(io.StringIO(text))]
+        want = [repr(r) for r in _reference_pairs(io.StringIO(text))]
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             read_pairs(io.StringIO(text))
@@ -448,20 +451,21 @@ def _error_test_lines(commented):
     return tuple(io.StringIO(text, newline="").readlines())  # splitlines would split at \f and \v
 
 
+@pytest.mark.parametrize("later", [_line(ROW[:3]), _line(ROW[:5] + ["x"] + ROW[6:])])
 @pytest.mark.parametrize("commented", [False, True])
 @pytest.mark.parametrize("where", ["first of a chunk", "middle chunk", "last of a chunk", "last chunk"])
 @pytest.mark.parametrize("bad_line, message", BAD_LINES)
-def test_chunked_read_raises_the_per_line_error(commented, where, bad_line, message):
+def test_chunked_read_raises_the_per_line_error(commented, where, bad_line, message, later):
     lines = list(_error_test_lines(commented))
     lineno = {"first of a chunk": CHUNK + 1, "middle chunk": CHUNK + 300,
               "last of a chunk": 2 * CHUNK, "last chunk": 3 * CHUNK + 400}[where]
     lines[lineno - 1] = "\t" + bad_line + "\r\n"
-    lines[lineno + 5] = _line(ROW[:3]) + "\n"  # a later error is not the one raised
+    lines[lineno + 5] = later + "\n"  # a later error is not the one raised
     text = "".join(lines)
     with pytest.raises(ParseError) as got:
         read_pairs(io.StringIO(text, newline=""))
     with pytest.raises(ParseError) as want:
-        list(iter_pairs(io.StringIO(text, newline="")))
+        _reference_pairs(io.StringIO(text, newline=""))
     assert got.value.line == want.value.line == lineno
     assert str(got.value) == str(want.value) == f"line {lineno}: {message}"
 

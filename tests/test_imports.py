@@ -3,7 +3,8 @@
 No linter runs on this package, so static checks, with stdlib ``ast`` only,
 catch what a deletion can leave behind: an import no code reads any more, a
 helper no code calls any more, or a name in ``tritri.__all__`` that the
-package no longer defines.  One more check imports the CLI in a fresh
+package no longer defines.  Another finds an ``except StopIteration``,
+which ends a loop by exception.  One more check imports the CLI in a fresh
 interpreter and looks at the modules it loaded, one resolves the
 package paths that README.md names, and one runs its Python examples.
 """
@@ -94,6 +95,15 @@ def test_every_public_function_and_class_is_exported_or_read():
               for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in {*read, *tritri.__all__}]
     assert unread == []
+
+
+@pytest.mark.parametrize("name", [*MODULES, "__init__.py"])
+def test_no_module_catches_stop_iteration(name):
+    # ending a loop by catching ``next``'s StopIteration is control flow by
+    # exception; a ``for`` loop or a length check says the same plainly
+    caught = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.ExceptHandler)
+              and node.type is not None and "StopIteration" in ast.unparse(node.type)]
+    assert caught == []
 
 
 def test_the_oracle_imports_no_kernel_geometry():
