@@ -228,6 +228,15 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     return results, summary
 
 
+def _read_mesh(path: str) -> list[Triangle3]:
+    """``read_off`` of a path, '-' for stdin; its ParseError or EmptyMesh names the path."""
+    try:
+        return read_off(path)
+    except (ParseError, EmptyMesh) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _record_json(rec: ResultRecord) -> str:
     """The record as compact JSON, byte for byte what ``json.dumps`` writes.
 
@@ -268,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pair)
 
     mesh = sub.add_parser("mesh", help="contacting face pairs of two OFF meshes")
-    mesh.add_argument("mesh_a")
-    mesh.add_argument("mesh_b")
+    mesh.add_argument("mesh_a", help="OFF mesh, '-' for stdin")
+    mesh.add_argument("mesh_b", help="OFF mesh, '-' for stdin")
     common(mesh)
     return parser
 
@@ -296,8 +305,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             records = read_pairs(args.input)
         else:
             same = os.path.realpath(args.mesh_a) == os.path.realpath(args.mesh_b)
-            faces_a = read_off(args.mesh_a)
-            faces_b = faces_a if same else read_off(args.mesh_b)
+            faces_a = _read_mesh(args.mesh_a)
+            faces_b = faces_a if same else _read_mesh(args.mesh_b)
         parse_s = time.perf_counter() - parse_start
         # opened before the pairs are computed, so a bad path costs no work
         with (contextlib.nullcontext(sys.stdout) if args.output == "-"

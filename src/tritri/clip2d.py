@@ -30,7 +30,7 @@ and ends merge by ``math.dist``.
 import math
 from typing import NamedTuple
 
-from .core import DEFAULT_TOLERANCE, Tolerance
+from .core import DEFAULT_TOLERANCE, Tolerance, _scaled
 from .errors import DegenerateTriangle
 
 
@@ -78,29 +78,11 @@ def _side_line(pu, pv, qu, qv, ou, ov) -> tuple[float, float, float]:
 
 
 def _side_lines(au, av, bu, bv, cu, cv, eps_area: float) -> Window:
-    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``.
-
-    Past about 1e154 an offset's products overflow, and the area's may: the
-    lines are then taken again from the corners scaled by 2**-k, as
-    ``plane_from_triangle`` scales them, and their offsets scaled back.
-    """
+    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``."""
     if _clockwise(au, av, bu, bv, cu, cv, eps_area):
         bu, bv, cu, cv = cu, cv, bu, bv
-    lines = (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
-             _side_line(bu, bv, cu, cv, au, av))
-    if math.isfinite(lines[0][2]) and math.isfinite(lines[1][2]) and math.isfinite(lines[2][2]):
-        return lines
-    # 2**-k puts the largest |coordinate| in [2**509, 2**510), where no product
-    # overflows, so smaller (or non-finite) corners gain nothing by it.  The area
-    # gate underflows to 0 for a large k; the least subnormal turns down a zero area
-    k = math.frexp(max(map(abs, (au, av, bu, bv, cu, cv))))[1] - 510
-    if k <= 0:
-        return lines
-    s = math.ldexp(1.0, -k)
-    lines = _side_lines(au * s, av * s, bu * s, bv * s, cu * s, cv * s,
-                        math.ldexp(eps_area, -2 * k) or math.ulp(0.0))
-    s = math.ldexp(1.0, k)  # a product, not ldexp, so an offset past the float range is inf
-    return tuple([(l1, l2, l3 * s) for l1, l2, l3 in lines])
+    return (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
+            _side_line(bu, bv, cu, cv, au, av))
 
 
 def window_lines(a, b, c, tol: Tolerance) -> Window:
@@ -108,10 +90,18 @@ def window_lines(a, b, c, tol: Tolerance) -> Window:
 
     The lines come in the order AB, AC, BC of the corners as ``ccw_vertices``
     orders them; a window whose area is below ``tol.eps_area`` raises
-    DegenerateTriangle.
+    DegenerateTriangle.  Past about 2**511 an offset's products overflow, and
+    the area's may: the lines are then those of the corners scaled by 2**-k
+    (``core._scaled``), their offsets scaled back.
     """
     (au, av), (bu, bv), (cu, cv) = a, b, c
-    return _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
+    lines = _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
+    if math.isfinite(lines[0][2]) and math.isfinite(lines[1][2]) and math.isfinite(lines[2][2]):
+        return lines
+    k, ([(au, av), (bu, bv), (cu, cv)],), small = _scaled(((a, b, c),), tol)
+    lines = _side_lines(au, av, bu, bv, cu, cv, small.eps_area)
+    s = 2.0 ** k  # a product, not ldexp, so that an offset past the float range is inf
+    return tuple([(l1, l2, l3 * s) for l1, l2, l3 in lines])
 
 
 def _code(ab: float, ac: float, bc: float, eps: float) -> int:

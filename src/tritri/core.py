@@ -68,6 +68,23 @@ class Tolerance(_ToleranceFields):
 DEFAULT_TOLERANCE = Tolerance()
 
 
+def _scaled(shapes, tol: Tolerance):
+    """``(k, shapes, tol)`` scaled by 2**-k: points and eps_dist by 2**-k, eps_area by 2**-2k.
+
+    The one magnitude rule: k >= 0 puts the largest |coordinate| M below
+    2**501, so that the kernel's products of two lengths, a cross product, a
+    side line's offset, a 2D area or a doubled contour area, each at most
+    2**19 M**2 < 2**1021, are finite.  The scale is exact but where a
+    coordinate below 2**(k - 1022) turns subnormal; each tolerance is
+    floored at the least subnormal.
+    """
+    k = max(math.frexp(max(abs(x) for shape in shapes for p in shape for x in p))[1] - 501, 0)
+    s, tiny = math.ldexp(1.0, -k), math.ulp(0.0)
+    small = tol._replace(eps_dist=max(math.ldexp(tol.eps_dist, -k), tiny),
+                         eps_area=max(math.ldexp(tol.eps_area, -2 * k), tiny))
+    return k, [[[x * s for x in p] for p in shape] for shape in shapes], small
+
+
 def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Plane:
     """Supporting plane of a triangle, normal by the right-hand rule.
 
@@ -76,9 +93,8 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     coordinate makes an edge, hence the normal, hence its norm non-finite,
     so the coordinates are scanned only when the norm is.  When they are
     finite, the squares or the cross product overflowed (legs above about
-    1e77), and the normal is taken again from the coordinates scaled by a
-    power of two, which is exact for every coordinate above about 2**-1531
-    times the largest one.
+    1e77), and the normal is taken again, with ``math.hypot``, from the
+    triangle scaled by a power of two (``_scaled``).
     """
     a, b, c = t
     ax, ay, az = a
@@ -88,24 +104,15 @@ def plane_from_triangle(t: Triangle3, tol: Tolerance = DEFAULT_TOLERANCE) -> Pla
     ny = ez * fx - ex * fz
     nz = ex * fy - ey * fx
     nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    k = 0
     if not math.isfinite(nn):
         if not all(math.isfinite(x) for v in t for x in v):
             raise NonFiniteInput("triangle coordinates must be finite")
-        # 2**-k puts the largest |coordinate| in [2**509, 2**510), so an edge is
-        # below 2**511, the cross product below 2**1023, and hypot does not
-        # square.  The scale is exact except for a coordinate below 2**(k-1022),
-        # which becomes subnormal and may lose bits: that can tilt the normal of a
-        # sliver no wider than that, or zero it.  The area gate scales by 2**-2k
-        # and underflows to 0 for a large k, so a zero norm is caught on its own
-        k = math.frexp(max(abs(x) for v in t for x in v))[1] - 510
-        s = math.ldexp(1.0, -k)
-        ax, ay, az = ax * s, ay * s, az * s
-        ex, ey, ez = b[0] * s - ax, b[1] * s - ay, b[2] * s - az
-        fx, fy, fz = c[0] * s - ax, c[1] * s - ay, c[2] * s - az
+        k, (((ax, ay, az), b, c),), tol = _scaled((t,), tol)
+        ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
+        fx, fy, fz = c[0] - ax, c[1] - ay, c[2] - az
         nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
         nn = math.hypot(nx, ny, nz)
-        if not nn or 0.5 * nn < math.ldexp(tol.eps_area, -2 * k):
-            raise DegenerateTriangle(f"triangle area {math.ldexp(0.5 * nn, 2 * k):g} below tolerance")
-    elif 0.5 * nn < tol.eps_area:
-        raise DegenerateTriangle(f"triangle area {0.5 * nn:g} below tolerance")
+    if 0.5 * nn < tol.eps_area:
+        raise DegenerateTriangle(f"triangle area {math.ldexp(0.5 * nn, 2 * k):g} below tolerance")
     return tuple.__new__(Plane, (nx / nn, ny / nn, nz / nn, a))

@@ -218,13 +218,15 @@ def _off_faces(lines: list[str]) -> list[Triangle3]:
 @collector_paused()
 @_undecodable_is_a_parse_error()
 def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
-    """Read an ASCII OFF triangle soup.
+    """Read an ASCII OFF triangle soup from a path, '-' for stdin, or an open stream.
 
     Only 3-vertex faces are accepted; anything else is a ParseError.
     Raises EmptyMesh when the file holds no faces.  Faces that share a
     vertex index share its ``Point3``.  A byte the input cannot decode is a
     ParseError too.
     """
+    if str(source) == "-":
+        source = sys.stdin
     if hasattr(source, "read"):
         lines = source.readlines()
     else:

@@ -15,24 +15,25 @@ triangle, so a triangle tested against many partners builds them once.
 
 ``intersect`` is one straight-line body on floats for raw, plain-sequence
 and prepared triangles: it builds the normals, the plane relation, the
-frame and the maps into and out of the frame inline.  A norm that is not
-finite or below the area gate takes ``core.plane_from_triangle``, which
-raises NonFiniteInput before DegenerateTriangle.  The edge crossings
-(``lineplane.project_triangle_edges``), the segment clip
-(``clip2d.clip_segment_to_triangle``) and the coplanar contour
-(``coplanar.intersect_coplanar``) are calls.  ``tests/test_kernel_reference.py``
-holds a reference kernel composed of separate plane, frame and map
-functions, and requires the same label, reason, error and point bits on
-every pair it draws.
+frame and the maps into and out of the frame inline; the edge crossings,
+the segment clip and the coplanar contour are calls.  A norm that is not
+finite or below the area gate takes ``_cold``: ``core.plane_from_triangle``
+raises NonFiniteInput before DegenerateTriangle, or the norm overflowed,
+and the same body runs on the pair scaled by one power of two.
+``tests/test_kernel_reference.py`` holds a reference kernel composed of
+one function per step, and requires the same label, reason, error and
+point bits on every pair it draws.
 """
 
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Point2, Window, _clockwise, _side_lines, clip_segment_to_triangle
+from .clip2d import Point2, Window, _clockwise, clip_segment_to_triangle, window_lines
 from .coplanar import intersect_coplanar
-from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
+from .core import (DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, _scaled,
+                   plane_from_triangle)
+from .errors import DegenerateTriangle
 from .lineplane import project_triangle_edges
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
@@ -80,15 +81,16 @@ class PreparedTriangle:
     ``window_lines`` builds) are made on the first call of
     ``frame_window`` and kept.  All of it is computed under ``tol``;
     under any other tolerance ``intersect`` computes it again and keeps
-    nothing.
+    nothing, and so it does for a triangle whose norm may overflow.
     """
 
-    __slots__ = ("tri", "plane", "tol", "_frame_window")
+    __slots__ = ("tri", "plane", "tol", "_kept_under", "_frame_window")
 
     def __init__(self, tri: Triangle3, plane: Plane, tol: Tolerance):
         self.tri = tri
         self.plane = plane
         self.tol = tol
+        self._kept_under = tol  # the tolerance intersect reads the kept work under
         self._frame_window: tuple[PlaneFrame, Window] | None = None
 
     def frame_window(self) -> tuple[PlaneFrame, Window]:
@@ -96,7 +98,7 @@ class PreparedTriangle:
 
         Built on the first call, in one pass: the frame, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats, as ``window_lines`` builds them.
+        from those six floats by ``window_lines``.
         """
         if self._frame_window is None:
             q, w, u, _ = self.plane
@@ -135,7 +137,7 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
     cu, cv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     au, av = 0.0 * ux + 0.0 * uy + 0.0 * uz, 0.0 * vx + 0.0 * vy + 0.0 * vz
     frame = _new(PlaneFrame, (a, (ux, uy, uz), (vx, vy, vz), (nx, ny, nz)))
-    return frame, _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
+    return frame, window_lines((au, av), (bu, bv), (cu, cv), tol)
 
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
@@ -150,7 +152,11 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
         t = t.tri
     if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
         t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
-    return PreparedTriangle(t, plane_from_triangle(t, tol), tol)
+    p = PreparedTriangle(t, plane_from_triangle(t, tol), tol)
+    # the norm, at most sqrt(192) M**2 for M the largest |coordinate|, may overflow:
+    if math.hypot(*t[0], *t[1], *t[2]) >= 2.0 ** 254:
+        p._kept_under = None  # intersect reads the triangle raw, and _cold takes it
+    return p
 
 
 # one shared empty result per EmptyReason, in the enum's order, and the
@@ -171,13 +177,16 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     result geometry lies on both supporting planes within eps_dist; a
     clipped segment that degenerates to one point is a touch point.
     """
-    eps = tol.eps_dist
+    return _intersect(t1, t2, tol, tol.eps_dist)
+
+
+def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:
+    """``intersect``, ``sine`` bounding parallel planes' dihedral sine, which ``_cold`` does not scale."""
     # each unit normal, or the plane kept by prepare under tol; a norm that is
-    # not finite, or below the area gate, takes plane_from_triangle, which
-    # raises or takes the normal again from rescaled coordinates
+    # not finite, or below the area gate, takes _cold
     kept = None  # t1 prepared under tol: its frame and window are kept with it
     if isinstance(t1, PreparedTriangle):
-        if t1.tol is tol or t1.tol == tol:
+        if t1._kept_under is tol or t1._kept_under == tol:
             kept = t1
         t1 = t1.tri
     a1, b1, c1 = t1
@@ -190,13 +199,13 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         if tol.eps_area <= 0.5 * nn < _INF:
             q1, w1, u1 = nx / nn, ny / nn, nz / nn
         else:
-            q1, w1, u1, _ = plane_from_triangle(t1, tol)
+            return _cold(t1, t2, tol, sine)
     else:
         q1, w1, u1, _ = kept.plane
 
     plane2 = None
     if isinstance(t2, PreparedTriangle):
-        if t2.tol is tol or t2.tol == tol:
+        if t2._kept_under is tol or t2._kept_under == tol:
             plane2 = t2.plane
         t2 = t2.tri
     a2, b2, c2 = t2
@@ -209,20 +218,20 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
         if tol.eps_area <= 0.5 * nn < _INF:
             q2, w2, u2 = nx / nn, ny / nn, nz / nn
         else:
-            q2, w2, u2, _ = plane_from_triangle(t2, tol)
+            return _cold(t1, t2, tol, sine)
     else:
         q2, w2, u2, _ = plane2
 
     # the normals' cross product is the sine of the dihedral angle; coincidence is
     # the distance of t2's first vertex from t1's plane, whichever way the normals point
     cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
-    if _sqrt(cq * cq + cw * cw + cu * cu) > eps:
+    if _sqrt(cq * cq + cw * cw + cu * cu) > sine:
         points = project_triangle_edges(t2, (q1, w1, u1, a1), tol)
         # None is a borderline coincidence: every vertex of t2 sits in t1's plane
         coplanar = points is None
         if not (coplanar or points):
             return _CROSSING_NO_CONTACT, _NO_CROSSING
-    elif abs(q1 * (gx - ax) + w1 * (gy - ay) + u1 * (gz - az)) <= eps:
+    elif abs(q1 * (gx - ax) + w1 * (gy - ay) + u1 * (gz - az)) <= tol.eps_dist:
         coplanar = True
     else:
         return _PARALLEL_PLANES, _PARALLEL
@@ -261,6 +270,30 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     lifted = tuple([_new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
                     for u, v in clip])
     return label, _new(IntersectionResult, (lifted, None))
+
+
+def _cold(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:
+    """``_intersect`` of a pair with a norm that is not finite or below the area gate.
+
+    ``plane_from_triangle`` raises the first triangle's error, then the
+    second's.  Otherwise a norm overflowed: the body runs on the normals,
+    which do not scale, and on the pair scaled by 2**-k with its length
+    tolerances (``core._scaled``); its points are scaled back.  Where the
+    scale flushes the area of a partner some 2**1000 times smaller, which
+    passed the gate unscaled, the body runs unscaled.
+    """
+    t2 = t2.tri if isinstance(t2, PreparedTriangle) else t2
+    planes = plane_from_triangle(t1, tol), plane_from_triangle(t2, tol)
+    k, scaled, small = _scaled((t1, t2), tol)
+    try:
+        label, result = _intersect(*[PreparedTriangle(s, p._replace(o=s[0]), small)
+                                     for s, p in zip(scaled, planes)], small, sine)
+    except DegenerateTriangle:
+        return _intersect(PreparedTriangle(t1, planes[0], tol), PreparedTriangle(t2, planes[1], tol),
+                          tol, sine)
+    s = 2.0 ** k  # a product, not ldexp, so that a point past the float range is inf
+    return label, result._replace(points=tuple([_new(Point3, (x * s, y * s, z * s))
+                                                for x, y, z in result.points]))
 
 
 def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -119,6 +119,12 @@ def mixed_pairs(rng: random.Random, count: int):
     return out
 
 
+def scaled(triangles, k: int) -> tuple[Triangle3, ...]:
+    """The triangles with every coordinate times 2**k, exact while it stays finite."""
+    s = 2.0 ** k
+    return tuple(Triangle3(*(Point3(*(c * s for c in v)) for v in t)) for t in triangles)
+
+
 # --- 2D ----------------------------------------------------------------------
 
 

@@ -217,8 +217,29 @@ def test_an_undecodable_byte_is_a_parse_failure(tmp_path, capsys, monkeypatch, m
     finally:
         if via == "stream" and mode == "mesh":
             os.close(read_end)
-    assert capsys.readouterr().err == "error: not utf-8 text: byte 0xff\n"
+    # mesh mode names the file, since it reads two
+    where = "" if mode == "pair" else f"{name}: "
+    assert capsys.readouterr().err == f"error: {where}not utf-8 text: byte 0xff\n"
     assert not out.exists()  # no record written
+
+
+def test_a_mesh_parse_error_names_its_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.off", tmp_path / "bad.off"
+    good.write_text(SQUARE_OFF)
+    bad.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1 2\n")
+    assert main(["mesh", str(good), str(bad), "--output", str(tmp_path / "o.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 6: vertex index 7 out of range\n"
+
+
+def test_a_mesh_read_from_stdin_gives_the_stream_of_its_file(tmp_path, monkeypatch):
+    mesh_a, mesh_b = tmp_path / "a.off", tmp_path / "b.off"
+    mesh_a.write_text(off_text(height_field([[0, 1, 0], [1, 2, 1], [0, 1, 0]])))
+    mesh_b.write_text(off_text(height_field([[1, 0, 1], [0, 2, 0], [1, 0, 1]], offset=(0.5, 0.5, 0))))
+    from_files, from_stdin = tmp_path / "files.jsonl", tmp_path / "stdin.jsonl"
+    assert main(["mesh", str(mesh_a), str(mesh_b), "--output", str(from_files)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(mesh_a.read_text()))
+    assert main(["mesh", "-", str(mesh_b), "--output", str(from_stdin)]) == 0
+    assert from_files.read_text() and from_stdin.read_text() == from_files.read_text()
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

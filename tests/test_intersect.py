@@ -30,6 +30,7 @@ from conftest import (
     mixed_pairs,
     points_match_unordered,
     result_matches_oracle,
+    scaled,
     shared_feature_pair,
     signed_distance,
 )
@@ -343,10 +344,10 @@ FAMILIES = (generic_pair, coplanar_pair, shared_feature_pair, crossing_pair)
 
 @st.composite
 def far_pairs(draw):
-    """Grid pairs of every family, scaled by 2**k (k from -20 to 1000) and shifted by up to 1e8."""
+    """Grid pairs of every family, scaled by 2**k (k from -20 to 1020) and shifted by up to 1e8."""
     family = draw(st.sampled_from(FAMILIES))
     pair = family(random.Random(draw(st.integers(0, 2**32 - 1))))
-    scale = 2.0 ** draw(st.integers(-20, 26) | st.integers(27, 1000))
+    scale = 2.0 ** draw(st.integers(-20, 26) | st.integers(27, 1020))
     shift = [draw(st.floats(-1e8, 1e8)) for _ in range(3)]
     return tuple([[c * scale + s for c, s in zip(v, shift)] for v in t] for t in pair)
 
@@ -379,20 +380,49 @@ def test_labels_survive_power_of_two_translation():
             assert (intersect(a, b)[0], intersect(b, a)[0]) == want, (k, t1, t2)
 
 
+def _finite(*triangles):
+    return all(math.isfinite(c) for t in triangles for v in t for c in v)
+
+
 def test_labels_survive_power_of_two_scaling():
     # scaling by 2**k is exact, so the exact answer does not change, and
-    # neither may the label, in either order; past about 2**512 the window's
-    # offsets are taken from rescaled corners
+    # neither may the label, in either order; past about 2**254 a normal's
+    # norm overflows, and the pair is evaluated scaled back by a power of two
     pairs = mixed_pairs(random.Random(2027), 200)
+    want = {pair: (intersect(*scaled(pair, 500))[0], intersect(*scaled(pair[::-1], 500))[0])
+            for pair in pairs}
+    for k in (520, 600, 800, 1000, 1017, 1018, 1019, 1020):
+        evaluated = 0
+        for pair in pairs:
+            for order, (a, b) in enumerate((scaled(pair, k), scaled(pair[::-1], k))):
+                if _finite(a, b):  # from 2**1019 some grid coordinates pass the float range
+                    assert intersect(a, b)[0] is want[pair][order], (k, a, b)
+                    evaluated += 1
+        assert evaluated >= 300, k
 
-    def labels(k):
-        s = 2.0 ** k
-        scaled = [[[[c * s for c in v] for v in t] for t in pair] for pair in pairs]
-        return [(intersect(a, b)[0], intersect(b, a)[0]) for a, b in scaled]
 
-    want = labels(500)
-    for k in (520, 600, 800, 1000):
-        assert labels(k) == want, k
+def test_prepared_pairs_equal_raw_pairs_past_the_norm_overflow():
+    # a prepared triangle whose norm may overflow is read raw, so that the
+    # pair is scaled as a raw one is: labels and points agree bit for bit
+    for k in (600, 1018):
+        for pair in mixed_pairs(random.Random(2029), 200):
+            for a, b in (scaled(pair, k), scaled(pair[::-1], k)):
+                if _finite(a, b):
+                    assert repr(intersect(prepare(a), prepare(b))) == repr(intersect(a, b)), (k, a, b)
+
+
+@pytest.mark.parametrize("far", [0.9 * 2.0 ** 1023, 1.8 * 2.0 ** 1023])
+def test_small_triangles_a_float_range_apart_keep_the_oracle_labels(far):
+    # each normal's norm is finite, so the pair is not scaled; at 1.8 * 2**1023
+    # the differences between the two x-planes pass the float range
+    plus = _tri((far, 0, -1), (far, 1, 1), (far, -1, 1))
+    minus = _tri((-far, 0, -1), (-far, 1, 1), (-far, -1, 1))
+    crossing = _tri((0, -1, 0), (2, 1, 0), (-2, 1, 0))  # meets the x-planes' lines far from them
+    for a, b in ((plus, minus), (plus, crossing), (minus, crossing)):
+        for x, y in ((a, b), (b, a)):
+            want = oracle_intersect(x, y).label
+            assert want in (CaseLabel.PARALLEL_PLANES, CaseLabel.CROSSING_PLANES_NO_CONTACT)
+            assert intersect(x, y)[0] is intersect(prepare(x), prepare(y))[0] is want, (x, y)
 
 
 @pytest.mark.parametrize("k", [256, 300, 400, 500, 532, 1000])
@@ -420,6 +450,55 @@ def test_legs_past_the_cross_product_overflow_get_a_unit_normal():
     for call in (plane_from_triangle, prepare, lambda t: intersect(t, small), lambda t: intersect(small, t)):
         with pytest.raises(DegenerateTriangle):
             call(line)
+
+
+def test_a_sliver_past_the_cross_product_overflow_keeps_its_thin_coordinate():
+    # the x coordinate 2**-400 carries the whole normal, since the x component's
+    # two products of 2**2000 cancel; scaled down by 2**-500 it stays a normal float
+    big = 2.0 ** 1000
+    sliver = _tri((0, 0, 0), (2.0 ** -400, big, big), (0, big, big))
+    r = 1.0 / math.sqrt(2.0)
+    assert plane_from_triangle(sliver)[:3] == prepare(sliver).plane[:3] == (0.0, -r, r)
+
+
+def test_a_partner_2_to_the_1038_times_smaller_is_taken_unscaled():
+    # the pair scale 2**-519 would flush the small triangle's window area,
+    # 2**-39 before the scale, to 0; the pair is then evaluated unscaled
+    small = _tri((0, 0, 0), (2.0 ** -19, 0, 0), (0, 2.0 ** -19, 0))
+    x, far = 2.0 ** -21, 2.0 ** 1019
+    huge = _tri((x, -far, -far), (x, far, -far), (x, 0, far))
+    for a, b in ((small, huge), (huge, small)):
+        label, res = intersect(a, b)
+        assert repr(intersect(prepare(a), prepare(b))) == repr((label, res))
+        # the crossing line x = 2**-21 is cut from the huge triangle's edges, whose
+        # rounding at 2**1019 leaves one point of it on the small triangle's edge
+        assert label in (CaseLabel.TOUCH_POINT, CaseLabel.CROSSING_SEGMENT), (a, b)
+        assert all(p.x == x and p.z == 0.0 and 0.0 <= p.y <= 0.75 * 2.0 ** -19 for p in res.points)
+
+
+def test_errors_keep_their_order_when_the_first_norm_overflows():
+    # the first triangle's error, then the second's, each NonFiniteInput before
+    # DegenerateTriangle, also where the first triangle would take the pair scale
+    huge, line = _tri((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)), _tri((0, 0, 0), (1e160,) * 3, (2e160,) * 3)
+    nan = _tri((0, 0, math.nan), (1, 0, 0), (0, 1, 0))
+    for a, b, error in ((huge, nan, NonFiniteInput), (line, nan, DegenerateTriangle),
+                        (nan, line, NonFiniteInput), (huge, line, DegenerateTriangle),
+                        (line, huge, DegenerateTriangle)):
+        for first in (a, [list(v) for v in a], prepare(huge) if a is huge else a):
+            with pytest.raises(error):
+                intersect(first, b)
+
+
+@pytest.mark.parametrize("k", [600, 900, 1000])
+def test_a_unit_triangle_against_legs_of_2_to_the_k_keeps_its_window(k):
+    # the pair is scaled by 2**-(k - 500), not so far that the unit triangle's
+    # window area, about 2**(1000 - 2k), underflows
+    s = 2.0 ** k
+    huge = _tri((0, 0, 0), (s, 0, 0), (0, s, 0))
+    small = _tri((1, 1, -1), (1, 1, 1), (2, 1, 1))
+    for a, b in ((huge, small), (small, huge)):
+        assert intersect(a, b)[0] is oracle_intersect(a, b).label is CaseLabel.CROSSING_SEGMENT
+        assert repr(intersect(prepare(a), prepare(b))) == repr(intersect(a, b))
 
 
 def _vertex_orders(t):

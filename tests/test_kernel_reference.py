@@ -32,7 +32,7 @@ from tritri.intersect import (
 from tritri.lineplane import project_triangle_edges
 
 from conftest import (PlaneRelation, build_frame, classify_planes, coplanar_partner, dist3,
-                      from_plane, grid_triangle, mixed_pairs, to_plane, vcross, vnorm, vsub)
+                      from_plane, grid_triangle, mixed_pairs, scaled, to_plane, vcross, vnorm, vsub)
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
@@ -162,11 +162,6 @@ def _near_the_margin(rng, tol):
     return t1, t2
 
 
-def _scaled(pair, k):
-    s = 2.0 ** k
-    return tuple(Triangle3(*(Point3(*(c * s for c in v)) for v in t)) for t in pair)
-
-
 def _as_lists(t):
     return [list(v) for v in t]
 
@@ -218,11 +213,11 @@ def test_flat_intersect_equals_the_composed_kernel_bit_for_bit():
     total += sum(_check(_both_orders(mixed[:1000]), LOOSE).values())
     total += sum(_check([(_as_lists(t1), _as_lists(t2)) for t1, t2 in mixed[:1000]]).values())
 
-    # scaled by 2**k for k up to 500: past about 2**256 the squared norm
-    # overflows and the plane is taken again from rescaled coordinates
-    scaled = [_scaled(pair, rng.randint(-30, 500)) for pair in mixed[:1000]]
-    scaled += [_scaled(pair, k) for pair, k in zip(mixed, range(256, 501))]
-    seen = _check(_both_orders(scaled))
+    # scaled by 2**k for k up to 500: past about 2**254 the squared norm
+    # overflows, and the normals and the pair are taken from scaled coordinates
+    rows = [scaled(pair, rng.randint(-30, 500)) for pair in mixed[:1000]]
+    rows += [scaled(pair, k) for pair, k in zip(mixed, range(256, 501))]
+    seen = _check(_both_orders(rows))
     total += sum(seen.values())
     assert total >= 10_000
 
@@ -277,7 +272,7 @@ def test_flat_contact_margin_equals_the_composed_one_bit_for_bit():
     rng = random.Random(1920)
     triangles = [t for pair in mixed_pairs(rng, 500) for t in pair]
     triangles += [_sliver(rng) for _ in range(500)]
-    triangles += [_scaled((t,), rng.randint(0, 500))[0] for t in triangles[:500]]
+    triangles += [scaled((t,), rng.randint(0, 500))[0] for t in triangles[:500]]
     for t in triangles:
         for tol in (DEFAULT_TOLERANCE, LOOSE):
             for form in (t, _as_lists(t), prepare(t, tol)):

@@ -16,7 +16,7 @@ from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.intersect import CaseLabel, intersect, prepare
 
 from conftest import (build_frame, coplanar_pair, coplanar_partner, grid_triangle, height_field,
-                      mixed_pairs, to_plane)
+                      mixed_pairs, scaled, to_plane)
 
 LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 
@@ -80,6 +80,7 @@ def test_frame_window_is_built_frame_and_window_lines_bit_for_bit():
         ((2, -1, 3), (1, 0, 4), (2, 0, -1)),  # (-5, -4, -1) / sqrt 42: all negative
     ]
     triangles += [t for pair in mixed_pairs(random.Random(67), 500) for t in pair]
+    triangles += scaled(triangles, 600)  # side-line offsets past the float range, taken scaled
     signed_zero_origins = 0
     for t in triangles:
         p = prepare(t)
