@@ -228,7 +228,7 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     return results, summary
 
 
-def _read_mesh(path: str) -> list[Triangle3]:
+def _read_mesh(path: str) -> list[tuple]:
     """``read_off`` of a path, '-' for stdin; its ParseError or EmptyMesh names the path."""
     try:
         return read_off(path)

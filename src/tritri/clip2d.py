@@ -117,8 +117,8 @@ def region_code(p, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
                  tol.eps_dist)
 
 
-def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
-    """Portion of segment pq inside the window triangle: (), (e,) or (e, x).
+def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[tuple, ...]:
+    """Portion of segment pq inside the window triangle: (), (e,) or (e, x), each an exact tuple.
 
     The signed distances of both endpoints to the three side lines give
     the region codes and the trivial accept/reject answers.  Any other
@@ -129,8 +129,6 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
     Ends within eps_dist of each other merge into one point, also when p
     and q themselves are that close.
     """
-    if not (type(p) is type(q) is Point2):
-        p, q = Point2(*p), Point2(*q)
     eps = tol.eps_dist
     (pu, pv), (qu, qv) = p, q
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = window
@@ -138,7 +136,7 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
     q_ab, q_ac, q_bc = a1 * qu + a2 * qv + a3, b1 * qu + b2 * qv + b3, c1 * qu + c2 * qv + c3
     code_p, code_q = _code(p_ab, p_ac, p_bc, eps), _code(q_ab, q_ac, q_bc, eps)
     if not (code_p or code_q):
-        return (p,) if math.dist(p, q) <= eps else (p, q)
+        return ((pu, pv),) if math.dist(p, q) <= eps else ((pu, pv), (qu, qv))
     if code_p & code_q:
         return ()
     half = 0.5 * eps
@@ -156,8 +154,8 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
             hi = min(hi, max(da / (da - db), 0.0))
     if lo > hi:
         return ()
-    e = p if lo == 0.0 else tuple.__new__(Point2, (pu + lo * (qu - pu), pv + lo * (qv - pv)))
-    x = q if hi == 1.0 else tuple.__new__(Point2, (pu + hi * (qu - pu), pv + hi * (qv - pv)))
+    e = (pu, pv) if lo == 0.0 else (pu + lo * (qu - pu), pv + lo * (qv - pv))
+    x = (qu, qv) if hi == 1.0 else (pu + hi * (qu - pu), pv + hi * (qv - pv))
     if math.dist(e, x) <= eps:
         return (e,)
     return (e, x)

@@ -18,13 +18,11 @@ so every vertex is unpacked and measured once per pass.
 
 import math
 
-from .clip2d import Point2, Window
+from .clip2d import Window
 from .core import DEFAULT_TOLERANCE, Tolerance
 
-_new = tuple.__new__
 
-
-def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, ...]:
+def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[tuple, ...]:
     """Overlap of two coplanar triangles given in one 2D frame: () or 3 to 6 vertices.
 
     Consecutive vertices within ``eps_dist`` of each other are merged, and
@@ -33,11 +31,11 @@ def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERAN
     corners in that order and ``clipped`` holds three points ordered by
     ``ccw_vertices``.
     """
-    poly = list(clipped)
+    poly = list(map(tuple, clipped))  # exact tuples are taken as they are
     for l1, l2, l3 in window:
         if not poly:
             break
-        kept: list[Point2] = []
+        kept: list[tuple] = []
         s = poly[0]
         su, sv = s
         ds = l1 * su + l2 * sv + l3
@@ -49,15 +47,15 @@ def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERAN
                 kept.append(s)
                 if de < 0.0:
                     t = ds / (ds - de)
-                    kept.append(_new(Point2, (su + t * (eu - su), sv + t * (ev - sv))))
+                    kept.append((su + t * (eu - su), sv + t * (ev - sv)))
             elif de >= 0.0:
                 t = ds / (ds - de)
-                kept.append(_new(Point2, (su + t * (eu - su), sv + t * (ev - sv))))
+                kept.append((su + t * (eu - su), sv + t * (ev - sv)))
             s, su, sv, ds = e, eu, ev, de
         poly = kept
 
     eps = tol.eps_dist
-    cleaned: list[Point2] = []
+    cleaned: list[tuple] = []
     for pt in poly:
         if not cleaned or math.dist(cleaned[-1], pt) > eps:
             cleaned.append(pt)

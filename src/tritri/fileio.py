@@ -18,16 +18,15 @@ import sys
 from itertools import chain, count, islice, repeat
 from typing import Iterable, NamedTuple, TextIO
 
-from .core import Point3, Triangle3
 from .errors import EmptyMesh, ParseError
 
 
 class PairRecord(NamedTuple):
-    """One input line: a sequence id and the two triangles it encodes."""
+    """One input line: a sequence id and the two triangles it encodes, as exact tuples."""
 
     id: int
-    t1: Triangle3
-    t2: Triangle3
+    t1: tuple
+    t2: tuple
 
 
 class collector_paused(contextlib.ContextDecorator):
@@ -36,7 +35,7 @@ class collector_paused(contextlib.ContextDecorator):
     A context manager and, as ``@collector_paused()``, a decorator.
     Nesting-safe: a pause inside another leaves the collector disabled, and
     a caller that had disabled it finds it disabled afterwards.  Pausing
-    over a batch is safe because everything the batch makes (named tuples,
+    over a batch is safe because everything the batch makes (tuples,
     floats, ``__slots__`` objects) is acyclic, so reference counting frees
     it; the collector would only walk the growing heap and find nothing.
     ``__exit__`` allocates nothing after re-enabling the collector, so a
@@ -104,9 +103,8 @@ def _pair_records(chunk: list[str], first_line: int, first_id: int) -> list[Pair
                 raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
             _check_floats(tokens, lineno)
     it = iter(values)
-    # the exact types prepare takes uncopied
-    points = map(_new, repeat(Point3), zip(it, it, it))
-    tris = map(_new, repeat(Triangle3), zip(points, points, points))
+    points = zip(it, it, it)
+    tris = zip(points, points, points)
     return list(map(_new, repeat(PairRecord), zip(count(first_id), tris, tris)))
 
 
@@ -143,7 +141,7 @@ def _need(rows: list, count: int) -> None:
         raise ParseError("unexpected end of file")
 
 
-def _off_faces(lines: list[str]) -> list[Triangle3]:
+def _off_faces(lines: list[str]) -> list[tuple]:
     """``read_off``'s faces from its lines.
 
     The vertex coordinates are converted in one ``float`` pass and the face
@@ -180,7 +178,7 @@ def _off_faces(lines: list[str]) -> list[Triangle3]:
             _check_floats(tokens[:3], lineno)
     _need(rows, 2 + n_vertices)
     it = iter(values)
-    vertices = list(map(_new, repeat(Point3), zip(it, it, it)))
+    vertices = list(zip(it, it, it))
 
     face_rows = rows[2 + n_vertices:2 + n_vertices + n_faces]
     try:
@@ -212,18 +210,18 @@ def _off_faces(lines: list[str]) -> list[Triangle3]:
     if not idx:
         raise EmptyMesh("mesh has no faces")
     corners = map(vertices.__getitem__, idx)
-    return list(map(_new, repeat(Triangle3), zip(corners, corners, corners)))
+    return list(zip(corners, corners, corners))
 
 
 @collector_paused()
 @_undecodable_is_a_parse_error()
-def read_off(source: str | os.PathLike | TextIO) -> list[Triangle3]:
+def read_off(source: str | os.PathLike | TextIO) -> list[tuple]:
     """Read an ASCII OFF triangle soup from a path, '-' for stdin, or an open stream.
 
     Only 3-vertex faces are accepted; anything else is a ParseError.
-    Raises EmptyMesh when the file holds no faces.  Faces that share a
-    vertex index share its ``Point3``.  A byte the input cannot decode is a
-    ParseError too.
+    Raises EmptyMesh when the file holds no faces.  A face is a plain tuple
+    of three ``(x, y, z)`` tuples, and faces that share a vertex index share
+    that tuple.  A byte the input cannot decode is a ParseError too.
     """
     if str(source) == "-":
         source = sys.stdin

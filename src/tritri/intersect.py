@@ -29,10 +29,9 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Point2, Window, _clockwise, clip_segment_to_triangle, window_lines
+from .clip2d import Window, _clockwise, clip_segment_to_triangle, window_lines
 from .coplanar import intersect_coplanar
-from .core import (DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, _scaled,
-                   plane_from_triangle)
+from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, _scaled, plane_from_triangle
 from .errors import DegenerateTriangle
 from .lineplane import project_triangle_edges
 
@@ -86,7 +85,7 @@ class PreparedTriangle:
 
     __slots__ = ("tri", "plane", "tol", "_kept_under", "_frame_window")
 
-    def __init__(self, tri: Triangle3, plane: Plane, tol: Tolerance):
+    def __init__(self, tri: tuple, plane: Plane, tol: Tolerance):
         self.tri = tri
         self.plane = plane
         self.tol = tol
@@ -143,15 +142,17 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
     """``t`` ready for ``intersect`` under ``tol``; ``t`` itself if it already is.
 
-    ``t`` is a triangle of three 3D points, or a PreparedTriangle.  Raises
-    NonFiniteInput and DegenerateTriangle on the checks ``intersect`` makes.
+    ``t`` is a triangle of three 3D points, or a PreparedTriangle.  Its
+    ``tri`` is a tuple of three exact ``(x, y, z)`` tuples: ``t`` itself
+    if it is one, else a copy.  Raises NonFiniteInput and DegenerateTriangle
+    on the checks ``intersect`` makes.
     """
     if isinstance(t, PreparedTriangle):
         if t.tol is tol or t.tol == tol:
             return t
         t = t.tri
-    if not (type(t) is Triangle3 and type(t[0]) is type(t[1]) is type(t[2]) is Point3):
-        t = Triangle3(Point3(*t[0]), Point3(*t[1]), Point3(*t[2]))
+    if not (type(t) is tuple and type(t[0]) is type(t[1]) is type(t[2]) is tuple):
+        t = tuple(map(tuple, t))
     p = PreparedTriangle(t, plane_from_triangle(t, tol), tol)
     # the norm, at most sqrt(192) M**2 for M the largest |coordinate|, may overflow:
     if math.hypot(*t[0], *t[1], *t[2]) >= 2.0 ** 254:
@@ -255,17 +256,17 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
         # the crossing points in the frame
         px, py, pz = points[0]
         x, y, z = px - ox, py - oy, pz - oz
-        e = end = _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+        e = end = (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz)
         if len(points) == 2:
             px, py, pz = points[1]
             x, y, z = px - ox, py - oy, pz - oz
-            end = _new(Point2, (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
+            end = (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz)
         clip = clip_segment_to_triangle(e, end, window, tol)
         if not clip:
             return _CROSSING_NO_CONTACT, _OUTSIDE
         if len(points) == 1:
             # clipped as the segment (e, e); reported as itself, not its round trip
-            return _TOUCH_POINT, _new(IntersectionResult, ((points[0],), None))
+            return _TOUCH_POINT, _new(IntersectionResult, ((_new(Point3, points[0]),), None))
         label = _TOUCH_POINT if len(clip) == 1 else _CROSSING_SEGMENT
     lifted = tuple([_new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
                     for u, v in clip])

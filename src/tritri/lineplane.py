@@ -9,7 +9,7 @@ This is the rule of the exact oracle, applied to float distances.
 
 import math
 
-from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
+from .core import DEFAULT_TOLERANCE, Plane, Tolerance, Triangle3
 
 
 def _code(d: float, eps: float) -> int:
@@ -17,12 +17,13 @@ def _code(d: float, eps: float) -> int:
 
 
 def project_triangle_edges(tri: Triangle3, pl: Plane,
-                           tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point3] | None:
+                           tol: Tolerance = DEFAULT_TOLERANCE) -> list[tuple] | None:
     """Distinct points where the triangle's boundary meets the plane.
 
     None when every vertex is 0-coded: the triangle lies in the plane.
-    Otherwise 0, 1 or 2 points, in the order the edges a-b, b-c, c-a
-    reach them, with points within eps_dist of an earlier one merged.
+    Otherwise 0, 1 or 2 points, each an exact ``(x, y, z)`` tuple, in the
+    order the edges a-b, b-c, c-a reach them, with points within eps_dist
+    of an earlier one merged.
     """
     a, b, c = tri
     q, w, u, (ox, oy, oz) = pl
@@ -33,11 +34,11 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
     sa, sb, sc = _code(da, eps), _code(db, eps), _code(dc, eps)
     if not (sa or sb or sc):
         return None
-    points: list[Point3] = []
+    points: list[tuple] = []
     # a 0-coded vertex is added at its outgoing edge, as the oracle adds it
     for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):
         if not s1:
-            pt = tuple.__new__(Point3, p1)
+            pt = tuple(p1)
         elif s1 == -s2:
             m, n, o = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
             denom = q * m + w * n + u * o
@@ -47,7 +48,7 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
                 # is near 1e8) the crossing would fall off the edge, or denom be 0
                 continue
             t = -d1 / denom
-            pt = tuple.__new__(Point3, (p1[0] + t * m, p1[1] + t * n, p1[2] + t * o))
+            pt = (p1[0] + t * m, p1[1] + t * n, p1[2] + t * o)
         else:
             continue
         # at most two edges yield a point, so a point has at most one earlier to merge with

@@ -294,7 +294,7 @@ def test_criterion_6_coplanar_contours(capsys):
             n = len(res)
             for i in range(n):
                 p0, p1, p2 = res[i], res[(i + 1) % n], res[(i + 2) % n]
-                turn = (p1.u - p0.u) * (p2.v - p1.v) - (p1.v - p0.v) * (p2.u - p1.u)
+                turn = (p1[0] - p0[0]) * (p2[1] - p1[1]) - (p1[1] - p0[1]) * (p2[0] - p1[0])
                 if turn < -1e-9:
                     failures.append("reflex contour corner")
         for inner, outer, name in ((c, w, "clipped in window"), (w, c, "window in clipped")):

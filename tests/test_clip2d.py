@@ -130,7 +130,7 @@ def test_clip_uses_the_callers_tolerance():
     res = clip_segment_to_triangle(p, q, W, fine)
     assert len(res) == 2
     e, x = res
-    assert math.isclose(e.u, 1.0) and abs(e.v) <= 1e-12 and x == q
+    assert math.isclose(e[0], 1.0) and abs(e[1]) <= 1e-12 and x == q
     assert clip_segment_to_triangle(Point2(0, 0), Point2(0.5, 0), W, Tolerance(eps_dist=1.0)) == (Point2(0, 0),)
 
 
@@ -275,14 +275,14 @@ def test_short_segment_is_at_most_one_point(case):
     assert len(res) <= 1
     if res:
         # 1e-14: rounding of the clip parameter's lerp at coordinates below 20
-        assert math.hypot(res[0].u - p.u, res[0].v - p.v) <= eps + 1e-14
+        assert math.hypot(res[0][0] - p.u, res[0][1] - p.v) <= eps + 1e-14
     if p == q:
         assert res == ((p,) if region_code(p, w, tol) == 0 else ())
 
 
 def _param_interval(p, q, res):
     d2 = (q.u - p.u) ** 2 + (q.v - p.v) ** 2
-    ts = sorted(((pt.u - p.u) * (q.u - p.u) + (pt.v - p.v) * (q.v - p.v)) / d2 for pt in res)
+    ts = sorted(((pt[0] - p.u) * (q.u - p.u) + (pt[1] - p.v) * (q.v - p.v)) / d2 for pt in res)
     if not ts:
         return None
     return ts[0], ts[-1]
@@ -319,12 +319,11 @@ def _reference_dist2(a, b):
 
 
 def _reference_lerp2(a, b, t):
-    return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def _reference_clip(p, q, window, tol=DEFAULT_TOLERANCE):
-    if not (type(p) is type(q) is Point2):
-        p, q = Point2(*p), Point2(*q)
+    p, q = tuple(p), tuple(q)  # the clipper's points are exact tuples
     eps = tol.eps_dist
     (pu, pv), (qu, qv) = p, q
     dp = [l1 * pu + l2 * pv + l3 for l1, l2, l3 in window]

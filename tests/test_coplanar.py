@@ -113,7 +113,7 @@ def test_contour_shape_properties():
         n = len(vs)
         for i in range(n):  # convexity: every turn is a left turn
             a, b, cpt = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-            cross = (b.u - a.u) * (cpt.v - b.v) - (b.v - a.v) * (cpt.u - b.u)
+            cross = (b[0] - a[0]) * (cpt[1] - b[1]) - (b[1] - a[1]) * (cpt[0] - b[0])
             assert cross > -1e-9
         for v in vs:
             assert all(region_code(v, lines) == 0 for lines in windows)
@@ -142,7 +142,7 @@ def test_area_symmetry():
 # --- the list-based contour, kept as the reference for the unpacked one ----------
 
 def _reference_lerp2(a, b, t):
-    return tuple.__new__(Point2, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def _reference_dist2(a, b):
@@ -150,15 +150,15 @@ def _reference_dist2(a, b):
 
 
 def _reference_intersect_coplanar(window, clipped, tol=DEFAULT_TOLERANCE):
-    poly = list(clipped)
+    poly = [tuple(v) for v in clipped]  # the contour's vertices are exact tuples
     for l1, l2, l3 in window:
         if not poly:
             break
         kept = []
         for k, s in enumerate(poly):
             e = poly[(k + 1) % len(poly)]
-            ds = l1 * s.u + l2 * s.v + l3
-            de = l1 * e.u + l2 * e.v + l3
+            ds = l1 * s[0] + l2 * s[1] + l3
+            de = l1 * e[0] + l2 * e[1] + l3
             if ds >= 0.0:
                 kept.append(s)
                 if de < 0.0:
@@ -235,8 +235,8 @@ def test_unpacked_contour_equals_the_list_based_contour_bit_for_bit():
         window = window_lines(*w, tol)
         got = intersect_coplanar(window, clipped, tol)
         want = _reference_intersect_coplanar(window, clipped, tol)
-        assert [(type(v), v.u.hex(), v.v.hex()) for v in got] == \
-            [(type(v), v.u.hex(), v.v.hex()) for v in want], (w, pts, tol)
+        assert [(type(v), v[0].hex(), v[1].hex()) for v in got] == \
+            [(type(v), v[0].hex(), v[1].hex()) for v in want], (w, pts, tol)
         cases += 1
         contours += bool(got)
         sizes.add(len(got))

@@ -8,7 +8,6 @@ import re
 import pytest
 
 import tritri.fileio
-from tritri.core import Point3, Triangle3
 from tritri.errors import EmptyMesh, ParseError
 from tritri.fileio import PairRecord, collector_paused, read_off, read_pairs
 
@@ -37,8 +36,8 @@ def test_read_pairs_skips_comments_and_blanks():
     ]
     records = read_pairs(io.StringIO("\n".join(lines)))
     assert [r.id for r in records] == [0, 1]
-    assert records[0].t1.a == (0.0, 0.0, 0.0)
-    assert records[0].t2.c == (3.0, 3.0, 2.0)
+    assert records[0].t1[0] == (0.0, 0.0, 0.0)
+    assert records[0].t2[2] == (3.0, 3.0, 2.0)
     assert records[0].t1 == records[1].t1
 
 
@@ -205,9 +204,9 @@ OFF_VARIANTS = {
 
 def _assert_square(faces):
     assert faces == SQUARE_FACES
-    assert all(type(f) is Triangle3 and all(type(p) is Point3 for p in f) for f in faces)
-    # one Point3 per vertex index: vertices 0 and 2 are shared by both faces
-    assert faces[0].a is faces[1].a and faces[0].c is faces[1].b
+    assert all(type(f) is tuple and all(type(p) is tuple for p in f) for f in faces)
+    # one tuple per vertex index: vertices 0 and 2 are shared by both faces
+    assert faces[0][0] is faces[1][0] and faces[0][2] is faces[1][1]
     assert len({id(p) for f in faces for p in f}) == 4
 
 
@@ -231,7 +230,7 @@ def test_a_large_mesh_gives_the_generated_faces(tmp_path):
     got = read_off(path)
     assert [[[c.hex() for c in p] for p in face] for face in got] == [
         [[c.hex() for c in coords[i]] for i in face] for face in idx]
-    # one Point3 per vertex index
+    # one tuple per vertex index
     points = {i: p for face, tri in zip(idx, got) for i, p in zip(face, tri)}
     assert all(p is points[i] for face, tri in zip(idx, got) for i, p in zip(face, tri))
     assert len({id(p) for tri in got for p in tri}) == len(points)
@@ -265,8 +264,8 @@ def _reference_pairs(lines):
         v = _reference_floats(tokens, lineno)
         records.append(PairRecord(
             len(records),
-            Triangle3(Point3(*v[0:3]), Point3(*v[3:6]), Point3(*v[6:9])),
-            Triangle3(Point3(*v[9:12]), Point3(*v[12:15]), Point3(*v[15:18]))))
+            (tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9])),
+            (tuple(v[9:12]), tuple(v[12:15]), tuple(v[15:18]))))
     return records
 
 
@@ -294,8 +293,8 @@ def _assert_exact_types(records):
     for rec in records:
         assert type(rec) is PairRecord and type(rec.id) is int
         for tri in (rec.t1, rec.t2):
-            assert type(tri) is Triangle3
-            assert all(type(p) is Point3 for p in tri)
+            assert type(tri) is tuple
+            assert all(type(p) is tuple for p in tri)
             assert all(type(c) is float for p in tri for c in p)
 
 
@@ -367,10 +366,10 @@ def test_off_vertex_errors_keep_message_and_line(bad_vertex, message):
     assert str(got.value) == f"line 6: {message}"
 
 
-def test_off_vertices_are_exact_point3():
+def test_off_vertices_are_exact_tuples():
     faces = read_off(io.StringIO(OFF_TEXT.replace("1 1 0", "1e0\t1.0E0 -0.0")))
-    assert repr(faces[0].c) == "Point3(x=1.0, y=1.0, z=-0.0)"
-    assert all(type(f) is Triangle3 and all(type(p) is Point3 for p in f) for f in faces)
+    assert repr(faces[0][2]) == "(1.0, 1.0, -0.0)"
+    assert all(type(f) is tuple and all(type(p) is tuple for p in f) for f in faces)
 
 
 # --- the chunked read ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import itertools
 import math
 import random
@@ -13,12 +14,19 @@ from tritri import (
     DegenerateTriangle,
     EmptyReason,
     NonFiniteInput,
+    Point2,
     Point3,
     Triangle3,
+    ccw_vertices,
+    clip_segment_to_triangle,
     intersect,
+    intersect_coplanar,
     plane_from_triangle,
+    window_lines,
 )
+from tritri.fileio import read_off, read_pairs
 from tritri.intersect import contact_margin, prepare
+from tritri.lineplane import project_triangle_edges
 from tritri.oracle import as_floats, oracle_intersect
 
 from conftest import (
@@ -522,3 +530,40 @@ def test_labels_survive_vertex_rotation_and_reversal():
                 assert intersect(v, b)[0] is want, (v, b)
             for v in _vertex_orders(b):
                 assert intersect(a, v)[0] is want, (a, v)
+
+
+def test_readers_and_kernel_pass_exact_tuples_and_intersect_returns_point3():
+    # CPython 3.11 specialises tuple unpacking and indexing for exact tuples
+    # only: the readers and the kernel hand each other plain tuples, and the
+    # named tuples are kept for what leaves the package
+    def exact(points):
+        return bool(points) and all(type(p) is tuple for p in points)
+
+    (record,) = read_pairs(io.StringIO("0 0 0 4 0 0 0 4 0  1 1 -1 1 1 2 3 3 2\n"))
+    (face,) = read_off(io.StringIO("OFF\n3 1 0\n0 0 0\n4 0 0\n0 4 0\n3 0 1 2\n"))
+    assert all(type(t) is tuple and exact(t) for t in (record.t1, record.t2, face))
+    forms = (lambda t: tuple(map(tuple, t)), lambda t: [list(v) for v in t],
+             lambda t: Triangle3(*map(Point3._make, t)), prepare)
+    for form in forms[:3]:
+        assert type(prepare(form(T1)).tri) is tuple and exact(prepare(form(T1)).tri)
+    assert prepare(face).tri is face  # an exact tuple is taken uncopied
+
+    for form in forms[:3]:
+        points = project_triangle_edges(form(record.t2), plane_from_triangle(T1))
+        assert exact(points) and len(points) == 2
+    window = window_lines(Point2(0, 0), Point2(4, 0), Point2(0, 4), DEFAULT_TOLERANCE)
+    for p, q in ((Point2(1, 1), Point2(2, 1)), (Point2(1, 1), Point2(5, 1)),
+                 ((1.0, 1.0), [9.0, 1.0])):
+        assert exact(clip_segment_to_triangle(p, q, window))
+    for corners in (((1, 1), (3, 1), (1, 3)), ((-1, -1), (5, -1), (-1, 5)),
+                    ((1, 1), (5, 1), (1, 5))):
+        assert exact(intersect_coplanar(window, ccw_vertices(*corners)))
+
+    # a crossing segment, a touch point and a contour, from each input form
+    partners = (record.t2, ((1, 1, 0), (1, 1, 2), (2, 1, 3)), ((1, 1, 0), (3, 1, 0), (1, 3, 0)))
+    for t2, label in zip(partners, (CaseLabel.CROSSING_SEGMENT, CaseLabel.TOUCH_POINT,
+                                     CaseLabel.COPLANAR_CONTOUR)):
+        for form in forms:
+            got, result = intersect(form(T1), form(t2))
+            assert got is label
+            assert result.points and all(type(p) is Point3 for p in result.points)

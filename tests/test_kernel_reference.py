@@ -85,7 +85,7 @@ def reference_intersect(t1, t2, tol=DEFAULT_TOLERANCE):
         return (CaseLabel.CROSSING_PLANES_NO_CONTACT,
                 IntersectionResult(reason=EmptyReason.SEGMENT_OUTSIDE_WINDOW))
     if len(points) == 1:
-        return CaseLabel.TOUCH_POINT, IntersectionResult((points[0],))
+        return CaseLabel.TOUCH_POINT, IntersectionResult((Point3(*points[0]),))
     lifted = tuple(from_plane(frame, q) for q in clip)
     label = CaseLabel.TOUCH_POINT if len(lifted) == 1 else CaseLabel.CROSSING_SEGMENT
     return label, IntersectionResult(lifted)
@@ -108,11 +108,17 @@ def _outcome(fn, t1, t2, tol):
     return label, result.reason, points
 
 
-def _check(pairs, tol=DEFAULT_TOLERANCE) -> dict:
-    """Compares every pair with the reference; returns the count of each outcome's label."""
+def _check(pairs, tol=DEFAULT_TOLERANCE, form=None) -> dict:
+    """Compares every pair with the reference; returns the count of each outcome's label.
+
+    With ``form``, the kernel takes each triangle in that input form (one
+    of ``FORMS``), and the reference the pair as given.
+    """
     seen: dict = {}
     for t1, t2 in pairs:
         want = _outcome(reference_intersect, t1, t2, tol)
+        if form is not None:
+            t1, t2 = form(t1), form(t2)
         assert _outcome(intersect, t1, t2, tol) == want, (t1, t2, tol)
         key = want if isinstance(want, type) else want[0]
         seen[key] = seen.get(key, 0) + 1
@@ -166,6 +172,15 @@ def _as_lists(t):
     return [list(v) for v in t]
 
 
+# the input forms intersect takes a triangle in; each must give the same outcome
+FORMS = {
+    "named tuples": lambda t: Triangle3(*(Point3(*v) for v in t)),
+    "plain tuples": lambda t: tuple(map(tuple, t)),
+    "lists": _as_lists,
+    "prepared": prepare,
+}
+
+
 # --- tests ------------------------------------------------------------------------
 
 
@@ -174,9 +189,10 @@ def test_flat_intersect_equals_the_composed_kernel_bit_for_bit():
     mixed = mixed_pairs(rng, 2000)
     total = 0
 
-    seen = _check(_both_orders(mixed))
-    assert len(seen) == 5, seen  # every label but parallel_planes, and no error
-    total += sum(seen.values())
+    for name, form in FORMS.items():
+        seen = _check(_both_orders(mixed), form=form)
+        assert len(seen) == 5, (name, seen)  # every label but parallel_planes, and no error
+        total += sum(seen.values())
 
     # coplanar partners, and partners moved off the plane by a few eps_dist or by 1
     coplanar = []
