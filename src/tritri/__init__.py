@@ -7,8 +7,10 @@ using region codes.  Coplanar pairs are resolved by polygon clipping.
 
 The public entry point is :func:`intersect`; :func:`prepare` does a
 triangle's own share of the work once, for reuse across many ``intersect``
-calls.  The 2D machinery (region codes, segment clipping, coplanar
-contours) is also exported for direct use.
+calls: a :class:`PreparedTriangle` keeps the triangle, its unit normal, the
+tolerance that work holds under, and its frame axes and window once built.
+The 2D machinery (region codes, segment clipping, coplanar contours) is
+also exported for direct use.
 """
 
 from .core import (
@@ -38,7 +40,6 @@ from .intersect import (
     CaseLabel,
     EmptyReason,
     IntersectionResult,
-    PlaneFrame,
     PreparedTriangle,
     contact_margin,
     intersect,
@@ -58,7 +59,6 @@ __all__ = [
     "NonFiniteInput",
     "ParseError",
     "Plane",
-    "PlaneFrame",
     "Point2",
     "Point3",
     "PreparedTriangle",

@@ -124,7 +124,7 @@ def _prepare_faces(faces: Sequence[Triangle3], tol: Tolerance
     """Per face, the prepared triangle and its bounding box grown by ``contact_margin``.
 
     Both are None for a degenerate face.  One pass per face: ``prepare``
-    checks it and builds its plane, and the margin and the box come from
+    checks it and builds its normal, and the margin and the box come from
     its nine coordinates, unpacked once.
     """
     eps = tol.eps_dist
@@ -196,8 +196,8 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     and the time spent preparing the faces and finding those pairs as
     ``candidates_us``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
-    Each face is prepared once, so its plane, frame and window (its side
-    lines) are built at most once per face, not once per pair.  For a mesh against
+    Each face is prepared once, so its normal, frame axes and window (its
+    side lines) are built at most once per face, not once per pair.  For a mesh against
     itself, diagonal pairs are excluded and symmetric pairs tested once
     (i < j).  The results are the kernel's records, in lexicographic (i, j)
     order.  Only the first triangle's frame and window are read, so a face's

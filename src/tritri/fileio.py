@@ -2,12 +2,13 @@
 
 In both formats a ``#`` starts a comment, a line with no tokens left is
 skipped, and each ``ParseError`` names the line's 1-based number in the
-file.  Coordinates must be finite.  Each format has one parse: every line
-is cut at its ``#`` and split once, and the numbers are converted in one
-pass at C speed.  Only when that pass fails are the rows walked one by
-one, to raise the first bad line's error.  ``read_pairs`` parses its
-stream ``_CHUNK_LINES`` lines at a time, so only one chunk's tokens are
-held at once; ``read_off`` reads its file whole.
+file.  Coordinates must be finite.  A UTF-8 byte-order mark that opens the
+input is dropped; anywhere else it is an error.  Each format has one parse:
+every line is cut at its ``#`` and split once, and the numbers are
+converted in one pass at C speed.  Only when that pass fails are the rows
+walked one by one, to raise the first bad line's error.  ``read_pairs``
+parses its stream ``_CHUNK_LINES`` lines at a time, so only one chunk's
+tokens are held at once; ``read_off`` reads its file whole.
 """
 
 import contextlib
@@ -113,6 +114,8 @@ def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
     lines = iter(lines)
     first_line = 1
     while chunk := list(islice(lines, _CHUNK_LINES)):
+        if first_line == 1:
+            chunk[0] = chunk[0].removeprefix("\ufeff")  # a byte-order mark
         records += _pair_records(chunk, first_line, len(records))
         first_line += len(chunk)
     return records
@@ -149,6 +152,8 @@ def _off_faces(lines: list[str]) -> list[tuple]:
     one by one, to name the first bad line.  The face walk also takes a
     leading count spelled other than ``3``, such as ``+3``.
     """
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")  # a byte-order mark
     rows = [(lineno, tokens) for lineno, line in enumerate(lines, start=1)
             if (tokens := line.partition("#")[0].split())]
     _need(rows, 1)

@@ -9,9 +9,9 @@ into the frame by projection along the normal, so a point near the plane
 lands where its foot on the plane does; on the plane the map preserves
 distances both ways, so what is clipped in the frame lifts back isometrically.
 
-The plane, the frame and the image (the window, kept as its three side
-lines) belong to one triangle, not to a pair: ``prepare`` keeps them with the
-triangle, so a triangle tested against many partners builds them once.
+The normal, the frame's axes and the image (the window, kept as its three
+side lines) belong to one triangle, not to a pair: ``prepare`` keeps them with
+the triangle, so a triangle tested against many partners builds them once.
 
 ``intersect`` is one straight-line body on floats for raw, plain-sequence
 and prepared triangles: it builds the normals, the plane relation, the
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .clip2d import Window, _clockwise, clip_segment_to_triangle, window_lines
 from .coplanar import intersect_coplanar
-from .core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, _scaled, plane_from_triangle
+from .core import DEFAULT_TOLERANCE, Point3, Tolerance, _scaled, plane_from_triangle
 from .errors import DegenerateTriangle
 from .lineplane import project_triangle_edges
 
@@ -63,44 +63,35 @@ class IntersectionResult(NamedTuple):
     reason: EmptyReason | None = None
 
 
-class PlaneFrame(NamedTuple):
-    """Right-handed orthonormal frame (u, v, n) of a plane, u x v = n, anchored at ``origin``."""
-
-    origin: Point3
-    u_axis: Vec3
-    v_axis: Vec3
-    n_axis: Vec3
-
-
 class PreparedTriangle:
     """A checked triangle with the work that depends on it alone.
 
-    ``plane`` is computed by ``prepare``.  The 2D frame of that plane and
-    the triangle's image in it (the window, as the side lines that
-    ``window_lines`` builds) are made on the first call of
-    ``frame_window`` and kept.  All of it is computed under ``tol``;
-    under any other tolerance ``intersect`` computes it again and keeps
-    nothing, and so it does for a triangle whose norm may overflow.
+    ``normal`` is its unit normal ``(q, w, u)``.  The u and v axes of its
+    plane's frame, anchored at ``tri[0]``, and its image in that frame (the
+    window, as the side lines ``window_lines`` builds) are made on the first
+    call of ``frame_window`` and kept.  All of it holds under ``tol``, under
+    which ``intersect`` reads it; ``tol`` is None for a triangle whose norm
+    may overflow, which ``intersect`` reads raw, as an unprepared one.
     """
 
-    __slots__ = ("tri", "plane", "tol", "_kept_under", "_frame_window")
+    __slots__ = ("tri", "normal", "tol", "_frame_window")
 
-    def __init__(self, tri: tuple, plane: Plane, tol: Tolerance):
+    def __init__(self, tri: tuple, normal: Vec3, tol: Tolerance | None):
         self.tri = tri
-        self.plane = plane
+        self.normal = normal
         self.tol = tol
-        self._kept_under = tol  # the tolerance intersect reads the kept work under
-        self._frame_window: tuple[PlaneFrame, Window] | None = None
+        self._frame_window: tuple[tuple[Vec3, Vec3], Window] | None = None
 
-    def frame_window(self) -> tuple[PlaneFrame, Window]:
-        """The reference frame anchored at the first vertex, and the window's side lines in it.
+    def frame_window(self) -> tuple[tuple[Vec3, Vec3], Window]:
+        """The frame's ``(u_axis, v_axis)`` and the window's side lines in the frame.
 
-        Built on the first call, in one pass: the frame, the three corners'
+        Built on the first call, in one pass: the axes, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats by ``window_lines``.
+        from those six floats by ``window_lines``.  A triangle whose ``tol``
+        is None keeps nothing, and nothing in the package asks it for a frame.
         """
         if self._frame_window is None:
-            q, w, u, _ = self.plane
+            q, w, u = self.normal
             self._frame_window = _frame_window(self.tri, q, w, u, self.tol)
         return self._frame_window
 
@@ -109,8 +100,8 @@ class PreparedTriangle:
         self._frame_window = None
 
 
-def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple[PlaneFrame, Window]:
-    """The frame of the plane through ``tri`` with unit normal (nx, ny, nz), and the window in it.
+def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple[tuple, Window]:
+    """The frame axes of the plane through ``tri`` with unit normal (nx, ny, nz), and the window.
 
     See ``PreparedTriangle.frame_window``.
     """
@@ -135,12 +126,11 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
     x, y, z = c[0] - ox, c[1] - oy, c[2] - oz
     cu, cv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     au, av = 0.0 * ux + 0.0 * uy + 0.0 * uz, 0.0 * vx + 0.0 * vy + 0.0 * vz
-    frame = _new(PlaneFrame, (a, (ux, uy, uz), (vx, vy, vz), (nx, ny, nz)))
-    return frame, window_lines((au, av), (bu, bv), (cu, cv), tol)
+    return ((ux, uy, uz), (vx, vy, vz)), window_lines((au, av), (bu, bv), (cu, cv), tol)
 
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
-    """``t`` ready for ``intersect`` under ``tol``; ``t`` itself if it already is.
+    """``t`` ready for ``intersect`` under ``tol``; ``t`` itself if it is prepared under ``tol``.
 
     ``t`` is a triangle of three 3D points, or a PreparedTriangle.  Its
     ``tri`` is a tuple of three exact ``(x, y, z)`` tuples: ``t`` itself
@@ -153,11 +143,11 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
         t = t.tri
     if not (type(t) is tuple and type(t[0]) is type(t[1]) is type(t[2]) is tuple):
         t = tuple(map(tuple, t))
-    p = PreparedTriangle(t, plane_from_triangle(t, tol), tol)
-    # the norm, at most sqrt(192) M**2 for M the largest |coordinate|, may overflow:
-    if math.hypot(*t[0], *t[1], *t[2]) >= 2.0 ** 254:
-        p._kept_under = None  # intersect reads the triangle raw, and _cold takes it
-    return p
+    normal = plane_from_triangle(t, tol)[:3]
+    # the norm, at most sqrt(192) M**2 for M the largest |coordinate|, may overflow: such
+    # a triangle keeps no tolerance, so intersect reads it raw, and _cold takes it
+    far = math.hypot(*t[0], *t[1], *t[2]) >= 2.0 ** 254
+    return PreparedTriangle(t, normal, None if far else tol)
 
 
 # one shared empty result per EmptyReason, in the enum's order, and the
@@ -171,7 +161,8 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     """Classify and construct the intersection of two triangles.
 
     Each argument is a triangle of three 3D points or a PreparedTriangle
-    from ``prepare``; the result is the same either way.  Returns a
+    from ``prepare``; the result is the same either way, and its kept work
+    is read only when it holds under ``tol``.  Returns a
     (CaseLabel, IntersectionResult) pair.  The six labels cover coplanar
     contact and no-contact, parallel planes, crossing planes without
     contact, a single touch point, and a proper crossing segment.  The
@@ -183,11 +174,11 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
 
 def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:
     """``intersect``, ``sine`` bounding parallel planes' dihedral sine, which ``_cold`` does not scale."""
-    # each unit normal, or the plane kept by prepare under tol; a norm that is
+    # each unit normal, or the normal kept by prepare under tol; a norm that is
     # not finite, or below the area gate, takes _cold
     kept = None  # t1 prepared under tol: its frame and window are kept with it
     if isinstance(t1, PreparedTriangle):
-        if t1._kept_under is tol or t1._kept_under == tol:
+        if t1.tol is tol or t1.tol == tol:
             kept = t1
         t1 = t1.tri
     a1, b1, c1 = t1
@@ -202,16 +193,16 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
         else:
             return _cold(t1, t2, tol, sine)
     else:
-        q1, w1, u1, _ = kept.plane
+        q1, w1, u1 = kept.normal
 
-    plane2 = None
+    normal2 = None
     if isinstance(t2, PreparedTriangle):
-        if t2._kept_under is tol or t2._kept_under == tol:
-            plane2 = t2.plane
+        if t2.tol is tol or t2.tol == tol:
+            normal2 = t2.normal
         t2 = t2.tri
     a2, b2, c2 = t2
     gx, gy, gz = a2
-    if plane2 is None:
+    if normal2 is None:
         ex, ey, ez = b2[0] - gx, b2[1] - gy, b2[2] - gz
         fx, fy, fz = c2[0] - gx, c2[1] - gy, c2[2] - gz
         nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
@@ -221,7 +212,7 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
         else:
             return _cold(t1, t2, tol, sine)
     else:
-        q2, w2, u2, _ = plane2
+        q2, w2, u2 = normal2
 
     # the normals' cross product is the sine of the dihedral angle; coincidence is
     # the distance of t2's first vertex from t1's plane, whichever way the normals point
@@ -237,13 +228,14 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
     else:
         return _PARALLEL_PLANES, _PARALLEL
 
-    frame, window = _frame_window(t1, q1, w1, u1, tol) if kept is None else kept.frame_window()
-    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz), _ = frame
+    # the frame's origin is t1's first vertex (ax, ay, az), its axes u, v and the normal
+    axes, window = _frame_window(t1, q1, w1, u1, tol) if kept is None else kept.frame_window()
+    (ux, uy, uz), (vx, vy, vz) = axes
     if coplanar:
         # t2 in the frame, counter-clockwise as ccw_vertices orders it
         mapped = []
         for px, py, pz in t2:
-            x, y, z = px - ox, py - oy, pz - oz
+            x, y, z = px - ax, py - ay, pz - az
             mapped.append((x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
         (pu, pv), (qu, qv), (su, sv) = mapped
         if _clockwise(pu, pv, qu, qv, su, sv, tol.eps_area):
@@ -255,11 +247,11 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
     else:
         # the crossing points in the frame
         px, py, pz = points[0]
-        x, y, z = px - ox, py - oy, pz - oz
+        x, y, z = px - ax, py - ay, pz - az
         e = end = (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz)
         if len(points) == 2:
             px, py, pz = points[1]
-            x, y, z = px - ox, py - oy, pz - oz
+            x, y, z = px - ax, py - ay, pz - az
             end = (x * ux + y * uy + z * uz, x * vx + y * vy + z * vz)
         clip = clip_segment_to_triangle(e, end, window, tol)
         if not clip:
@@ -268,7 +260,7 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
             # clipped as the segment (e, e); reported as itself, not its round trip
             return _TOUCH_POINT, _new(IntersectionResult, ((_new(Point3, points[0]),), None))
         label = _TOUCH_POINT if len(clip) == 1 else _CROSSING_SEGMENT
-    lifted = tuple([_new(Point3, (ox + u * ux + v * vx, oy + u * uy + v * vy, oz + u * uz + v * vz))
+    lifted = tuple([_new(Point3, (ax + u * ux + v * vx, ay + u * uy + v * vy, az + u * uz + v * vz))
                     for u, v in clip])
     return label, _new(IntersectionResult, (lifted, None))
 
@@ -284,13 +276,13 @@ def _cold(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionR
     passed the gate unscaled, the body runs unscaled.
     """
     t2 = t2.tri if isinstance(t2, PreparedTriangle) else t2
-    planes = plane_from_triangle(t1, tol), plane_from_triangle(t2, tol)
+    normals = plane_from_triangle(t1, tol)[:3], plane_from_triangle(t2, tol)[:3]
     k, scaled, small = _scaled((t1, t2), tol)
     try:
-        label, result = _intersect(*[PreparedTriangle(s, p._replace(o=s[0]), small)
-                                     for s, p in zip(scaled, planes)], small, sine)
+        label, result = _intersect(*[PreparedTriangle(s, n, small) for s, n in zip(scaled, normals)],
+                                   small, sine)
     except DegenerateTriangle:
-        return _intersect(PreparedTriangle(t1, planes[0], tol), PreparedTriangle(t2, planes[1], tol),
+        return _intersect(PreparedTriangle(t1, normals[0], tol), PreparedTriangle(t2, normals[1], tol),
                           tol, sine)
     s = 2.0 ** k  # a product, not ldexp, so that a point past the float range is inf
     return label, result._replace(points=tuple([_new(Point3, (x * s, y * s, z * s))

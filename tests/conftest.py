@@ -11,10 +11,10 @@ import itertools
 import math
 import random
 from enum import Enum
+from typing import NamedTuple
 
 from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
 from tritri.clip2d import Point2, ccw_vertices
-from tritri.intersect import PlaneFrame
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
@@ -237,6 +237,21 @@ def classify_planes(p1: Plane, p2: Plane, tol: Tolerance = DEFAULT_TOLERANCE) ->
     if abs(signed_distance(o2, p1)) <= tol.eps_dist:
         return PlaneRelation.COINCIDENT
     return PlaneRelation.PARALLEL
+
+
+class PlaneFrame(NamedTuple):
+    """Right-handed orthonormal frame (u, v, n) of a plane, u x v = n, anchored at ``origin``."""
+
+    origin: tuple
+    u_axis: tuple
+    v_axis: tuple
+    n_axis: tuple
+
+
+def kept_frame(p) -> PlaneFrame:
+    """The frame a PreparedTriangle ``p`` keeps: origin ``p.tri[0]``, its axes, ``p.normal``."""
+    axes, _ = p.frame_window()
+    return PlaneFrame(p.tri[0], *axes, p.normal)
 
 
 def build_frame(pl: Plane) -> PlaneFrame:

@@ -40,6 +40,7 @@ from tritri.oracle import (
 from conftest import (
     contours_match,
     from_plane,
+    kept_frame,
     mixed_pairs,
     points_match_unordered,
     polygon_area2,
@@ -241,7 +242,7 @@ def test_criterion_5_frame_round_trip(capsys):
     start = time.perf_counter()
     for _ in range(100_000):
         tri = _rand_tri3(rng)
-        frame = prepare(tri).frame_window()[0]  # the frame intersect clips in
+        frame = kept_frame(prepare(tri))  # the frame intersect clips in
         u, v, n = frame.u_axis, frame.v_axis, frame.n_axis
         dots = (
             abs(sum(x * x for x in u) - 1), abs(sum(x * x for x in v) - 1),

@@ -1,9 +1,11 @@
+import codecs
 import functools
 import gc
 import io
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -61,6 +63,33 @@ def test_read_pairs_from_path_and_stream(tmp_path):
     path.write_text(PAIR_LINE + "\n")
     assert len(read_pairs(path)) == 1
     assert len(read_pairs(io.StringIO(PAIR_LINE))) == 1
+
+
+def test_a_byte_order_mark_opening_the_input_is_dropped(tmp_path, monkeypatch):
+    for read, text in ((read_pairs, PAIR_LINE + "\n"), (read_off, OFF_TEXT)):
+        want = read(io.StringIO(text))
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert read(path) == want
+        assert read(io.StringIO("\ufeff" + text)) == want
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert read("-") == want
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_pairs, "\ufeff\ufeff" + PAIR_LINE, r"line 1: not a number: '\ufeff0'"),
+    (read_pairs, PAIR_LINE + "\n\ufeff" + PAIR_LINE, r"line 2: not a number: '\ufeff0'"),
+    (read_pairs, PAIR_LINE.replace(" 4 0 0", " \ufeff4 0 0"), r"line 1: not a number: '\ufeff4'"),
+    (read_off, "\ufeff\ufeff" + OFF_TEXT, r"line 1: expected OFF header, got '\ufeffOFF'"),
+    (read_off, OFF_TEXT.replace("1 0 0", "\ufeff1 0 0"), r"line 5: not a number: '\ufeff1'"),
+])
+def test_a_byte_order_mark_anywhere_else_is_a_parse_error(read, text, message, tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_text(text, encoding="utf-8")
+    for source in (io.StringIO(text), path):
+        with pytest.raises(ParseError) as got:
+            read(source)
+        assert str(got.value) == message
 
 
 def test_read_off_happy_path():

@@ -8,13 +8,13 @@ from tritri.core import Point3, Triangle3
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import prepare
 
-from conftest import dot3, from_plane, to_plane, vnorm
+from conftest import dot3, from_plane, kept_frame, to_plane, vnorm
 
 
 def _frame_for(points):
     # the frame intersect clips in, as prepare keeps it
     p = prepare(Triangle3(*(Point3(*v) for v in points)))
-    return p.frame_window()[0], p.plane
+    return kept_frame(p), p
 
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -69,9 +69,8 @@ def test_axis_aligned_normals():
         [(0, 0, 0), (0, 0, 1), (1, 0, 0)],  # normal +y
         [(0, 0, 0), (1, 0, 0), (0, 1, 0)],  # normal +z
     ):
-        frame, pl = _frame_for(pts)
-        n = (pl.q, pl.w, pl.u)
-        assert abs(dot3(frame.u_axis, n)) <= 1e-15
+        frame, p = _frame_for(pts)
+        assert abs(dot3(frame.u_axis, p.normal)) <= 1e-15
 
 
 def _along_normal(p, frame, k):

@@ -6,7 +6,8 @@ helper no code calls any more, or a name in ``tritri.__all__`` that the
 package no longer defines.  Another finds an ``except StopIteration``,
 which ends a loop by exception.  One more check imports the CLI in a fresh
 interpreter and looks at the modules it loaded, one resolves the
-package paths that README.md names, and one runs its Python examples.
+package paths that README.md names, one finds every exported name in it,
+and one runs its Python examples.
 """
 
 import ast
@@ -124,6 +125,13 @@ def test_every_package_path_in_the_readme_resolves():
     assert paths
     for path in paths:
         pkgutil.resolve_name(path)  # imports the longest module prefix, then looks up the rest
+
+
+def test_every_exported_name_is_in_the_readme():
+    # an exported name the README never mentions is API no reader can find
+    readme = README.read_text(encoding="utf-8")
+    missing = [name for name in tritri.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
 
 
 def test_the_readme_python_examples_run():

@@ -451,7 +451,7 @@ def test_legs_past_the_cross_product_overflow_get_a_unit_normal():
     # legs of 1e160 overflow the cross product itself, not only its squares
     huge, line = _tri((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)), _tri((0, 0, 0), (1e160,) * 3, (2e160,) * 3)
     small = _tri((1, 1, -1), (1, 1, 1), (2, 1, 1))
-    assert plane_from_triangle(huge)[:3] == prepare(huge).plane[:3] == (0.0, 0.0, 1.0)
+    assert plane_from_triangle(huge)[:3] == prepare(huge).normal == (0.0, 0.0, 1.0)
     for a, b in ((huge, small), (small, huge)):
         assert intersect(a, b)[0] is oracle_intersect(a, b).label is CaseLabel.CROSSING_SEGMENT
         assert intersect(prepare(a), prepare(b))[0] is CaseLabel.CROSSING_SEGMENT
@@ -466,7 +466,7 @@ def test_a_sliver_past_the_cross_product_overflow_keeps_its_thin_coordinate():
     big = 2.0 ** 1000
     sliver = _tri((0, 0, 0), (2.0 ** -400, big, big), (0, big, big))
     r = 1.0 / math.sqrt(2.0)
-    assert plane_from_triangle(sliver)[:3] == prepare(sliver).plane[:3] == (0.0, -r, r)
+    assert plane_from_triangle(sliver)[:3] == prepare(sliver).normal == (0.0, -r, r)
 
 
 def test_a_partner_2_to_the_1038_times_smaller_is_taken_unscaled():

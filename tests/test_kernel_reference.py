@@ -18,7 +18,7 @@ import pytest
 
 from tritri.clip2d import ccw_vertices, clip_segment_to_triangle, window_lines
 from tritri.coplanar import intersect_coplanar
-from tritri.core import DEFAULT_TOLERANCE, Point3, Tolerance, Triangle3, plane_from_triangle
+from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle, NonFiniteInput
 from tritri.intersect import (
     CaseLabel,
@@ -43,7 +43,7 @@ LOOSE = Tolerance(eps_dist=0.05, eps_param=0.05)
 def _reference_tri_plane(t, tol):
     if isinstance(t, PreparedTriangle):
         if t.tol == tol:
-            return t.tri, t.plane
+            return t.tri, Plane(*t.normal, t.tri[0])
         t = t.tri
     tri = Triangle3(*(Point3(*v) for v in t))
     return tri, plane_from_triangle(tri, tol)

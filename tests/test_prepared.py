@@ -1,19 +1,24 @@
 """Prepared triangles give the same answers as raw ones, bit for bit.
 
-``prepare`` keeps a triangle's plane, frame, window and side lines for
+``prepare`` keeps a triangle's normal, frame axes and window side lines for
 reuse; these tests compare ``repr`` of the results, so every float bit of
 every point counts, and check that mesh mode builds the per-face work once
 per face rather than once per candidate pair.
 """
 
+import dis
 import importlib
 import math
 import random
+import sys
+
+import pytest
 
 from tritri.clip2d import window_lines
 from tritri.cli import run_meshes, run_pairs
-from tritri.core import DEFAULT_TOLERANCE, Tolerance
-from tritri.intersect import CaseLabel, intersect, prepare
+from tritri.core import DEFAULT_TOLERANCE, Plane, Tolerance
+from tritri.intersect import (CaseLabel, PreparedTriangle, _frame_window, _intersect, intersect,
+                              prepare)
 
 from conftest import (build_frame, coplanar_pair, coplanar_partner, grid_triangle, height_field,
                       mixed_pairs, scaled, to_plane)
@@ -58,9 +63,9 @@ def test_one_prepared_triangle_against_many_partners():
             assert repr(intersect(t2, reused)) == repr(intersect(t2, prepare(t1)))
             if cached is None:
                 cached = reused.frame_window()
-            # the cached frame and window are the same objects, unchanged
-            frame, window = reused.frame_window()
-            assert frame is cached[0] and window is cached[1]
+            # the cached axes and window are the same objects, unchanged
+            axes, window = reused.frame_window()
+            assert axes is cached[0] and window is cached[1]
         assert cached == prepare(t1).frame_window()
 
 
@@ -84,9 +89,13 @@ def test_frame_window_is_built_frame_and_window_lines_bit_for_bit():
     signed_zero_origins = 0
     for t in triangles:
         p = prepare(t)
-        frame = build_frame(p.plane)
+        frame = build_frame(Plane(*p.normal, p.tri[0]))
         a, b, c = (to_plane(frame, v) for v in p.tri)
-        assert _bits(p.frame_window()) == _bits((frame, window_lines(a, b, c, DEFAULT_TOLERANCE)))
+        # a far triangle keeps no frame: intersect builds it per pair, with the same function
+        axes, window = (p.frame_window() if p.tol is not None
+                        else _frame_window(p.tri, *p.normal, DEFAULT_TOLERANCE))
+        assert _bits((p.tri[0], *axes, p.normal)) == _bits(frame)
+        assert _bits(window) == _bits(window_lines(a, b, c, DEFAULT_TOLERANCE))
         signed_zero_origins += any(math.copysign(1.0, x) < 0.0 for x in a)
     # some origins map to -0.0, so the first corner's signs of zero are compared too
     assert signed_zero_origins > 0
@@ -138,3 +147,37 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
         label, _ = intersect(first, coplanar_partner(rng, first.tri))
         assert label in (CaseLabel.COPLANAR_CONTOUR, CaseLabel.COPLANAR_NO_CONTACT)
     assert calls["_frame_window"] == 1
+
+
+def test_a_prepared_triangle_keeps_plain_tuples_and_one_tolerance():
+    p = prepare(((0, 0, 0), (4, 0, 0), (0, 4, 0)))
+    assert len(PreparedTriangle.__slots__) == 4
+    assert type(p.normal) is tuple and p.normal == (0.0, 0.0, 1.0)
+    assert p.tol is DEFAULT_TOLERANCE
+    axes, window = p.frame_window()
+    assert type(axes) is tuple and [type(a) for a in axes] == [tuple, tuple]
+    assert type(window) is tuple and [type(line) for line in window] == [tuple, tuple, tuple]
+    # past 2**254 the norm may overflow: the triangle keeps no tolerance, and intersect reads it raw
+    huge = prepare(((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)))
+    assert huge.tol is None and huge.normal == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the adaptive opcode names are those of CPython 3.11")
+def test_the_kernel_unpacks_only_exact_tuples():
+    # CPython 3.11 specialises an unpack for an exact tuple or list only; an
+    # unpack of a named tuple stays UNPACK_SEQUENCE_ADAPTIVE after warm-up
+    faces = [prepare(f) for f in height_field(_heights(random.Random(71), 8))]
+    for p in faces:
+        for q in faces:
+            if p is not q:
+                intersect(p, q)
+    for t1, t2 in mixed_pairs(random.Random(73), 400):
+        t1, t2 = tuple(map(tuple, t1)), tuple(map(tuple, t2))  # as the readers give them
+        intersect(t1, t2)
+        intersect(t2, t1)
+    adaptive = [(fn.__qualname__, ins.positions.lineno)
+                for fn in (_intersect, PreparedTriangle.frame_window)
+                for ins in dis.get_instructions(fn, adaptive=True)
+                if ins.opname == "UNPACK_SEQUENCE_ADAPTIVE"]
+    assert adaptive == []

@@ -7,6 +7,7 @@ of ``main`` called in process.
 """
 
 import ast
+import codecs
 import json
 import os
 import random
@@ -27,12 +28,12 @@ DEGENERATE = "0 0 0  1 1 1  2 2 2   0 0 0  4 0 0  0 4 0\n"
 TIMING_FIELDS = {"elapsed_us", "candidates_us", "pairs_per_s", "parse_us", "emit_us", "total_us"}
 
 
-def _child(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _child(argv, stdout=subprocess.PIPE, stdin=None) -> subprocess.CompletedProcess:
     """A fresh interpreter running ``argv``, with no ``PYTHON*`` setting but the path."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], stdin=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 def _pair_file(path, pairs):
@@ -93,6 +94,23 @@ def test_the_process_writes_what_main_writes(mode, inputs, tmp_path, capsys, mon
     assert got.read_bytes() == want.read_bytes()
     for run in (to_stdout, to_file):
         assert _untimed(run.stderr.decode()) == _untimed(err)
+
+
+def test_a_byte_order_mark_opening_an_input_is_dropped(inputs, tmp_path):
+    # the last argument of each mode is an input file; read with a mark, from
+    # its path and from stdin, it gives the records it gives without one
+    for args in inputs.values():
+        plain = _child(["-m", "tritri", *args])
+        assert plain.returncode == 0 and plain.stdout
+        marked = tmp_path / f"bom-{Path(args[-1]).name}"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(args[-1]).read_bytes())
+        from_path = _child(["-m", "tritri", *args[:-1], str(marked)])
+        with marked.open("rb") as stdin:
+            from_stdin = _child(["-m", "tritri", *args[:-1], "-"], stdin=stdin)
+        for run in (from_path, from_stdin):
+            assert run.returncode == 0, run.stderr
+            assert run.stdout == plain.stdout
+            assert _untimed(run.stderr.decode()) == _untimed(plain.stderr.decode())
 
 
 def test_the_process_exits_as_main_returns(inputs, tmp_path, capsys, monkeypatch):
