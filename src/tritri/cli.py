@@ -2,20 +2,23 @@
 
 Two modes: ``tritri pair`` reads triangle pairs (18 numbers per line) and
 emits one JSON record per pair; ``tritri mesh`` reads two OFF triangle
-soups, prepares each face once (``intersect.prepare``), sends the cross
-pairs whose grown bounding boxes overlap to the kernel, and emits records
-for contacting pairs.  Those candidates come from one sweep over a list of
-boxes sorted by low x; for two meshes, the boxes of both that meet the
-other mesh's overall box share that list.
+soups, gives each face a grown bounding box, sends the cross pairs whose
+boxes overlap to the kernel, and emits records for contacting pairs.  Those
+candidates come from one sweep over a list of boxes sorted by low x; for
+two meshes, the boxes of both that meet the other mesh's overall box share
+that list.  A face is prepared (``intersect.prepare``) on its first
+candidate pair, so a face with none is never prepared.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
 stream is byte-identical across runs.  Per-record timing (the ``us``
 field) is therefore opt-in via --timing.  Besides the counts, the summary
 gives the time spent parsing (``parse_us``), computing (``elapsed_us``),
-choosing the mesh pairs for the kernel, a part of computing
-(``candidates_us``, 0 in pair mode), writing records (``emit_us``) and in
-the whole run (``total_us``).
+building the mesh boxes and choosing the pairs for the kernel, a part of
+computing (``candidates_us``, 0 in pair mode), writing records
+(``emit_us``) and in the whole run (``total_us``).  The records and the
+summary are built as text, byte for byte what ``json.dumps`` writes, so a
+run does not import ``json``.
 
 ``main`` pauses the cyclic garbage collector (``fileio.collector_paused``):
 the batch makes only acyclic objects, which reference counting frees, so
@@ -36,17 +39,16 @@ its code and never reaches ``os._exit``.
 
 import argparse
 import contextlib
-import json
+import math
 import os
 import sys
 import time
 from bisect import bisect_right
 from itertools import groupby
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
+from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3, plane_from_triangle
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
 from .fileio import PairRecord, collector_paused, read_off, read_pairs
 from .intersect import PreparedTriangle, _margin, intersect, prepare
@@ -119,30 +121,42 @@ def run_pairs(records: Iterable[PairRecord], tol: Tolerance,
     return results, summary
 
 
-def _prepare_faces(faces: Sequence[Triangle3], tol: Tolerance
-                   ) -> tuple[list[PreparedTriangle | None], list[tuple | None]]:
-    """Per face, the prepared triangle and its bounding box grown by ``contact_margin``.
+def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None]:
+    """Per face, its bounding box grown by ``contact_margin``; None for a degenerate face.
 
-    Both are None for a degenerate face.  One pass per face: ``prepare``
-    checks it and builds its normal, and the margin and the box come from
-    its nine coordinates, unpacked once.
+    No face is prepared here.  Each is checked by ``plane_from_triangle``'s
+    own area gate, on the same expressions: only a face whose norm is not
+    finite goes to ``plane_from_triangle`` itself, which raises
+    NonFiniteInput or takes the overflowed norm again before its gate.  The
+    gate comes before the margin, which divides by the inradius.  The margin
+    and the box come from the face's nine coordinates, unpacked once.
     """
-    eps = tol.eps_dist
-    prepared: list[PreparedTriangle | None] = []
+    eps, eps_area = tol.eps_dist, tol.eps_area
     boxes: list[tuple | None] = []
     for face in faces:
-        try:
-            pt = prepare(face, tol)
-        except DegenerateTriangle:
-            prepared.append(None)
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = face
+        ex, ey, ez = bx - ax, by - ay, bz - az
+        fx, fy, fz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if not math.isfinite(nn):
+            try:
+                plane_from_triangle(face, tol)  # NonFiniteInput, or the overflowed norm gated
+            except DegenerateTriangle:
+                nn = 0.0
+        if 0.5 * nn < eps_area:
             boxes.append(None)
             continue
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pt.tri
         m = _margin(ax, ay, az, bx, by, bz, cx, cy, cz, eps)
-        prepared.append(pt)
-        boxes.append((min(ax, bx, cx) - m, max(ax, bx, cx) + m, min(ay, by, cy) - m,
-                      max(ay, by, cy) + m, min(az, bz, cz) - m, max(az, bz, cz) + m))
-    return prepared, boxes
+        # each bound by comparisons, which cost less than a three-argument min or max call
+        x0 = (ax if ax <= cx else cx) if ax <= bx else (bx if bx <= cx else cx)
+        x1 = (ax if ax >= cx else cx) if ax >= bx else (bx if bx >= cx else cx)
+        y0 = (ay if ay <= cy else cy) if ay <= by else (by if by <= cy else cy)
+        y1 = (ay if ay >= cy else cy) if ay >= by else (by if by >= cy else cy)
+        z0 = (az if az <= cz else cz) if az <= bz else (bz if bz <= cz else cz)
+        z1 = (az if az >= cz else cz) if az >= bz else (bz if bz >= cz else cz)
+        boxes.append((x0 - m, x1 + m, y0 - m, y1 + m, z0 - m, z1 + m))
+    return boxes
 
 
 def _meeting(entries: list[tuple[int, tuple]], others: list[tuple[int, tuple]]
@@ -193,20 +207,21 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
 
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
     overlap reach the kernel; the summary counts the others as ``culled``,
-    and the time spent preparing the faces and finding those pairs as
+    and the time spent building the boxes and finding those pairs as
     ``candidates_us``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
-    Each face is prepared once, so its normal, frame axes and window (its
-    side lines) are built at most once per face, not once per pair.  For a mesh against
-    itself, diagonal pairs are excluded and symmetric pairs tested once
-    (i < j).  The results are the kernel's records, in lexicographic (i, j)
-    order.  Only the first triangle's frame and window are read, so a face's
-    are released after its last pair as the first triangle, and at most one
-    face holds them.
+    A face is prepared on its first candidate pair, as the first triangle or
+    the second, so a face with no candidate is never prepared, and its
+    normal, frame axes and window (its side lines) are built at most once
+    per face, not once per pair.  For a mesh against itself, diagonal pairs
+    are excluded and symmetric pairs tested once (i < j).  The results are
+    the kernel's records, in lexicographic (i, j) order.  Only the first
+    triangle's frame and window are read, so a face's are released after
+    its last pair as the first triangle, and at most one face holds them.
     """
     start = time.perf_counter()
-    prepared_a, boxes_a = _prepare_faces(faces_a, tol)
-    prepared_b, boxes_b = (prepared_a, boxes_a) if same_mesh else _prepare_faces(faces_b, tol)
+    boxes_a = _face_boxes(faces_a, tol)
+    boxes_b = boxes_a if same_mesh else _face_boxes(faces_b, tol)
     good_a = len(boxes_a) - boxes_a.count(None)
     if same_mesh:
         pairs = len(faces_a) * (len(faces_a) - 1) // 2
@@ -216,11 +231,19 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
     candidates = _overlapping_pairs(boxes_a, boxes_b, same_mesh)
     candidates_s = time.perf_counter() - start
+    # the faces prepared so far.  A face's group as the first triangle is its
+    # last use (in a mesh against itself, its pairs as the second come first),
+    # so it is stored only when prepared as the second
+    prepared_a: list[PreparedTriangle | None] = [None] * len(faces_a)
+    prepared_b = prepared_a if same_mesh else [None] * len(faces_b)
     results = []
     for i, group in groupby(candidates, key=itemgetter(0)):
-        first = prepared_a[i]
+        first = prepared_a[i] or prepare(faces_a[i], tol)
         for _, j in group:
-            results.append(_evaluate((i, j), first, prepared_b[j], tol, timing))
+            second = prepared_b[j]
+            if second is None:
+                second = prepared_b[j] = prepare(faces_b[j], tol)
+            results.append(_evaluate((i, j), first, second, tol, timing))
         first.release()
     contacts = sum(r.case in CONTACT_CASES for r in results)
     summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
@@ -249,9 +272,20 @@ def _record_json(rec: ResultRecord) -> str:
         points = points.replace("inf", "Infinity").replace("nan", "NaN")
     rid = rec.id
     rid = f"[{rid[0]!r},{rid[1]!r}]" if isinstance(rid, tuple) else repr(rid)
-    case = "null" if rec.case is None else encode_basestring_ascii(rec.case)
+    case = "null" if rec.case is None else f'"{rec.case}"'  # a label: an ASCII identifier
     us = "" if rec.us is None else f',"us":{rec.us!r}'
     return f'{{"id":{rid},"case":{case},"points":[{points}]{us}}}'
+
+
+def _json(value) -> str:
+    """The summary, or one of its values, as compact JSON: what ``json.dumps`` writes.
+
+    Its values are ints, None and dicts of these under ASCII identifiers,
+    which need no escapes, so ``json`` is not imported for one line.
+    """
+    if isinstance(value, dict):
+        return "{" + ",".join([f'"{k}":{_json(v)}' for k, v in value.items()]) + "}"
+    return "null" if value is None else repr(value)
 
 
 def _emit(records: Iterable[ResultRecord], stream) -> None:
@@ -328,7 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     summary.update(parse_us=round(parse_s * 1e6), emit_us=round(emit_s * 1e6),
                    total_us=round((time.perf_counter() - start) * 1e6))
-    print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
+    print(_json(summary), file=sys.stderr)
 
     if summary["pairs"] and summary["skipped"] == summary["pairs"]:
         return 2

@@ -87,10 +87,14 @@ class PreparedTriangle:
 
         Built on the first call, in one pass: the axes, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats by ``window_lines``.  A triangle whose ``tol``
-        is None keeps nothing, and nothing in the package asks it for a frame.
+        from those six floats by ``window_lines``.  Raises ValueError for a
+        triangle prepared past 2**254 (the ``math.hypot`` of its nine
+        coordinates), whose ``tol`` is None: it keeps no frame, and
+        ``intersect`` reads it as a raw triangle.
         """
         if self._frame_window is None:
+            if self.tol is None:
+                raise ValueError("a triangle prepared past 2**254 keeps no frame (its tol is None)")
             q, w, u = self.normal
             self._frame_window = _frame_window(self.tri, q, w, u, self.tol)
         return self._frame_window

@@ -13,6 +13,7 @@ from tritri.cli import CONTACT_CASES, ResultRecord, _record_json, main, run_mesh
 from tritri.core import DEFAULT_TOLERANCE
 from tritri.errors import DegenerateTriangle
 from tritri.fileio import read_pairs
+from tritri.intersect import CaseLabel
 from tritri.oracle import oracle_intersect
 
 from conftest import height_field, mixed_pairs, off_text
@@ -587,3 +588,32 @@ def test_record_json_equals_json_dumps(rec):
     if rec.us is not None:
         payload["us"] = rec.us
     assert _record_json(rec) == json.dumps(payload, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("label", list(CaseLabel))
+def test_every_case_label_is_written_as_json_dumps_writes_it(label):
+    rec = ResultRecord(1, label.value, ())
+    assert _record_json(rec) == f'{{"id":1,"case":{json.dumps(label.value)},"points":[]}}'
+
+
+def test_the_summary_line_is_what_json_dumps_writes(tmp_path, capsys):
+    # the CLI writes its summary without json; each line must read back and
+    # be written again by json.dumps to the same bytes
+    src = tmp_path / "pairs.txt"
+    src.write_text(f"{CROSSING}\n{PARALLEL}\n{DEGENERATE}\n")
+    collinear = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+    mesh_a, mesh_b = tmp_path / "a.off", tmp_path / "b.off"
+    mesh_a.write_text(off_text(height_field([[0.0] * 5, [1.0] * 5]) + [collinear]))
+    mesh_b.write_text(POKER_OFF)
+    out = str(tmp_path / "o.jsonl")
+    for argv in (["pair", "--input", str(src)], ["mesh", str(mesh_a), str(mesh_b)]):
+        assert main([*argv, "--output", out]) == 0
+        line = capsys.readouterr().err
+        summary = json.loads(line)
+        assert summary["skipped_by"] == {"DegenerateTriangle": 1}
+        assert line == json.dumps(summary, separators=(",", ":")) + "\n"
+    # no time elapsed: pairs_per_s is None, written null
+    summary = tritri.cli._summarize([], emitted=0, elapsed=0.0, pairs=3, degenerate=3)
+    summary.update(parse_us=0, emit_us=0, total_us=1)
+    assert summary["pairs_per_s"] is None
+    assert tritri.cli._json(summary) == json.dumps(summary, separators=(",", ":"))

@@ -148,9 +148,9 @@ def test_the_readme_python_examples_run():
 
 def test_importing_the_cli_loads_no_slow_module():
     # each costs start-up time on every CLI run, and the CLI needs none: it
-    # runs serially, and pathlib served only type annotations.  ``-S`` keeps
-    # ``site`` from loading any of them first
-    slow = ["concurrent.futures", "dataclasses", "inspect", "pathlib"]
+    # runs serially, pathlib served only type annotations, and json only the
+    # summary line.  ``-S`` keeps ``site`` from loading any of them first
+    slow = ["concurrent.futures", "dataclasses", "inspect", "json", "pathlib"]
     code = f"import sys, tritri.cli; print(sorted(set({slow!r}) & sys.modules.keys()))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,

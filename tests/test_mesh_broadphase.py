@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tritri.cli import CONTACT_CASES, _overlapping_pairs, _prepare_faces, run_meshes
+import tritri.cli
+from tritri.cli import CONTACT_CASES, _face_boxes, _overlapping_pairs, run_meshes
 from tritri.core import DEFAULT_TOLERANCE, Point3, Triangle3
-from tritri.errors import DegenerateTriangle
+from tritri.errors import DegenerateTriangle, NonFiniteInput
 from tritri.intersect import CaseLabel, contact_margin, intersect
 from tritri.oracle import oracle_intersect
 
@@ -56,8 +57,8 @@ def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TO
     got = [(r.id, r.case, r.points) for r in results if r.case in CONTACT_CASES]
     want = brute_force_contacts(faces_a, faces_b, same_mesh, tol)
     assert got == want
-    _, boxes_a = _prepare_faces(faces_a, tol)
-    _, boxes_b = _prepare_faces(faces_b, tol)
+    boxes_a = _face_boxes(faces_a, tol)
+    boxes_b = _face_boxes(faces_b, tol)
     assert (_overlapping_pairs(boxes_a, boxes_b, same_mesh)
             == brute_force_overlaps(boxes_a, boxes_b, same_mesh))
     return want
@@ -166,12 +167,56 @@ def test_height_fields_meeting_at_a_corner_match_brute_force(corner):
     for mesh_a, mesh_b in ((field, moved), (moved, field)):
         assert_matches_brute_force(mesh_a, mesh_b)
         results, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
-        _, boxes_a = _prepare_faces(mesh_a, DEFAULT_TOLERANCE)
-        _, boxes_b = _prepare_faces(mesh_b, DEFAULT_TOLERANCE)
+        boxes_a = _face_boxes(mesh_a, DEFAULT_TOLERANCE)
+        boxes_b = _face_boxes(mesh_b, DEFAULT_TOLERANCE)
         overlaps = brute_force_overlaps(boxes_a, boxes_b)
         assert [r.id for r in results] == overlaps
         assert summary["culled"] == 50 * 50 - len(overlaps) > 50 * 49
         assert summary["pairs"] == 50 * 50 and summary["skipped"] == 0
+
+
+def test_a_face_is_prepared_on_its_first_candidate_pair(monkeypatch):
+    # two fields of 5 x 5 cells that overlap in one corner cell: most faces
+    # have no candidate pair, and none of those is prepared
+    rng = random.Random(20246)
+    heights = [[rng.randint(0, 2) / 2 for _ in range(6)] for _ in range(6)]
+    field, moved = height_field(heights), height_field(heights, offset=(4, 4, 0.5))
+    prepare, prepared = tritri.cli.prepare, []
+
+    def counted(t, tol):
+        prepared.append(t)
+        return prepare(t, tol)
+
+    monkeypatch.setattr(tritri.cli, "prepare", counted)
+    for mesh_a, mesh_b, same_mesh in ((field, moved, False), (moved, field, False),
+                                      (field, field, True)):
+        prepared.clear()
+        results, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE, same_mesh=same_mesh)
+        assert summary["skipped"] == 0  # so every candidate pair is a result
+        faces = {id(mesh_a[i]) for i, _ in (r.id for r in results)}
+        faces |= {id(mesh_b[j]) for _, j in (r.id for r in results)}
+        assert sorted(map(id, prepared)) == sorted(faces)  # each face once
+        if not same_mesh:  # against itself, every face has a neighbour
+            assert 0 < len(prepared) < (len(mesh_a) + len(mesh_b)) // 4
+
+
+def test_faces_past_the_float_squares_are_checked_as_the_kernel_checks_them():
+    # legs of 1e200 overflow the norm: such a face goes through
+    # plane_from_triangle in the box pass, whose overflow branch gates it
+    huge = _tri(((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0)))
+    big = _tri(((1e199, 1e199, -1e199), (1e199, 1e199, 1e199), (2e199, 1e199, 1e199)))
+    small = _tri(((1, 1, -1), (1, 1, 1), (2, 1, 1)))
+    flat = _tri(((0, 0, 0), (1e200, 1e200, 0), (2e200, 2e200, 0)))  # collinear, area 0
+    contacts = assert_matches_brute_force([huge, _tri(WIDE), flat], [big, small, flat])
+    assert [(ids, case) for ids, case, _ in contacts] == [
+        ((0, 0), "crossing_segment"), ((0, 1), "crossing_segment"), ((1, 1), "crossing_segment")]
+    _, summary = run_meshes([huge, _tri(WIDE), flat], [big, small, flat], DEFAULT_TOLERANCE)
+    assert summary["skipped_by"] == {"DegenerateTriangle": 5}
+    # a NaN coordinate still ends the run, in either mesh, as it did before the sweep
+    nan = _tri(((0, 0, 0), (1, 0, 0), (0, math.nan, 0)))
+    for faces_a, faces_b in (([nan], [small]), ([small], [small, nan]), ([huge, nan], [huge])):
+        with pytest.raises(NonFiniteInput):
+            run_meshes(faces_a, faces_b, DEFAULT_TOLERANCE)
 
 
 boxes = st.one_of(st.none(), st.tuples(*[st.integers(-4, 4), st.integers(0, 3)] * 3).map(

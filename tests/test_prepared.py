@@ -160,6 +160,9 @@ def test_a_prepared_triangle_keeps_plain_tuples_and_one_tolerance():
     # past 2**254 the norm may overflow: the triangle keeps no tolerance, and intersect reads it raw
     huge = prepare(((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)))
     assert huge.tol is None and huge.normal == (0.0, 0.0, 1.0)
+    # so it keeps no frame either, and says why when asked for one
+    with pytest.raises(ValueError, match=r"past 2\*\*254"):
+        huge.frame_window()
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
