@@ -24,6 +24,14 @@ run does not import ``json``.
 the batch makes only acyclic objects, which reference counting frees, so
 the collector's passes over the growing heap would find nothing.
 
+The command line is parsed here (``_parse_args``), not by ``argparse``,
+whose import and the ``gettext`` and ``locale`` it loads cost each run
+about as much as the mesh computation.  The grammar: a mode, then its
+long options, each ``--name value`` or ``--name=value`` or shortened to a
+unique prefix, and in mesh mode the two meshes (``-`` for stdin);
+``-h``/``--help`` prints fixed help text.  A usage error prints the usage
+line and ``tritri <mode>: error: ...`` before any input is read.
+
 Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped or a
 usage error (such as ``--jobs 2``).
 
@@ -37,7 +45,6 @@ are the same.  In-process callers of ``main()`` are unaffected: it returns
 its code and never reaches ``os._exit``.
 """
 
-import argparse
 import contextlib
 import math
 import os
@@ -147,7 +154,7 @@ def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None
         if 0.5 * nn < eps_area:
             boxes.append(None)
             continue
-        m = _margin(ax, ay, az, bx, by, bz, cx, cy, cz, eps)
+        m = _margin(ax, ay, az, bx, by, bz, cx, cy, cz, nn, eps)
         # each bound by comparisons, which cost less than a three-argument min or max call
         x0 = (ax if ax <= cx else cx) if ax <= bx else (bx if bx <= cx else cx)
         x1 = (ax if ax >= cx else cx) if ax >= bx else (bx if bx >= cx else cx)
@@ -292,64 +299,170 @@ def _emit(records: Iterable[ResultRecord], stream) -> None:
     stream.writelines(_record_json(rec) + "\n" for rec in records)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tritri",
-                                     description="triangle-triangle intersection batch driver")
-    sub = parser.add_subparsers(dest="mode", required=True)
+_USAGE = {
+    None: "usage: tritri [-h] {pair,mesh} ...\n",
+    "pair": ("usage: tritri pair [-h] [--input INPUT] [--eps EPS] [--jobs {1}]\n"
+             "                   [--output OUTPUT] [--timing]\n"),
+    "mesh": ("usage: tritri mesh [-h] [--eps EPS] [--jobs {1}] [--output OUTPUT] [--timing]\n"
+             "                   mesh_a mesh_b\n"),
+}
 
-    def common(p):
-        p.add_argument("--eps", type=float, default=DEFAULT_TOLERANCE.eps_dist,
-                       help="distance tolerance (default %(default)g)")
-        p.add_argument("--jobs", type=int, default=1, choices=[1],
-                       help="runs are serial; only 1 is accepted")
-        p.add_argument("--output", default="-", help="record stream (default stdout)")
-        p.add_argument("--timing", action="store_true",
-                       help="add per-record microsecond timing (breaks byte-identical output)")
+_COMMON_HELP = f"""\
+  --eps EPS        distance tolerance (default {DEFAULT_TOLERANCE.eps_dist:g})
+  --jobs {{1}}       runs are serial; only 1 is accepted
+  --output OUTPUT  record stream (default stdout)
+  --timing         add per-record microsecond timing (breaks byte-identical
+                   output)
+"""
 
-    pair = sub.add_parser("pair", help="intersect triangle pairs from a pair file")
-    pair.add_argument("--input", default="-", help="pair file, one pair per line (default stdin)")
-    common(pair)
+_HELP = {
+    None: """
+triangle-triangle intersection batch driver
 
-    mesh = sub.add_parser("mesh", help="contacting face pairs of two OFF meshes")
-    mesh.add_argument("mesh_a", help="OFF mesh, '-' for stdin")
-    mesh.add_argument("mesh_b", help="OFF mesh, '-' for stdin")
-    common(mesh)
-    return parser
+modes:
+  pair        intersect triangle pairs from a pair file
+  mesh        contacting face pairs of two OFF meshes
+
+options:
+  -h, --help  show this help message and exit
+
+'tritri MODE --help' lists a mode's options.  A long option may be given as
+'--name value' or '--name=value', and shortened to a unique prefix.
+""",
+    "pair": """
+options:
+  -h, --help       show this help message and exit
+  --input INPUT    pair file, one pair per line, '-' for stdin (default stdin)
+""" + _COMMON_HELP,
+    "mesh": """
+positional arguments:
+  mesh_a           OFF mesh, '-' for stdin
+  mesh_b           OFF mesh, '-' for stdin
+
+options:
+  -h, --help       show this help message and exit
+""" + _COMMON_HELP,
+}
+
+# the long options before a mode (None) and after each
+_OPTIONS = {
+    None: ("--help",),
+    "pair": ("--help", "--input", "--eps", "--jobs", "--output", "--timing"),
+    "mesh": ("--help", "--eps", "--jobs", "--output", "--timing"),
+}
 
 
-# built once, at import: a parser and the help formatters its construction
-# uses hold reference cycles, which a parser built in each ``main`` call
-# would leave to the paused collector
-_PARSER = _build_parser()
+def _usage_error(mode: str | None, message: str) -> NoReturn:
+    prog = "tritri" if mode is None else f"tritri {mode}"
+    sys.stderr.write(f"{_USAGE[mode]}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv: Sequence[str]) -> dict:
+    """The command line's values by name: ``mode``, each option's and each mesh's.
+
+    The token after a value option (``--eps``, ``--jobs``, ``--input``,
+    ``--output``) is always its value, even one that starts with ``-``.
+    ``-h``/``--help`` prints the help of the mode before it (the program's,
+    before any) to stdout and raises ``SystemExit(0)``.  A usage error
+    prints the usage line and the error to stderr and raises
+    ``SystemExit(2)``: a bad mode and a missing or refused value where they
+    stand, an unknown option (or a prefix of more than one) and a wrong
+    number of meshes after the last token, so that a later ``--help`` still
+    helps.
+    """
+    mode = None
+    args: dict = {}
+    meshes: list[str] = []
+    unknown: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            if mode is None:
+                if token not in ("pair", "mesh"):
+                    _usage_error(None, f"invalid mode: {token!r} (choose from 'pair', 'mesh')")
+                mode = token
+                args = {"mode": mode, "eps": DEFAULT_TOLERANCE.eps_dist, "jobs": 1,
+                        "output": "-", "timing": False}
+                if mode == "pair":
+                    args["input"] = "-"
+            elif mode == "mesh" and len(meshes) < 2:
+                meshes.append(token)
+            else:
+                unknown.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name == "-h":
+            name = "--help"
+        # '--' alone names no option, nor does a single-dash name but -h
+        matches = [o for o in _OPTIONS[mode] if o.startswith(name)] if len(name) > 2 else []
+        if len(matches) != 1:
+            unknown.append(token)
+            continue
+        option = matches[0]
+        if option in ("--help", "--timing"):
+            if eq:
+                _usage_error(mode, f"{option} takes no value")
+            if option == "--help":
+                sys.stdout.write(_USAGE[mode] + _HELP[mode])
+                raise SystemExit(0)
+            args["timing"] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(mode, f"{option} expects a value")
+        if option == "--eps":
+            try:
+                value = float(value)
+            except ValueError:
+                _usage_error(mode, f"--eps: not a number: {value!r}")
+        elif option == "--jobs":
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+            if value != 1:
+                _usage_error(mode, f"--jobs: runs are serial; only 1 is accepted, not {value!r}")
+        args[option[2:]] = value
+    if mode is None:
+        _usage_error(None, "a mode is required: pair or mesh")
+    if unknown:
+        _usage_error(mode, f"unrecognized arguments: {' '.join(unknown)}")
+    if mode == "mesh":
+        if len(meshes) < 2:
+            _usage_error(mode, "two meshes are required: mesh_a mesh_b")
+        args["mesh_a"], args["mesh_b"] = meshes
+    return args
 
 
 @collector_paused()
 def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        tol = Tolerance(eps_dist=args.eps)
+        tol = Tolerance(eps_dist=args["eps"])
     except ValueError:
         print("error: --eps must be a positive finite number", file=sys.stderr)
         return 1
 
     try:
         parse_start = time.perf_counter()
-        if args.mode == "pair":
-            records = read_pairs(args.input)
+        if args["mode"] == "pair":
+            records = read_pairs(args["input"])
         else:
-            same = os.path.realpath(args.mesh_a) == os.path.realpath(args.mesh_b)
-            faces_a = _read_mesh(args.mesh_a)
-            faces_b = faces_a if same else _read_mesh(args.mesh_b)
+            same = os.path.realpath(args["mesh_a"]) == os.path.realpath(args["mesh_b"])
+            faces_a = _read_mesh(args["mesh_a"])
+            faces_b = faces_a if same else _read_mesh(args["mesh_b"])
         parse_s = time.perf_counter() - parse_start
         # opened before the pairs are computed, so a bad path costs no work
-        with (contextlib.nullcontext(sys.stdout) if args.output == "-"
-              else open(args.output, "w", encoding="utf-8")) as out:
-            if args.mode == "pair":
-                results, summary = run_pairs(records, tol, timing=args.timing)
+        with (contextlib.nullcontext(sys.stdout) if args["output"] == "-"
+              else open(args["output"], "w", encoding="utf-8")) as out:
+            if args["mode"] == "pair":
+                results, summary = run_pairs(records, tol, timing=args["timing"])
                 emitted = (r for r in results if r.case is not None)
             else:
-                results, summary = run_meshes(faces_a, faces_b, tol, timing=args.timing,
+                results, summary = run_meshes(faces_a, faces_b, tol, timing=args["timing"],
                                               same_mesh=same)
                 emitted = (r for r in results if r.case in CONTACT_CASES)
             emit_start = time.perf_counter()
@@ -372,7 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry_point() -> NoReturn:
     """Run ``main`` as the whole process, then end it without finalization.
 
-    Argparse's ``SystemExit`` (``--help``, a usage error) and any uncaught
+    The parser's ``SystemExit`` (``--help``, a usage error) and any uncaught
     exception leave the normal way.  ``main`` flushes the records it writes
     to stdout, so a write that fails there (say, stdout is a closed pipe)
     is its ``error:`` line and exit 1; the bytes it could not write go with

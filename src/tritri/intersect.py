@@ -322,13 +322,22 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
       operations on coordinates of size R.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
-    return _margin(ax, ay, az, bx, by, bz, cx, cy, cz, tol.eps_dist)
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    fx, fy, fz = cx - ax, cy - ay, cz - az
+    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    nn = _sqrt(nx * nx + ny * ny + nz * nz)
+    return _margin(ax, ay, az, bx, by, bz, cx, cy, cz, nn, tol.eps_dist)
 
 
 def _margin(ax: float, ay: float, az: float, bx: float, by: float, bz: float,
-            cx: float, cy: float, cz: float, eps: float) -> float:
-    """``contact_margin`` of a checked triangle with these corners, under ``eps_dist`` ``eps``."""
-    # each edge, the cross product and each vertex as sqrt(x * x + y * y + z * z), flat
+            cx: float, cy: float, cz: float, nn: float, eps: float) -> float:
+    """``contact_margin`` of a checked triangle with these corners, under ``eps_dist`` ``eps``.
+
+    ``nn`` is the norm of the cross product of the edges from the first
+    corner, twice the area, as ``plane_from_triangle``'s area gate takes it:
+    each caller has it already.
+    """
+    # each edge and each vertex as sqrt(x * x + y * y + z * z), flat
     x, y, z = ax - bx, ay - by, az - bz
     ab = _sqrt(x * x + y * y + z * z)
     x, y, z = bx - cx, by - cy, bz - cz
@@ -336,10 +345,7 @@ def _margin(ax: float, ay: float, az: float, bx: float, by: float, bz: float,
     x, y, z = cx - ax, cy - ay, cz - az
     ca = _sqrt(x * x + y * y + z * z)
     longest = max(ab, bc, ca)
-    ex, ey, ez = bx - ax, by - ay, bz - az
-    fx, fy, fz = cx - ax, cy - ay, cz - az
-    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-    area = 0.5 * _sqrt(nx * nx + ny * ny + nz * nz)
+    area = 0.5 * nn
     inradius = 2.0 * area / (ab + bc + ca)
     reach = max(_sqrt(ax * ax + ay * ay + az * az), _sqrt(bx * bx + by * by + bz * bz),
                 _sqrt(cx * cx + cy * cy + cz * cz))

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import gc
 import hashlib
 import io
@@ -249,8 +251,11 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_nonpositive_eps_exits_1(capsys):
-    for eps in ("nan", "inf", "-inf", "0", "-1"):
-        assert main(["pair", f"--eps={eps}"]) == 1
+    argvs = [["pair", f"--eps={eps}"] for eps in ("nan", "inf", "-inf", "0", "-1")]
+    # as a separate token, a value that starts with '-' is --eps's value all the same
+    argvs += [["pair", "--eps", eps] for eps in ("-1e-9", "-1", "-inf")]
+    for argv in argvs:
+        assert main(argv) == 1
         assert capsys.readouterr().err == "error: --eps must be a positive finite number\n"
 
 
@@ -488,6 +493,105 @@ def test_jobs_other_than_1_is_refused(tmp_path, capsys, monkeypatch):
         assert calls
         calls.clear()
         capsys.readouterr()
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before it parsed its own command line."""
+    parser = argparse.ArgumentParser(prog="tritri",
+                                     description="triangle-triangle intersection batch driver")
+    sub = parser.add_subparsers(dest="mode", required=True)
+
+    def common(p):
+        p.add_argument("--eps", type=float, default=DEFAULT_TOLERANCE.eps_dist,
+                       help="distance tolerance (default %(default)g)")
+        p.add_argument("--jobs", type=int, default=1, choices=[1],
+                       help="runs are serial; only 1 is accepted")
+        p.add_argument("--output", default="-", help="record stream (default stdout)")
+        p.add_argument("--timing", action="store_true",
+                       help="add per-record microsecond timing (breaks byte-identical output)")
+
+    pair = sub.add_parser("pair", help="intersect triangle pairs from a pair file")
+    pair.add_argument("--input", default="-", help="pair file, one pair per line (default stdin)")
+    common(pair)
+
+    mesh = sub.add_parser("mesh", help="contacting face pairs of two OFF meshes")
+    mesh.add_argument("mesh_a", help="OFF mesh, '-' for stdin")
+    mesh.add_argument("mesh_b", help="OFF mesh, '-' for stdin")
+    common(mesh)
+    return parser
+
+
+# the values each option is given; a separate value never starts with '-'
+# but for '-' itself, since the parser takes such a token as the value where
+# argparse refused it (test_nonpositive_eps_exits_1)
+VALUES = {
+    "--input": ["pairs.txt", "-", ""],
+    "--eps": ["1e-6", "0.25", "1_0", "nan", "inf", "0", "abc", ""],
+    "--jobs": ["1", "2", "01", "+1", "x", "1.0"],
+    "--output": ["out.jsonl", "-"],
+}
+JOINED_ONLY = ["-1", "-1e-9", "-0.5"]
+UNKNOWN = ["--bogus", "--bogus=1", "-x", "-e", "--epsilon", "--timings", "---"]
+# argparse takes '--' as a prefix of every option, so this is ambiguous to it
+AMBIGUOUS = "--=1"
+HELP = ["-h", "--help", "--h", "--hel"]
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """A command line of the CLI's grammar, often with one mistake or more in it."""
+    mode = rng.choice(["pair", "mesh", "foo", None])
+    units: list[list[str]] = []
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice([*VALUES, "--timing"])
+        spelled = name[:rng.randint(3, len(name))] if rng.random() < 0.4 else name
+        if name == "--timing":
+            units.append([spelled + "=x"] if rng.random() < 0.1 else [spelled])
+        elif rng.random() < 0.5:
+            units.append([spelled, rng.choice(VALUES[name])])
+        else:
+            units.append([f"{spelled}={rng.choice(VALUES[name] + JOINED_ONLY)}"])
+    count = rng.choice([0, 0, 0, 1] if mode == "pair" else [1, 2, 2, 2, 2, 3])
+    units += [[rng.choice(["a.off", "b.off", "-"])] for _ in range(count)]
+    if rng.random() < 0.1:
+        units.append([rng.choice(UNKNOWN)])
+    rng.shuffle(units)
+    if mode is not None:
+        units.insert(0, [mode])
+    # argparse reports an ambiguous option before it acts on any option, even
+    # a --help before it; to the parser, '--' alone names no option, so the
+    # token is unknown and a --help anywhere wins.  Both exit 2 on it alone,
+    # so it is never drawn with a --help
+    if rng.random() < 0.05:
+        units.append([AMBIGUOUS])
+    elif rng.random() < 0.2:
+        units.insert(rng.randint(0, len(units)), [rng.choice(HELP)])
+    if rng.random() < 0.05:
+        units.append([rng.choice(list(VALUES))])  # its value missing
+    return [token for unit in units for token in unit]
+
+
+def _outcome(parse, argv):
+    """``parse(argv)``'s values as a dict, NaN as "nan", or the code of its ``SystemExit``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = parse(argv)
+        except SystemExit as exc:
+            return exc.code
+    values = parsed if isinstance(parsed, dict) else vars(parsed)
+    return {k: v if v == v else "nan" for k, v in values.items()}
+
+
+def test_the_parser_agrees_with_the_argparse_reference():
+    reference = _reference_parser()
+    rng = random.Random(30)
+    outcomes = []
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        want = _outcome(reference.parse_args, argv)
+        assert _outcome(tritri.cli._parse_args, argv) == want, argv
+        outcomes.append(want if isinstance(want, int) else want["mode"])
+    # every outcome is drawn often: a parse of either mode, help, a usage error
+    assert all(outcomes.count(o) > 100 for o in ("pair", "mesh", 0, 2)), outcomes
 
 
 def test_serial_mesh_run_keeps_one_frame_at_a_time(monkeypatch):

@@ -4,8 +4,8 @@ No linter runs on this package, so static checks, with stdlib ``ast`` only,
 catch what a deletion can leave behind: an import no code reads any more, a
 helper no code calls any more, or a name in ``tritri.__all__`` that the
 package no longer defines.  Another finds an ``except StopIteration``,
-which ends a loop by exception.  One more check imports the CLI in a fresh
-interpreter and looks at the modules it loaded, one resolves the
+which ends a loop by exception.  One more check imports and runs the CLI
+in a fresh interpreter and looks at the modules it loaded, one resolves the
 package paths that README.md names, one finds every exported name in it,
 and one runs its Python examples.
 """
@@ -146,13 +146,24 @@ def test_the_readme_python_examples_run():
         exec(compile(code, str(README), "exec"), namespace)
 
 
-def test_importing_the_cli_loads_no_slow_module():
+def test_importing_the_cli_loads_no_slow_module(tmp_path):
     # each costs start-up time on every CLI run, and the CLI needs none: it
-    # runs serially, pathlib served only type annotations, and json only the
-    # summary line.  ``-S`` keeps ``site`` from loading any of them first
-    slow = ["concurrent.futures", "dataclasses", "inspect", "json", "pathlib"]
-    code = f"import sys, tritri.cli; print(sorted(set({slow!r}) & sys.modules.keys()))"
+    # runs serially, parses its own command line, pathlib served only type
+    # annotations, and json only the summary line.  ``-S`` keeps ``site``
+    # from loading any of them first; ``main`` runs once in each mode, so
+    # that parsing the command line and the run are checked as well
+    slow = ["argparse", "concurrent.futures", "dataclasses", "gettext", "inspect", "json",
+            "locale", "pathlib"]
+    pairs, flat, poker = tmp_path / "pairs.txt", tmp_path / "flat.off", tmp_path / "poker.off"
+    pairs.write_text("0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2\n")
+    flat.write_text("OFF\n3 1 0\n0 0 0\n4 0 0\n0 4 0\n3 0 1 2\n")
+    poker.write_text("OFF\n3 1 0\n1 1 -1\n1 1 2\n3 3 2\n3 0 1 2\n")
+    out = str(tmp_path / "out.jsonl")
+    code = ("import sys\nfrom tritri.cli import main\n"
+            f"codes = [main(['pair', '--input', {str(pairs)!r}, '--output', {out!r}]),\n"
+            f"         main(['mesh', {str(flat)!r}, {str(poker)!r}, '--output', {out!r}])]\n"
+            f"print(codes, sorted(set({slow!r}) & sys.modules.keys()))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[0, 0] []"

@@ -48,8 +48,6 @@ def _in_process(args, capsys, monkeypatch):
         raise AssertionError(f"main called os._exit({code})")
 
     monkeypatch.setattr(os, "_exit", refuse)
-    # argparse wraps its messages to COLUMNS, which the child inherits
-    monkeypatch.setenv("COLUMNS", "80")
     capsys.readouterr()
     try:
         code = main(args)
@@ -168,7 +166,7 @@ def test_records_that_fit_the_buffer_fail_on_a_closed_pipe_as_well(tmp_path):
 
 def test_the_module_run_skips_finalization(inputs, tmp_path):
     # run ``tritri.__main__`` as ``-m`` does, under an atexit handler: the
-    # handler runs only on a normal exit, which argparse's --help still takes
+    # handler runs only on a normal exit, which --help still takes
     code = ("import atexit, runpy, sys\n"
             "atexit.register(print, 'finalized', file=sys.stderr)\n"
             "runpy.run_module('tritri', run_name='__main__', alter_sys=True)\n")
