@@ -28,9 +28,10 @@ The command line is parsed here (``_parse_args``), not by ``argparse``,
 whose import and the ``gettext`` and ``locale`` it loads cost each run
 about as much as the mesh computation.  The grammar: a mode, then its
 long options, each ``--name value`` or ``--name=value`` or shortened to a
-unique prefix, and in mesh mode the two meshes (``-`` for stdin);
-``-h``/``--help`` prints fixed help text.  A usage error prints the usage
-line and ``tritri <mode>: error: ...`` before any input is read.
+unique prefix, and in mesh mode the two meshes (``-`` for stdin).  Each
+long option is stated once, as a row of ``_OPTIONS``: the parser takes
+its default, prefix and conversion from the row, and the usage line and
+the help are rendered from the rows only when printed.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped or a
 usage error (such as ``--jobs 2``).
@@ -39,10 +40,11 @@ The ``tritri`` command and ``python -m tritri`` run ``entry_point``, not
 ``main``: ``main`` flushes the records itself, so a failed write (stdout a
 closed pipe) is its ``error:`` line and exit 1.  Once ``main`` returns (and
 its ``with`` block has closed ``--output``), ``entry_point`` flushes stderr
-and ends the process by ``os._exit``, skipping interpreter finalization and ``atexit`` handlers,
-which a run spends milliseconds on and needs nothing from.  The exit codes
-are the same.  In-process callers of ``main()`` are unaffected: it returns
-its code and never reaches ``os._exit``.
+and ends the process by ``os._exit``, skipping interpreter finalization
+and ``atexit`` handlers, which a run spends milliseconds on and needs
+nothing from.  The exit codes are the same.  In-process callers of
+``main()`` are unaffected: it returns its code and never reaches
+``os._exit``.
 """
 
 import contextlib
@@ -299,77 +301,83 @@ def _emit(records: Iterable[ResultRecord], stream) -> None:
     stream.writelines(_record_json(rec) + "\n" for rec in records)
 
 
-_USAGE = {
-    None: "usage: tritri [-h] {pair,mesh} ...\n",
-    "pair": ("usage: tritri pair [-h] [--input INPUT] [--eps EPS] [--jobs {1}]\n"
-             "                   [--output OUTPUT] [--timing]\n"),
-    "mesh": ("usage: tritri mesh [-h] [--eps EPS] [--jobs {1}] [--output OUTPUT] [--timing]\n"
-             "                   mesh_a mesh_b\n"),
-}
+def _one_job(value: str) -> int:
+    """``--jobs``' conversion: runs are serial, so only 1 (as ``int`` reads it) is kept."""
+    if int(value) != 1:
+        raise ValueError(value)
+    return 1
 
-_COMMON_HELP = f"""\
-  --eps EPS        distance tolerance (default {DEFAULT_TOLERANCE.eps_dist:g})
-  --jobs {{1}}       runs are serial; only 1 is accepted
-  --output OUTPUT  record stream (default stdout)
-  --timing         add per-record microsecond timing (breaks byte-identical
-                   output)
-"""
 
-_HELP = {
-    None: """
-triangle-triangle intersection batch driver
+# One row per long option: its name, its value's name in the usage and help
+# (None for a flag, which stores True), its default, the conversion of its
+# value (a ValueError refuses the value), the modes that take it, and its
+# help, where ``{}`` shows the default.  ``-h``/``--help`` is the parser's own.
+_OPTIONS = (
+    ("--input", "INPUT", "-", str, ("pair",),
+     "pair file, one pair per line, '-' for stdin (default stdin)"),
+    ("--eps", "EPS", DEFAULT_TOLERANCE.eps_dist, float, ("pair", "mesh"),
+     "distance tolerance (default {:g})"),
+    ("--jobs", "{1}", 1, _one_job, ("pair", "mesh"), "runs are serial; only 1 is accepted"),
+    ("--output", "OUTPUT", "-", str, ("pair", "mesh"), "record stream (default stdout)"),
+    ("--timing", None, False, None, ("pair", "mesh"),
+     "add a per-record 'us' field (breaks byte-identical output)"),
+)
+# the modes with their help, and mesh mode's two positionals with theirs
+_MODES = {"pair": "intersect triangle pairs from a pair file",
+          "mesh": "contacting face pairs of two OFF meshes"}
+_MESHES = dict.fromkeys(("mesh_a", "mesh_b"), "OFF mesh, '-' for stdin")
 
-modes:
-  pair        intersect triangle pairs from a pair file
-  mesh        contacting face pairs of two OFF meshes
 
-options:
-  -h, --help  show this help message and exit
+def _usage(mode: str | None) -> str:
+    """The usage line of a mode, or of the program before one, wrapped at 80 columns."""
+    prog = "tritri" if mode is None else f"tritri {mode}"
+    parts = ["[-h]", *[f"[{name}]" if metavar is None else f"[{name} {metavar}]"
+                       for name, metavar, _, _, modes, _ in _OPTIONS if mode in modes]]
+    parts += {None: ["{" + ",".join(_MODES) + "}", "..."], "mesh": _MESHES}.get(mode, ())
+    lines = [f"usage: {prog}"]
+    for part in parts:
+        if len(lines[-1]) + len(part) >= 80:
+            lines.append(" " * len(f"usage: {prog}"))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
 
-'tritri MODE --help' lists a mode's options.  A long option may be given as
-'--name value' or '--name=value', and shortened to a unique prefix.
-""",
-    "pair": """
-options:
-  -h, --help       show this help message and exit
-  --input INPUT    pair file, one pair per line, '-' for stdin (default stdin)
-""" + _COMMON_HELP,
-    "mesh": """
-positional arguments:
-  mesh_a           OFF mesh, '-' for stdin
-  mesh_b           OFF mesh, '-' for stdin
 
-options:
-  -h, --help       show this help message and exit
-""" + _COMMON_HELP,
-}
+def _help(mode: str | None) -> str:
+    """The help of a mode, or of the program before one: its usage line, then each section."""
+    def section(title: str, rows: Iterable[tuple[str, str]]) -> str:
+        return f"\n{title}:\n" + "".join(f"  {left:15}  {text}\n" for left, text in rows)
 
-# the long options before a mode (None) and after each
-_OPTIONS = {
-    None: ("--help",),
-    "pair": ("--help", "--input", "--eps", "--jobs", "--output", "--timing"),
-    "mesh": ("--help", "--eps", "--jobs", "--output", "--timing"),
-}
+    options = section("options", [("-h, --help", "show this help message and exit")] + [
+        (name if metavar is None else f"{name} {metavar}", text.format(default))
+        for name, metavar, default, _, modes, text in _OPTIONS if mode in modes])
+    if mode is None:
+        return (f"{_usage(None)}\ntriangle-triangle intersection batch driver\n"
+                f"{section('modes', _MODES.items())}{options}\n"
+                "'tritri MODE --help' lists a mode's options.  A long option may be given as\n"
+                "'--name value' or '--name=value', and shortened to a unique prefix.\n")
+    if mode == "mesh":
+        options = section("positional arguments", _MESHES.items()) + options
+    return _usage(mode) + options
 
 
 def _usage_error(mode: str | None, message: str) -> NoReturn:
     prog = "tritri" if mode is None else f"tritri {mode}"
-    sys.stderr.write(f"{_USAGE[mode]}{prog}: error: {message}\n")
+    sys.stderr.write(f"{_usage(mode)}{prog}: error: {message}\n")
     raise SystemExit(2)
 
 
 def _parse_args(argv: Sequence[str]) -> dict:
     """The command line's values by name: ``mode``, each option's and each mesh's.
 
-    The token after a value option (``--eps``, ``--jobs``, ``--input``,
-    ``--output``) is always its value, even one that starts with ``-``.
-    ``-h``/``--help`` prints the help of the mode before it (the program's,
-    before any) to stdout and raises ``SystemExit(0)``.  A usage error
-    prints the usage line and the error to stderr and raises
-    ``SystemExit(2)``: a bad mode and a missing or refused value where they
-    stand, an unknown option (or a prefix of more than one) and a wrong
-    number of meshes after the last token, so that a later ``--help`` still
-    helps.
+    Each option takes its default, conversion and modes from its
+    ``_OPTIONS`` row.  The token after a value option (one with a metavar)
+    is always its value, even one that starts with ``-``.  ``-h``/``--help``
+    prints the help of the mode before it (the program's, before any) to
+    stdout and raises ``SystemExit(0)``.  A usage error prints the usage line and the
+    error to stderr and raises ``SystemExit(2)``: a bad mode and a missing
+    or refused value where they stand, an unknown option (or a prefix of
+    more than one) and a wrong number of meshes after the last token, so
+    that a later ``--help`` still helps.
     """
     mode = None
     args: dict = {}
@@ -379,60 +387,49 @@ def _parse_args(argv: Sequence[str]) -> dict:
     for token in tokens:
         if token == "-" or not token.startswith("-"):
             if mode is None:
-                if token not in ("pair", "mesh"):
-                    _usage_error(None, f"invalid mode: {token!r} (choose from 'pair', 'mesh')")
+                if token not in _MODES:
+                    _usage_error(None, f"invalid mode: {token!r} (choose {' or '.join(_MODES)})")
                 mode = token
-                args = {"mode": mode, "eps": DEFAULT_TOLERANCE.eps_dist, "jobs": 1,
-                        "output": "-", "timing": False}
-                if mode == "pair":
-                    args["input"] = "-"
+                args = {"mode": mode, **{name[2:]: default for name, _, default, _, modes, _
+                                         in _OPTIONS if mode in modes}}
             elif mode == "mesh" and len(meshes) < 2:
                 meshes.append(token)
             else:
                 unknown.append(token)
             continue
         name, eq, value = token.partition("=")
-        if name == "-h":
-            name = "--help"
-        # '--' alone names no option, nor does a single-dash name but -h
-        matches = [o for o in _OPTIONS[mode] if o.startswith(name)] if len(name) > 2 else []
-        if len(matches) != 1:
+        if name == "-h" or len(name) > 2 and "--help".startswith(name):
+            if eq:
+                _usage_error(mode, "--help takes no value")
+            sys.stdout.write(_help(mode))
+            raise SystemExit(0)
+        # '--' alone names no option, nor does a single-dash name
+        matches = [row for row in _OPTIONS if mode in row[4] and row[0].startswith(name)]
+        if len(name) < 3 or len(matches) != 1:
             unknown.append(token)
             continue
-        option = matches[0]
-        if option in ("--help", "--timing"):
+        option, metavar, _, convert, _, _ = matches[0]
+        if metavar is None:
             if eq:
                 _usage_error(mode, f"{option} takes no value")
-            if option == "--help":
-                sys.stdout.write(_USAGE[mode] + _HELP[mode])
-                raise SystemExit(0)
-            args["timing"] = True
+            args[option[2:]] = True
             continue
         if not eq:
             value = next(tokens, None)
             if value is None:
                 _usage_error(mode, f"{option} expects a value")
-        if option == "--eps":
-            try:
-                value = float(value)
-            except ValueError:
-                _usage_error(mode, f"--eps: not a number: {value!r}")
-        elif option == "--jobs":
-            try:
-                value = int(value)
-            except ValueError:
-                pass
-            if value != 1:
-                _usage_error(mode, f"--jobs: runs are serial; only 1 is accepted, not {value!r}")
-        args[option[2:]] = value
+        try:
+            args[option[2:]] = convert(value)
+        except ValueError:
+            _usage_error(mode, f"{option}: invalid value: {value!r}")
     if mode is None:
-        _usage_error(None, "a mode is required: pair or mesh")
+        _usage_error(None, f"a mode is required: {' or '.join(_MODES)}")
     if unknown:
         _usage_error(mode, f"unrecognized arguments: {' '.join(unknown)}")
     if mode == "mesh":
         if len(meshes) < 2:
-            _usage_error(mode, "two meshes are required: mesh_a mesh_b")
-        args["mesh_a"], args["mesh_b"] = meshes
+            _usage_error(mode, f"missing {' and '.join(list(_MESHES)[len(meshes):])}")
+        args.update(zip(_MESHES, meshes))
     return args
 
 

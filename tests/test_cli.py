@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -592,6 +593,35 @@ def test_the_parser_agrees_with_the_argparse_reference():
         outcomes.append(want if isinstance(want, int) else want["mode"])
     # every outcome is drawn often: a parse of either mode, help, a usage error
     assert all(outcomes.count(o) > 100 for o in ("pair", "mesh", 0, 2)), outcomes
+
+
+def _help_options(mode, capsys) -> dict:
+    """The long options ``tritri MODE --help`` prints, each with its metavar (None for a flag)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([mode, "--help"])
+    assert exit_info.value.code == 0
+    return dict(re.findall(r"^  (--[a-z]+)(?: (\S+))?", capsys.readouterr().out, re.M))
+
+
+def test_each_mode_parses_what_its_help_lists_and_refuses_the_others(capsys):
+    # the help and the parser come from one table; neither may list or take
+    # an option the other does not
+    samples = {"--input": "pairs.txt", "--eps": "1e-6", "--jobs": "1", "--output": "out.jsonl"}
+    meshes = {"pair": [], "mesh": ["a.off", "b.off"]}
+    listed = {mode: _help_options(mode, capsys) for mode in meshes}
+    refused = []
+    for mode, other in (("pair", "mesh"), ("mesh", "pair")):
+        assert listed[mode]
+        for name, metavar in listed[mode].items():
+            value = [samples[name]] if metavar else []
+            args = tritri.cli._parse_args([mode, name, *value, *meshes[mode]])
+            assert args["mode"] == mode and name[2:] in args, name
+        for name in listed[other].keys() - listed[mode].keys():
+            value = [samples[name]] if listed[other][name] else []
+            argv = [mode, name, *value, *meshes[mode]]
+            assert _outcome(tritri.cli._parse_args, argv) == 2, argv
+            refused.append(argv)
+    assert ["mesh", "--input", "pairs.txt", "a.off", "b.off"] in refused
 
 
 def test_serial_mesh_run_keeps_one_frame_at_a_time(monkeypatch):

@@ -6,8 +6,8 @@ helper no code calls any more, or a name in ``tritri.__all__`` that the
 package no longer defines.  Another finds an ``except StopIteration``,
 which ends a loop by exception.  One more check imports and runs the CLI
 in a fresh interpreter and looks at the modules it loaded, one resolves the
-package paths that README.md names, one finds every exported name in it,
-and one runs its Python examples.
+package paths that README.md names, one finds every exported name and
+every CLI option in it, and one runs its Python examples.
 """
 
 import ast
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tritri
+import tritri.cli
 
 PACKAGE = Path(tritri.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -131,6 +132,14 @@ def test_every_exported_name_is_in_the_readme():
     # an exported name the README never mentions is API no reader can find
     readme = README.read_text(encoding="utf-8")
     missing = [name for name in tritri.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
+
+
+def test_every_cli_option_is_in_the_readme():
+    # the CLI states its options in one table; a row the README never names
+    # is an option no reader can find
+    readme = README.read_text(encoding="utf-8")
+    missing = [row[0] for row in tritri.cli._OPTIONS if not re.search(rf"{row[0]}\b", readme)]
     assert missing == []
 
 

@@ -123,7 +123,10 @@ def test_the_process_exits_as_main_returns(inputs, tmp_path, capsys, monkeypatch
         (2, ["pair", "--input", str(degenerate)]),
         (2, [*inputs["pair"], "--jobs", "2"]),
         (2, [*inputs["mesh"], "--jobs", "2"]),
+        (2, []),
+        (2, ["mesh", "a.off"]),
         (0, ["--help"]),
+        (0, ["pair", "--help"]),
         (0, ["mesh", "--help"]),
     ]
     for code, args in cases:
@@ -132,10 +135,12 @@ def test_the_process_exits_as_main_returns(inputs, tmp_path, capsys, monkeypatch
         run = _child(["-m", "tritri", *args])
         assert run.returncode == code, args
         assert run.stdout.decode() == want_out, args  # help text, or nothing
-        if code == 2 and "--jobs" not in args:  # a run whose every pair was skipped
+        if want_err.startswith("{"):  # the summary of a run whose every pair was skipped
             assert _untimed(run.stderr.decode()) == _untimed(want_err)
         else:  # an error or a usage message, with no timing in it
             assert run.stderr.decode() == want_err, args
+        if not args:  # no mode: the program's usage line
+            assert want_err.startswith("usage: tritri [-h] {pair,mesh} ...\n")
 
 
 def _into_a_closed_pipe(tmp_path, count) -> subprocess.CompletedProcess:
