@@ -24,17 +24,18 @@ run does not import ``json``.
 the batch makes only acyclic objects, which reference counting frees, so
 the collector's passes over the growing heap would find nothing.
 
-The command line is parsed here (``_parse_args``), not by ``argparse``,
+The command line's grammar is ``argparse``'s: a mode, then its long
+options, each ``--name value`` or ``--name=value`` or shortened to a unique
+prefix, and in mesh mode the two meshes (``-`` for stdin).  Each long
+option is stated once, as a row of ``_OPTIONS``, and ``_argparse`` builds
+the parser from the rows.  A plain command line, such as each one
+``bench/run.py`` runs, is read by ``_parse_args`` from the same rows, to
+the values ``argparse`` would give it, without importing ``argparse``,
 whose import and the ``gettext`` and ``locale`` it loads cost each run
-about as much as the mesh computation.  The grammar: a mode, then its
-long options, each ``--name value`` or ``--name=value`` or shortened to a
-unique prefix, and in mesh mode the two meshes (``-`` for stdin).  Each
-long option is stated once, as a row of ``_OPTIONS``: the parser takes
-its default, prefix and conversion from the row, and the usage line and
-the help are rendered from the rows only when printed.
+about as much as the mesh computation.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 every pair skipped or a
-usage error (such as ``--jobs 2``).
+usage error (such as ``--jobs 2`` or ``--eps 0``).
 
 The ``tritri`` command and ``python -m tritri`` run ``entry_point``, not
 ``main``: ``main`` flushes the records itself, so a failed write (stdout a
@@ -308,6 +309,11 @@ def _one_job(value: str) -> int:
     return 1
 
 
+def _eps(value: str) -> float:
+    """``--eps``' conversion: a float that ``Tolerance`` takes as ``eps_dist``, else ValueError."""
+    return Tolerance(eps_dist=float(value)).eps_dist
+
+
 # One row per long option: its name, its value's name in the usage and help
 # (None for a flag, which stores True), its default, the conversion of its
 # value (a ValueError refuses the value), the modes that take it, and its
@@ -315,7 +321,7 @@ def _one_job(value: str) -> int:
 _OPTIONS = (
     ("--input", "INPUT", "-", str, ("pair",),
      "pair file, one pair per line, '-' for stdin (default stdin)"),
-    ("--eps", "EPS", DEFAULT_TOLERANCE.eps_dist, float, ("pair", "mesh"),
+    ("--eps", "EPS", DEFAULT_TOLERANCE.eps_dist, _eps, ("pair", "mesh"),
      "distance tolerance (default {:g})"),
     ("--jobs", "{1}", 1, _one_job, ("pair", "mesh"), "runs are serial; only 1 is accepted"),
     ("--output", "OUTPUT", "-", str, ("pair", "mesh"), "record stream (default stdout)"),
@@ -328,108 +334,71 @@ _MODES = {"pair": "intersect triangle pairs from a pair file",
 _MESHES = dict.fromkeys(("mesh_a", "mesh_b"), "OFF mesh, '-' for stdin")
 
 
-def _usage(mode: str | None) -> str:
-    """The usage line of a mode, or of the program before one, wrapped at 80 columns."""
-    prog = "tritri" if mode is None else f"tritri {mode}"
-    parts = ["[-h]", *[f"[{name}]" if metavar is None else f"[{name} {metavar}]"
-                       for name, metavar, _, _, modes, _ in _OPTIONS if mode in modes]]
-    parts += {None: ["{" + ",".join(_MODES) + "}", "..."], "mesh": _MESHES}.get(mode, ())
-    lines = [f"usage: {prog}"]
-    for part in parts:
-        if len(lines[-1]) + len(part) >= 80:
-            lines.append(" " * len(f"usage: {prog}"))
-        lines[-1] += " " + part
-    return "\n".join(lines) + "\n"
+def _argparse(argv: Sequence[str]) -> dict:
+    """``argparse``'s parse of ``argv``, by a parser built from the rows; its own exits."""
+    import argparse
 
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        return argparse.RawDescriptionHelpFormatter(prog, width=80)  # the epilog's lines kept
 
-def _help(mode: str | None) -> str:
-    """The help of a mode, or of the program before one: its usage line, then each section."""
-    def section(title: str, rows: Iterable[tuple[str, str]]) -> str:
-        return f"\n{title}:\n" + "".join(f"  {left:15}  {text}\n" for left, text in rows)
-
-    options = section("options", [("-h, --help", "show this help message and exit")] + [
-        (name if metavar is None else f"{name} {metavar}", text.format(default))
-        for name, metavar, default, _, modes, text in _OPTIONS if mode in modes])
-    if mode is None:
-        return (f"{_usage(None)}\ntriangle-triangle intersection batch driver\n"
-                f"{section('modes', _MODES.items())}{options}\n"
-                "'tritri MODE --help' lists a mode's options.  A long option may be given as\n"
-                "'--name value' or '--name=value', and shortened to a unique prefix.\n")
-    if mode == "mesh":
-        options = section("positional arguments", _MESHES.items()) + options
-    return _usage(mode) + options
-
-
-def _usage_error(mode: str | None, message: str) -> NoReturn:
-    prog = "tritri" if mode is None else f"tritri {mode}"
-    sys.stderr.write(f"{_usage(mode)}{prog}: error: {message}\n")
-    raise SystemExit(2)
+    parser = argparse.ArgumentParser(
+        prog="tritri", description="triangle-triangle intersection batch driver",
+        epilog="'tritri MODE --help' lists a mode's options.  A long option may be given as\n"
+               "'--name value' or '--name=value', and shortened to a unique prefix.",
+        formatter_class=formatter)
+    subparsers = parser.add_subparsers(title="modes", dest="mode", required=True)
+    for mode in _MODES:
+        sub = subparsers.add_parser(mode, help=_MODES[mode], formatter_class=formatter)
+        for name, text in _MESHES.items() if mode == "mesh" else ():
+            sub.add_argument(name, help=text)
+        for name, metavar, default, convert, modes, text in _OPTIONS:
+            if mode in modes:
+                kind = ({"action": "store_true"} if metavar is None
+                        else {"metavar": metavar, "type": convert})
+                sub.add_argument(name, default=default, help=text.format(default), **kind)
+    return vars(parser.parse_args(argv))
 
 
 def _parse_args(argv: Sequence[str]) -> dict:
     """The command line's values by name: ``mode``, each option's and each mesh's.
 
-    Each option takes its default, conversion and modes from its
-    ``_OPTIONS`` row.  The token after a value option (one with a metavar)
-    is always its value, even one that starts with ``-``.  ``-h``/``--help``
-    prints the help of the mode before it (the program's, before any) to
-    stdout and raises ``SystemExit(0)``.  A usage error prints the usage line and the
-    error to stderr and raises ``SystemExit(2)``: a bad mode and a missing
-    or refused value where they stand, an unknown option (or a prefix of
-    more than one) and a wrong number of meshes after the last token, so
-    that a later ``--help`` still helps.
+    A plain command line is read here, from the rows, with no ``argparse``
+    import: the mode first, then exact option names, each value in
+    ``--name=value`` or in the next token when that token is ``-`` or does
+    not start with ``-``, flags without ``=``, values that convert, and in
+    mesh mode exactly two meshes.  ``argparse`` would give such a line the
+    same values.  Any other line goes whole to ``_argparse``, so that help,
+    prefixes and usage errors (``SystemExit``) are ``argparse``'s own.
     """
-    mode = None
-    args: dict = {}
-    meshes: list[str] = []
-    unknown: list[str] = []
-    tokens = iter(argv)
+    if not argv or argv[0] not in _MODES:
+        return _argparse(argv)
+    mode = argv[0]
+    rows = {row[0]: row for row in _OPTIONS if mode in row[4]}
+    args = {"mode": mode, **{name[2:]: row[2] for name, row in rows.items()}}
+    meshes = []
+    tokens = iter(argv[1:])
     for token in tokens:
         if token == "-" or not token.startswith("-"):
-            if mode is None:
-                if token not in _MODES:
-                    _usage_error(None, f"invalid mode: {token!r} (choose {' or '.join(_MODES)})")
-                mode = token
-                args = {"mode": mode, **{name[2:]: default for name, _, default, _, modes, _
-                                         in _OPTIONS if mode in modes}}
-            elif mode == "mesh" and len(meshes) < 2:
-                meshes.append(token)
-            else:
-                unknown.append(token)
+            meshes.append(token)
             continue
         name, eq, value = token.partition("=")
-        if name == "-h" or len(name) > 2 and "--help".startswith(name):
-            if eq:
-                _usage_error(mode, "--help takes no value")
-            sys.stdout.write(_help(mode))
-            raise SystemExit(0)
-        # '--' alone names no option, nor does a single-dash name
-        matches = [row for row in _OPTIONS if mode in row[4] and row[0].startswith(name)]
-        if len(name) < 3 or len(matches) != 1:
-            unknown.append(token)
-            continue
-        option, metavar, _, convert, _, _ = matches[0]
+        if name not in rows or eq and rows[name][1] is None:
+            return _argparse(argv)
+        _, metavar, _, convert, _, _ = rows[name]
         if metavar is None:
-            if eq:
-                _usage_error(mode, f"{option} takes no value")
-            args[option[2:]] = True
+            args[name[2:]] = True
             continue
         if not eq:
             value = next(tokens, None)
-            if value is None:
-                _usage_error(mode, f"{option} expects a value")
+            if value is None or value.startswith("-") and value != "-":
+                return _argparse(argv)
         try:
-            args[option[2:]] = convert(value)
+            args[name[2:]] = convert(value)
         except ValueError:
-            _usage_error(mode, f"{option}: invalid value: {value!r}")
-    if mode is None:
-        _usage_error(None, f"a mode is required: {' or '.join(_MODES)}")
-    if unknown:
-        _usage_error(mode, f"unrecognized arguments: {' '.join(unknown)}")
-    if mode == "mesh":
-        if len(meshes) < 2:
-            _usage_error(mode, f"missing {' and '.join(list(_MESHES)[len(meshes):])}")
-        args.update(zip(_MESHES, meshes))
+            return _argparse(argv)
+    if len(meshes) != (len(_MESHES) if mode == "mesh" else 0):
+        return _argparse(argv)
+    args.update(zip(_MESHES, meshes))
     return args
 
 
@@ -437,11 +406,7 @@ def _parse_args(argv: Sequence[str]) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    try:
-        tol = Tolerance(eps_dist=args["eps"])
-    except ValueError:
-        print("error: --eps must be a positive finite number", file=sys.stderr)
-        return 1
+    tol = Tolerance(eps_dist=args["eps"])
 
     try:
         parse_start = time.perf_counter()

@@ -251,13 +251,18 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_nonpositive_eps_exits_1(capsys):
-    argvs = [["pair", f"--eps={eps}"] for eps in ("nan", "inf", "-inf", "0", "-1")]
-    # as a separate token, a value that starts with '-' is --eps's value all the same
-    argvs += [["pair", "--eps", eps] for eps in ("-1e-9", "-1", "-inf")]
+def test_a_refused_eps_is_a_usage_error(capsys):
+    # one check, --eps's conversion, however the value is spelled
+    refused = ("nan", "inf", "-inf", "0", "-1", "-1e-9", "abc")
+    argvs = [["pair", f"--eps={eps}"] for eps in refused]
+    argvs += [["pair", "--eps", eps] for eps in refused]
     for argv in argvs:
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: --eps must be a positive finite number\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tritri pair ")
+        assert err.splitlines()[-1].startswith("tritri pair: error: argument --eps: "), argv
 
 
 def test_summary_splits_the_run_into_phases(tmp_path, capsys):
@@ -496,14 +501,24 @@ def test_jobs_other_than_1_is_refused(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 
+def _positive_finite(value: str) -> float:
+    eps = float(value)
+    if not 0.0 < eps < float("inf"):
+        raise ValueError(value)
+    return eps
+
+
 def _reference_parser() -> argparse.ArgumentParser:
-    """The argparse parser the CLI used before it parsed its own command line."""
+    """The argparse parser the CLI used before it parsed its own command line.
+
+    Its --eps refuses what ``Tolerance`` refuses, as the CLI's does.
+    """
     parser = argparse.ArgumentParser(prog="tritri",
                                      description="triangle-triangle intersection batch driver")
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def common(p):
-        p.add_argument("--eps", type=float, default=DEFAULT_TOLERANCE.eps_dist,
+        p.add_argument("--eps", type=_positive_finite, default=DEFAULT_TOLERANCE.eps_dist,
                        help="distance tolerance (default %(default)g)")
         p.add_argument("--jobs", type=int, default=1, choices=[1],
                        help="runs are serial; only 1 is accepted")
@@ -522,16 +537,14 @@ def _reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the values each option is given; a separate value never starts with '-'
-# but for '-' itself, since the parser takes such a token as the value where
-# argparse refused it (test_nonpositive_eps_exits_1)
+# the values each option is given, after '=' or as the next token
 VALUES = {
-    "--input": ["pairs.txt", "-", ""],
-    "--eps": ["1e-6", "0.25", "1_0", "nan", "inf", "0", "abc", ""],
+    "--input": ["pairs.txt", "-", "", "-x.txt"],
+    "--eps": ["1e-6", "0.25", "1_0", "nan", "inf", "0", "abc", "", "-1", "-1e-9", "-0.5", "-inf"],
     "--jobs": ["1", "2", "01", "+1", "x", "1.0"],
-    "--output": ["out.jsonl", "-"],
+    "--output": ["out.jsonl", "-", "-x.jsonl"],
 }
-JOINED_ONLY = ["-1", "-1e-9", "-0.5"]
+MESHES = ["a.off", "b.off", "-", "-1"]
 UNKNOWN = ["--bogus", "--bogus=1", "-x", "-e", "--epsilon", "--timings", "---"]
 # argparse takes '--' as a prefix of every option, so this is ambiguous to it
 AMBIGUOUS = "--=1"
@@ -550,22 +563,20 @@ def _random_argv(rng: random.Random) -> list[str]:
         elif rng.random() < 0.5:
             units.append([spelled, rng.choice(VALUES[name])])
         else:
-            units.append([f"{spelled}={rng.choice(VALUES[name] + JOINED_ONLY)}"])
+            units.append([f"{spelled}={rng.choice(VALUES[name])}"])
     count = rng.choice([0, 0, 0, 1] if mode == "pair" else [1, 2, 2, 2, 2, 3])
-    units += [[rng.choice(["a.off", "b.off", "-"])] for _ in range(count)]
+    units += [[rng.choice(MESHES)] for _ in range(count)]
     if rng.random() < 0.1:
         units.append([rng.choice(UNKNOWN)])
     rng.shuffle(units)
     if mode is not None:
         units.insert(0, [mode])
-    # argparse reports an ambiguous option before it acts on any option, even
-    # a --help before it; to the parser, '--' alone names no option, so the
-    # token is unknown and a --help anywhere wins.  Both exit 2 on it alone,
-    # so it is never drawn with a --help
     if rng.random() < 0.05:
         units.append([AMBIGUOUS])
-    elif rng.random() < 0.2:
+    if rng.random() < 0.2:
         units.insert(rng.randint(0, len(units)), [rng.choice(HELP)])
+    if rng.random() < 0.05:
+        units.insert(rng.randint(0, len(units)), ["--"])  # the end of the options
     if rng.random() < 0.05:
         units.append([rng.choice(list(VALUES))])  # its value missing
     return [token for unit in units for token in unit]
@@ -582,8 +593,12 @@ def _outcome(parse, argv):
     return {k: v if v == v else "nan" for k, v in values.items()}
 
 
-def test_the_parser_agrees_with_the_argparse_reference():
+def test_the_parser_agrees_with_the_argparse_reference(monkeypatch):
     reference = _reference_parser()
+    parse_by_argparse = tritri.cli._argparse
+    slow = []
+    monkeypatch.setattr(tritri.cli, "_argparse", lambda argv: slow.append(argv)
+                        or parse_by_argparse(argv))
     rng = random.Random(30)
     outcomes = []
     for _ in range(3000):
@@ -591,8 +606,50 @@ def test_the_parser_agrees_with_the_argparse_reference():
         want = _outcome(reference.parse_args, argv)
         assert _outcome(tritri.cli._parse_args, argv) == want, argv
         outcomes.append(want if isinstance(want, int) else want["mode"])
-    # every outcome is drawn often: a parse of either mode, help, a usage error
+    # every outcome is drawn often: a parse of either mode, help, a usage error;
+    # and both the parse of a plain command line and argparse's
     assert all(outcomes.count(o) > 100 for o in ("pair", "mesh", 0, 2)), outcomes
+    assert 100 < len(slow) < 2900, len(slow)
+
+
+# each mode's help, byte for byte: argparse renders it from the rows at 80 columns
+HELP_TEXT = {
+    "pair": """\
+usage: tritri pair [-h] [--input INPUT] [--eps EPS] [--jobs {1}]
+                   [--output OUTPUT] [--timing]
+
+options:
+  -h, --help       show this help message and exit
+  --input INPUT    pair file, one pair per line, '-' for stdin (default stdin)
+  --eps EPS        distance tolerance (default 1e-09)
+  --jobs {1}       runs are serial; only 1 is accepted
+  --output OUTPUT  record stream (default stdout)
+  --timing         add a per-record 'us' field (breaks byte-identical output)
+""",
+    "mesh": """\
+usage: tritri mesh [-h] [--eps EPS] [--jobs {1}] [--output OUTPUT] [--timing]
+                   mesh_a mesh_b
+
+positional arguments:
+  mesh_a           OFF mesh, '-' for stdin
+  mesh_b           OFF mesh, '-' for stdin
+
+options:
+  -h, --help       show this help message and exit
+  --eps EPS        distance tolerance (default 1e-09)
+  --jobs {1}       runs are serial; only 1 is accepted
+  --output OUTPUT  record stream (default stdout)
+  --timing         add a per-record 'us' field (breaks byte-identical output)
+""",
+}
+
+
+def test_each_mode_prints_its_help_text(capsys):
+    for mode, text in HELP_TEXT.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([mode, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == text
 
 
 def _help_options(mode, capsys) -> dict:

@@ -157,22 +157,21 @@ def test_the_readme_python_examples_run():
 
 def test_importing_the_cli_loads_no_slow_module(tmp_path):
     # each costs start-up time on every CLI run, and the CLI needs none: it
-    # runs serially, parses its own command line, pathlib served only type
-    # annotations, and json only the summary line.  ``-S`` keeps ``site``
-    # from loading any of them first; ``main`` runs once in each mode, so
-    # that parsing the command line and the run are checked as well
+    # runs serially, parses a plain command line itself, pathlib served only
+    # type annotations, and json only the summary line.  ``-S`` keeps
+    # ``site`` from loading any of them first; ``main`` runs each command
+    # line of bench/run.py's workloads, so that parsing the command line
+    # and the run are checked as well
     slow = ["argparse", "concurrent.futures", "dataclasses", "gettext", "inspect", "json",
             "locale", "pathlib"]
-    pairs, flat, poker = tmp_path / "pairs.txt", tmp_path / "flat.off", tmp_path / "poker.off"
-    pairs.write_text("0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2\n")
-    flat.write_text("OFF\n3 1 0\n0 0 0\n4 0 0\n0 4 0\n3 0 1 2\n")
-    poker.write_text("OFF\n3 1 0\n1 1 -1\n1 1 2\n3 3 2\n3 0 1 2\n")
-    out = str(tmp_path / "out.jsonl")
+    (tmp_path / "pairs.txt").write_text("0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2\n")
+    (tmp_path / "a.off").write_text("OFF\n3 1 0\n0 0 0\n4 0 0\n0 4 0\n3 0 1 2\n")
+    (tmp_path / "b.off").write_text("OFF\n3 1 0\n1 1 -1\n1 1 2\n3 3 2\n3 0 1 2\n")
+    runs = [["pair", "--input", "pairs.txt"], ["mesh", "a.off", "a.off"], ["mesh", "a.off", "b.off"]]
     code = ("import sys\nfrom tritri.cli import main\n"
-            f"codes = [main(['pair', '--input', {str(pairs)!r}, '--output', {out!r}]),\n"
-            f"         main(['mesh', {str(flat)!r}, {str(poker)!r}, '--output', {out!r}])]\n"
+            f"codes = [main([*args, '--jobs', '1', '--output', 'out.jsonl']) for args in {runs!r}]\n"
             f"print(codes, sorted(set({slow!r}) & sys.modules.keys()))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[0, 0] []"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[0, 0, 0] []"
