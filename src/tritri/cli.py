@@ -7,7 +7,9 @@ boxes overlap to the kernel, and emits records for contacting pairs.  Those
 candidates come from one sweep over a list of boxes sorted by low x; for
 two meshes, the boxes of both that meet the other mesh's overall box share
 that list.  A face is prepared (``intersect.prepare``) on its first
-candidate pair, so a face with none is never prepared.
+candidate pair, so a face with none is never prepared.  Both modes run the
+kernel in one loop, ``_kernel_loop``, which counts every case as it goes
+and keeps only the records that the mode writes.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
@@ -56,64 +58,59 @@ import time
 from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3, plane_from_triangle
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
-from .fileio import PairRecord, collector_paused, read_off, read_pairs
+from .fileio import collector_paused, read_off, read_pairs
 from .intersect import PreparedTriangle, _margin, intersect, prepare
 
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
 
-class ResultRecord(NamedTuple):
-    id: object  # int for pair mode, (i, j) for mesh mode
-    case: str | None  # None marks a skipped record (degenerate or unplaceable pair)
-    points: tuple
-    us: int | None = None
-    error: str | None = None  # the GeometryError type that skipped the record
+def _kernel_loop(triples: Iterable[tuple], tol: Tolerance, timing: bool,
+                 written: frozenset | None = None) -> tuple[list[tuple], dict, dict]:
+    """Intersect each ``(id, t1, t2)``, counting its case or the error type that skipped it.
+
+    Returns the ``(id, case, points, us)`` records of every case, or of the
+    cases in ``written``, in input order (``us`` the kernel's time, None
+    without ``timing``), the case counts and the skip counts.
+    """
+    records, cases, skipped_by = [], {}, {}
+    for rid, t1, t2 in triples:
+        start = time.perf_counter() if timing else 0.0
+        try:
+            label, result = intersect(t1, t2, tol)
+        except GeometryError as exc:
+            # degenerate input, or a pair the kernel cannot place: skip it, not the run
+            name = type(exc).__name__
+            skipped_by[name] = skipped_by.get(name, 0) + 1
+            continue
+        us = round((time.perf_counter() - start) * 1e6) if timing else None
+        case = label._value_  # past the enum's value property
+        cases[case] = cases.get(case, 0) + 1
+        if written is None or case in written:
+            records.append((rid, case, result.points, us))
+    return records, cases, skipped_by
 
 
-def _evaluate(rid, t1, t2, tol: Tolerance, timing: bool) -> ResultRecord:
-    start = time.perf_counter() if timing else 0.0
-    try:
-        label, result = intersect(t1, t2, tol)
-    except GeometryError as exc:
-        # degenerate input, or a pair the kernel cannot place: skip it, not the run
-        return ResultRecord(rid, None, (), error=type(exc).__name__)
-    us = round((time.perf_counter() - start) * 1e6) if timing else None
-    # past the named tuple's Python-level __new__ and the enum's value property
-    return tuple.__new__(ResultRecord, (rid, label._value_, result.points, us, None))
-
-
-def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
-               pairs: int | None = None, degenerate: int = 0, candidates: float = 0.0) -> dict:
-    """Counts over all ``pairs`` candidates (default: one per result), and the times.
+def _summarize(cases: dict, skipped_by: dict, emitted: int, elapsed: float,
+               pairs: int | None = None, candidates: float = 0.0) -> dict:
+    """The summary of a run from its counts over ``pairs`` candidates (default: all counted).
 
     ``elapsed`` is the whole computation and ``candidates`` the part of it
-    spent choosing the pairs for the kernel, in seconds.
-
-    ``degenerate`` counts candidates skipped before the kernel; they and the
-    results without a case are ``skipped``, and ``skipped_by`` splits them
-    by error type.  Candidates that are neither skipped nor among the
-    results were ``culled`` by the broad phase, so
-    ``pairs == sum(cases) + skipped + culled``.
+    spent choosing the pairs for the kernel, in seconds.  Candidates that
+    are neither skipped nor given a case were ``culled`` by the broad
+    phase, so ``pairs == sum(cases) + skipped + culled``.
     """
-    if pairs is None:
-        pairs = len(results)
-    cases: dict[str, int] = {}
-    skipped_by = {"DegenerateTriangle": degenerate} if degenerate else {}
-    for rec in results:
-        if rec.case is None:
-            skipped_by[rec.error] = skipped_by.get(rec.error, 0) + 1
-        else:
-            cases[rec.case] = cases.get(rec.case, 0) + 1
+    counted = sum(cases.values()) + sum(skipped_by.values())
+    pairs = counted if pairs is None else pairs
     return {
         "pairs": pairs,
         "emitted": emitted,
         "skipped": sum(skipped_by.values()),
         "skipped_by": dict(sorted(skipped_by.items())),
-        "culled": pairs - degenerate - len(results),
+        "culled": pairs - counted,
         "cases": dict(sorted(cases.items())),
         "elapsed_us": round(elapsed * 1e6),
         "candidates_us": round(candidates * 1e6),
@@ -121,14 +118,12 @@ def _summarize(results: Sequence[ResultRecord], emitted: int, elapsed: float,
     }
 
 
-def run_pairs(records: Iterable[PairRecord], tol: Tolerance,
-              timing: bool = False) -> tuple[list[ResultRecord], dict]:
-    """Intersect every pair record; results keep input order."""
+def run_pairs(pairs: Iterable[tuple], tol: Tolerance,
+              timing: bool = False) -> tuple[list[tuple], dict]:
+    """Intersect every ``(id, t1, t2)``: a record per pair not skipped, in input order."""
     start = time.perf_counter()
-    results = [_evaluate(rid, t1, t2, tol, timing) for rid, t1, t2 in records]
-    summary = _summarize(results, emitted=sum(r.case is not None for r in results),
-                         elapsed=time.perf_counter() - start)
-    return results, summary
+    records, cases, skipped_by = _kernel_loop(pairs, tol, timing)
+    return records, _summarize(cases, skipped_by, len(records), time.perf_counter() - start)
 
 
 def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None]:
@@ -210,10 +205,31 @@ def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple 
     return pairs
 
 
+def _prepared_pairs(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
+                    candidates: list[tuple[int, int]], tol: Tolerance) -> Iterable[tuple]:
+    """``((i, j), first, second)`` per candidate, each face prepared on its first pair.
+
+    Only the first triangle's frame and window are read, so a face's are
+    released after its group as the first triangle, its last use (in a mesh
+    against itself, its pairs as the second come first): at most one face
+    holds them, and a face is stored only when prepared as the second.
+    """
+    prepared_a: list[PreparedTriangle | None] = [None] * len(faces_a)
+    prepared_b = prepared_a if faces_a is faces_b else [None] * len(faces_b)
+    for i, group in groupby(candidates, key=itemgetter(0)):
+        first = prepared_a[i] or prepare(faces_a[i], tol)
+        for ij in group:  # the candidate's own tuple is the record's id
+            j = ij[1]
+            second = prepared_b[j]
+            if second is None:
+                second = prepared_b[j] = prepare(faces_b[j], tol)
+            yield ij, first, second
+        first.release()
+
+
 def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
-               tol: Tolerance, timing: bool = False,
-               same_mesh: bool = False) -> tuple[list[ResultRecord], dict]:
-    """Mesh test behind a box broad phase; only contacting pairs are emitted downstream.
+               tol: Tolerance, timing: bool = False) -> tuple[list[tuple], dict]:
+    """Mesh test behind a box broad phase: a record per contacting pair, in (i, j) order.
 
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
     overlap reach the kernel; the summary counts the others as ``culled``,
@@ -223,13 +239,11 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     A face is prepared on its first candidate pair, as the first triangle or
     the second, so a face with no candidate is never prepared, and its
     normal, frame axes and window (its side lines) are built at most once
-    per face, not once per pair.  For a mesh against itself, diagonal pairs
-    are excluded and symmetric pairs tested once (i < j).  The results are
-    the kernel's records, in lexicographic (i, j) order.  Only the first
-    triangle's frame and window are read, so a face's are released after
-    its last pair as the first triangle, and at most one face holds them.
+    per face, not once per pair.  A mesh against itself (``faces_a is
+    faces_b``) skips the diagonal and tests each unordered pair once (i < j).
     """
     start = time.perf_counter()
+    same_mesh = faces_a is faces_b
     boxes_a = _face_boxes(faces_a, tol)
     boxes_b = boxes_a if same_mesh else _face_boxes(faces_b, tol)
     good_a = len(boxes_a) - boxes_a.count(None)
@@ -241,24 +255,14 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
         good_pairs = good_a * (len(boxes_b) - boxes_b.count(None))
     candidates = _overlapping_pairs(boxes_a, boxes_b, same_mesh)
     candidates_s = time.perf_counter() - start
-    # the faces prepared so far.  A face's group as the first triangle is its
-    # last use (in a mesh against itself, its pairs as the second come first),
-    # so it is stored only when prepared as the second
-    prepared_a: list[PreparedTriangle | None] = [None] * len(faces_a)
-    prepared_b = prepared_a if same_mesh else [None] * len(faces_b)
-    results = []
-    for i, group in groupby(candidates, key=itemgetter(0)):
-        first = prepared_a[i] or prepare(faces_a[i], tol)
-        for _, j in group:
-            second = prepared_b[j]
-            if second is None:
-                second = prepared_b[j] = prepare(faces_b[j], tol)
-            results.append(_evaluate((i, j), first, second, tol, timing))
-        first.release()
-    contacts = sum(r.case in CONTACT_CASES for r in results)
-    summary = _summarize(results, emitted=contacts, elapsed=time.perf_counter() - start,
-                         pairs=pairs, degenerate=pairs - good_pairs, candidates=candidates_s)
-    return results, summary
+    records, cases, skipped_by = _kernel_loop(
+        _prepared_pairs(faces_a, faces_b, candidates, tol), tol, timing, CONTACT_CASES)
+    degenerate = pairs - good_pairs  # pairs with a degenerate face skip the kernel
+    if degenerate:
+        skipped_by["DegenerateTriangle"] = skipped_by.get("DegenerateTriangle", 0) + degenerate
+    summary = _summarize(cases, skipped_by, len(records), time.perf_counter() - start,
+                         pairs=pairs, candidates=candidates_s)
+    return records, summary
 
 
 def _read_mesh(path: str) -> list[tuple]:
@@ -270,21 +274,21 @@ def _read_mesh(path: str) -> list[tuple]:
         raise
 
 
-def _record_json(rec: ResultRecord) -> str:
+def _record_json(rec: tuple) -> str:
     """The record as compact JSON, byte for byte what ``json.dumps`` writes.
 
     The line is built directly: the ``repr`` of an int or a finite float is
     the text ``json.dumps`` writes for it.  Infinities and NaN, the only
     reprs here with an ``n``, are respelled as ``json.dumps`` spells them.
+    The case is a label, an ASCII identifier, so it is written as it is.
     """
-    points = ",".join([f"[{x!r},{y!r},{z!r}]" for x, y, z in rec.points])
+    rid, case, points, us = rec
+    points = ",".join([f"[{x!r},{y!r},{z!r}]" for x, y, z in points])
     if "n" in points:
         points = points.replace("inf", "Infinity").replace("nan", "NaN")
-    rid = rec.id
     rid = f"[{rid[0]!r},{rid[1]!r}]" if isinstance(rid, tuple) else repr(rid)
-    case = "null" if rec.case is None else f'"{rec.case}"'  # a label: an ASCII identifier
-    us = "" if rec.us is None else f',"us":{rec.us!r}'
-    return f'{{"id":{rid},"case":{case},"points":[{points}]{us}}}'
+    us = "" if us is None else f',"us":{us!r}'
+    return f'{{"id":{rid},"case":"{case}","points":[{points}]{us}}}'
 
 
 def _json(value) -> str:
@@ -298,10 +302,6 @@ def _json(value) -> str:
     return "null" if value is None else repr(value)
 
 
-def _emit(records: Iterable[ResultRecord], stream) -> None:
-    stream.writelines(_record_json(rec) + "\n" for rec in records)
-
-
 def _one_job(value: str) -> int:
     """``--jobs``' conversion: runs are serial, so only 1 (as ``int`` reads it) is kept."""
     if int(value) != 1:
@@ -312,6 +312,10 @@ def _one_job(value: str) -> int:
 def _eps(value: str) -> float:
     """``--eps``' conversion: a float that ``Tolerance`` takes as ``eps_dist``, else ValueError."""
     return Tolerance(eps_dist=float(value)).eps_dist
+
+
+# what each accepts, which argparse's "invalid {__name__} value" error names
+_eps.__name__, _one_job.__name__ = "positive finite float", "job count (only 1)"
 
 
 # One row per long option: its name, its value's name in the usage and help
@@ -411,7 +415,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         parse_start = time.perf_counter()
         if args["mode"] == "pair":
-            records = read_pairs(args["input"])
+            pairs = read_pairs(args["input"])
         else:
             same = os.path.realpath(args["mesh_a"]) == os.path.realpath(args["mesh_b"])
             faces_a = _read_mesh(args["mesh_a"])
@@ -421,14 +425,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         with (contextlib.nullcontext(sys.stdout) if args["output"] == "-"
               else open(args["output"], "w", encoding="utf-8")) as out:
             if args["mode"] == "pair":
-                results, summary = run_pairs(records, tol, timing=args["timing"])
-                emitted = (r for r in results if r.case is not None)
+                records, summary = run_pairs(pairs, tol, timing=args["timing"])
             else:
-                results, summary = run_meshes(faces_a, faces_b, tol, timing=args["timing"],
-                                              same_mesh=same)
-                emitted = (r for r in results if r.case in CONTACT_CASES)
+                records, summary = run_meshes(faces_a, faces_b, tol, timing=args["timing"])
             emit_start = time.perf_counter()
-            _emit(emitted, out)
+            out.writelines(_record_json(rec) + "\n" for rec in records)
             # here, so that a write that fails (a closed pipe) is reported as an error
             out.flush()
         emit_s = time.perf_counter() - emit_start

@@ -16,18 +16,10 @@ import gc
 import math
 import os
 import sys
-from itertools import chain, count, islice, repeat
-from typing import Iterable, NamedTuple, TextIO
+from itertools import chain, count, islice
+from typing import Iterable, TextIO
 
 from .errors import EmptyMesh, ParseError
-
-
-class PairRecord(NamedTuple):
-    """One input line: a sequence id and the two triangles it encodes, as exact tuples."""
-
-    id: int
-    t1: tuple
-    t2: tuple
 
 
 class collector_paused(contextlib.ContextDecorator):
@@ -76,7 +68,6 @@ def _check_floats(tokens: list[str], lineno: int) -> None:
             raise ParseError(f"non-finite value: {tok!r}", line=lineno)
 
 
-_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 _CHUNK_LINES = 1024  # lines read_pairs parses at once: a chunk's tokens are all held together
 
 
@@ -89,7 +80,7 @@ def _undecodable_is_a_parse_error():
         raise ParseError(f"not {exc.encoding} text: byte {exc.object[exc.start]:#04x}") from None
 
 
-def _pair_records(chunk: list[str], first_line: int, first_id: int) -> list[PairRecord]:
+def _pair_records(chunk: list[str], first_line: int, first_id: int) -> list[tuple]:
     """The records of a chunk of pair lines, the first numbered ``first_line``.
 
     Record ids count the lines with numbers from ``first_id``.  The numbers
@@ -106,11 +97,11 @@ def _pair_records(chunk: list[str], first_line: int, first_id: int) -> list[Pair
     it = iter(values)
     points = zip(it, it, it)
     tris = zip(points, points, points)
-    return list(map(_new, repeat(PairRecord), zip(count(first_id), tris, tris)))
+    return list(zip(count(first_id), tris, tris))
 
 
-def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
-    records: list[PairRecord] = []
+def _read_pairs(lines: Iterable[str]) -> list[tuple]:
+    records: list[tuple] = []
     lines = iter(lines)
     first_line = 1
     while chunk := list(islice(lines, _CHUNK_LINES)):
@@ -123,12 +114,14 @@ def _read_pairs(lines: Iterable[str]) -> list[PairRecord]:
 
 @collector_paused()
 @_undecodable_is_a_parse_error()
-def read_pairs(source: str | os.PathLike | TextIO) -> list[PairRecord]:
+def read_pairs(source: str | os.PathLike | TextIO) -> list[tuple]:
     """Read pair records from a path, '-' for stdin, or an open stream.
 
-    One pair per line, 18 numbers.  Record ids count the pairs from 0;
-    comment and blank lines do not consume ids.  A bad line, or a byte the
-    input cannot decode, is a ParseError.
+    One pair per line, 18 numbers.  A record is a plain ``(id, t1, t2)``
+    tuple, each triangle a tuple of three ``(x, y, z)`` tuples of floats.
+    Record ids count the pairs from 0; comment and blank lines do not
+    consume ids.  A bad line, or a byte the input cannot decode, is a
+    ParseError.
     """
     if hasattr(source, "read"):
         return _read_pairs(source)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import tritri.cli
-from tritri.cli import CONTACT_CASES, ResultRecord, _record_json, main, run_meshes, run_pairs
+from tritri.cli import CONTACT_CASES, _record_json, main, run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE
 from tritri.errors import DegenerateTriangle
 from tritri.fileio import read_pairs
@@ -79,14 +79,44 @@ def _assert_counts_add_up(summary):
 def test_run_pairs_keeps_order_and_counts():
     records = read_pairs(io.StringIO("\n".join([CROSSING, PARALLEL, DEGENERATE, CROSSING])))
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
-    assert [r.id for r in results] == [0, 1, 2, 3]
-    assert [r.case for r in results] == [
-        "crossing_segment", "parallel_planes", None, "crossing_segment"]
+    # a record per pair the kernel did not skip, and the skipped pair counted
+    assert [(rid, case) for rid, case, _, _ in results] == [
+        (0, "crossing_segment"), (1, "parallel_planes"), (3, "crossing_segment")]
     assert summary["pairs"] == 4
     assert summary["emitted"] == 3
     assert summary["skipped"] == 1
     assert summary["skipped_by"] == {"DegenerateTriangle": 1}
     assert summary["cases"] == {"crossing_segment": 2, "parallel_planes": 1}
+
+
+def test_pair_mode_records_are_plain_tuples():
+    records = read_pairs(io.StringIO("\n".join([CROSSING, PARALLEL, DEGENERATE])))
+    for timing in (False, True):
+        results, _ = run_pairs(records, DEFAULT_TOLERANCE, timing=timing)
+        assert len(results) == 2
+        assert all(type(rec) is tuple and len(rec) == 4 for rec in results)
+        assert all((type(us) is int) if timing else us is None for _, _, _, us in results)
+    assert all(type(rec) is tuple and len(rec) == 3 for rec in records)
+
+
+def test_mesh_mode_keeps_only_the_records_it_writes(monkeypatch):
+    # a terraced field against itself: flat neighbours are coplanar, and
+    # most candidate pairs are not contacts, which are counted, not kept
+    calls = []
+    kernel = tritri.cli.intersect
+
+    def counted(t1, t2, tol):
+        calls.append(1)
+        return kernel(t1, t2, tol)
+
+    monkeypatch.setattr(tritri.cli, "intersect", counted)
+    rng = random.Random(2020)
+    field = height_field([[rng.randint(0, 3) / 3 for _ in range(9)] for _ in range(9)])
+    records, summary = run_meshes(field, field, DEFAULT_TOLERANCE)
+    assert len(records) == summary["emitted"] > 0
+    assert len(records) < len(calls) == sum(summary["cases"].values())
+    assert {case for _, case, _, _ in records} <= CONTACT_CASES
+    assert summary["cases"].keys() - CONTACT_CASES  # cases that were counted only
 
 
 def test_pair_mode_end_to_end(tmp_path, capsys):
@@ -110,8 +140,8 @@ def test_pair_far_from_origin_does_not_end_the_run(tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     assert main(["pair", "--input", str(src), "--output", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    (far,) = read_pairs(io.StringIO(FAR_FROM_ORIGIN))
-    want = oracle_intersect(far.t1, far.t2).label.value
+    ((_, t1, t2),) = read_pairs(io.StringIO(FAR_FROM_ORIGIN))
+    want = oracle_intersect(t1, t2).label.value
     assert [(r["id"], r["case"]) for r in records] == [
         (0, "crossing_segment"), (1, want), (2, "crossing_segment")]
     summary = json.loads(capsys.readouterr().err.strip())
@@ -131,7 +161,8 @@ def test_geometry_error_in_the_kernel_counts_as_skipped(monkeypatch):
     monkeypatch.setattr(tritri.cli, "intersect", failing_on_parallel)
     records = read_pairs(io.StringIO("\n".join([CROSSING, PARALLEL, CROSSING])))
     results, summary = run_pairs(records, DEFAULT_TOLERANCE)
-    assert [r.case for r in results] == ["crossing_segment", None, "crossing_segment"]
+    assert [(rid, case) for rid, case, _, _ in results] == [
+        (0, "crossing_segment"), (2, "crossing_segment")]
     assert summary["skipped"] == 1 and summary["emitted"] == 2
     assert summary["skipped_by"] == {"DegenerateTriangle": 1}
     _assert_counts_add_up(summary)
@@ -263,6 +294,17 @@ def test_a_refused_eps_is_a_usage_error(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: tritri pair ")
         assert err.splitlines()[-1].startswith("tritri pair: error: argument --eps: "), argv
+
+
+def test_a_refused_value_names_what_its_option_accepts(capsys):
+    # argparse builds the message from the conversion's __name__
+    for argv, want in ((["pair", "--eps", "0"], "argument --eps: invalid positive finite float "
+                                                "value: '0'"),
+                       (["pair", "--jobs", "2"], "argument --jobs: invalid job count (only 1) "
+                                                 "value: '2'")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err.splitlines()[-1] == f"tritri pair: error: {want}"
 
 
 def test_summary_splits_the_run_into_phases(tmp_path, capsys):
@@ -697,11 +739,11 @@ def test_serial_mesh_run_keeps_one_frame_at_a_time(monkeypatch):
         return kernel(t1, t2, tol)
 
     monkeypatch.setattr(tritri.cli, "intersect", watched)
-    for b, same in ((faces, True), (other, False)):
+    for b in (faces, other):
         seen.clear()
         holding.clear()
-        results, _ = run_meshes(faces, b, DEFAULT_TOLERANCE, same_mesh=same)
-        assert len(results) > 2 * len(faces)  # many first faces come and go
+        run_meshes(faces, b, DEFAULT_TOLERANCE)
+        assert len(holding) > 2 * len(faces)  # many first faces come and go
         assert max(holding) == 1
 
 
@@ -747,8 +789,7 @@ def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
         gc.collect()
         results, summary = run_pairs(records, DEFAULT_TOLERANCE, timing=True)
         assert summary["skipped_by"] == {"DegenerateTriangle": 1}
-        mesh_results, mesh_summary = run_meshes(field, field, DEFAULT_TOLERANCE,
-                                                same_mesh=True)
+        mesh_results, mesh_summary = run_meshes(field, field, DEFAULT_TOLERANCE)
         assert mesh_summary["emitted"] > 0
         del results, mesh_results
         assert gc.collect() == 0
@@ -760,30 +801,29 @@ def test_the_batch_leaves_no_cyclic_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("rec", [
-    ResultRecord(0, "crossing_segment", ((-0.0, 5e-324, 1e300), (0.1, -2.5, 1e-7))),
-    ResultRecord(7, "touch_point", ((float("inf"), 0.0, 1.0),)),
-    ResultRecord(8, "touch_point", ((float("-inf"), float("nan"), 1.0),)),
-    ResultRecord((3, 12), "coplanar_contour", ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.5))),
-    ResultRecord((0, 1), "touch_point", ((float("inf"), 2.0, 3.0),), us=5),
-    ResultRecord(2, None, (), error="DegenerateTriangle"),
-    ResultRecord(3, "parallel_planes", ()),
-    ResultRecord(4, "crossing_segment", ((1.0, 2.0, 3.0), (1e16, -1e-16, 123456789.0)), us=0),
-    ResultRecord((5, 6), None, (), us=17),
+    (0, "crossing_segment", ((-0.0, 5e-324, 1e300), (0.1, -2.5, 1e-7)), None),
+    (7, "touch_point", ((float("inf"), 0.0, 1.0),), None),
+    (8, "touch_point", ((float("-inf"), float("nan"), 1.0),), None),
+    ((3, 12), "coplanar_contour", ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.5)), None),
+    ((0, 1), "touch_point", ((float("inf"), 2.0, 3.0),), 5),
+    (3, "parallel_planes", (), None),
+    (4, "crossing_segment", ((1.0, 2.0, 3.0), (1e16, -1e-16, 123456789.0)), 0),
 ])
 def test_record_json_equals_json_dumps(rec):
+    rid, case, points, us = rec
     payload = {
-        "id": list(rec.id) if isinstance(rec.id, tuple) else rec.id,
-        "case": rec.case,
-        "points": [list(p) for p in rec.points],
+        "id": list(rid) if isinstance(rid, tuple) else rid,
+        "case": case,
+        "points": [list(p) for p in points],
     }
-    if rec.us is not None:
-        payload["us"] = rec.us
+    if us is not None:
+        payload["us"] = us
     assert _record_json(rec) == json.dumps(payload, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("label", list(CaseLabel))
 def test_every_case_label_is_written_as_json_dumps_writes_it(label):
-    rec = ResultRecord(1, label.value, ())
+    rec = (1, label.value, (), None)
     assert _record_json(rec) == f'{{"id":1,"case":{json.dumps(label.value)},"points":[]}}'
 
 
@@ -804,7 +844,7 @@ def test_the_summary_line_is_what_json_dumps_writes(tmp_path, capsys):
         assert summary["skipped_by"] == {"DegenerateTriangle": 1}
         assert line == json.dumps(summary, separators=(",", ":")) + "\n"
     # no time elapsed: pairs_per_s is None, written null
-    summary = tritri.cli._summarize([], emitted=0, elapsed=0.0, pairs=3, degenerate=3)
+    summary = tritri.cli._summarize({}, {"DegenerateTriangle": 3}, emitted=0, elapsed=0.0)
     summary.update(parse_us=0, emit_us=0, total_us=1)
     assert summary["pairs_per_s"] is None
     assert tritri.cli._json(summary) == json.dumps(summary, separators=(",", ":"))

@@ -11,7 +11,7 @@ import pytest
 
 import tritri.fileio
 from tritri.errors import EmptyMesh, ParseError
-from tritri.fileio import PairRecord, collector_paused, read_off, read_pairs
+from tritri.fileio import collector_paused, read_off, read_pairs
 
 PAIR_LINE = "0 0 0  4 0 0  0 4 0   1 1 -1  1 1 2  3 3 2"
 
@@ -37,10 +37,11 @@ def test_read_pairs_skips_comments_and_blanks():
         PAIR_LINE + "  # trailing note",
     ]
     records = read_pairs(io.StringIO("\n".join(lines)))
-    assert [r.id for r in records] == [0, 1]
-    assert records[0].t1[0] == (0.0, 0.0, 0.0)
-    assert records[0].t2[2] == (3.0, 3.0, 2.0)
-    assert records[0].t1 == records[1].t1
+    assert [r[0] for r in records] == [0, 1]
+    (_, t1, t2), (_, other_t1, _) = records
+    assert t1[0] == (0.0, 0.0, 0.0)
+    assert t2[2] == (3.0, 3.0, 2.0)
+    assert t1 == other_t1
 
 
 def test_read_pairs_wrong_token_count():
@@ -291,7 +292,7 @@ def _reference_pairs(lines):
         if len(tokens) != 18:
             raise ParseError(f"expected 18 numbers, got {len(tokens)}", line=lineno)
         v = _reference_floats(tokens, lineno)
-        records.append(PairRecord(
+        records.append((
             len(records),
             (tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9])),
             (tuple(v[9:12]), tuple(v[12:15]), tuple(v[15:18]))))
@@ -320,8 +321,8 @@ def _messy_pair_text(rng, count):
 
 def _assert_exact_types(records):
     for rec in records:
-        assert type(rec) is PairRecord and type(rec.id) is int
-        for tri in (rec.t1, rec.t2):
+        assert type(rec) is tuple and len(rec) == 3 and type(rec[0]) is int
+        for tri in rec[1:]:
             assert type(tri) is tuple
             assert all(type(p) is tuple for p in tri)
             assert all(type(c) is float for p in tri for c in p)
@@ -447,7 +448,7 @@ def test_chunked_read_equals_the_per_line_parser(tmp_path, count, commented_chun
     path.write_bytes(text.encode("utf-8"))
     got_path = read_pairs(path)
     assert [repr(r) for r in got_stream] == [repr(r) for r in got_path] == want
-    assert [r.id for r in got_path] == list(range(len(want)))
+    assert [r[0] for r in got_path] == list(range(len(want)))
     _assert_exact_types(got_path)
     # the comments change nothing: the same text with them stripped gives the same records
     stripped = re.sub(r"#[^\r\n]*", "", text)

@@ -539,9 +539,9 @@ def test_readers_and_kernel_pass_exact_tuples_and_intersect_returns_point3():
     def exact(points):
         return bool(points) and all(type(p) is tuple for p in points)
 
-    (record,) = read_pairs(io.StringIO("0 0 0 4 0 0 0 4 0  1 1 -1 1 1 2 3 3 2\n"))
+    ((_, t1, t2),) = read_pairs(io.StringIO("0 0 0 4 0 0 0 4 0  1 1 -1 1 1 2 3 3 2\n"))
     (face,) = read_off(io.StringIO("OFF\n3 1 0\n0 0 0\n4 0 0\n0 4 0\n3 0 1 2\n"))
-    assert all(type(t) is tuple and exact(t) for t in (record.t1, record.t2, face))
+    assert all(type(t) is tuple and exact(t) for t in (t1, t2, face))
     forms = (lambda t: tuple(map(tuple, t)), lambda t: [list(v) for v in t],
              lambda t: Triangle3(*map(Point3._make, t)), prepare)
     for form in forms[:3]:
@@ -549,7 +549,7 @@ def test_readers_and_kernel_pass_exact_tuples_and_intersect_returns_point3():
     assert prepare(face).tri is face  # an exact tuple is taken uncopied
 
     for form in forms[:3]:
-        points = project_triangle_edges(form(record.t2), plane_from_triangle(T1))
+        points = project_triangle_edges(form(t2), plane_from_triangle(T1))
         assert exact(points) and len(points) == 2
     window = window_lines(Point2(0, 0), Point2(4, 0), Point2(0, 4), DEFAULT_TOLERANCE)
     for p, q in ((Point2(1, 1), Point2(2, 1)), (Point2(1, 1), Point2(5, 1)),
@@ -560,7 +560,7 @@ def test_readers_and_kernel_pass_exact_tuples_and_intersect_returns_point3():
         assert exact(intersect_coplanar(window, ccw_vertices(*corners)))
 
     # a crossing segment, a touch point and a contour, from each input form
-    partners = (record.t2, ((1, 1, 0), (1, 1, 2), (2, 1, 3)), ((1, 1, 0), (3, 1, 0), (1, 3, 0)))
+    partners = (t2, ((1, 1, 0), (1, 1, 2), (2, 1, 3)), ((1, 1, 0), (3, 1, 0), (1, 3, 0)))
     for t2, label in zip(partners, (CaseLabel.CROSSING_SEGMENT, CaseLabel.TOUCH_POINT,
                                      CaseLabel.COPLANAR_CONTOUR)):
         for form in forms:

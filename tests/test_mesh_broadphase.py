@@ -52,11 +52,12 @@ def brute_force_overlaps(boxes_a, boxes_b, same_mesh=False):
             if p is not None and boxes_b[j] is not None and overlap(p, boxes_b[j])]
 
 
-def assert_matches_brute_force(faces_a, faces_b, same_mesh=False, tol=DEFAULT_TOLERANCE):
-    results, _ = run_meshes(faces_a, faces_b, tol, same_mesh=same_mesh)
-    got = [(r.id, r.case, r.points) for r in results if r.case in CONTACT_CASES]
+def assert_matches_brute_force(faces_a, faces_b, tol=DEFAULT_TOLERANCE):
+    """``run_meshes``' records against brute force; one list twice is a mesh against itself."""
+    same_mesh = faces_a is faces_b
+    records, _ = run_meshes(faces_a, faces_b, tol)
     want = brute_force_contacts(faces_a, faces_b, same_mesh, tol)
-    assert got == want
+    assert [record[:3] for record in records] == want
     boxes_a = _face_boxes(faces_a, tol)
     boxes_b = _face_boxes(faces_b, tol)
     assert (_overlapping_pairs(boxes_a, boxes_b, same_mesh)
@@ -112,7 +113,7 @@ def height_fields(draw, offset_steps=0):
 def test_height_fields_match_brute_force(mesh_a, mesh_b):
     assert_matches_brute_force(mesh_a, mesh_b)
     assert_matches_brute_force(mesh_b, mesh_a)
-    assert_matches_brute_force(mesh_a, mesh_a, same_mesh=True)
+    assert_matches_brute_force(mesh_a, mesh_a)
 
 
 @st.composite
@@ -152,7 +153,7 @@ def test_height_field_far_from_origin_matches_brute_force():
     heights = [[rng.randint(0, 4) / 4 for _ in range(6)] for _ in range(6)]
     far = height_field(heights, offset=(2.0 ** 23,) * 3)
     moved = height_field(heights, offset=(2.0 ** 23 + 0.25, 2.0 ** 23 + 0.25, 2.0 ** 23))
-    assert assert_matches_brute_force(far, far, same_mesh=True)
+    assert assert_matches_brute_force(far, far)
     assert assert_matches_brute_force(far, moved)
     assert assert_matches_brute_force(moved, far)
 
@@ -166,11 +167,11 @@ def test_height_fields_meeting_at_a_corner_match_brute_force(corner):
     field, moved = height_field(heights), height_field(heights, offset=corner)
     for mesh_a, mesh_b in ((field, moved), (moved, field)):
         assert_matches_brute_force(mesh_a, mesh_b)
-        results, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
+        _, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
         boxes_a = _face_boxes(mesh_a, DEFAULT_TOLERANCE)
         boxes_b = _face_boxes(mesh_b, DEFAULT_TOLERANCE)
         overlaps = brute_force_overlaps(boxes_a, boxes_b)
-        assert [r.id for r in results] == overlaps
+        assert sum(summary["cases"].values()) == len(overlaps)  # a kernel call per overlap
         assert summary["culled"] == 50 * 50 - len(overlaps) > 50 * 49
         assert summary["pairs"] == 50 * 50 and summary["skipped"] == 0
 
@@ -188,15 +189,15 @@ def test_a_face_is_prepared_on_its_first_candidate_pair(monkeypatch):
         return prepare(t, tol)
 
     monkeypatch.setattr(tritri.cli, "prepare", counted)
-    for mesh_a, mesh_b, same_mesh in ((field, moved, False), (moved, field, False),
-                                      (field, field, True)):
+    for mesh_a, mesh_b in ((field, moved), (moved, field), (field, field)):
         prepared.clear()
-        results, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE, same_mesh=same_mesh)
-        assert summary["skipped"] == 0  # so every candidate pair is a result
-        faces = {id(mesh_a[i]) for i, _ in (r.id for r in results)}
-        faces |= {id(mesh_b[j]) for _, j in (r.id for r in results)}
+        _, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
+        assert summary["skipped"] == 0  # so every candidate pair reaches the kernel
+        candidates = _overlapping_pairs(_face_boxes(mesh_a, DEFAULT_TOLERANCE),
+                                        _face_boxes(mesh_b, DEFAULT_TOLERANCE), mesh_a is mesh_b)
+        faces = {id(mesh_a[i]) for i, _ in candidates} | {id(mesh_b[j]) for _, j in candidates}
         assert sorted(map(id, prepared)) == sorted(faces)  # each face once
-        if not same_mesh:  # against itself, every face has a neighbour
+        if mesh_a is not mesh_b:  # against itself, every face has a neighbour
             assert 0 < len(prepared) < (len(mesh_a) + len(mesh_b)) // 4
 
 

@@ -131,8 +131,8 @@ def test_mesh_mode_builds_per_face_work_once_per_face(monkeypatch):
     # the module, not the names tritri/__init__.py re-exports; _frame_window is
     # the one builder of a first triangle's frame and window side lines
     counted(importlib.import_module("tritri.intersect"), "_frame_window")
-    results, _ = run_meshes(faces, faces, DEFAULT_TOLERANCE, same_mesh=True)
-    assert len(results) > 2 * len(faces)  # kernel calls, so the bound below bites
+    _, summary = run_meshes(faces, faces, DEFAULT_TOLERANCE)
+    assert sum(summary["cases"].values()) > 2 * len(faces)  # kernel calls: the bound below bites
     assert 0 < calls["_frame_window"] <= len(faces)
 
     # coplanar pairs: a frame and window for the first triangle, none for the second
