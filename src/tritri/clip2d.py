@@ -1,9 +1,10 @@
 """Clipping of 2D segments against a triangular window.
 
-The window is the tuple of its three side lines, which ``window_lines``
-builds from its corners; no code reads the corners afterwards.  Every
-point gets a 3-bit region code, one bit per window side line, set
-when the point lies strictly outside that line by more than ``eps_dist``:
+The window is the tuple of its three side lines, which one function,
+``_window``, builds from six corner floats; no code reads the corners
+afterwards.  Every point gets a 3-bit region code, one bit per window
+side line, set when the point lies strictly outside that line by more
+than ``eps_dist``:
 
     bit value 2 -- outside line AB
     bit value 4 -- outside line AC
@@ -20,11 +21,12 @@ segment is clipped in two steps, codes first, then one parameter clip:
 
 Points within ``eps_dist`` of a side line code as inside, so a segment
 that merely grazes the boundary yields one point rather than none.  One
-rule, ``_code``, codes points for ``region_code`` and the clipper alike,
-from three signed distances.  The clipper keeps a segment's six distances
-in locals and builds no list on the way: the parameter clip walks the
-three (start, end) distance pairs, cut points are interpolated in place,
-and ends merge by ``math.dist``.
+rule, ``2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)`` of the signed
+distances to AB, AC and BC, codes points; ``region_code`` and the clipper
+each spell it inline.  The clipper keeps a segment's six distances in
+locals and builds no list on the way: the parameter clip walks the three
+(start, end) distance pairs, cut points are interpolated in place, and
+ends merge by ``math.dist``.
 """
 
 import math
@@ -32,6 +34,9 @@ from typing import NamedTuple
 
 from .core import DEFAULT_TOLERANCE, Tolerance, _scaled
 from .errors import DegenerateTriangle
+
+_INF = math.inf
+_hypot = math.hypot
 
 
 class Point2(NamedTuple):
@@ -66,23 +71,34 @@ def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, P
     return a, b, c
 
 
-def _side_line(pu, pv, qu, qv, ou, ov) -> tuple[float, float, float]:
-    """The line through p and q, normalized, positive on the side of o."""
-    l1 = pv - qv
-    l2 = qu - pu
-    l3 = pu * qv - pv * qu
-    ln = math.hypot(l1, l2)
-    if l1 * ou + l2 * ov + l3 < 0.0:
-        ln = -ln
-    return (l1 / ln, l2 / ln, l3 / ln)
+def _window(au, av, bu, bv, cu, cv, tol: Tolerance) -> Window:
+    """``window_lines`` of the corners (au, av), (bu, bv), (cu, cv), as six floats.
 
-
-def _side_lines(au, av, bu, bv, cu, cv, eps_area: float) -> Window:
-    """The window with corners (au, av), (bu, bv), (cu, cv); see ``window_lines``."""
-    if _clockwise(au, av, bu, bv, cu, cv, eps_area):
-        bu, bv, cu, cv = cu, cv, bu, bv
-    return (_side_line(au, av, bu, bv, cu, cv), _side_line(au, av, cu, cv, bu, bv),
-            _side_line(bu, bv, cu, cv, au, av))
+    Each side line is written out.  The scaled pass runs at most once:
+    ``core._scaled`` gives k = 0 for a corner that is not finite.
+    """
+    eps_area, s = tol.eps_area, 0.0  # s is 2**k on the scaled pass
+    while True:
+        area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+        if abs(area2) < 2.0 * eps_area:
+            raise DegenerateTriangle("2D triangle area below tolerance")
+        if area2 < 0.0:
+            bu, bv, cu, cv = cu, cv, bu, bv
+        l1, l2, l3 = av - bv, bu - au, au * bv - av * bu  # AB, positive on C's side
+        ln = -_hypot(l1, l2) if l1 * cu + l2 * cv + l3 < 0.0 else _hypot(l1, l2)
+        m1, m2, m3 = av - cv, cu - au, au * cv - av * cu  # AC, positive on B's side
+        mn = -_hypot(m1, m2) if m1 * bu + m2 * bv + m3 < 0.0 else _hypot(m1, m2)
+        n1, n2, n3 = bv - cv, cu - bu, bu * cv - bv * cu  # BC, positive on A's side
+        nn = -_hypot(n1, n2) if n1 * au + n2 * av + n3 < 0.0 else _hypot(n1, n2)
+        l3, m3, n3 = l3 / ln, m3 / mn, n3 / nn
+        if s:  # a product, not ldexp, so that an offset past the float range is inf
+            l3, m3, n3 = l3 * s, m3 * s, n3 * s
+            break
+        if -_INF < l3 < _INF and -_INF < m3 < _INF and -_INF < n3 < _INF:
+            break
+        k, ([(au, av), (bu, bv), (cu, cv)],), small = _scaled((((au, av), (bu, bv), (cu, cv)),), tol)
+        eps_area, s = small.eps_area, 2.0 ** k
+    return (l1 / ln, l2 / ln, l3), (m1 / mn, m2 / mn, m3), (n1 / nn, n2 / nn, n3)
 
 
 def window_lines(a, b, c, tol: Tolerance) -> Window:
@@ -92,29 +108,18 @@ def window_lines(a, b, c, tol: Tolerance) -> Window:
     orders them; a window whose area is below ``tol.eps_area`` raises
     DegenerateTriangle.  Past about 2**511 an offset's products overflow, and
     the area's may: the lines are then those of the corners scaled by 2**-k
-    (``core._scaled``), their offsets scaled back.
+    (``core._scaled``), their offsets scaled back.  ``_window`` builds them.
     """
     (au, av), (bu, bv), (cu, cv) = a, b, c
-    lines = _side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
-    if math.isfinite(lines[0][2]) and math.isfinite(lines[1][2]) and math.isfinite(lines[2][2]):
-        return lines
-    k, ([(au, av), (bu, bv), (cu, cv)],), small = _scaled(((a, b, c),), tol)
-    lines = _side_lines(au, av, bu, bv, cu, cv, small.eps_area)
-    s = 2.0 ** k  # a product, not ldexp, so that an offset past the float range is inf
-    return tuple([(l1, l2, l3 * s) for l1, l2, l3 in lines])
-
-
-def _code(ab: float, ac: float, bc: float, eps: float) -> int:
-    """Outside code from the signed distances to AB, AC and BC (bit values 2, 4, 1)."""
-    return 2 * (ab < -eps) | 4 * (ac < -eps) | (bc < -eps)
+    return _window(au, av, bu, bv, cu, cv, tol)
 
 
 def region_code(p, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """3-bit outside code of a point; on-boundary within eps_dist codes inside."""
-    pu, pv = p[0], p[1]
+    pu, pv, eps = p[0], p[1], tol.eps_dist
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = window
-    return _code(a1 * pu + a2 * pv + a3, b1 * pu + b2 * pv + b3, c1 * pu + c2 * pv + c3,
-                 tol.eps_dist)
+    return (2 * (a1 * pu + a2 * pv + a3 < -eps) | 4 * (b1 * pu + b2 * pv + b3 < -eps)
+            | (c1 * pu + c2 * pv + c3 < -eps))
 
 
 def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[tuple, ...]:
@@ -134,7 +139,8 @@ def clip_segment_to_triangle(p, q, window: Window, tol: Tolerance = DEFAULT_TOLE
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = window
     p_ab, p_ac, p_bc = a1 * pu + a2 * pv + a3, b1 * pu + b2 * pv + b3, c1 * pu + c2 * pv + c3
     q_ab, q_ac, q_bc = a1 * qu + a2 * qv + a3, b1 * qu + b2 * qv + b3, c1 * qu + c2 * qv + c3
-    code_p, code_q = _code(p_ab, p_ac, p_bc, eps), _code(q_ab, q_ac, q_bc, eps)
+    code_p = 2 * (p_ab < -eps) | 4 * (p_ac < -eps) | (p_bc < -eps)
+    code_q = 2 * (q_ab < -eps) | 4 * (q_ac < -eps) | (q_bc < -eps)
     if not (code_p or code_q):
         return ((pu, pv),) if math.dist(p, q) <= eps else ((pu, pv), (qu, qv))
     if code_p & code_q:

@@ -5,10 +5,13 @@ skipped, and each ``ParseError`` names the line's 1-based number in the
 file.  Coordinates must be finite.  A UTF-8 byte-order mark that opens the
 input is dropped; anywhere else it is an error.  Each format has one parse:
 every line is cut at its ``#`` and split once, and the numbers are
-converted in one pass at C speed.  Only when that pass fails are the rows
-walked one by one, to raise the first bad line's error.  ``read_pairs``
-parses its stream ``_CHUNK_LINES`` lines at a time, so only one chunk's
-tokens are held at once; ``read_off`` reads its file whole.
+converted in one pass at C speed.  One ``sum`` decides they are finite;
+only a sum that is not (a value that is not, or finite values that
+overflow) takes a pass of ``math.isfinite`` over every value.  Only when
+the numbers fail are the rows walked one by one, to raise the first bad
+line's error.  ``read_pairs`` parses its stream ``_CHUNK_LINES`` lines at
+a time, so only one chunk's tokens are held at once; ``read_off`` reads
+its file whole.
 """
 
 import contextlib
@@ -54,7 +57,7 @@ def _finite_floats(tokens: Iterable[str]) -> list[float] | None:
         values = list(map(float, tokens))
     except ValueError:
         return None
-    return values if all(map(math.isfinite, values)) else None
+    return values if -math.inf < sum(values) < math.inf or all(map(math.isfinite, values)) else None
 
 
 def _check_floats(tokens: list[str], lineno: int) -> None:

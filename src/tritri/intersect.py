@@ -15,21 +15,23 @@ the triangle, so a triangle tested against many partners builds them once.
 
 ``intersect`` is one straight-line body on floats for raw, plain-sequence
 and prepared triangles: it builds the normals, the plane relation, the
-frame and the maps into and out of the frame inline; the edge crossings,
-the segment clip and the coplanar contour are calls.  A norm that is not
-finite or below the area gate takes ``_cold``: ``core.plane_from_triangle``
-raises NonFiniteInput before DegenerateTriangle, or the norm overflowed,
-and the same body runs on the pair scaled by one power of two.
-``tests/test_kernel_reference.py`` holds a reference kernel composed of
-one function per step, and requires the same label, reason, error and
-point bits on every pair it draws.
+frame's maps and the lift inline.  It calls the frame and window build
+(``_frame_window``), the orientation of a coplanar partner, and three
+steps looked up in this module's globals, the boundaries that
+``bench/tracing.py`` wraps: the edge crossings, the segment clip and the
+coplanar contour.  A norm that is not finite or below the area gate takes
+``_cold``: ``core.plane_from_triangle`` raises NonFiniteInput before
+DegenerateTriangle, or the norm overflowed, and the same body runs on the
+pair scaled by one power of two.  ``tests/test_kernel_reference.py`` holds
+a reference kernel composed of one function per step, and requires the
+same label, reason, error and point bits on every pair it draws.
 """
 
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Window, _clockwise, clip_segment_to_triangle, window_lines
+from .clip2d import Window, _clockwise, _window, clip_segment_to_triangle
 from .coplanar import intersect_coplanar
 from .core import DEFAULT_TOLERANCE, Point3, Tolerance, _scaled, plane_from_triangle
 from .errors import DegenerateTriangle
@@ -87,7 +89,7 @@ class PreparedTriangle:
 
         Built on the first call, in one pass: the axes, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats by ``window_lines``.  Raises ValueError for a
+        from those six floats by ``clip2d._window``.  Raises ValueError for a
         triangle prepared past 2**254 (the ``math.hypot`` of its nine
         coordinates), whose ``tol`` is None: it keeps no frame, and
         ``intersect`` reads it as a raw triangle.
@@ -130,7 +132,7 @@ def _frame_window(tri, nx: float, ny: float, nz: float, tol: Tolerance) -> tuple
     x, y, z = c[0] - ox, c[1] - oy, c[2] - oz
     cu, cv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
     au, av = 0.0 * ux + 0.0 * uy + 0.0 * uz, 0.0 * vx + 0.0 * vy + 0.0 * vz
-    return ((ux, uy, uz), (vx, vy, vz)), window_lines((au, av), (bu, bv), (cu, cv), tol)
+    return ((ux, uy, uz), (vx, vy, vz)), _window(au, av, bu, bv, cu, cv, tol)
 
 
 def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
@@ -237,14 +239,15 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
     (ux, uy, uz), (vx, vy, vz) = axes
     if coplanar:
         # t2 in the frame, counter-clockwise as ccw_vertices orders it
-        mapped = []
-        for px, py, pz in t2:
-            x, y, z = px - ax, py - ay, pz - az
-            mapped.append((x * ux + y * uy + z * uz, x * vx + y * vy + z * vz))
-        (pu, pv), (qu, qv), (su, sv) = mapped
+        x, y, z = gx - ax, gy - ay, gz - az
+        pu, pv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
+        x, y, z = b2[0] - ax, b2[1] - ay, b2[2] - az
+        qu, qv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
+        x, y, z = c2[0] - ax, c2[1] - ay, c2[2] - az
+        su, sv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
         if _clockwise(pu, pv, qu, qv, su, sv, tol.eps_area):
-            mapped[1], mapped[2] = mapped[2], mapped[1]
-        clip = intersect_coplanar(window, mapped, tol)
+            qu, qv, su, sv = su, sv, qu, qv
+        clip = intersect_coplanar(window, [(pu, pv), (qu, qv), (su, sv)], tol)
         if not clip:
             return _COPLANAR_NO_CONTACT, _DISJOINT
         label = _COPLANAR_CONTOUR
@@ -264,9 +267,10 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
             # clipped as the segment (e, e); reported as itself, not its round trip
             return _TOUCH_POINT, _new(IntersectionResult, ((_new(Point3, points[0]),), None))
         label = _TOUCH_POINT if len(clip) == 1 else _CROSSING_SEGMENT
-    lifted = tuple([_new(Point3, (ax + u * ux + v * vx, ay + u * uy + v * vy, az + u * uz + v * vz))
-                    for u, v in clip])
-    return label, _new(IntersectionResult, (lifted, None))
+    lifted = []  # a loop, not a comprehension, which would be one more call
+    for u, v in clip:
+        lifted.append(_new(Point3, (ax + u * ux + v * vx, ay + u * uy + v * vy, az + u * uz + v * vz)))
+    return label, _new(IntersectionResult, (tuple(lifted), None))
 
 
 def _cold(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:

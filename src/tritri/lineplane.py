@@ -5,15 +5,15 @@ taken from the plane's point, 0 meaning within eps_dist.  A 0-coded
 vertex lies on the plane and is kept as it is; an edge whose ends carry
 opposite non-zero codes crosses the plane, and its crossing is kept.
 This is the rule of the exact oracle, applied to float distances.
+
+The three codes are spelled inline.  Three equal codes answer at once:
+all 0 is a triangle in the plane (None), all +1 or all -1 one wholly on
+one side, which meets it nowhere (an empty list).
 """
 
 import math
 
 from .core import DEFAULT_TOLERANCE, Plane, Tolerance, Triangle3
-
-
-def _code(d: float, eps: float) -> int:
-    return 0 if -eps <= d <= eps else (1 if d > 0.0 else -1)
 
 
 def project_triangle_edges(tri: Triangle3, pl: Plane,
@@ -31,9 +31,11 @@ def project_triangle_edges(tri: Triangle3, pl: Plane,
     da = q * (a[0] - ox) + w * (a[1] - oy) + u * (a[2] - oz)
     db = q * (b[0] - ox) + w * (b[1] - oy) + u * (b[2] - oz)
     dc = q * (c[0] - ox) + w * (c[1] - oy) + u * (c[2] - oz)
-    sa, sb, sc = _code(da, eps), _code(db, eps), _code(dc, eps)
-    if not (sa or sb or sc):
-        return None
+    sa = 0 if -eps <= da <= eps else (1 if da > 0.0 else -1)
+    sb = 0 if -eps <= db <= eps else (1 if db > 0.0 else -1)
+    sc = 0 if -eps <= dc <= eps else (1 if dc > 0.0 else -1)
+    if sa == sb == sc:
+        return [] if sa else None
     points: list[tuple] = []
     # a 0-coded vertex is added at its outgoing edge, as the oracle adds it
     for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):

@@ -13,8 +13,9 @@ import random
 from enum import Enum
 from typing import NamedTuple
 
-from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3
+from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, _scaled
 from tritri.clip2d import Point2, ccw_vertices
+from tritri.errors import DegenerateTriangle
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
@@ -306,6 +307,87 @@ def point_triangle_distance(p, t) -> float:
     if all(dot3(vcross(vsub(y, x), vsub(p, x)), n) >= 0.0 for x, y in sides):
         return abs(dot3(vsub(p, a), n)) / vnorm(n)
     return min(point_segment_distance(p, x, y) for x, y in sides)
+
+
+# --- the window build and the edge loop as one helper per step; see test_inline_bits
+
+
+def _reference_clockwise(au, av, bu, bv, cu, cv, eps_area: float) -> bool:
+    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    if abs(area2) < 2.0 * eps_area:
+        raise DegenerateTriangle("2D triangle area below tolerance")
+    return area2 < 0.0
+
+
+def _reference_side_line(pu, pv, qu, qv, ou, ov):
+    """The line through p and q, normalized, positive on the side of o."""
+    l1 = pv - qv
+    l2 = qu - pu
+    l3 = pu * qv - pv * qu
+    ln = math.hypot(l1, l2)
+    if l1 * ou + l2 * ov + l3 < 0.0:
+        ln = -ln
+    return (l1 / ln, l2 / ln, l3 / ln)
+
+
+def _reference_side_lines(au, av, bu, bv, cu, cv, eps_area: float):
+    if _reference_clockwise(au, av, bu, bv, cu, cv, eps_area):
+        bu, bv, cu, cv = cu, cv, bu, bv
+    return (_reference_side_line(au, av, bu, bv, cu, cv), _reference_side_line(au, av, cu, cv, bu, bv),
+            _reference_side_line(bu, bv, cu, cv, au, av))
+
+
+def reference_window_lines(a, b, c, tol: Tolerance):
+    """``window_lines`` as the orientation test, then one helper call per side line.
+
+    Where an offset is not finite, the lines are built again from the
+    corners scaled by 2**-k (``core._scaled``) and their offsets scaled back.
+    """
+    (au, av), (bu, bv), (cu, cv) = a, b, c
+    lines = _reference_side_lines(au, av, bu, bv, cu, cv, tol.eps_area)
+    if all(math.isfinite(line[2]) for line in lines):
+        return lines
+    k, ([(au, av), (bu, bv), (cu, cv)],), small = _scaled(((a, b, c),), tol)
+    lines = _reference_side_lines(au, av, bu, bv, cu, cv, small.eps_area)
+    s = 2.0 ** k
+    return tuple([(l1, l2, l3 * s) for l1, l2, l3 in lines])
+
+
+def _reference_vertex_code(d: float, eps: float) -> int:
+    return 0 if -eps <= d <= eps else (1 if d > 0.0 else -1)
+
+
+def reference_edge_points(tri, pl, tol: Tolerance = DEFAULT_TOLERANCE):
+    """``project_triangle_edges`` as one code helper per vertex and a loop over all three edges."""
+    a, b, c = tri
+    q, w, u, (ox, oy, oz) = pl
+    eps = tol.eps_dist
+    da = q * (a[0] - ox) + w * (a[1] - oy) + u * (a[2] - oz)
+    db = q * (b[0] - ox) + w * (b[1] - oy) + u * (b[2] - oz)
+    dc = q * (c[0] - ox) + w * (c[1] - oy) + u * (c[2] - oz)
+    sa, sb, sc = (_reference_vertex_code(da, eps), _reference_vertex_code(db, eps),
+                  _reference_vertex_code(dc, eps))
+    if not (sa or sb or sc):
+        return None
+    points = []
+    for p1, d1, s1, p2, s2 in ((a, da, sa, b, sb), (b, db, sb, c, sc), (c, dc, sc, a, sa)):
+        if not s1:
+            pt = tuple(p1)
+        elif s1 == -s2:
+            m, n, o = p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]
+            denom = q * m + w * n + u * o
+            if abs(denom) <= eps:
+                continue
+            t = -d1 / denom
+            pt = (p1[0] + t * m, p1[1] + t * n, p1[2] + t * o)
+        else:
+            continue
+        if points:
+            x, y, z = pt[0] - points[0][0], pt[1] - points[0][1], pt[2] - points[0][2]
+            if math.sqrt(x * x + y * y + z * z) <= eps:
+                continue
+        points.append(pt)
+    return points
 
 
 # --- meshes ------------------------------------------------------------------

@@ -577,3 +577,40 @@ def test_collector_pause_nests():
         with collector_paused():
             raise KeyError("restored on the way out")
     assert gc.isenabled()
+
+
+# --- the one-sum finite check -------------------------------------------------------
+
+HUGE = ["1e308"] * 18  # each finite, their sum past the float range
+
+
+def test_finite_values_whose_sum_overflows_are_read():
+    assert sum([1e308] * 18) == math.inf
+    huge = ((1e308,) * 3,) * 3
+    assert read_pairs(io.StringIO(_line(HUGE) + "\n")) == [(0, huge, huge)]
+    text = "\n".join([_line(HUGE)] * (CHUNK + 5) + [_line(ROW), _line(["-1e308"] * 18)])
+    records = read_pairs(io.StringIO(text))
+    assert len(records) == CHUNK + 7 and records[CHUNK + 1] == (CHUNK + 1, huge, huge)
+    assert records[-1][1] == ((-1e308,) * 3,) * 3
+    off = "OFF\n3 1 0\n1e308 1e308 1e308\n-1e308 1e308 -1e308\n0 1e308 1e308\n3 0 1 2\n"
+    assert read_off(io.StringIO(off)) == [((1e308,) * 3, (-1e308, 1e308, -1e308), (0.0, 1e308, 1e308))]
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("lineno", [3, CHUNK + 3])
+@pytest.mark.parametrize("fill", [ROW, HUGE])
+def test_a_value_that_is_not_finite_is_named_whatever_the_sum(bad, lineno, fill):
+    lines = [_line(fill)] * (CHUNK + 10)
+    lines[lineno - 1] = _line(fill[:7] + [bad] + fill[8:])
+    with pytest.raises(ParseError) as got:
+        read_pairs(io.StringIO("\n".join(lines)))
+    assert (got.value.line, str(got.value)) == (lineno, f"line {lineno}: non-finite value: {bad!r}")
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("fill", ["1 2 3", "1e308 1e308 1e308"])
+def test_an_off_vertex_that_is_not_finite_is_named_whatever_the_sum(bad, fill):
+    text = f"OFF\n4 1 0\n{fill}\n{fill}\n0 {bad} 0\n{fill}\n3 0 1 2\n"
+    with pytest.raises(ParseError) as got:
+        read_off(io.StringIO(text))
+    assert (got.value.line, str(got.value)) == (5, f"line 5: non-finite value: {bad!r}")
