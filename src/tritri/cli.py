@@ -6,10 +6,10 @@ soups, gives each face a grown bounding box, sends the cross pairs whose
 boxes overlap to the kernel, and emits records for contacting pairs.  Those
 candidates come from one sweep over a list of boxes sorted by low x; for
 two meshes, the boxes of both that meet the other mesh's overall box share
-that list.  A face is prepared (``intersect.prepare``) on its first
-candidate pair, so a face with none is never prepared.  Both modes run the
-kernel in one loop, ``_kernel_loop``, which counts every case as it goes
-and keeps only the records that the mode writes.
+that list.  Each face is checked and prepared once, in the pass that
+builds its box (``intersect._prepared``).  Both modes run the kernel in
+one loop, ``_kernel_loop``, which counts every case as it goes and keeps
+only the records that the mode writes.
 
 Records go to --output (stdout by default), one JSON object per line; a
 summary JSON object goes to stderr.  Output is deterministic: the record
@@ -51,7 +51,6 @@ nothing from.  The exit codes are the same.  In-process callers of
 """
 
 import contextlib
-import math
 import os
 import sys
 import time
@@ -60,10 +59,10 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NoReturn, Sequence
 
-from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3, plane_from_triangle
+from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
 from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
 from .fileio import collector_paused, read_off, read_pairs
-from .intersect import PreparedTriangle, _margin, intersect, prepare
+from .intersect import PreparedTriangle, _margin, _prepared, intersect
 
 CONTACT_CASES = frozenset({"touch_point", "crossing_segment", "coplanar_contour"})
 
@@ -126,32 +125,26 @@ def run_pairs(pairs: Iterable[tuple], tol: Tolerance,
     return records, _summarize(cases, skipped_by, len(records), time.perf_counter() - start)
 
 
-def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None]:
-    """Per face, its bounding box grown by ``contact_margin``; None for a degenerate face.
+def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> tuple[list, list]:
+    """Per face, its bounding box grown by ``contact_margin``, and the face prepared.
 
-    No face is prepared here.  Each is checked by ``plane_from_triangle``'s
-    own area gate, on the same expressions: only a face whose norm is not
-    finite goes to ``plane_from_triangle`` itself, which raises
-    NonFiniteInput or takes the overflowed norm again before its gate.  The
-    gate comes before the margin, which divides by the inradius.  The margin
-    and the box come from the face's nine coordinates, unpacked once.
+    Each face is checked and prepared once, as given, by
+    ``intersect._prepared``, which raises NonFiniteInput, or
+    DegenerateTriangle for a face whose box and prepared face are None.
+    The check comes before the margin, which divides by the inradius.  The
+    margin takes the norm that the check took, and the margin and the box
+    come from the face's nine coordinates, unpacked once.
     """
-    eps, eps_area = tol.eps_dist, tol.eps_area
-    boxes: list[tuple | None] = []
+    eps = tol.eps_dist
+    boxes, prepared = [], []  # per face, None for a degenerate one
     for face in faces:
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = face
-        ex, ey, ez = bx - ax, by - ay, bz - az
-        fx, fy, fz = cx - ax, cy - ay, cz - az
-        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if not math.isfinite(nn):
-            try:
-                plane_from_triangle(face, tol)  # NonFiniteInput, or the overflowed norm gated
-            except DegenerateTriangle:
-                nn = 0.0
-        if 0.5 * nn < eps_area:
+        try:
+            p, nn = _prepared(face, tol)
+        except DegenerateTriangle:
             boxes.append(None)
+            prepared.append(None)
             continue
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = face
         m = _margin(ax, ay, az, bx, by, bz, cx, cy, cz, nn, eps)
         # each bound by comparisons, which cost less than a three-argument min or max call
         x0 = (ax if ax <= cx else cx) if ax <= bx else (bx if bx <= cx else cx)
@@ -161,7 +154,8 @@ def _face_boxes(faces: Sequence[Triangle3], tol: Tolerance) -> list[tuple | None
         z0 = (az if az <= cz else cz) if az <= bz else (bz if bz <= cz else cz)
         z1 = (az if az >= cz else cz) if az >= bz else (bz if bz >= cz else cz)
         boxes.append((x0 - m, x1 + m, y0 - m, y1 + m, z0 - m, z1 + m))
-    return boxes
+        prepared.append(p)
+    return boxes, prepared
 
 
 def _meeting(entries: list[tuple[int, tuple]], others: list[tuple[int, tuple]]
@@ -205,25 +199,18 @@ def _overlapping_pairs(boxes_a: Sequence[tuple | None], boxes_b: Sequence[tuple 
     return pairs
 
 
-def _prepared_pairs(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
-                    candidates: list[tuple[int, int]], tol: Tolerance) -> Iterable[tuple]:
-    """``((i, j), first, second)`` per candidate, each face prepared on its first pair.
+def _prepared_pairs(prepared_a: Sequence[PreparedTriangle], prepared_b: Sequence[PreparedTriangle],
+                    candidates: list[tuple[int, int]]) -> Iterable[tuple]:
+    """``((i, j), first, second)`` per candidate, read by index from the prepared faces.
 
     Only the first triangle's frame and window are read, so a face's are
     released after its group as the first triangle, its last use (in a mesh
-    against itself, its pairs as the second come first): at most one face
-    holds them, and a face is stored only when prepared as the second.
+    against itself, its pairs as the second come first): at most one face holds them.
     """
-    prepared_a: list[PreparedTriangle | None] = [None] * len(faces_a)
-    prepared_b = prepared_a if faces_a is faces_b else [None] * len(faces_b)
     for i, group in groupby(candidates, key=itemgetter(0)):
-        first = prepared_a[i] or prepare(faces_a[i], tol)
+        first = prepared_a[i]
         for ij in group:  # the candidate's own tuple is the record's id
-            j = ij[1]
-            second = prepared_b[j]
-            if second is None:
-                second = prepared_b[j] = prepare(faces_b[j], tol)
-            yield ij, first, second
+            yield ij, first, prepared_b[ij[1]]
         first.release()
 
 
@@ -233,19 +220,18 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
 
     Only candidate pairs whose bounding boxes, grown by ``contact_margin``,
     overlap reach the kernel; the summary counts the others as ``culled``,
-    and the time spent building the boxes and finding those pairs as
-    ``candidates_us``.
+    and the time spent checking and preparing the faces, building their
+    boxes and finding those pairs as ``candidates_us``.
     Pairs with a degenerate face count as ``skipped`` without a kernel call.
-    A face is prepared on its first candidate pair, as the first triangle or
-    the second, so a face with no candidate is never prepared, and its
-    normal, frame axes and window (its side lines) are built at most once
-    per face, not once per pair.  A mesh against itself (``faces_a is
-    faces_b``) skips the diagonal and tests each unordered pair once (i < j).
+    Each face is checked and prepared once, in the box pass, so its normal,
+    frame axes and window (its side lines) are built at most once per face,
+    not once per pair.  A mesh against itself (``faces_a is faces_b``)
+    skips the diagonal and tests each unordered pair once (i < j).
     """
     start = time.perf_counter()
     same_mesh = faces_a is faces_b
-    boxes_a = _face_boxes(faces_a, tol)
-    boxes_b = boxes_a if same_mesh else _face_boxes(faces_b, tol)
+    boxes_a, prepared_a = _face_boxes(faces_a, tol)
+    boxes_b, prepared_b = (boxes_a, prepared_a) if same_mesh else _face_boxes(faces_b, tol)
     good_a = len(boxes_a) - boxes_a.count(None)
     if same_mesh:
         pairs = len(faces_a) * (len(faces_a) - 1) // 2
@@ -256,7 +242,7 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
     candidates = _overlapping_pairs(boxes_a, boxes_b, same_mesh)
     candidates_s = time.perf_counter() - start
     records, cases, skipped_by = _kernel_loop(
-        _prepared_pairs(faces_a, faces_b, candidates, tol), tol, timing, CONTACT_CASES)
+        _prepared_pairs(prepared_a, prepared_b, candidates), tol, timing, CONTACT_CASES)
     degenerate = pairs - good_pairs  # pairs with a degenerate face skip the kernel
     if degenerate:
         skipped_by["DegenerateTriangle"] = skipped_by.get("DegenerateTriangle", 0) + degenerate

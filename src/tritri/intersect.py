@@ -73,7 +73,7 @@ class PreparedTriangle:
     window, as the side lines ``window_lines`` builds) are made on the first
     call of ``frame_window`` and kept.  All of it holds under ``tol``, under
     which ``intersect`` reads it; ``tol`` is None for a triangle whose norm
-    may overflow, which ``intersect`` reads raw, as an unprepared one.
+    overflowed, which ``intersect`` reads raw, as an unprepared one.
     """
 
     __slots__ = ("tri", "normal", "tol", "_frame_window")
@@ -90,13 +90,12 @@ class PreparedTriangle:
         Built on the first call, in one pass: the axes, the three corners'
         frame coordinates as plain floats (no ``Point2``), and the side lines
         from those six floats by ``clip2d._window``.  Raises ValueError for a
-        triangle prepared past 2**254 (the ``math.hypot`` of its nine
-        coordinates), whose ``tol`` is None: it keeps no frame, and
-        ``intersect`` reads it as a raw triangle.
+        triangle whose norm overflowed, whose ``tol`` is None: it keeps no
+        frame, and ``intersect`` reads it as a raw triangle.
         """
         if self._frame_window is None:
             if self.tol is None:
-                raise ValueError("a triangle prepared past 2**254 keeps no frame (its tol is None)")
+                raise ValueError("a triangle whose norm overflowed keeps no frame (its tol is None)")
             q, w, u = self.normal
             self._frame_window = _frame_window(self.tri, q, w, u, self.tol)
         return self._frame_window
@@ -149,11 +148,28 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
         t = t.tri
     if not (type(t) is tuple and type(t[0]) is type(t[1]) is type(t[2]) is tuple):
         t = tuple(map(tuple, t))
-    normal = plane_from_triangle(t, tol)[:3]
-    # the norm, at most sqrt(192) M**2 for M the largest |coordinate|, may overflow: such
-    # a triangle keeps no tolerance, so intersect reads it raw, and _cold takes it
-    far = math.hypot(*t[0], *t[1], *t[2]) >= 2.0 ** 254
-    return PreparedTriangle(t, normal, None if far else tol)
+    return _prepared(t, tol)[0]
+
+
+def _prepared(t, tol: Tolerance) -> tuple[PreparedTriangle, float]:
+    """``t`` as given, prepared under ``tol``, and its norm: the one gate of one triangle.
+
+    The norm is ``_intersect``'s, and where it passes ``_intersect``'s test
+    the triangle keeps that unit normal and ``tol``, so prepared and raw
+    triangles give the same answers.  Otherwise ``plane_from_triangle``
+    raises NonFiniteInput or DegenerateTriangle, or the norm overflowed: the
+    triangle keeps the normal taken scaled, and ``tol`` None, so
+    ``intersect`` reads it raw and ``_cold`` takes it.
+    """
+    a, b, c = t
+    ax, ay, az = a
+    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
+    fx, fy, fz = c[0] - ax, c[1] - ay, c[2] - az
+    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    nn = _sqrt(nx * nx + ny * ny + nz * nz)
+    if tol.eps_area <= 0.5 * nn < _INF:
+        return PreparedTriangle(t, (nx / nn, ny / nn, nz / nn), tol), nn
+    return PreparedTriangle(t, plane_from_triangle(t, tol)[:3], None), nn
 
 
 # one shared empty result per EmptyReason, in the enum's order, and the
@@ -325,11 +341,8 @@ def contact_margin(t, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     * ``1e-12 * (1 + R)``: rounding, for chains of a few dozen float
       operations on coordinates of size R.
     """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
-    ex, ey, ez = bx - ax, by - ay, bz - az
-    fx, fy, fz = cx - ax, cy - ay, cz - az
-    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-    nn = _sqrt(nx * nx + ny * ny + nz * nz)
+    p, nn = _prepared(t.tri if isinstance(t, PreparedTriangle) else t, tol)
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p.tri
     return _margin(ax, ay, az, bx, by, bz, cx, cy, cz, nn, tol.eps_dist)
 
 

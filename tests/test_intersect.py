@@ -410,7 +410,7 @@ def test_labels_survive_power_of_two_scaling():
 
 
 def test_prepared_pairs_equal_raw_pairs_past_the_norm_overflow():
-    # a prepared triangle whose norm may overflow is read raw, so that the
+    # a prepared triangle whose norm overflowed is read raw, so that the
     # pair is scaled as a raw one is: labels and points agree bit for bit
     for k in (600, 1018):
         for pair in mixed_pairs(random.Random(2029), 200):

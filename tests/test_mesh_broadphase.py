@@ -6,6 +6,7 @@ and require the same contact records, on pairs the kernel reports as
 contacts well outside an eps_dist-grown box and on small random meshes.
 """
 
+import importlib
 import math
 import random
 
@@ -58,8 +59,8 @@ def assert_matches_brute_force(faces_a, faces_b, tol=DEFAULT_TOLERANCE):
     records, _ = run_meshes(faces_a, faces_b, tol)
     want = brute_force_contacts(faces_a, faces_b, same_mesh, tol)
     assert [record[:3] for record in records] == want
-    boxes_a = _face_boxes(faces_a, tol)
-    boxes_b = _face_boxes(faces_b, tol)
+    boxes_a, _ = _face_boxes(faces_a, tol)
+    boxes_b, _ = _face_boxes(faces_b, tol)
     assert (_overlapping_pairs(boxes_a, boxes_b, same_mesh)
             == brute_force_overlaps(boxes_a, boxes_b, same_mesh))
     return want
@@ -168,37 +169,70 @@ def test_height_fields_meeting_at_a_corner_match_brute_force(corner):
     for mesh_a, mesh_b in ((field, moved), (moved, field)):
         assert_matches_brute_force(mesh_a, mesh_b)
         _, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
-        boxes_a = _face_boxes(mesh_a, DEFAULT_TOLERANCE)
-        boxes_b = _face_boxes(mesh_b, DEFAULT_TOLERANCE)
+        boxes_a, _ = _face_boxes(mesh_a, DEFAULT_TOLERANCE)
+        boxes_b, _ = _face_boxes(mesh_b, DEFAULT_TOLERANCE)
         overlaps = brute_force_overlaps(boxes_a, boxes_b)
         assert sum(summary["cases"].values()) == len(overlaps)  # a kernel call per overlap
         assert summary["culled"] == 50 * 50 - len(overlaps) > 50 * 49
         assert summary["pairs"] == 50 * 50 and summary["skipped"] == 0
 
 
-def test_a_face_is_prepared_on_its_first_candidate_pair(monkeypatch):
-    # two fields of 5 x 5 cells that overlap in one corner cell: most faces
-    # have no candidate pair, and none of those is prepared
+def test_each_face_is_checked_and_prepared_once_per_run(monkeypatch):
+    # two fields of 5 x 5 cells that overlap in one corner cell, so most faces
+    # have no candidate pair, and a field against itself: every face of each
+    # mesh is checked and prepared once, in the box pass, and the kernel gets
+    # those prepared faces.  Only a face that fails the kernel's own test of
+    # its norm reaches plane_from_triangle there, and prepare is not called
     rng = random.Random(20246)
     heights = [[rng.randint(0, 2) / 2 for _ in range(6)] for _ in range(6)]
     field, moved = height_field(heights), height_field(heights, offset=(4, 4, 0.5))
-    prepare, prepared = tritri.cli.prepare, []
+    huge = _tri(((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0)))  # its norm overflows
+    flat = _tri(((0, 0, 0), (1, 1, 0), (2, 2, 0)))  # collinear, area 0
+    module = importlib.import_module("tritri.intersect")  # not the names tritri re-exports
+    gate, plane, prepare, kernel = (tritri.cli._prepared, module.plane_from_triangle,
+                                    module.prepare, tritri.cli.intersect)
+    gated, made, planes, prepared, inside = [], set(), [], [], [False]
 
-    def counted(t, tol):
+    def counted_gate(t, tol):
+        gated.append(t)
+        inside[0] = True  # a plane_from_triangle call now is the gate's
+        try:
+            p, nn = gate(t, tol)
+        finally:
+            inside[0] = False
+        made.add(id(p))
+        return p, nn
+
+    def counted_plane(t, tol):
+        if inside[0]:
+            planes.append(t)
+        return plane(t, tol)
+
+    def watched_kernel(t1, t2, tol):
+        assert id(t1) in made and id(t2) in made
+        return kernel(t1, t2, tol)
+
+    def counted_prepare(t, tol):
         prepared.append(t)
         return prepare(t, tol)
 
-    monkeypatch.setattr(tritri.cli, "prepare", counted)
-    for mesh_a, mesh_b in ((field, moved), (moved, field), (field, field)):
-        prepared.clear()
+    monkeypatch.setattr(tritri.cli, "_prepared", counted_gate)
+    monkeypatch.setattr(module, "plane_from_triangle", counted_plane)
+    monkeypatch.setattr(tritri.cli, "intersect", watched_kernel)
+    monkeypatch.setattr(module, "prepare", counted_prepare)
+    assert not hasattr(tritri.cli, "prepare")
+    for mesh_a, mesh_b, failing in ((field, moved, []), (moved, field, []), (field, field, []),
+                                    (field + [huge, flat], [flat] + moved, [huge, flat, flat])):
+        gated.clear()
+        made.clear()
+        planes.clear()
         _, summary = run_meshes(mesh_a, mesh_b, DEFAULT_TOLERANCE)
-        assert summary["skipped"] == 0  # so every candidate pair reaches the kernel
-        candidates = _overlapping_pairs(_face_boxes(mesh_a, DEFAULT_TOLERANCE),
-                                        _face_boxes(mesh_b, DEFAULT_TOLERANCE), mesh_a is mesh_b)
-        faces = {id(mesh_a[i]) for i, _ in candidates} | {id(mesh_b[j]) for _, j in candidates}
-        assert sorted(map(id, prepared)) == sorted(faces)  # each face once
-        if mesh_a is not mesh_b:  # against itself, every face has a neighbour
-            assert 0 < len(prepared) < (len(mesh_a) + len(mesh_b)) // 4
+        faces = mesh_a if mesh_a is mesh_b else mesh_a + mesh_b
+        assert list(map(id, gated)) == list(map(id, faces))  # each face once, in order
+        assert list(map(id, planes)) == list(map(id, failing))
+        assert sum(summary["cases"].values()) > 0 and prepared == []
+        if not failing:
+            assert summary["skipped"] == 0  # so every candidate pair reaches the kernel
 
 
 def test_faces_past_the_float_squares_are_checked_as_the_kernel_checks_them():

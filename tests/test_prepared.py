@@ -17,8 +17,9 @@ import pytest
 from tritri.clip2d import window_lines
 from tritri.cli import run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE, Plane, Tolerance
-from tritri.intersect import (CaseLabel, PreparedTriangle, _frame_window, _intersect, intersect,
-                              prepare)
+from tritri.errors import GeometryError
+from tritri.intersect import (CaseLabel, PreparedTriangle, _frame_window, _intersect, _margin,
+                              contact_margin, intersect, prepare)
 
 from conftest import (build_frame, coplanar_pair, coplanar_partner, grid_triangle, height_field,
                       mixed_pairs, scaled, to_plane)
@@ -157,12 +158,82 @@ def test_a_prepared_triangle_keeps_plain_tuples_and_one_tolerance():
     axes, window = p.frame_window()
     assert type(axes) is tuple and [type(a) for a in axes] == [tuple, tuple]
     assert type(window) is tuple and [type(line) for line in window] == [tuple, tuple, tuple]
-    # past 2**254 the norm may overflow: the triangle keeps no tolerance, and intersect reads it raw
+    # legs of 1e160 overflow the norm: the triangle keeps no tolerance, and intersect reads it raw
     huge = prepare(((0, 0, 0), (1e160, 0, 0), (0, 1e160, 0)))
     assert huge.tol is None and huge.normal == (0.0, 0.0, 1.0)
     # so it keeps no frame either, and says why when asked for one
-    with pytest.raises(ValueError, match=r"past 2\*\*254"):
+    with pytest.raises(ValueError, match=r"norm overflowed"):
         huge.frame_window()
+
+
+def _moved_out(t, k: int, axis: int) -> tuple:
+    """``t`` moved out to 2**k along ``axis``, and stretched along it by 2**(k - 40).
+
+    The float spacing at 2**k, 2**(k - 52), would merge the unit-scale
+    coordinates along the axis; stretched, they stay apart, exactly for the
+    grid ones.  Up to k = 500 the norm, below about 2**(k - 30), has finite
+    squares; from k = 600 they overflow.
+    """
+    o, s = 2.0 ** k, 2.0 ** (k - 40)
+    return tuple(tuple(o + c * s if i == axis else c for i, c in enumerate(v)) for v in t)
+
+
+def _outcome(t1, t2):
+    """``intersect``'s label, reason and point bits, or the type of its error."""
+    try:
+        label, result = intersect(t1, t2)
+    except GeometryError as exc:
+        return type(exc)
+    return label, result.reason, _bits(result.points)
+
+
+def _margin_by_its_own_norm(t, tol=DEFAULT_TOLERANCE) -> float:
+    """``contact_margin`` from the prepared corners and a cross product of its own."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = prepare(t, tol).tri
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    fx, fy, fz = cx - ax, cy - ay, cz - az
+    nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return _margin(ax, ay, az, bx, by, bz, cx, cy, cz, nn, tol.eps_dist)
+
+
+@pytest.mark.parametrize("k", [254, 300, 400, 500, 700])
+def test_a_triangle_far_out_with_a_finite_norm_keeps_its_tolerance(k):
+    # a coordinate of 2**k puts the triangle past any bound on its coordinates'
+    # size; the kernel's own test of its norm decides whether it keeps tol, so
+    # up to k = 500 every one keeps it and builds its frame, and prepared and
+    # raw triangles, mixed in either order, give the same bits
+    mixed = mixed_pairs(random.Random(79), 60)
+    moved = [tuple(_moved_out(t, k, axis) for t in pair) for axis in range(3) for pair in mixed]
+    big = [scaled(pair, 600)[1] for pair in mixed]  # partners whose norms overflow
+    pairs = moved + list(zip([a for a, _ in moved], big))
+    prepared = {t: prepare(t) for pair in pairs for t in pair}
+    assert all(prepared[t].tol is None for t in big)
+    kept = [prepared[t] for pair in moved for t in pair if prepared[t].tol is not None]
+    assert len(kept) == (2 * len(moved) if k <= 500 else 0)
+    for p in kept:
+        axes, window = p.frame_window()
+        assert _bits((axes, window)) == _bits(_frame_window(p.tri, *p.normal, DEFAULT_TOLERANCE))
+    for pair in pairs:
+        for a, b in (pair, pair[::-1]):
+            want = _outcome(a, b)
+            for x, y in ((prepared[a], b), (a, prepared[b]), (prepared[a], prepared[b])):
+                assert _outcome(x, y) == want, (k, a, b)
+    # contact_margin takes the norm the gate took: the same bits, raw or prepared
+    for t, p in prepared.items():
+        want = _margin_by_its_own_norm(t).hex()
+        assert contact_margin(t).hex() == contact_margin(p).hex() == want, t
+
+
+def test_the_margin_and_the_gate_agree_on_plain_and_overflowed_triangles():
+    huge = ((0.0, 0.0, 0.0), (1e160, 0.0, 0.0), (0.0, 1e160, 0.0))  # the cross product overflows
+    triangles = [t for pair in mixed_pairs(random.Random(83), 100) for t in pair]
+    triangles += [huge, *scaled(triangles[:20], 300), *scaled(triangles[:20], 600)]
+    for t in triangles:
+        want = _margin_by_its_own_norm(t).hex()
+        assert contact_margin(t).hex() == contact_margin(prepare(t)).hex() == want, t
+        assert contact_margin([list(v) for v in t]).hex() == want
+    assert contact_margin(huge) == math.inf and prepare(huge).tol is None
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
