@@ -21,8 +21,9 @@ steps looked up in this module's globals, the boundaries that
 ``bench/tracing.py`` wraps: the edge crossings, the segment clip and the
 coplanar contour.  A norm that is not finite or below the area gate takes
 ``_cold``: ``core.plane_from_triangle`` raises NonFiniteInput before
-DegenerateTriangle, or the norm overflowed, and the same body runs on the
-pair scaled by one power of two.  ``tests/test_kernel_reference.py`` holds
+DegenerateTriangle, or the norm overflowed.  Then the planes' relation is
+decided on the unscaled normals, and the body runs on the pair scaled by
+one power of two.  ``tests/test_kernel_reference.py`` holds
 a reference kernel composed of one function per step, and requires the
 same label, reason, error and point bits on every pair it draws.
 """
@@ -154,7 +155,7 @@ def prepare(t, tol: Tolerance = DEFAULT_TOLERANCE) -> PreparedTriangle:
 def _prepared(t, tol: Tolerance) -> tuple[PreparedTriangle, float]:
     """``t`` as given, prepared under ``tol``, and its norm: the one gate of one triangle.
 
-    The norm is ``_intersect``'s, and where it passes ``_intersect``'s test
+    The norm is ``intersect``'s, and where it passes ``intersect``'s test
     the triangle keeps that unit normal and ``tol``, so prepared and raw
     triangles give the same answers.  Otherwise ``plane_from_triangle``
     raises NonFiniteInput or DegenerateTriangle, or the norm overflowed: the
@@ -191,11 +192,6 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     result geometry lies on both supporting planes within eps_dist; a
     clipped segment that degenerates to one point is a touch point.
     """
-    return _intersect(t1, t2, tol, tol.eps_dist)
-
-
-def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:
-    """``intersect``, ``sine`` bounding parallel planes' dihedral sine, which ``_cold`` does not scale."""
     # each unit normal, or the normal kept by prepare under tol; a norm that is
     # not finite, or below the area gate, takes _cold
     kept = None  # t1 prepared under tol: its frame and window are kept with it
@@ -213,7 +209,7 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
         if tol.eps_area <= 0.5 * nn < _INF:
             q1, w1, u1 = nx / nn, ny / nn, nz / nn
         else:
-            return _cold(t1, t2, tol, sine)
+            return _cold(t1, t2, tol)
     else:
         q1, w1, u1 = kept.normal
 
@@ -232,14 +228,14 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
         if tol.eps_area <= 0.5 * nn < _INF:
             q2, w2, u2 = nx / nn, ny / nn, nz / nn
         else:
-            return _cold(t1, t2, tol, sine)
+            return _cold(t1, t2, tol)
     else:
         q2, w2, u2 = normal2
 
     # the normals' cross product is the sine of the dihedral angle; coincidence is
     # the distance of t2's first vertex from t1's plane, whichever way the normals point
     cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
-    if _sqrt(cq * cq + cw * cw + cu * cu) > sine:
+    if _sqrt(cq * cq + cw * cw + cu * cu) > tol.eps_dist:
         points = project_triangle_edges(t2, (q1, w1, u1, a1), tol)
         # None is a borderline coincidence: every vertex of t2 sits in t1's plane
         coplanar = points is None
@@ -289,25 +285,28 @@ def _intersect(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, Intersec
     return label, _new(IntersectionResult, (tuple(lifted), None))
 
 
-def _cold(t1, t2, tol: Tolerance, sine: float) -> tuple[CaseLabel, IntersectionResult]:
-    """``_intersect`` of a pair with a norm that is not finite or below the area gate.
+def _cold(t1, t2, tol: Tolerance) -> tuple[CaseLabel, IntersectionResult]:
+    """``intersect`` of a pair with a norm that is not finite or below the area gate.
 
     ``plane_from_triangle`` raises the first triangle's error, then the
-    second's.  Otherwise a norm overflowed: the body runs on the normals,
-    which do not scale, and on the pair scaled by 2**-k with its length
-    tolerances (``core._scaled``); its points are scaled back.  Where the
-    scale flushes the area of a partner some 2**1000 times smaller, which
-    passed the gate unscaled, the body runs unscaled.
+    second's.  Otherwise a norm overflowed.  The unit normals' sine has no
+    unit, so the planes' relation is decided on them unscaled, under the
+    caller's eps_dist: at most eps_dist, t2 takes t1's normal, whose cross
+    product with itself is exactly 0.  The body runs on the normals and on
+    the pair scaled by 2**-k with its length tolerances (``core._scaled``),
+    and its points are scaled back; or unscaled, where the scale flushes
+    the area of a partner some 2**1000 times smaller that passed the gate.
     """
     t2 = t2.tri if isinstance(t2, PreparedTriangle) else t2
-    normals = plane_from_triangle(t1, tol)[:3], plane_from_triangle(t2, tol)[:3]
+    normals = (q1, w1, u1), (q2, w2, u2) = plane_from_triangle(t1, tol)[:3], plane_from_triangle(t2, tol)[:3]
+    cq, cw, cu = w1 * u2 - u1 * w2, u1 * q2 - q1 * u2, q1 * w2 - w1 * q2
+    if _sqrt(cq * cq + cw * cw + cu * cu) <= tol.eps_dist:
+        normals = normals[0], normals[0]
     k, scaled, small = _scaled((t1, t2), tol)
     try:
-        label, result = _intersect(*[PreparedTriangle(s, n, small) for s, n in zip(scaled, normals)],
-                                   small, sine)
+        label, result = intersect(*[PreparedTriangle(s, n, small) for s, n in zip(scaled, normals)], small)
     except DegenerateTriangle:
-        return _intersect(PreparedTriangle(t1, normals[0], tol), PreparedTriangle(t2, normals[1], tol),
-                          tol, sine)
+        return intersect(PreparedTriangle(t1, normals[0], tol), PreparedTriangle(t2, normals[1], tol), tol)
     s = 2.0 ** k  # a product, not ldexp, so that a point past the float range is inf
     return label, result._replace(points=tuple([_new(Point3, (x * s, y * s, z * s))
                                                 for x, y, z in result.points]))

@@ -16,7 +16,7 @@ from tritri.intersect import intersect
 
 from conftest import height_field, mixed_pairs, off_text
 
-MAX_CALLS_PER_PAIR = 6
+MAX_CALLS_PER_PAIR = 5
 TRACED = {
     "tritri.intersect": ("project_triangle_edges", "clip_segment_to_triangle", "intersect_coplanar"),
     "tritri.cli": ("intersect", "read_pairs", "read_off", "run_pairs", "run_meshes"),
@@ -38,7 +38,7 @@ def _calls(t1, t2) -> int:
     return calls
 
 
-def test_intersect_makes_at_most_six_calls_per_pair():
+def test_intersect_makes_at_most_five_calls_per_pair():
     counts = [_calls(t1, t2) for t1, t2 in mixed_pairs(random.Random(11), 1000)]
     assert max(counts) <= MAX_CALLS_PER_PAIR, (max(counts), sum(counts) / len(counts))
 

@@ -56,6 +56,19 @@ def test_degenerate_triangle_raises():
         plane_from_triangle(Triangle3(Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0)))
 
 
+def test_the_subnormal_limit_holds_for_float_coordinates_only():
+    # the sliver's normal rests on its 2**-990 coordinate; in floats, the first
+    # component of the cross product overflows, the triangle is scaled by 2**-500
+    # and that coordinate flushes to 0; in ints that component is exact
+    h, exact = 2.0 ** 1000, (0.0, -0.7071067811865475, 0.7071067811865475)
+    with pytest.raises(DegenerateTriangle):
+        plane_from_triangle(((0.0, 0.0, 0.0), (2.0 ** -990, h, h), (0.0, h, h)))
+    sliver = ((0, 0, 0), (2 ** -990, 2 ** 1000, 2 ** 1000), (0, 2 ** 1000, 2 ** 1000))
+    assert plane_from_triangle(sliver)[:3] == exact
+    # with 2**-400 in its place, the float spelling keeps the exact normal too
+    assert plane_from_triangle(((0.0, 0.0, 0.0), (2.0 ** -400, h, h), (0.0, h, h)))[:3] == exact
+
+
 def test_signed_distance_is_metric():
     pl = plane_from_triangle(T1)
     assert math.isclose(signed_distance(Point3(1, 1, 2.5), pl), 2.5)

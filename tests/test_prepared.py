@@ -18,8 +18,8 @@ from tritri.clip2d import window_lines
 from tritri.cli import run_meshes, run_pairs
 from tritri.core import DEFAULT_TOLERANCE, Plane, Tolerance
 from tritri.errors import GeometryError
-from tritri.intersect import (CaseLabel, PreparedTriangle, _frame_window, _intersect, _margin,
-                              contact_margin, intersect, prepare)
+from tritri.intersect import (CaseLabel, PreparedTriangle, _frame_window, _margin, contact_margin,
+                              intersect, prepare)
 
 from conftest import (build_frame, coplanar_pair, coplanar_partner, grid_triangle, height_field,
                       mixed_pairs, scaled, to_plane)
@@ -251,7 +251,7 @@ def test_the_kernel_unpacks_only_exact_tuples():
         intersect(t1, t2)
         intersect(t2, t1)
     adaptive = [(fn.__qualname__, ins.positions.lineno)
-                for fn in (_intersect, PreparedTriangle.frame_window)
+                for fn in (intersect, PreparedTriangle.frame_window)
                 for ins in dis.get_instructions(fn, adaptive=True)
                 if ins.opname == "UNPACK_SEQUENCE_ADAPTIVE"]
     assert adaptive == []
