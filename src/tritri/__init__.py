@@ -22,8 +22,6 @@ from .core import (
     plane_from_triangle,
 )
 from .clip2d import (
-    Point2,
-    ccw_vertices,
     clip_segment_to_triangle,
     region_code,
     window_lines,
@@ -59,12 +57,10 @@ __all__ = [
     "NonFiniteInput",
     "ParseError",
     "Plane",
-    "Point2",
     "Point3",
     "PreparedTriangle",
     "Tolerance",
     "Triangle3",
-    "ccw_vertices",
     "clip_segment_to_triangle",
     "contact_margin",
     "intersect",

@@ -60,7 +60,7 @@ from operator import itemgetter
 from typing import Iterable, NoReturn, Sequence
 
 from .core import DEFAULT_TOLERANCE, Tolerance, Triangle3
-from .errors import DegenerateTriangle, EmptyMesh, GeometryError, ParseError
+from .errors import DegenerateTriangle, GeometryError, ParseError
 from .fileio import collector_paused, read_off, read_pairs
 from .intersect import PreparedTriangle, _margin, _prepared, intersect
 
@@ -252,10 +252,10 @@ def run_meshes(faces_a: Sequence[Triangle3], faces_b: Sequence[Triangle3],
 
 
 def _read_mesh(path: str) -> list[tuple]:
-    """``read_off`` of a path, '-' for stdin; its ParseError or EmptyMesh names the path."""
+    """``read_off`` of a path, '-' for stdin; its ParseError (EmptyMesh too) names the path."""
     try:
         return read_off(path)
-    except (ParseError, EmptyMesh) as exc:
+    except ParseError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -419,7 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # here, so that a write that fails (a closed pipe) is reported as an error
             out.flush()
         emit_s = time.perf_counter() - emit_start
-    except (ParseError, EmptyMesh, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary.update(parse_us=round(parse_s * 1e6), emit_us=round(emit_s * 1e6),

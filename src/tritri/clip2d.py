@@ -1,10 +1,11 @@
 """Clipping of 2D segments against a triangular window.
 
 The window is the tuple of its three side lines, which one function,
-``_window``, builds from six corner floats; no code reads the corners
-afterwards.  Every point gets a 3-bit region code, one bit per window
-side line, set when the point lies strictly outside that line by more
-than ``eps_dist``:
+``_window``, builds from six corner floats in either order, raising
+DegenerateTriangle for an area below ``eps_area``; no code reads the
+corners afterwards.  Every point gets a 3-bit region code, one bit per
+window side line, set when the point lies strictly outside that line by
+more than ``eps_dist``:
 
     bit value 2 -- outside line AB
     bit value 4 -- outside line AC
@@ -30,7 +31,6 @@ ends merge by ``math.dist``.
 """
 
 import math
-from typing import NamedTuple
 
 from .core import DEFAULT_TOLERANCE, Tolerance, _scaled
 from .errors import DegenerateTriangle
@@ -39,36 +39,8 @@ _INF = math.inf
 _hypot = math.hypot
 
 
-class Point2(NamedTuple):
-    u: float
-    v: float
-
-
 # a window: its side lines AB, AC, BC as (l1, l2, l3), l1 * u + l2 * v + l3 >= 0 inside
 Window = tuple[tuple[float, float, float], ...]
-
-
-def _clockwise(au, av, bu, bv, cu, cv, eps_area: float) -> bool:
-    """Whether the 2D triangle abc turns clockwise.
-
-    Raises DegenerateTriangle when the area is below ``eps_area``.
-    """
-    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
-    if abs(area2) < 2.0 * eps_area:
-        raise DegenerateTriangle("2D triangle area below tolerance")
-    return area2 < 0.0
-
-
-def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, Point2, Point2]:
-    """The 2D triangle abc as three points in counter-clockwise order.
-
-    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
-    """
-    if not (type(a) is type(b) is type(c) is Point2):
-        a, b, c = Point2(*a), Point2(*b), Point2(*c)
-    if _clockwise(*a, *b, *c, tol.eps_area):
-        return a, c, b
-    return a, b, c
 
 
 def _window(au, av, bu, bv, cu, cv, tol: Tolerance) -> Window:
@@ -104,11 +76,12 @@ def _window(au, av, bu, bv, cu, cv, tol: Tolerance) -> Window:
 def window_lines(a, b, c, tol: Tolerance) -> Window:
     """The 2D window abc as its three normalized side lines, positive inside.
 
-    The lines come in the order AB, AC, BC of the corners as ``ccw_vertices``
-    orders them; a window whose area is below ``tol.eps_area`` raises
-    DegenerateTriangle.  Past about 2**511 an offset's products overflow, and
-    the area's may: the lines are then those of the corners scaled by 2**-k
-    (``core._scaled``), their offsets scaled back.  ``_window`` builds them.
+    The corners may come in either order; the lines come in the order AB,
+    AC, BC of the corners taken counter-clockwise from ``a``, and a window
+    whose area is below ``tol.eps_area`` raises DegenerateTriangle.  Past
+    about 2**511 an offset's products overflow, and the area's may: the
+    lines are then those of the corners scaled by 2**-k (``core._scaled``),
+    their offsets scaled back.  ``_window`` builds them.
     """
     (au, av), (bu, bv), (cu, cv) = a, b, c
     return _window(au, av, bu, bv, cu, cv, tol)

@@ -1,11 +1,13 @@
 """Contour of two coplanar triangles by half-plane clipping.
 
-The clipped triangle is clipped in turn against the window's three inside
-half-planes (Sutherland & Hodgman, CACM 1974).  Each pass keeps the part
-of the polygon on the interior side of one window side line, so after
-three passes what is left is the overlap of the two triangles: a convex
-polygon with 3 to 6 vertices, or nothing.  A triangle contained in the
-other comes back as a 3-vertex contour.
+The clipped triangle comes as three points in either order: the clip
+gates its area against ``eps_area`` and takes it counter-clockwise, as
+``window_lines`` does for the window's corners.  It is clipped in turn
+against the window's three inside half-planes (Sutherland & Hodgman, CACM
+1974).  Each pass keeps the part of the polygon on the interior side of
+one window side line, so after three passes what is left is the overlap
+of the two triangles: a convex polygon with 3 to 6 vertices, or nothing.
+A triangle contained in the other comes back as a 3-vertex contour.
 
 Touching contacts are not overlap: a shared edge, a shared vertex or a
 corner graze leaves a polygon whose area is below ``eps_area``, and the
@@ -20,18 +22,24 @@ import math
 
 from .clip2d import Window
 from .core import DEFAULT_TOLERANCE, Tolerance
+from .errors import DegenerateTriangle
 
 
 def intersect_coplanar(window: Window, clipped, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[tuple, ...]:
     """Overlap of two coplanar triangles given in one 2D frame: () or 3 to 6 vertices.
 
-    Consecutive vertices within ``eps_dist`` of each other are merged, and
-    an overlap of area at most ``eps_area`` counts as none.  The contour
-    is counter-clockwise, since the window's side lines are built from
-    corners in that order and ``clipped`` holds three points ordered by
-    ``ccw_vertices``.
+    ``clipped`` is three points in either order; an area below
+    ``tol.eps_area`` raises DegenerateTriangle.  Consecutive vertices
+    within ``eps_dist`` of each other are merged, and an overlap of area
+    at most ``eps_area`` counts as none.  The contour is counter-clockwise,
+    since the window's side lines are built from corners in that order and
+    ``clipped`` is taken in it.
     """
-    poly = list(map(tuple, clipped))  # exact tuples are taken as they are
+    (au, av), (bu, bv), (cu, cv) = clipped
+    area2 = (bu - au) * (cv - av) - (bv - av) * (cu - au)
+    if abs(area2) < 2.0 * tol.eps_area:
+        raise DegenerateTriangle("2D triangle area below tolerance")
+    poly = [(au, av), (cu, cv), (bu, bv)] if area2 < 0.0 else [(au, av), (bu, bv), (cu, cv)]
     for l1, l2, l3 in window:
         if not poly:
             break

@@ -23,5 +23,5 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class EmptyMesh(ValueError):
+class EmptyMesh(ParseError):
     """Mesh file parsed but contains no triangles."""

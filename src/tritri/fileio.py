@@ -75,10 +75,20 @@ _CHUNK_LINES = 1024  # lines read_pairs parses at once: a chunk's tokens are all
 
 
 @contextlib.contextmanager
-def _undecodable_is_a_parse_error():
-    """Turn a byte the input's encoding cannot decode into a ParseError."""
+def _opened(source: str | os.PathLike | TextIO):
+    """The text stream of a path, '-' for stdin, or an open stream.
+
+    A path is opened as UTF-8 and closed on exit.  A byte the input's
+    encoding cannot decode is a ParseError.
+    """
     try:
-        yield
+        if hasattr(source, "read"):
+            yield source
+        elif str(source) == "-":
+            yield sys.stdin
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                yield handle
     except UnicodeDecodeError as exc:
         raise ParseError(f"not {exc.encoding} text: byte {exc.object[exc.start]:#04x}") from None
 
@@ -116,7 +126,6 @@ def _read_pairs(lines: Iterable[str]) -> list[tuple]:
 
 
 @collector_paused()
-@_undecodable_is_a_parse_error()
 def read_pairs(source: str | os.PathLike | TextIO) -> list[tuple]:
     """Read pair records from a path, '-' for stdin, or an open stream.
 
@@ -126,12 +135,8 @@ def read_pairs(source: str | os.PathLike | TextIO) -> list[tuple]:
     consume ids.  A bad line, or a byte the input cannot decode, is a
     ParseError.
     """
-    if hasattr(source, "read"):
-        return _read_pairs(source)
-    if str(source) == "-":
-        return _read_pairs(sys.stdin)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _read_pairs(handle)
+    with _opened(source) as stream:
+        return _read_pairs(stream)
 
 
 def _need(rows: list, count: int) -> None:
@@ -215,7 +220,6 @@ def _off_faces(lines: list[str]) -> list[tuple]:
 
 
 @collector_paused()
-@_undecodable_is_a_parse_error()
 def read_off(source: str | os.PathLike | TextIO) -> list[tuple]:
     """Read an ASCII OFF triangle soup from a path, '-' for stdin, or an open stream.
 
@@ -224,11 +228,6 @@ def read_off(source: str | os.PathLike | TextIO) -> list[tuple]:
     of three ``(x, y, z)`` tuples, and faces that share a vertex index share
     that tuple.  A byte the input cannot decode is a ParseError too.
     """
-    if str(source) == "-":
-        source = sys.stdin
-    if hasattr(source, "read"):
-        lines = source.readlines()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")  # newlines are already translated to "\n"
+    with _opened(source) as stream:
+        lines = stream.readlines()
     return _off_faces(lines)

@@ -16,10 +16,10 @@ the triangle, so a triangle tested against many partners builds them once.
 ``intersect`` is one straight-line body on floats for raw, plain-sequence
 and prepared triangles: it builds the normals, the plane relation, the
 frame's maps and the lift inline.  It calls the frame and window build
-(``_frame_window``), the orientation of a coplanar partner, and three
-steps looked up in this module's globals, the boundaries that
-``bench/tracing.py`` wraps: the edge crossings, the segment clip and the
-coplanar contour.  A norm that is not finite or below the area gate takes
+(``_frame_window``) and three steps looked up in this module's globals,
+the boundaries that ``bench/tracing.py`` wraps: the edge crossings, the
+segment clip and the coplanar contour, which gates and orders the
+partner it clips.  A norm that is not finite or below the area gate takes
 ``_cold``: ``core.plane_from_triangle`` raises NonFiniteInput before
 DegenerateTriangle, or the norm overflowed.  Then the planes' relation is
 decided on the unscaled normals, and the body runs on the pair scaled by
@@ -32,7 +32,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .clip2d import Window, _clockwise, _window, clip_segment_to_triangle
+from .clip2d import Window, _window, clip_segment_to_triangle
 from .coplanar import intersect_coplanar
 from .core import DEFAULT_TOLERANCE, Point3, Tolerance, _scaled, plane_from_triangle
 from .errors import DegenerateTriangle
@@ -89,8 +89,8 @@ class PreparedTriangle:
         """The frame's ``(u_axis, v_axis)`` and the window's side lines in the frame.
 
         Built on the first call, in one pass: the axes, the three corners'
-        frame coordinates as plain floats (no ``Point2``), and the side lines
-        from those six floats by ``clip2d._window``.  Raises ValueError for a
+        frame coordinates as plain floats, and the side lines from those
+        six floats by ``clip2d._window``.  Raises ValueError for a
         triangle whose norm overflowed, whose ``tol`` is None: it keeps no
         frame, and ``intersect`` reads it as a raw triangle.
         """
@@ -250,16 +250,14 @@ def intersect(t1, t2, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[CaseLabel, In
     axes, window = _frame_window(t1, q1, w1, u1, tol) if kept is None else kept.frame_window()
     (ux, uy, uz), (vx, vy, vz) = axes
     if coplanar:
-        # t2 in the frame, counter-clockwise as ccw_vertices orders it
+        # t2 in the frame; intersect_coplanar gates its area and orders it
         x, y, z = gx - ax, gy - ay, gz - az
         pu, pv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
         x, y, z = b2[0] - ax, b2[1] - ay, b2[2] - az
         qu, qv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
         x, y, z = c2[0] - ax, c2[1] - ay, c2[2] - az
         su, sv = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
-        if _clockwise(pu, pv, qu, qv, su, sv, tol.eps_area):
-            qu, qv, su, sv = su, sv, qu, qv
-        clip = intersect_coplanar(window, [(pu, pv), (qu, qv), (su, sv)], tol)
+        clip = intersect_coplanar(window, ((pu, pv), (qu, qv), (su, sv)), tol)
         if not clip:
             return _COPLANAR_NO_CONTACT, _DISJOINT
         label = _COPLANAR_CONTOUR

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, _scaled
-from tritri.clip2d import Point2, ccw_vertices
 from tritri.errors import DegenerateTriangle
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
@@ -127,6 +126,20 @@ def scaled(triangles, k: int) -> tuple[Triangle3, ...]:
 
 
 # --- 2D ----------------------------------------------------------------------
+
+
+class Point2(NamedTuple):
+    u: float
+    v: float
+
+
+def ccw_vertices(a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Point2, Point2, Point2]:
+    """The 2D triangle abc as three ``Point2`` in counter-clockwise order, from ``a``.
+
+    Raises DegenerateTriangle when the area is below ``tol.eps_area``.
+    """
+    a, b, c = Point2(*a), Point2(*b), Point2(*c)
+    return (a, c, b) if _reference_clockwise(*a, *b, *c, tol.eps_area) else (a, b, c)
 
 
 def random_triangle2(rng: random.Random, lo=-10.0, hi=10.0, min_area=0.5) -> tuple[Point2, Point2, Point2]:

@@ -21,8 +21,6 @@ from tritri import (
 )
 from tritri.cli import main
 from tritri.clip2d import (
-    Point2,
-    ccw_vertices,
     clip_segment_to_triangle,
     region_code,
     window_lines,
@@ -38,6 +36,8 @@ from tritri.oracle import (
 )
 
 from conftest import (
+    Point2,
+    ccw_vertices,
     contours_match,
     from_plane,
     kept_frame,

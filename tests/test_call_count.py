@@ -12,11 +12,12 @@ import random
 import sys
 
 from tritri.cli import main
-from tritri.intersect import intersect
+from tritri.intersect import CaseLabel, intersect
 
 from conftest import height_field, mixed_pairs, off_text
 
 MAX_CALLS_PER_PAIR = 5
+MAX_CALLS_PER_COPLANAR_PAIR = 4  # intersect, the frame and window build, the window, the contour
 TRACED = {
     "tritri.intersect": ("project_triangle_edges", "clip_segment_to_triangle", "intersect_coplanar"),
     "tritri.cli": ("intersect", "read_pairs", "read_off", "run_pairs", "run_meshes"),
@@ -41,6 +42,14 @@ def _calls(t1, t2) -> int:
 def test_intersect_makes_at_most_five_calls_per_pair():
     counts = [_calls(t1, t2) for t1, t2 in mixed_pairs(random.Random(11), 1000)]
     assert max(counts) <= MAX_CALLS_PER_PAIR, (max(counts), sum(counts) / len(counts))
+
+
+def test_a_coplanar_pair_makes_at_most_four_calls():
+    coplanar = {CaseLabel.COPLANAR_CONTOUR, CaseLabel.COPLANAR_NO_CONTACT}
+    pairs = [(t1, t2) for t1, t2 in mixed_pairs(random.Random(11), 1000) if intersect(t1, t2)[0] in coplanar]
+    counts = [_calls(t1, t2) for t1, t2 in pairs]
+    assert len(pairs) >= 100
+    assert max(counts) <= MAX_CALLS_PER_COPLANAR_PAIR, (max(counts), len(pairs))
 
 
 def _counting(monkeypatch, module_name) -> list:

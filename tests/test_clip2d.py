@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritri.clip2d import (
-    Point2,
-    ccw_vertices,
     clip_segment_to_triangle,
     region_code,
     window_lines,
@@ -16,7 +14,7 @@ from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle
 from tritri.oracle import rational_clip_segment
 
-from conftest import points_match_unordered, random_point2, random_triangle2
+from conftest import Point2, ccw_vertices, points_match_unordered, random_point2, random_triangle2
 
 # canonical right-triangle window: AB along y=0, AC along x=0, BC on x+y=4
 CORNERS = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
@@ -149,19 +147,6 @@ def test_window_area_gate_uses_the_callers_tolerance():
 def test_clockwise_window_normalized():
     a, b, c = Point2(0, 0), Point2(0, 4), Point2(4, 0)
     assert window_lines(a, b, c, DEFAULT_TOLERANCE) == window_lines(a, c, b, DEFAULT_TOLERANCE) == W
-
-
-def test_ccw_vertices_orders_gates_and_wraps():
-    a, b, c = (0, 0), (0, 4), (4, 0)
-    assert ccw_vertices(a, b, c) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
-    assert ccw_vertices(a, c, b) == (Point2(0, 0), Point2(4, 0), Point2(0, 4))
-    assert all(type(v) is Point2 for v in ccw_vertices(a, b, c))
-    ordered = ccw_vertices(a, b, c)
-    assert window_lines(a, b, c, DEFAULT_TOLERANCE) == window_lines(*ordered, DEFAULT_TOLERANCE)
-    with pytest.raises(DegenerateTriangle):
-        ccw_vertices((0, 0), (1, 1), (2, 2))
-    with pytest.raises(DegenerateTriangle):
-        ccw_vertices((0, 0), (0.02, 0), (0, 0.01), Tolerance(eps_area=1e-3))
 
 
 def test_window_side_lines_are_unit_normals_pointing_inside():

@@ -1,13 +1,15 @@
 import math
 import random
 
-from tritri.clip2d import Point2, ccw_vertices, region_code, window_lines
+import pytest
+
+from tritri.clip2d import region_code, window_lines
 from tritri.coplanar import intersect_coplanar
 from tritri.core import DEFAULT_TOLERANCE, Tolerance
 from tritri.errors import DegenerateTriangle
 from tritri.oracle import rational_polygon_area, rational_polygon_intersection
 
-from conftest import contours_match, polygon_area2, random_point2, random_triangle2
+from conftest import Point2, ccw_vertices, contours_match, polygon_area2, random_point2, random_triangle2
 
 def _window(*pts):
     return window_lines(*(Point2(*p) for p in pts), DEFAULT_TOLERANCE)
@@ -137,6 +139,39 @@ def test_area_symmetry():
         a1 = _contour_area(intersect_coplanar(window_lines(*w, DEFAULT_TOLERANCE), c))
         a2 = _contour_area(intersect_coplanar(window_lines(*c, DEFAULT_TOLERANCE), w))
         assert abs(a1 - a2) <= 1e-9 * max(1.0, a1, a2)
+
+
+def _hex(contour):
+    return [(type(v), v[0].hex(), v[1].hex()) for v in contour]
+
+
+def test_a_clockwise_partner_gives_the_counter_clockwise_contour():
+    # the clip orders its partner itself: either order gives one contour, bit for bit
+    rng = random.Random(1974)
+    contours = 0
+    for _ in range(400):
+        w, (a, b, c) = random_triangle2(rng), random_triangle2(rng)
+        window = window_lines(*w, DEFAULT_TOLERANCE)
+        ccw = intersect_coplanar(window, (a, b, c))
+        assert _hex(intersect_coplanar(window, (a, c, b))) == _hex(ccw)
+        assert _hex(intersect_coplanar(window, [list(a), list(c), list(b)])) == _hex(ccw)
+        if ccw:
+            contours += 1
+            assert polygon_area2(ccw) > 0.0
+    assert contours >= 100
+    # the contained clockwise triangle comes back as itself, counter-clockwise
+    res = intersect_coplanar(W4, ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)))
+    assert res == ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
+
+
+def test_a_partner_below_the_callers_eps_area_is_degenerate():
+    small = ((1.0, 1.0), (1.02, 1.0), (1.0, 1.01))  # area 1e-4
+    assert intersect_coplanar(W4, small) == small
+    for partner in (small, small[::-1]):
+        with pytest.raises(DegenerateTriangle, match="2D triangle area below tolerance"):
+            intersect_coplanar(W4, partner, Tolerance(eps_area=1e-3))
+    with pytest.raises(DegenerateTriangle, match="2D triangle area below tolerance"):
+        intersect_coplanar(W4, ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
 
 
 # --- the list-based contour, kept as the reference for the unpacked one ----------

@@ -15,12 +15,12 @@ from fractions import Fraction
 import pytest
 
 from tritri import CaseLabel, Point3, Triangle3, intersect
-from tritri.clip2d import ccw_vertices, window_lines
+from tritri.clip2d import window_lines
 from tritri.core import DEFAULT_TOLERANCE, plane_from_triangle
 from tritri.coplanar import intersect_coplanar
 from tritri.oracle import as_floats, oracle_intersect
 
-from conftest import (GRID, build_frame, contours_match, from_plane, grid_triangle,
+from conftest import (GRID, build_frame, ccw_vertices, contours_match, from_plane, grid_triangle,
                       result_matches_oracle, to_plane)
 
 SLACK_FLOOR = 1e-8  # as in acceptance criterion 2

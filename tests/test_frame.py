@@ -3,12 +3,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritri.clip2d import Point2
 from tritri.core import Point3, Triangle3
 from tritri.errors import DegenerateTriangle
 from tritri.intersect import prepare
 
-from conftest import dot3, from_plane, kept_frame, to_plane, vnorm
+from conftest import Point2, dot3, from_plane, kept_frame, to_plane, vnorm
 
 
 def _frame_for(points):

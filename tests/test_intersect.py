@@ -14,10 +14,8 @@ from tritri import (
     DegenerateTriangle,
     EmptyReason,
     NonFiniteInput,
-    Point2,
     Point3,
     Triangle3,
-    ccw_vertices,
     clip_segment_to_triangle,
     intersect,
     intersect_coplanar,
@@ -30,6 +28,8 @@ from tritri.lineplane import project_triangle_edges
 from tritri.oracle import as_floats, oracle_intersect
 
 from conftest import (
+    Point2,
+    ccw_vertices,
     contours_match,
     coplanar_pair,
     crossing_pair,

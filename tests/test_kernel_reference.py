@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from tritri.clip2d import ccw_vertices, clip_segment_to_triangle, window_lines
+from tritri.clip2d import clip_segment_to_triangle, window_lines
 from tritri.coplanar import intersect_coplanar
 from tritri.core import DEFAULT_TOLERANCE, Plane, Point3, Tolerance, Triangle3, plane_from_triangle
 from tritri.errors import DegenerateTriangle, NonFiniteInput
@@ -50,8 +50,7 @@ def _reference_tri_plane(t, tol):
 
 
 def _reference_coplanar(frame, window, tri2, tol):
-    clipped = ccw_vertices(*(to_plane(frame, v) for v in tri2), tol)
-    contour = intersect_coplanar(window, clipped, tol)
+    contour = intersect_coplanar(window, tuple(to_plane(frame, v) for v in tri2), tol)
     if not contour:
         return CaseLabel.COPLANAR_NO_CONTACT, IntersectionResult(reason=EmptyReason.COPLANAR_DISJOINT)
     return CaseLabel.COPLANAR_CONTOUR, IntersectionResult(tuple(from_plane(frame, q) for q in contour))
